@@ -12,8 +12,8 @@ Redirect handling mirrors a real redis cluster client: a ``-MOVED
 <slot> <owner>`` reply re-enqueues the request toward the named owner
 and counts the redirect.  Failover handling mirrors an at-least-once
 retry policy: when a node dies, its outstanding requests are aborted
-back onto the pending queue (``SET`` is idempotent per key, so replays
-are safe; an acked value is never rolled back).
+back onto the pending queue in issue order (``SET`` is idempotent per
+key, so replays are safe; an acked value is never rolled back).
 """
 
 from __future__ import annotations
@@ -65,27 +65,29 @@ class ClusterClient:
         self.stale_reads = 0
         #: Stale replies by key (campaign reporting).
         self.stale_keys: list[bytes] = []
+        #: Routing token ``(cluster.epoch, map.epoch)`` of the last scan
+        #: of :attr:`pending`, which left every request in it parked.
+        #: ``None`` once an enqueue or an opened window invalidates it.
+        self._parked_at: tuple[int, int] | None = None
         cluster.attach_client(self)
 
     # --- enqueue ----------------------------------------------------------
 
-    def set(self, key: bytes, value: bytes) -> None:
+    def _issue(self, request: Request) -> None:
         self.issued += 1
-        self.pending.append(
+        self.pending.append(request)
+        self._parked_at = None
+
+    def set(self, key: bytes, value: bytes) -> None:
+        self._issue(
             Request("set", key, value, resp.encode_command(b"SET", key, value))
         )
 
     def get(self, key: bytes) -> None:
-        self.issued += 1
-        self.pending.append(
-            Request("get", key, None, resp.encode_command(b"GET", key))
-        )
+        self._issue(Request("get", key, None, resp.encode_command(b"GET", key)))
 
     def delete(self, key: bytes) -> None:
-        self.issued += 1
-        self.pending.append(
-            Request("del", key, None, resp.encode_command(b"DEL", key))
-        )
+        self._issue(Request("del", key, None, resp.encode_command(b"DEL", key)))
 
     # --- pumping ----------------------------------------------------------
 
@@ -101,7 +103,29 @@ class ClusterClient:
         return node if node.alive else None
 
     def pump(self) -> int:
-        """Dispatch pending requests into open windows; returns count."""
+        """Dispatch pending requests into open windows; returns count.
+
+        Called on every scheduler switch of every node (via
+        :meth:`drive`'s ``until``).  A scan walks the whole FIFO and
+        leaves every request it cannot dispatch parked: its owner is
+        dead or missing, or its node's window is full.  Until one of
+        these events, a rescan would park the same requests again, so
+        ``pump`` returns 0 without one:
+
+        - a request is enqueued or re-enqueued (``set``/``get``/
+          ``delete``, a MOVED chase, an :meth:`abort_node` replay);
+        - a window opens (a reply, or :meth:`abort_node` dropping a
+          node's queue);
+        - the routing token ``(cluster.epoch, map.epoch)`` changes,
+          which every kill, promotion and shard join does.
+
+        Every delivery thus happens at the same call, in the same order,
+        as with a rescan on every call.
+        """
+        token = (self.cluster.epoch, self.cluster.map.epoch)
+        if token == self._parked_at:
+            return 0
+        self._parked_at = token
         dispatched = 0
         blocked: list[Request] = []
         while self.pending:
@@ -148,6 +172,7 @@ class ClusterClient:
                 # (duplicate ack after a retry) — drop it.
                 continue
             request = queue.popleft()
+            self._parked_at = None  # the window has room again
             self._complete(request, reply)
 
     def _complete(self, request: Request, reply) -> None:
@@ -161,6 +186,7 @@ class ClusterClient:
                     parts[2].decode() if len(parts) >= 3 else None
                 )
                 self.pending.appendleft(request)
+                self._parked_at = None
                 return
             self.errors += 1
             self.completed += 1
@@ -187,16 +213,19 @@ class ClusterClient:
         At-least-once semantics — a request the dead node processed but
         never answered is replayed against the new owner.  ``SET`` and
         ``DEL`` are idempotent per key so replays converge; an already
-        recorded ack is never rolled back.
+        recorded ack is never rolled back.  Replays go to the front of
+        the FIFO in issue order, so a later write to a key is never
+        replayed before an earlier one.
         """
         queue = self.outstanding.pop(node_name, None)
         self._parsers.pop(node_name, None)
+        self._parked_at = None
         if not queue:
             return 0
         for request in queue:
             request.forced_shard = None  # re-route via the new map
-            self.retried += 1
-            self.pending.appendleft(request)
+        self.retried += len(queue)
+        self.pending.extendleft(reversed(queue))
         return len(queue)
 
     # --- reporting --------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 from repro.machine.faults import OutOfMemoryError
 
 #: Page/frame size in bytes (x86-64 base pages).
@@ -25,16 +27,21 @@ class PhysicalMemory:
 
     Frames are handed out by a bump allocator with a free list so that
     unmapped regions can be recycled.  All byte content lives in one
-    ``bytearray`` indexed by physical address; :attr:`view` is a cached
-    ``memoryview`` over it so readers can slice without the double copy
-    a ``bytes(bytearray[...])`` round-trip costs.
+    private anonymous ``mmap`` indexed by physical address.  Its pages
+    read as zero until first written and the host kernel supplies them
+    lazily, so a machine costs no up-front zeroing and its resident
+    size is roughly the pages the simulation touched.  The mmap takes
+    slice reads and writes like a ``bytearray`` but has no content
+    ``==`` (compare two memories' :attr:`view` instead).  :attr:`view`
+    is a cached ``memoryview`` over it so readers can slice without the
+    double copy a ``bytes(data[...])`` round-trip costs.
     """
 
     def __init__(self, size_bytes: int = 64 * 1024 * 1024) -> None:
         if size_bytes <= 0 or size_bytes % PAGE_SIZE != 0:
             raise ValueError("physical memory size must be a positive page multiple")
         self.size = size_bytes
-        self.data = bytearray(size_bytes)
+        self.data = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
         #: Zero-copy window over :attr:`data`; slicing it is free and
         #: ``bytes(view[a:b])`` copies exactly once.
         self.view = memoryview(self.data)

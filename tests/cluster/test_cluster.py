@@ -101,6 +101,26 @@ def test_failover_preserves_every_acked_write():
     assert cluster.shards[victim].failover_ns > 0
 
 
+def test_failover_replays_aborted_window_in_issue_order():
+    cluster = RedisCluster(shards=("s0", "s1"), replicate=True)
+    client = ClusterClient(cluster)
+    key = b"k"
+    client.set(key, b"v1")
+    client.set(key, b"v2")
+    assert client.pump() == 2  # both in flight, neither answered yet
+    owner = cluster.map.owner(key)
+    cluster.kill_primary(owner)
+    cluster.promote(owner, recover=True)
+    client.drive()
+    assert client.retried == 2
+    # Replayed in program order: the later write wins, on the wire and
+    # in the acked ground truth alike.
+    serving = cluster.serving_node(owner)
+    assert serving.image.lib("redis").value_of(key) == b"v2"
+    assert client.acked[key] == b"v2"
+    assert verify_acked(cluster, client)["ok"]
+
+
 def test_fenced_old_primary_redirects_everything():
     cluster = RedisCluster(shards=("s0", "s1"), replicate=True)
     client = ClusterClient(cluster)
