@@ -564,25 +564,21 @@ class Gate(Channel):
     def _per_op_enter_fast(self, entry: _PlanEntry, args: tuple, cpu) -> None:
         self._per_op_enter(entry.fn, args)
 
-    def _invoke_fast(self, entry: _PlanEntry, args: tuple) -> Any:
-        """Hot invoke: identical charge/bump sequence, zero derivation.
+    def _plan_prologue(self, fn: str):
+        """Caller side of every plan-path crossing; returns the CPU.
 
-        Mirrors ``_invoke_slow`` line for line — every ``charge`` has
-        the same value (precomputed from the same constants with the
-        same associativity) and every counter write the same order.
-        The only skipped work is host-side: lookups, f-strings, and
-        observer probes the plan already resolved (``observing`` False
-        guarantees the tracer and latency recorder are off).
+        The plan hit, then the call charge and call monitors, the
+        failed-compartment check and the crossing counters — the same
+        charges and counter writes, in the same order, as the
+        interpreted bodies' ``_caller_side``/``_check_available``/
+        ``_record_crossing`` sequence.
         """
-        plan = self._plan
-        plan.hits += 1
-        machine = self.machine
-        cpu = machine.cpu
+        self._plan.hits += 1
+        cpu = self.machine.cpu
         profile = cpu._contexts[-1].profile
         cpu.charge(self._call_ns + profile.call_extra_ns)
         monitors = profile.call_monitors
         if monitors:
-            fn = entry.fn
             for monitor in monitors:
                 monitor(self._caller_name, self._callee_name, fn)
         if self._is_boundary:
@@ -597,10 +593,25 @@ class Gate(Channel):
         counters = self._counters
         for name in self._bump_names:
             counters[name] = counters.get(name, 0.0) + 1.0
+        return cpu
+
+    def _invoke_fast(self, entry: _PlanEntry, args: tuple) -> Any:
+        """Hot invoke: identical charge/bump sequence, zero derivation.
+
+        Mirrors the interpreted body of :meth:`invoke` (everything after
+        its plan check) line for line — every ``charge`` has the same
+        value (precomputed from the same constants with the same
+        associativity) and every counter write the same order.  The
+        only skipped work is host-side: lookups, f-strings, and
+        observer probes the plan already resolved (``observing`` False
+        guarantees the tracer and latency recorder are off).
+        """
+        cpu = self._plan_prologue(entry.fn)
         self._enter_fast(entry, args, cpu)
         try:
-            if machine.injector is not None:
-                machine.injector.on_crossing(self, entry.fn)
+            injector = self.machine.injector
+            if injector is not None:
+                injector.on_crossing(self, entry.fn)
             return entry.handler(*args)
         except CONTAINABLE_FAULTS as exc:
             failure = self._contain(exc)
@@ -613,27 +624,9 @@ class Gate(Channel):
     def _invoke_batch_fast(
         self, entries: list, ops: list[tuple[int, str, tuple]]
     ) -> list[Completion]:
-        plan = self._plan
-        plan.hits += 1
+        """Plan path of :meth:`invoke_batch`; mirrors its interpreted body."""
+        cpu = self._plan_prologue(ops[0][1])
         machine = self.machine
-        cpu = machine.cpu
-        profile = cpu._contexts[-1].profile
-        cpu.charge(self._call_ns + profile.call_extra_ns)
-        monitors = profile.call_monitors
-        if monitors:
-            first_fn = ops[0][1]
-            for monitor in monitors:
-                monitor(self._caller_name, self._callee_name, first_fn)
-        if self._is_boundary:
-            comp = self.callee_lib.compartment
-            if comp is not None and comp.failed:
-                self._ctx_pool = None
-                self._check_available()
-        self.crossings += 1
-        self._edge.crossings += 1
-        counters = self._counters
-        for name in self._bump_names:
-            counters[name] = counters.get(name, 0.0) + 1.0
         completions: list[Completion] = []
         self._enter_fast(entries[0], (len(ops),), cpu)
         try:
@@ -659,6 +652,39 @@ class Gate(Channel):
         finally:
             self._exit_fast(entries[0], cpu)
         return completions
+
+    def _invoke_gen_fast(self, entry: _PlanEntry, args: tuple) -> Generator:
+        """Plan path of :meth:`invoke_gen`; mirrors
+        :meth:`_invoke_gen_interpreted` exit for exit.
+
+        The crossing may suspend, and other threads may cross this gate
+        meanwhile: ``_enter_fast`` took the pooled context (clearing
+        the pool), so they build their own, and ``_exit_fast`` hands a
+        context back only into an empty pool.  No span or latency
+        sample is closed on exit: none was opened, even if an observer
+        came on while the thread was parked.
+        """
+        cpu = self._plan_prologue(entry.fn)
+        self._enter_fast(entry, args, cpu)
+        try:
+            injector = self.machine.injector
+            if injector is not None:
+                injector.on_crossing(self, entry.fn)
+            result = yield from entry.handler(*args)
+        except GeneratorExit:
+            # A killed thread's context stack is discarded with it.
+            raise
+        except CONTAINABLE_FAULTS as exc:
+            self._exit_fast(entry, cpu)
+            failure = self._contain(exc)
+            if failure is None:
+                raise
+            raise failure from exc
+        except BaseException:
+            self._exit_fast(entry, cpu)
+            raise
+        self._exit_fast(entry, cpu)
+        return result
 
     # --- channel interface ---------------------------------------------------------
 
@@ -766,6 +792,25 @@ class Gate(Channel):
                 self._tracer.end()
 
     def invoke_gen(self, fn: str, args: tuple) -> Generator:
+        """Blocking crossing: returns a generator to drive with ``yield from``.
+
+        The path is chosen here, by the same plan check as
+        :meth:`invoke`; callers drive the generator at once.  Every
+        error — an unknown or non-blocking export, a failed callee —
+        surfaces at its first ``next()``, on either path.
+        """
+        plan = self._plan
+        if plan is not None:
+            epoch = self._obs.epoch
+            if plan.epoch != epoch:
+                plan.refresh(epoch)
+            if not plan.observing:
+                entry = plan.entries.get(fn)
+                if entry is not None and entry.blocking:
+                    return self._invoke_gen_fast(entry, args)
+        return self._invoke_gen_interpreted(fn, args)
+
+    def _invoke_gen_interpreted(self, fn: str, args: tuple) -> Generator:
         handler = self._lookup(fn, blocking=True)
         self._caller_side(fn)
         self._check_available()

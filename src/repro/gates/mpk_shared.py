@@ -79,10 +79,11 @@ class MPKSharedStackGate(Gate):
 
     # --- crossing-plan fast path --------------------------------------------
     # Same charge/bump sequence as _enter/_exit with the WRPKRU inlined:
-    # the plan only runs while the tracer is off (observing → slow path)
-    # and the gate holds the token by construction, so the tracer probe
-    # and token identity check are the only elided steps — neither
-    # touches simulated state.
+    # the gate holds the token by construction, so the token identity
+    # check is elided.  A plan crossing starts only while the tracer is
+    # off (observing → slow path), so entry skips the tracer probe; a
+    # blocking one can resume after the tracer came on while it was
+    # parked, so exit keeps the probe and records the same instant.
 
     def _enter_fast(self, entry, args, cpu) -> None:
         cpu.charge(self._switch_ns)
@@ -115,4 +116,7 @@ class MPKSharedStackGate(Gate):
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
         # The slow path re-writes the caller context's own PKRU value —
         # a semantic no-op, so nothing to assign here.
+        tracer = self._tracer
+        if tracer._enabled:
+            tracer.instant("wrpkru", "mpk", value=cpu._contexts[-1].pkru)
         cpu.charge(self._mpk_exit_ns)

@@ -49,7 +49,9 @@ def machine_telemetry(images) -> dict:
     silently drop every machine but one.  Counters are summed,
     ``enabled`` flags are AND-ed (one disabled machine disables the
     claim), and the machine count is reported so readers can tell a
-    cluster report from a single-machine one.
+    cluster report from a single-machine one.  Crossing-plan hits sit
+    next to every edge crossing of the same machines, so
+    ``plan_hit_rate`` is the share of crossings the plans served.
     """
     total = {
         "machines": 0,
@@ -61,6 +63,7 @@ def machine_telemetry(images) -> dict:
             "enabled": True,
             "plans": 0,
             "plan_hits": 0,
+            "edge_crossings": 0,
             "plan_refreshes": 0,
         },
         "wheel_cascades": 0,
@@ -78,6 +81,9 @@ def machine_telemetry(images) -> dict:
         )
         for key in ("plans", "plan_hits", "plan_refreshes"):
             total["gateplan"][key] += gateplan.get(key, 0)
+        total["gateplan"]["edge_crossings"] += sum(
+            image.machine.cpu.metrics.edge_counts().values()
+        )
         total["wheel_cascades"] += getattr(
             image.scheduler, "timer_cascades", 0
         )
@@ -87,6 +93,12 @@ def machine_telemetry(images) -> dict:
         delivery["wait_parks"] += counters.get("queue.wait_parks", 0.0)
     lookups = total["tlb_hits"] + total["tlb_misses"]
     total["tlb_hit_rate"] = total["tlb_hits"] / lookups if lookups else 0.0
+    plans = total["gateplan"]
+    plans["plan_hit_rate"] = (
+        plans["plan_hits"] / plans["edge_crossings"]
+        if plans["edge_crossings"]
+        else 0.0
+    )
     delivery["wake_poll_ratio"] = (
         delivery["wakes"] / delivery["polls"] if delivery["polls"] else 0.0
     )
@@ -388,7 +400,8 @@ def render_text(
         if gateplan:
             lines.append(
                 f"  crossing plans: {gateplan['plans']} compiled, "
-                f"{gateplan['plan_hits']} hits, "
+                f"{gateplan['plan_hits']} of {gateplan['edge_crossings']} "
+                f"edge crossings planned ({gateplan['plan_hit_rate']:.1%}), "
                 f"{gateplan['plan_refreshes']} refreshes"
             )
             if not gateplan["enabled"]:

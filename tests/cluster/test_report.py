@@ -26,6 +26,10 @@ def test_machine_telemetry_sums_across_all_machines():
     assert aggregated["gateplan"]["plan_hits"] == sum(
         stats["gateplan"]["plan_hits"] for stats in singles
     )
+    assert aggregated["gateplan"]["edge_crossings"] == sum(
+        sum(image.machine.cpu.metrics.edge_counts().values())
+        for image in images
+    )
     # Multiple machines did real work: a singleton snapshot would
     # undercount (this is the regression the aggregation fixes).
     busiest = max(stats["tlb_hits"] for stats in singles)

@@ -1,6 +1,7 @@
 """The flexos-report CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -54,6 +55,20 @@ def test_cli_with_flags(capsys):
     )
     out = capsys.readouterr().out
     assert "cheri" in out
+
+
+def test_cli_machine_shows_plan_share_of_crossings(capsys):
+    """``--machine`` reports plan hits against every edge crossing."""
+    assert report_main(["--workload", "iperf", "--machine"]) == 0
+    line = next(
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if "crossing plans:" in line
+    )
+    hits, crossings = re.search(
+        r"(\d+) of (\d+) edge crossings planned \(100\.0%\)", line
+    ).groups()
+    assert hits == crossings and int(crossings) > 0
 
 
 def test_cli_with_json_config(tmp_path, capsys):

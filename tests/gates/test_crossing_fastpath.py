@@ -5,11 +5,12 @@ The plan-compiled fast path (``REPRO_GATEPLAN=1``, the default) must be
 quantity — clock, counters, edge records — because it issues the exact
 same charge/counter-write sequence, merely precomputed.  These tests
 drive randomized operation traces (sync invokes, faulting invokes,
-batched queue submissions, observability toggles mid-trace) through
-both paths and diff the full machine state, at channel level across the
-four boundary backends and at image level across the six isolation
-profiles the benchmarks use (including SH-hardened ones), with tracing
-both off and on.
+blocking crossings that suspend or fail, batched queue submissions,
+observability toggles mid-trace and mid-suspension) through both paths
+and diff the full machine state, at channel level across the four
+boundary backends and at image level (redis and the Fig. 3 iperf image)
+across the six isolation profiles the benchmarks use (including
+SH-hardened ones), with tracing both off and on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.gates import GateOptions, make_channel
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
 from repro.machine.capabilities import base_capabilities
-from repro.machine.faults import GateError
+from repro.machine.faults import CompartmentFailure, GateError, ProtectionFault
 from repro.machine.machine import Machine
 from repro.machine.mpk import pkru_for_keys
 
@@ -68,6 +69,16 @@ class SvcLibrary(MicroLibrary):
         yield
         return "done"
 
+    @export_blocking
+    def early_fail(self):
+        raise ValueError("early")
+        yield  # pragma: no cover - makes this a generator
+
+    @export_blocking
+    def crash_later(self, addr):
+        yield
+        raise ProtectionFault(addr, "write", None, "wild write after resume")
+
 
 class CallerLibrary(MicroLibrary):
     NAME = "caller"
@@ -110,6 +121,30 @@ def enter_caller(machine, caller):
     machine.cpu.push_context(caller.compartment.make_context("caller"))
 
 
+def toggle_observer(machine, rng) -> None:
+    """Flip the tracer or per-edge latency recording (an epoch bump)."""
+    if rng.randrange(2):
+        machine.obs.tracer.enabled = not machine.obs.tracer.enabled
+    else:
+        metrics = machine.cpu.metrics
+        metrics.record_edge_latency = not metrics.record_edge_latency
+
+
+def finish(gen):
+    """Resume a suspended blocking crossing to completion; its result."""
+    try:
+        gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("blocking export suspended twice")
+
+
+def finish_blocking(gen):
+    """Drive a blocking crossing from its first ``next()`` to its end."""
+    next(gen)
+    return finish(gen)
+
+
 def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
     """One seeded randomized trace; returns (results, machine state)."""
     machine, service, caller = make_world(backend, gateplan)
@@ -125,7 +160,7 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
     rng = random.Random(seed)
     results = []
     for _ in range(60):
-        op = rng.randrange(7)
+        op = rng.randrange(9)
         if op == 0:
             args = tuple(rng.randrange(100) for _ in range(rng.randrange(4)))
             results.append(sync.invoke("echo", args))
@@ -148,14 +183,43 @@ def run_trace(backend: str, gateplan: bool, seed: int, toggle_obs: bool):
             # Mid-trace observability flips: the plan must re-specialize
             # on the epoch bump, and the observing path (the slow path)
             # must produce the same simulated numbers as always.
-            if rng.randrange(2):
-                machine.obs.tracer.enabled = not machine.obs.tracer.enabled
-            else:
-                metrics = machine.cpu.metrics
-                metrics.record_edge_latency = not metrics.record_edge_latency
+            toggle_observer(machine, rng)
+        elif op == 7:
+            # A blocking crossing that suspends once; an observer may
+            # flip while it is parked inside the callee.
+            gen = sync.invoke_gen("sleepy", ())
+            results.append(next(gen))
+            if toggle_obs and rng.randrange(2):
+                toggle_observer(machine, rng)
+            results.append(finish(gen))
+        elif op == 8:
+            try:
+                next(sync.invoke_gen("early_fail", ()))
+            except ValueError as exc:
+                results.append(str(exc))
     machine.obs.tracer.enabled = False
     queued.flush()
     results.append([(c.ticket, c.fn, c.value) for c in queued.poll()])
+    # A containable fault after a suspension, first raw (propagate),
+    # then contained (isolate), each followed by a plain and a blocking
+    # crossing into the callee — refused once it has failed.
+    for policy in ("propagate", "isolate"):
+        service.compartment.failure_policy = policy
+        gen = sync.invoke_gen("crash_later", (rng.randrange(1 << 20),))
+        next(gen)
+        try:
+            finish(gen)
+        except (ProtectionFault, CompartmentFailure) as exc:
+            results.append((policy, type(exc).__name__))
+        for call in (
+            lambda: sync.invoke("echo", (policy,)),
+            lambda: finish_blocking(sync.invoke_gen("sleepy", ())),
+        ):
+            try:
+                results.append(call())
+            except CompartmentFailure as exc:
+                results.append((policy, str(exc)))
+        results.append(machine.cpu.context_depth)
     snap = machine.cpu.snapshot()
     counters = dict(machine.cpu.metrics.counters)
     return results, snap, counters, service.machine.cpu.clock_ns
@@ -211,6 +275,22 @@ def test_plan_refreshes_on_observability_epoch_bump():
     assert stats["plan_hits"] >= plan.hits
 
 
+def test_blocking_crossing_is_a_plan_hit():
+    machine, service, caller = make_world("mpk-shared", True)
+    channel = make_channel("mpk-shared", machine, caller, service)
+    enter_caller(machine, caller)
+    plan = channel._plan
+    hits = plan.hits
+    assert finish_blocking(channel.invoke_gen("sleepy", ())) == "done"
+    assert plan.hits == hits + 1
+    # Misuse still fails at the first next(), and takes no hit.
+    for fn in ("echo", "missing"):
+        gen = channel.invoke_gen(fn, ())
+        with pytest.raises(GateError):
+            next(gen)
+    assert plan.hits == hits + 1
+
+
 def test_gateplan_disabled_registers_no_plans():
     machine, service, caller = make_world("mpk-shared", False)
     channel = make_channel("mpk-shared", machine, caller, service)
@@ -230,21 +310,40 @@ def _redis_config(backend: str, hardening: dict) -> BuildConfig:
     )
 
 
+def _fig3_config(backend: str, hardening: dict) -> BuildConfig:
+    return BuildConfig(
+        libraries=["libc", "netstack", "iperf"],
+        compartments=[["netstack"], ["sched", "alloc", "libc", "iperf"]],
+        backend=backend,
+        hardening=dict(hardening),
+    )
+
+
+#: (config builder, workload, parameters): redis crosses mostly with
+#: plain invokes, iperf blocks in netstack ``recv`` once per buffer.
+IMAGES = [
+    (_redis_config, "redis", {"sets": 24, "gets": 60, "window": 4}),
+    (_fig3_config, "iperf", {"buffer_size": 256, "total_bytes": 1 << 15}),
+]
+
+
 def _run_profile(backend, hardening, monkeypatch, gateplan: bool):
     monkeypatch.setenv("REPRO_GATEPLAN", "1" if gateplan else "0")
-    image = build_image(_redis_config(backend, hardening))
-    summary, numbers = run_named_workload(
-        image, "redis", {"sets": 24, "gets": 60, "window": 4}
-    )
-    machine = image.machine
-    return numbers, machine.cpu.snapshot(), dict(machine.cpu.metrics.counters)
+    runs = []
+    for config, workload, params in IMAGES:
+        image = build_image(config(backend, hardening))
+        summary, numbers = run_named_workload(image, workload, params)
+        cpu = image.machine.cpu
+        runs.append((numbers, cpu.snapshot(), dict(cpu.metrics.counters)))
+    return runs
 
 
 @pytest.mark.parametrize("backend,hardening", PROFILES)
 def test_image_level_simulation_identical(backend, hardening, monkeypatch):
-    """End-to-end redis run: six profiles, fast vs slow, identical."""
+    """End-to-end redis and iperf runs: six profiles, fast vs slow, identical."""
     fast = _run_profile(backend, hardening, monkeypatch, True)
     slow = _run_profile(backend, hardening, monkeypatch, False)
-    assert fast[0] == slow[0]
-    assert fast[1] == slow[1]
-    assert fast[2] == slow[2]
+    for fast_run, slow_run in zip(fast, slow):
+        assert fast_run[0] == slow_run[0]  # workload numbers
+        assert fast_run[1] == slow_run[1]  # cpu snapshot
+        assert fast_run[2] == slow_run[2]  # metrics counters

@@ -34,28 +34,49 @@ def test_kill_thread_unwinds_parked_generator():
     assert image.call("libc", "sem_waiters", sem) == 0
 
 
-def test_kill_thread_in_cross_compartment_chain():
+@pytest.mark.parametrize("backend", ["mpk-shared", "mpk-switched", "vm-rpc", "cheri"])
+def test_kill_thread_in_cross_compartment_chain(backend):
     """Teardown through a gate chain restores nothing it shouldn't."""
     image = build_image(
         BuildConfig(
             libraries=["libc", "mq"],
             compartments=[["mq"], ["sched", "alloc", "libc"]],
-            backend="mpk-shared",
+            backend=backend,
         )
     )
     qid = image.call("mq", "q_new", 1)
     libc = image.lib("libc")
+    stub = libc.stub("mq")
+    popped = []
 
-    def body():
-        stub = libc.stub("mq")
-        yield from stub.call_gen("q_pop", qid)  # parks inside mq's domain
+    def consumer():
+        popped.append((yield from stub.call_gen("q_pop", qid)))
 
-    thread = image.spawn("consumer", body, libc)
+    def producer():
+        yield from stub.call_gen("q_push", qid, 0x1000, 64)
+
+    # A first crossing fills the gate's context pool; the consumer then
+    # parks inside mq's domain holding that pooled context.
+    image.spawn("warm-up", producer, libc)
+    image.run()
+    image.spawn("drain", consumer, libc)
+    image.run()
+    assert popped == [(0x1000, 64)]
+    thread = image.spawn("consumer", consumer, libc)
     image.run(max_switches=10)
+    assert thread.state is ThreadState.BLOCKED
+    dead_contexts = list(thread.ctx_stack)
     depth_before = image.machine.cpu.context_depth
     image.scheduler.kill_thread(thread)
     assert image.machine.cpu.context_depth == depth_before
     assert thread.done
+    # The same gate still works after the kill, and never hands out a
+    # context the dead thread was using.
+    image.spawn("producer", producer, libc)
+    image.spawn("consumer2", consumer, libc)
+    image.run()
+    assert popped == [(0x1000, 64), (0x1000, 64)]
+    assert all(stub.channel._ctx_pool is not ctx for ctx in dead_contexts)
 
 
 def test_kill_all_counts(image_factory=None):
