@@ -34,6 +34,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.libos.sched.base import WaitFlush
+from repro.machine.cpu import Context
 from repro.machine.faults import (
     CONTAINABLE_FAULTS,
     CompartmentFailure,
@@ -99,11 +100,11 @@ def _require_factory(cls: type) -> None:
 
 
 class _PlanEntry:
-    """One export's precompiled crossing state (see :class:`CrossingPlan`).
+    """One export's precompiled crossing state (see :class:`Gate`).
 
     ``extra`` is backend payload — e.g. the CHERI gate stashes the
-    export's ``CAP_GRANTS`` specs so the fast path never re-reads the
-    class dict per call.
+    export's ``CAP_GRANTS`` specs so no crossing re-reads the class
+    dict.
     """
 
     __slots__ = ("fn", "handler", "blocking", "ctx_label", "extra")
@@ -114,46 +115,6 @@ class _PlanEntry:
         self.blocking = blocking
         self.ctx_label = ctx_label
         self.extra = None
-
-
-class CrossingPlan:
-    """Per-edge precompiled crossing state, built once per channel.
-
-    Compiled at channel construction: one :class:`_PlanEntry` per
-    export (resolved handler, blocking flag, the context label the slow
-    path would build with an f-string per call).  ``observing`` caches
-    whether any observer — the tracer or per-edge latency recording —
-    is live; it is re-resolved only when the machine's observability
-    epoch moves (one int compare per invoke), and while an observer is
-    live every crossing takes the original slow path, which is
-    trivially bit-identical.  ``hits``/``refreshes`` are host-side
-    telemetry (never in the metrics registry, so snapshots stay
-    identical across the ``REPRO_GATEPLAN`` toggle).
-    """
-
-    __slots__ = ("entries", "epoch", "observing", "hits", "refreshes", "_gate")
-
-    def __init__(self, gate: "Gate") -> None:
-        self._gate = gate
-        callee = gate.callee_lib
-        blocking = callee.blocking_exports
-        self.entries = {
-            fn: _PlanEntry(fn, handler, fn in blocking, gate._plan_ctx_label(fn))
-            for fn, handler in callee.exports.items()
-        }
-        self.epoch = -1
-        self.observing = True
-        self.hits = 0
-        self.refreshes = 0
-
-    def refresh(self, epoch: int) -> None:
-        """Re-resolve observer enablement after an obs-epoch bump."""
-        gate = self._gate
-        self.observing = gate.IS_BOUNDARY and (
-            gate._tracer._enabled or gate._metrics._record_edge_latency
-        )
-        self.epoch = epoch
-        self.refreshes += 1
 
 
 @dataclasses.dataclass
@@ -333,6 +294,15 @@ class Gate(Channel):
     compartment-boundary channel, regardless of backend) and the
     backend's own counter — so counts agree across backends instead of
     each gate bumping an ad-hoc subset.
+
+    Each gate compiles a crossing plan at construction: one
+    :class:`_PlanEntry` per export (resolved handler, blocking flag,
+    the callee context's label) plus the cost-model sums its backend
+    charges, so a crossing does no lookups or string formatting.
+    ``invoke``, ``invoke_batch`` and ``invoke_gen`` each have one body,
+    in this order: misuse check, prologue (call charge, call monitors,
+    failed-callee check, crossing counters), observers sampled once at
+    entry, ``_enter``, handler, ``_exit``, observers closed.
     """
 
     #: True for channels that cross a compartment boundary; only the
@@ -356,6 +326,7 @@ class Gate(Channel):
         self.machine = machine
         self.caller_lib = caller_lib
         self.callee_lib = callee_lib
+        self.callee_comp: "Compartment | None" = callee_lib.compartment
         self.options = options if options is not None else GateOptions()
         self.crossings = 0
         self._metrics = machine.cpu.metrics
@@ -363,12 +334,6 @@ class Gate(Channel):
             caller_lib.NAME, callee_lib.NAME, self.KIND
         )
         self._tracer = machine.obs.tracer
-        # --- crossing-plan fast path -----------------------------------
-        # Everything the hot invoke needs, flattened into attributes so
-        # the fast path does no cost-model / registry attribute chasing.
-        # All precomputed values feed the *same* charge/bump sequence
-        # the slow path issues, so the REPRO_GATEPLAN toggle cannot
-        # change any simulated observable.
         self._obs = machine.obs
         self._caller_name = caller_lib.NAME
         self._callee_name = callee_lib.NAME
@@ -382,102 +347,162 @@ class Gate(Channel):
         if self.EXTRA_COUNTER:
             bumps.append(self.EXTRA_COUNTER)
         self._bump_names = tuple(bumps)
-        #: Pooled callee Context reused by non-nested fast invokes (a
-        #: plain invoke cannot suspend, so the context is dead again by
-        #: the time the call returns).
+        blocking = callee_lib.blocking_exports
+        self._plan = {
+            fn: _PlanEntry(fn, handler, fn in blocking, self._plan_ctx_label(fn))
+            for fn, handler in callee_lib.exports.items()
+        }
+        #: Whether any observer (the tracer, per-edge latency recording)
+        #: is live, re-resolved only when the machine's observability
+        #: epoch moves: one int compare per crossing.
+        self._observing = False
+        self._obs_epoch = -1
+        #: Host-side telemetry: how often ``_observing`` was re-resolved.
+        self.plan_refreshes = 0
+        #: Pooled callee Context: ``_enter`` takes it (building a fresh
+        #: one while another crossing holds it) and ``_exit`` hands a
+        #: context back only into an empty pool.
         self._ctx_pool = None
-        self._plan: CrossingPlan | None = None
-        if machine.gateplan_enabled:
-            self._plan = CrossingPlan(self)
-            machine.gate_plans.append(self._plan)
+        machine.gates.append(self)
 
-    # --- shared plumbing ----------------------------------------------------
+    # --- plan helpers ---------------------------------------------------------
 
-    def _lookup(self, fn: str, blocking: bool):
+    def _plan_ctx_label(self, fn: str) -> str:
+        """The label of the callee context a crossing into ``fn`` pushes."""
+        return f"{self.callee_lib.NAME}.{fn}"
+
+    def _lookup(self, fn: str, blocking: bool) -> _PlanEntry:
         """Entry-point enforcement: only exports are callable."""
+        entry = self._plan.get(fn)
+        if entry is not None and entry.blocking == blocking:
+            return entry
         callee = self.callee_lib
-        handler = callee.exports.get(fn)
-        if handler is None:
+        if entry is None:
             raise GateError(
                 f"{callee.NAME} has no export {fn!r} "
                 f"(called from {self.caller_lib.NAME})"
             )
-        is_blocking = fn in callee.blocking_exports
-        if blocking and not is_blocking:
+        if blocking:
             raise GateError(f"{callee.NAME}.{fn} is not a blocking export")
-        if not blocking and is_blocking:
-            raise GateError(
-                f"{callee.NAME}.{fn} is blocking; use call_gen / yield from"
-            )
-        return handler
+        raise GateError(
+            f"{callee.NAME}.{fn} is blocking; use call_gen / yield from"
+        )
 
-    def _caller_side(self, fn: str) -> None:
-        """Charge the call itself plus caller-profile instrumentation."""
+    def _prologue(self, fn: str):
+        """Caller side of every crossing; returns the CPU.
+
+        Charges the call plus the caller profile's per-call
+        instrumentation, runs its call monitors, fails fast (or
+        revives) a failed callee, then counts the crossing.
+        """
         cpu = self.machine.cpu
-        profile = cpu.current.profile
-        cpu.charge(self.machine.cost.call_ns + profile.call_extra_ns)
-        for monitor in profile.call_monitors:
-            monitor(self.caller_lib.NAME, self.callee_lib.NAME, fn)
-
-    def _record_crossing(self) -> None:
-        """Unified crossing accounting (channel, edge, CPU counters)."""
+        profile = cpu._contexts[-1].profile
+        cpu.charge(self._call_ns + profile.call_extra_ns)
+        monitors = profile.call_monitors
+        if monitors:
+            for monitor in monitors:
+                monitor(self._caller_name, self._callee_name, fn)
+        if self._is_boundary:
+            comp = self.callee_comp
+            if comp is not None and comp.failed:
+                self._check_available(comp, cpu)
         self.crossings += 1
         self._edge.crossings += 1
-        cpu = self.machine.cpu
-        if self.IS_BOUNDARY:
-            cpu.bump("gate_crossings")
-        if self.EXTRA_COUNTER:
-            cpu.bump(self.EXTRA_COUNTER)
+        counters = self._counters
+        for name in self._bump_names:
+            counters[name] = counters.get(name, 0.0) + 1.0
+        return cpu
 
-    def _latency_start(self) -> float | None:
-        """Simulated start time of a crossing, when profiling wants it.
+    def _push_context(self, entry: _PlanEntry, cpu, pkru: int, capabilities):
+        """Push the callee's context for ``entry``, pooled when free."""
+        ctx = self._ctx_pool
+        if ctx is None:
+            comp = self.callee_comp
+            ctx = Context(
+                address_space=comp.address_space,
+                pkru=pkru,
+                profile=comp.profile,
+                label=entry.ctx_label,
+                capabilities=capabilities,
+            )
+        else:
+            self._ctx_pool = None
+            ctx.label = entry.ctx_label
+            ctx.pkru = pkru
+            ctx.capabilities = capabilities
+        cpu.push_context(ctx)
+        return ctx
 
-        Only boundary crossings are worth a latency sample, and only
-        when a profiling session flipped ``record_edge_latency`` on —
-        reading the clock charges nothing, so recording is invisible to
-        the simulation either way.
+    def _pop_context(self, cpu) -> None:
+        """Pop the callee's context; it refills the pool if empty."""
+        ctx = cpu.pop_context()
+        if self._ctx_pool is None:
+            self._ctx_pool = ctx
+
+    # --- observers --------------------------------------------------------------
+
+    def _refresh(self) -> None:
+        """Re-resolve observer enablement after an obs-epoch bump."""
+        self._observing = self._is_boundary and (
+            self._tracer._enabled or self._metrics._record_edge_latency
+        )
+        self._obs_epoch = self._obs.epoch
+        self.plan_refreshes += 1
+
+    def _observe(self, fn: str) -> tuple[float | None, int | None]:
+        """Sample the observers at crossing entry.
+
+        Returns ``(latency start, trace track)``, each None when that
+        observer is off.  The span rides the calling thread's track, so
+        a blocking call that suspends keeps its span open across the
+        suspension and closes it after resume; the track is kept so a
+        thread destroyed while parked inside the call can still close
+        it.  Reading the clock charges nothing, so observing is
+        invisible to the simulation.
         """
-        if self.IS_BOUNDARY and self._metrics.record_edge_latency:
-            return self.machine.cpu.clock_ns
-        return None
-
-    def _latency_end(self, started: float | None) -> None:
-        """Record one crossing's simulated round-trip duration."""
-        if started is not None:
-            self._metrics.edge_latency(
-                self.caller_lib.NAME, self.callee_lib.NAME
-            ).observe(self.machine.cpu.clock_ns - started)
-
-    def _trace_begin(self, fn: str) -> int | None:
-        """Open a crossing span; returns its track id, or None.
-
-        Spans ride the calling thread's track, so a blocking call that
-        suspends keeps its span open across the suspension and closes
-        it after resume — other threads' events land on other tracks.
-        The track id is returned so teardown paths (a thread destroyed
-        while parked inside the call) can close the span even though
-        the tracer has moved on to another track by then.
-        """
+        started = None
+        if self._metrics._record_edge_latency:
+            started = self.machine.cpu.clock_ns
         tracer = self._tracer
-        if not (tracer.enabled and self.IS_BOUNDARY):
-            return None
+        if not tracer._enabled:
+            return started, None
         tracer.begin(
-            f"{self.caller_lib.NAME}->{self.callee_lib.NAME}.{fn}",
+            f"{self._caller_name}->{self._callee_name}.{fn}",
             "gate",
             kind=self.KIND,
         )
-        return tracer.current_track
+        return started, tracer.current_track
+
+    def _close(self, entry, cpu, observed, sample: bool) -> None:
+        """``_exit``, then close what entry observed (if anything).
+
+        The span closes even when the exit itself fails (a lost VM-RPC
+        return notification), so the next crossing's span is a sibling
+        and not a child.  The latency sample is taken only after a
+        clean exit, and only when ``sample`` asks for it.  Hot paths
+        call ``_exit`` directly when nothing was observed.
+        """
+        if observed is None:
+            self._exit(entry, cpu)
+            return
+        started, traced = observed
+        try:
+            self._exit(entry, cpu)
+            if sample and started is not None:
+                self._metrics.edge_latency(
+                    self._caller_name, self._callee_name
+                ).observe(cpu.clock_ns - started)
+        finally:
+            if traced is not None:
+                self._tracer.end()
 
     # --- fault containment ---------------------------------------------------
 
-    def _check_available(self) -> None:
-        """Fail fast — or restart — crossings into a failed compartment."""
-        if not self.IS_BOUNDARY:
-            return
-        comp: "Compartment | None" = self.callee_lib.compartment
-        if comp is None or not comp.failed:
-            return
-        cpu = self.machine.cpu
+    def _check_available(self, comp: "Compartment", cpu) -> None:
+        """Fail fast — or restart — a crossing into a failed compartment."""
+        # Restart may rebuild compartment state the pooled context
+        # caches — drop the pool before reviving.
+        self._ctx_pool = None
         if comp.restart_due(cpu.clock_ns):
             cpu.charge(self.machine.cost.compartment_restart_ns)
             comp.restart()
@@ -501,7 +526,7 @@ class Gate(Channel):
         channel, or ``propagate`` policy — the paper's baseline
         whole-image crash).
         """
-        comp: "Compartment | None" = self.callee_lib.compartment
+        comp: "Compartment | None" = self.callee_comp
         if (
             not self.IS_BOUNDARY
             or comp is None
@@ -520,21 +545,15 @@ class Gate(Channel):
             )
         return failure
 
-    def _inject(self, fn: str) -> None:
-        """Resilience-harness hook, called inside the callee's domain."""
-        injector = self.machine.injector
-        if injector is not None:
-            injector.on_crossing(self, fn)
-
     # --- domain switch hooks (overridden by real gates) ---------------------------
 
-    def _enter(self, fn: str, args: tuple) -> None:
+    def _enter(self, entry: _PlanEntry, args: tuple, cpu) -> None:
         """Perform/charge the switch into the callee's domain."""
 
-    def _exit(self) -> None:
+    def _exit(self, entry: _PlanEntry, cpu) -> None:
         """Perform/charge the switch back into the caller's domain."""
 
-    def _per_op_enter(self, fn: str, args: tuple) -> None:
+    def _per_op_enter(self, entry: _PlanEntry, args: tuple, cpu) -> None:
         """Per-operation rearm inside one batched crossing.
 
         Most backends switch domains once per batch and need nothing
@@ -542,76 +561,21 @@ class Gate(Channel):
         capability delegations on the already-derived context.
         """
 
-    # --- crossing-plan fast path --------------------------------------------
+    # --- channel interface ---------------------------------------------------------
 
-    def _plan_ctx_label(self, fn: str) -> str:
-        """The context label the slow-path ``_enter`` builds for ``fn``.
-
-        Precomputed once per export at plan compile time so the fast
-        path never formats strings per call; backends override to match
-        their own f-string exactly.
-        """
-        return f"{self.callee_lib.NAME}.{fn}"
-
-    def _enter_fast(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        """Plan-specialized domain entry; defaults to the slow hook so
-        subclasses without a specialization stay correct."""
-        self._enter(entry.fn, args)
-
-    def _exit_fast(self, entry: _PlanEntry, cpu) -> None:
-        self._exit()
-
-    def _per_op_enter_fast(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        self._per_op_enter(entry.fn, args)
-
-    def _plan_prologue(self, fn: str):
-        """Caller side of every plan-path crossing; returns the CPU.
-
-        The plan hit, then the call charge and call monitors, the
-        failed-compartment check and the crossing counters — the same
-        charges and counter writes, in the same order, as the
-        interpreted bodies' ``_caller_side``/``_check_available``/
-        ``_record_crossing`` sequence.
-        """
-        self._plan.hits += 1
-        cpu = self.machine.cpu
-        profile = cpu._contexts[-1].profile
-        cpu.charge(self._call_ns + profile.call_extra_ns)
-        monitors = profile.call_monitors
-        if monitors:
-            for monitor in monitors:
-                monitor(self._caller_name, self._callee_name, fn)
-        if self._is_boundary:
-            comp = self.callee_lib.compartment
-            if comp is not None and comp.failed:
-                # Restart may rebuild compartment state the pooled
-                # context caches — drop the pool before reviving.
-                self._ctx_pool = None
-                self._check_available()
-        self.crossings += 1
-        self._edge.crossings += 1
-        counters = self._counters
-        for name in self._bump_names:
-            counters[name] = counters.get(name, 0.0) + 1.0
-        return cpu
-
-    def _invoke_fast(self, entry: _PlanEntry, args: tuple) -> Any:
-        """Hot invoke: identical charge/bump sequence, zero derivation.
-
-        Mirrors the interpreted body of :meth:`invoke` (everything after
-        its plan check) line for line — every ``charge`` has the same
-        value (precomputed from the same constants with the same
-        associativity) and every counter write the same order.  The
-        only skipped work is host-side: lookups, f-strings, and
-        observer probes the plan already resolved (``observing`` False
-        guarantees the tracer and latency recorder are off).
-        """
-        cpu = self._plan_prologue(entry.fn)
-        self._enter_fast(entry, args, cpu)
+    def invoke(self, fn: str, args: tuple) -> Any:
+        entry = self._plan.get(fn)
+        if entry is None or entry.blocking:
+            self._lookup(fn, blocking=False)  # raises GateError
+        cpu = self._prologue(fn)
+        if self._obs_epoch != self._obs.epoch:
+            self._refresh()
+        observed = self._observe(fn) if self._observing else None
+        self._enter(entry, args, cpu)
         try:
             injector = self.machine.injector
             if injector is not None:
-                injector.on_crossing(self, entry.fn)
+                injector.on_crossing(self, fn)
             return entry.handler(*args)
         except CONTAINABLE_FAULTS as exc:
             failure = self._contain(exc)
@@ -619,74 +583,10 @@ class Gate(Channel):
                 raise
             raise failure from exc
         finally:
-            self._exit_fast(entry, cpu)
-
-    def _invoke_batch_fast(
-        self, entries: list, ops: list[tuple[int, str, tuple]]
-    ) -> list[Completion]:
-        """Plan path of :meth:`invoke_batch`; mirrors its interpreted body."""
-        cpu = self._plan_prologue(ops[0][1])
-        machine = self.machine
-        completions: list[Completion] = []
-        self._enter_fast(entries[0], (len(ops),), cpu)
-        try:
-            failure: BaseException | None = None
-            for (ticket, fn, args), entry in zip(ops, entries):
-                if failure is not None:
-                    completions.append(Completion(ticket, fn, error=failure))
-                    continue
-                try:
-                    self._per_op_enter_fast(entry, args, cpu)
-                    if machine.injector is not None:
-                        machine.injector.on_crossing(self, fn)
-                    completions.append(
-                        Completion(ticket, fn, value=entry.handler(*args))
-                    )
-                except CONTAINABLE_FAULTS as exc:
-                    failure = self._contain(exc)
-                    if failure is None:
-                        raise
-                    completions.append(Completion(ticket, fn, error=failure))
-                except Exception as exc:
-                    completions.append(Completion(ticket, fn, error=exc))
-        finally:
-            self._exit_fast(entries[0], cpu)
-        return completions
-
-    def _invoke_gen_fast(self, entry: _PlanEntry, args: tuple) -> Generator:
-        """Plan path of :meth:`invoke_gen`; mirrors
-        :meth:`_invoke_gen_interpreted` exit for exit.
-
-        The crossing may suspend, and other threads may cross this gate
-        meanwhile: ``_enter_fast`` took the pooled context (clearing
-        the pool), so they build their own, and ``_exit_fast`` hands a
-        context back only into an empty pool.  No span or latency
-        sample is closed on exit: none was opened, even if an observer
-        came on while the thread was parked.
-        """
-        cpu = self._plan_prologue(entry.fn)
-        self._enter_fast(entry, args, cpu)
-        try:
-            injector = self.machine.injector
-            if injector is not None:
-                injector.on_crossing(self, entry.fn)
-            result = yield from entry.handler(*args)
-        except GeneratorExit:
-            # A killed thread's context stack is discarded with it.
-            raise
-        except CONTAINABLE_FAULTS as exc:
-            self._exit_fast(entry, cpu)
-            failure = self._contain(exc)
-            if failure is None:
-                raise
-            raise failure from exc
-        except BaseException:
-            self._exit_fast(entry, cpu)
-            raise
-        self._exit_fast(entry, cpu)
-        return result
-
-    # --- channel interface ---------------------------------------------------------
+            if observed is None:
+                self._exit(entry, cpu)
+            else:
+                self._close(entry, cpu, observed, True)
 
     def invoke_batch(
         self, ops: list[tuple[int, str, tuple]]
@@ -709,42 +609,27 @@ class Gate(Channel):
         """
         if not ops:
             return []
-        plan = self._plan
-        if plan is not None:
-            epoch = self._obs.epoch
-            if plan.epoch != epoch:
-                plan.refresh(epoch)
-            if not plan.observing:
-                get = plan.entries.get
-                entries = []
-                for _, fn, _ in ops:
-                    entry = get(fn)
-                    if entry is None or entry.blocking:
-                        entries = None
-                        break
-                    entries.append(entry)
-                if entries is not None:
-                    return self._invoke_batch_fast(entries, ops)
-        handlers = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
-        self._caller_side(ops[0][1])
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(f"batch[{len(ops)}]")
+        entries = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
+        cpu = self._prologue(ops[0][1])
+        if self._obs_epoch != self._obs.epoch:
+            self._refresh()
+        observed = self._observe(f"batch[{len(ops)}]") if self._observing else None
+        machine = self.machine
         completions: list[Completion] = []
         # The doorbell payload is one word: the ring tail index.
-        self._enter(ops[0][1], (len(ops),))
+        self._enter(entries[0], (len(ops),), cpu)
         try:
             failure: BaseException | None = None
-            for (ticket, fn, args), handler in zip(ops, handlers):
+            for (ticket, fn, args), entry in zip(ops, entries):
                 if failure is not None:
                     completions.append(Completion(ticket, fn, error=failure))
                     continue
                 try:
-                    self._per_op_enter(fn, args)
-                    self._inject(fn)
+                    self._per_op_enter(entry, args, cpu)
+                    if machine.injector is not None:
+                        machine.injector.on_crossing(self, fn)
                     completions.append(
-                        Completion(ticket, fn, value=handler(*args))
+                        Completion(ticket, fn, value=entry.handler(*args))
                     )
                 except CONTAINABLE_FAULTS as exc:
                     failure = self._contain(exc)
@@ -754,73 +639,38 @@ class Gate(Channel):
                 except Exception as exc:
                     completions.append(Completion(ticket, fn, error=exc))
         finally:
-            self._exit()
-            self._latency_end(started)
-            if traced is not None:
-                self._tracer.end()
+            if observed is None:
+                self._exit(entries[0], cpu)
+            else:
+                self._close(entries[0], cpu, observed, True)
         return completions
 
-    def invoke(self, fn: str, args: tuple) -> Any:
-        plan = self._plan
-        if plan is not None:
-            epoch = self._obs.epoch
-            if plan.epoch != epoch:
-                plan.refresh(epoch)
-            if not plan.observing:
-                entry = plan.entries.get(fn)
-                if entry is not None and not entry.blocking:
-                    return self._invoke_fast(entry, args)
-        handler = self._lookup(fn, blocking=False)
-        self._caller_side(fn)
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(fn)
-        self._enter(fn, args)
-        try:
-            self._inject(fn)
-            return handler(*args)
-        except CONTAINABLE_FAULTS as exc:
-            failure = self._contain(exc)
-            if failure is None:
-                raise
-            raise failure from exc
-        finally:
-            self._exit()
-            self._latency_end(started)
-            if traced is not None:
-                self._tracer.end()
-
     def invoke_gen(self, fn: str, args: tuple) -> Generator:
-        """Blocking crossing: returns a generator to drive with ``yield from``.
+        """Blocking crossing: a generator to drive with ``yield from``.
 
-        The path is chosen here, by the same plan check as
-        :meth:`invoke`; callers drive the generator at once.  Every
-        error — an unknown or non-blocking export, a failed callee —
-        surfaces at its first ``next()``, on either path.
+        Everything runs from the first ``next()``, so every error — an
+        unknown or non-blocking export, a failed callee — surfaces
+        there.  The crossing may suspend, and other threads may cross
+        this gate meanwhile (see ``_ctx_pool``).  Observers are sampled
+        once, at entry: a crossing that parks while an observer comes
+        on closes no span.  Only completed crossings take a latency
+        sample — blocking ones include the time spent suspended inside
+        the callee — so a thread destroyed mid-call or an unwinding
+        fault records nothing.
         """
-        plan = self._plan
-        if plan is not None:
-            epoch = self._obs.epoch
-            if plan.epoch != epoch:
-                plan.refresh(epoch)
-            if not plan.observing:
-                entry = plan.entries.get(fn)
-                if entry is not None and entry.blocking:
-                    return self._invoke_gen_fast(entry, args)
-        return self._invoke_gen_interpreted(fn, args)
-
-    def _invoke_gen_interpreted(self, fn: str, args: tuple) -> Generator:
-        handler = self._lookup(fn, blocking=True)
-        self._caller_side(fn)
-        self._check_available()
-        self._record_crossing()
-        started = self._latency_start()
-        traced = self._trace_begin(fn)
-        self._enter(fn, args)
+        entry = self._plan.get(fn)
+        if entry is None or not entry.blocking:
+            self._lookup(fn, blocking=True)  # raises GateError
+        cpu = self._prologue(fn)
+        if self._obs_epoch != self._obs.epoch:
+            self._refresh()
+        observed = self._observe(fn) if self._observing else None
+        self._enter(entry, args, cpu)
         try:
-            self._inject(fn)
-            result = yield from handler(*args)
+            injector = self.machine.injector
+            if injector is not None:
+                injector.on_crossing(self, fn)
+            result = yield from entry.handler(*args)
         except GeneratorExit:
             # The thread was destroyed while parked inside the callee:
             # its entire saved protection-context stack (including the
@@ -828,29 +678,22 @@ class Gate(Channel):
             # is nothing to restore on the live CPU — but the trace
             # span must still be closed on the track it was opened on,
             # or exports carry a dangling span for the dead thread.
-            if traced is not None:
-                self._tracer.end(track=traced)
+            if observed is not None and observed[1] is not None:
+                self._tracer.end(track=observed[1])
             raise
         except CONTAINABLE_FAULTS as exc:
-            self._exit()
-            if traced is not None:
-                self._tracer.end()
+            self._close(entry, cpu, observed, False)
             failure = self._contain(exc)
             if failure is None:
                 raise
             raise failure from exc
         except BaseException:
-            self._exit()
-            if traced is not None:
-                self._tracer.end()
+            self._close(entry, cpu, observed, False)
             raise
-        self._exit()
-        # Blocking crossings include time spent suspended inside the
-        # callee; only completed crossings are sampled (a thread
-        # destroyed mid-call or an unwinding fault records nothing).
-        self._latency_end(started)
-        if traced is not None:
-            self._tracer.end()
+        if observed is None:
+            self._exit(entry, cpu)
+        else:
+            self._close(entry, cpu, observed, True)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,12 +21,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.capabilities import base_capabilities
-from repro.machine.cpu import Context
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
     from repro.libos.library import MicroLibrary
     from repro.machine.machine import Machine
 
@@ -45,84 +42,25 @@ class CHERIGate(Gate):
         options: GateOptions | None = None,
     ) -> None:
         super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
         if self.callee_comp.capabilities is None:
             raise GateError(
                 f"CHERIGate to {callee_lib.NAME}: compartment has no "
                 f"capability set (build with backend='cheri')"
             )
-        # Fast-path constants + per-export grant specs stashed on the
-        # plan entries (CAP_GRANTS is class-level static metadata).
         cost = machine.cost
         self._crossing_ns = cost.cheri_crossing_ns
         self._grant_ns = cost.cheri_grant_ns
         self._cheri_exit_ns = cost.cheri_crossing_ns + cost.ret_ns
-        if self._plan is not None:
-            for fn, entry in self._plan.entries.items():
-                entry.extra = tuple(callee_lib.CAP_GRANTS.get(fn, ()))
+        # CAP_GRANTS is class-level static metadata: stash each
+        # export's grant specs on its plan entry once.
+        for fn, entry in self._plan.items():
+            entry.extra = tuple(callee_lib.CAP_GRANTS.get(fn, ()))
 
     def _plan_ctx_label(self, fn: str) -> str:
         return f"cap:{self.callee_lib.NAME}.{fn}"
 
-    def _grants_for(self, fn: str, args: tuple):
-        for pointer_index, size_spec in self.callee_lib.CAP_GRANTS.get(fn, ()):
-            if pointer_index >= len(args):
-                continue
-            addr = args[pointer_index]
-            if not isinstance(addr, int):
-                continue
-            if size_spec < 0:
-                size = -size_spec
-            elif size_spec < len(args) and isinstance(args[size_spec], int):
-                size = args[size_spec]
-            else:
-                continue
-            yield addr, size
-
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        cpu.charge(cost.cheri_crossing_ns)
-        capabilities = self.callee_comp.capabilities.derive()
-        for addr, size in self._grants_for(fn, args):
-            cpu.charge(cost.cheri_grant_ns)
-            capabilities.grant(addr, size)
-            cpu.bump("cap_grants")
-        context = self.callee_comp.make_context(
-            label=f"cap:{self.callee_lib.NAME}.{fn}"
-        )
-        context.capabilities = capabilities
-        cpu.push_context(context)
-
-    def _per_op_enter(self, fn: str, args: tuple) -> None:
-        """Install one batched op's delegations on the live context.
-
-        A batched crossing (queue channel doorbell) enters the callee
-        domain once with no per-call pointers; each drained submission
-        then delegates its own bounded capabilities here.  Grants
-        accumulate over the batch and are revoked together when the
-        batch context pops — the price of amortising the crossing is a
-        batch-wide (rather than per-call) revocation epoch.
-        """
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        capabilities = cpu.current.capabilities
-        for addr, size in self._grants_for(fn, args):
-            cpu.charge(cost.cheri_grant_ns)
-            capabilities.grant(addr, size)
-            cpu.bump("cap_grants")
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        # Popping the context revokes every delegated capability.
-        cpu.pop_context()
-        cpu.charge(self.machine.cost.cheri_crossing_ns + self.machine.cost.ret_ns)
-
-    # --- crossing-plan fast path --------------------------------------------
-
-    def _apply_grants_fast(self, specs, args, capabilities, cpu) -> None:
-        """Charge + install one call's delegations (``_grants_for``
-        unrolled over the plan entry's precompiled specs)."""
+    def _grant(self, specs, args: tuple, capabilities, cpu) -> None:
+        """Charge and install one call's delegations."""
         grant_ns = self._grant_ns
         counters = self._counters
         nargs = len(args)
@@ -142,36 +80,28 @@ class CHERIGate(Gate):
             capabilities.grant(addr, size)
             counters["cap_grants"] = counters.get("cap_grants", 0.0) + 1.0
 
-    def _enter_fast(self, entry, args, cpu) -> None:
+    def _enter(self, entry, args, cpu) -> None:
         cpu.charge(self._crossing_ns)
         comp = self.callee_comp
         capabilities = comp.capabilities.derive()
         if entry.extra:
-            self._apply_grants_fast(entry.extra, args, capabilities, cpu)
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-            ctx.capabilities = capabilities
-        cpu.push_context(ctx)
+            self._grant(entry.extra, args, capabilities, cpu)
+        self._push_context(entry, cpu, comp.pkru_value, capabilities)
 
-    def _per_op_enter_fast(self, entry, args, cpu) -> None:
+    def _per_op_enter(self, entry, args, cpu) -> None:
+        """Install one batched op's delegations on the live context.
+
+        A batched crossing (queue channel doorbell) enters the callee
+        domain once with no per-call pointers; each drained submission
+        then delegates its own bounded capabilities here.  Grants
+        accumulate over the batch and are revoked together when the
+        batch context pops — the price of amortising the crossing is a
+        batch-wide (rather than per-call) revocation epoch.
+        """
         if entry.extra:
-            self._apply_grants_fast(
-                entry.extra, args, cpu._contexts[-1].capabilities, cpu
-            )
+            self._grant(entry.extra, args, cpu._contexts[-1].capabilities, cpu)
 
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
+    def _exit(self, entry, cpu) -> None:
+        # Popping the context revokes every delegated capability.
+        self._pop_context(cpu)
         cpu.charge(self._cheri_exit_ns)

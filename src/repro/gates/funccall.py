@@ -15,15 +15,7 @@ not of the calling thread.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.gates.base import Gate, GateOptions
-from repro.machine.cpu import Context
-
-if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
-    from repro.libos.library import MicroLibrary
-    from repro.machine.machine import Machine
+from repro.gates.base import Gate
 
 
 class DirectChannel(Gate):
@@ -35,13 +27,7 @@ class DirectChannel(Gate):
     IS_BOUNDARY = False
     EXTRA_COUNTER = "direct_calls"
 
-    def _exit(self) -> None:
-        self.machine.cpu.charge(self.machine.cost.ret_ns)
-
-    def _enter_fast(self, entry, args, cpu) -> None:
-        pass
-
-    def _exit_fast(self, entry, cpu) -> None:
+    def _exit(self, entry, cpu) -> None:
         cpu.charge(self._ret_ns)
 
 
@@ -60,44 +46,10 @@ class ProfileChannel(Gate):
     #: historical ``direct_calls`` counter for its call cost class.
     EXTRA_COUNTER = "direct_calls"
 
-    def __init__(
-        self,
-        machine: "Machine",
-        caller_lib: "MicroLibrary",
-        callee_lib: "MicroLibrary",
-        options: GateOptions | None = None,
-    ) -> None:
-        super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
-
-    def _enter(self, fn: str, args: tuple) -> None:
-        self.machine.cpu.push_context(
-            self.callee_comp.make_context(label=f"{self.callee_lib.NAME}.{fn}")
-        )
-
-    def _exit(self) -> None:
-        self.machine.cpu.pop_context()
-        self.machine.cpu.charge(self.machine.cost.ret_ns)
-
-    def _enter_fast(self, entry, args, cpu) -> None:
+    def _enter(self, entry, args, cpu) -> None:
         comp = self.callee_comp
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=comp.capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-        cpu.push_context(ctx)
+        self._push_context(entry, cpu, comp.pkru_value, comp.capabilities)
 
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
+    def _exit(self, entry, cpu) -> None:
+        self._pop_context(cpu)
         cpu.charge(self._ret_ns)

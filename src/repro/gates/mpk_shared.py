@@ -17,7 +17,6 @@ from repro.gates.base import Gate, GateOptions
 from repro.machine.cpu import Context
 
 if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
     from repro.libos.library import MicroLibrary
     from repro.machine.machine import Machine
 
@@ -36,57 +35,25 @@ class MPKSharedStackGate(Gate):
         options: GateOptions | None = None,
     ) -> None:
         super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
-        # Fast-path constants: the same sums the slow path computes per
-        # call, from the same (immutable) cost-model fields.
-        self._switch_ns = self._switch_cost()
-        self._wrpkru_ns = machine.cost.wrpkru_ns
-        ns = machine.cost.ret_ns
+        cost = machine.cost
+        self._switch_ns = cost.gate_dispatch_ns
+        self._exit_ns = cost.ret_ns
         if self.options.clear_registers:
-            ns += machine.cost.reg_clear_ns
-        self._mpk_exit_ns = ns
+            self._switch_ns += cost.reg_clear_ns
+            self._exit_ns += cost.reg_clear_ns
+        self._wrpkru_ns = cost.wrpkru_ns
 
-    def _switch_cost(self) -> float:
-        cost = self.machine.cost
-        ns = cost.gate_dispatch_ns
-        if self.options.clear_registers:
-            ns += cost.reg_clear_ns
-        return ns
+    # Each WRPKRU charges, counts and traces exactly like
+    # ``CPU.wrpkru``; the gate holds the token by construction, so the
+    # token identity check is elided.  The MPK gates carry the hottest
+    # crossings, so the context-pool steps of ``Gate._push_context`` /
+    # ``_pop_context`` are inlined here.
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cpu.charge(self._switch_cost())
+    def _enter(self, entry, args, cpu) -> None:
+        cpu.charge(self._switch_ns)
         # Enter the callee's domain: push its context carrying the
         # caller's PKRU, then perform the (sealed) WRPKRU — gates are
         # the only code authorised to issue it.
-        context = self.callee_comp.make_context(
-            label=f"{self.callee_lib.NAME}.{fn}"
-        )
-        context.pkru = cpu.current.pkru
-        cpu.push_context(context)
-        cpu.wrpkru(self.callee_comp.pkru_value, cpu.gate_token())
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cpu.pop_context()
-        cost = self.machine.cost
-        # WRPKRU back to the caller's domain value.
-        cpu.wrpkru(cpu.current.pkru, cpu.gate_token())
-        ns = cost.ret_ns
-        if self.options.clear_registers:
-            ns += cost.reg_clear_ns
-        cpu.charge(ns)
-
-    # --- crossing-plan fast path --------------------------------------------
-    # Same charge/bump sequence as _enter/_exit with the WRPKRU inlined:
-    # the gate holds the token by construction, so the token identity
-    # check is elided.  A plan crossing starts only while the tracer is
-    # off (observing → slow path), so entry skips the tracer probe; a
-    # blocking one can resume after the tracer came on while it was
-    # parked, so exit keeps the probe and records the same instant.
-
-    def _enter_fast(self, entry, args, cpu) -> None:
-        cpu.charge(self._switch_ns)
         comp = self.callee_comp
         ctx = self._ctx_pool
         if ctx is None:
@@ -105,18 +72,21 @@ class MPKSharedStackGate(Gate):
         cpu.charge(self._wrpkru_ns)
         counters = self._counters
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
+        tracer = self._tracer
+        if tracer._enabled:
+            tracer.instant("wrpkru", "mpk", value=comp.pkru_value)
         ctx.pkru = comp.pkru_value
 
-    def _exit_fast(self, entry, cpu) -> None:
+    def _exit(self, entry, cpu) -> None:
         ctx = cpu.pop_context()
         if self._ctx_pool is None:
             self._ctx_pool = ctx
+        # WRPKRU back to the caller's domain value (which the caller's
+        # context already holds, so nothing to assign).
         cpu.charge(self._wrpkru_ns)
         counters = self._counters
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
-        # The slow path re-writes the caller context's own PKRU value —
-        # a semantic no-op, so nothing to assign here.
         tracer = self._tracer
         if tracer._enabled:
             tracer.instant("wrpkru", "mpk", value=cpu._contexts[-1].pkru)
-        cpu.charge(self._mpk_exit_ns)
+        cpu.charge(self._exit_ns)

@@ -37,9 +37,8 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         # Distribution of the per-crossing parameter copies — the cost
         # component that separates this gate from the shared-stack one.
         self._copy_hist = machine.cpu.metrics.histogram("gate.arg_copy_bytes")
-        # Fast-path constants mirroring _enter/_exit's exact arithmetic
-        # (a + b precomputed; the arg-byte term keeps its per-call
-        # associativity so the charges stay bit-identical).
+        # Charge sums keep the association order (a + b) + c of the
+        # original per-call arithmetic; the golden corpus pins the floats.
         cost = machine.cost
         self._ss_base_ns = cost.stack_switch_ns + cost.mem_op_ns
         self._mem_byte_ns = cost.mem_byte_ns
@@ -50,43 +49,19 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
             + self.options.word_bytes * cost.mem_byte_ns * 2
         )
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
+    def _enter(self, entry, args, cpu) -> None:
         # Stack switch plus copying each parameter word to the target
-        # compartment's stack.
-        arg_bytes = max(1, len(args)) * self.options.word_bytes
-        self._copy_hist.observe(arg_bytes)
-        cpu.charge(
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + arg_bytes * cost.mem_byte_ns * 2  # read caller stack, write callee
-        )
-        cpu.bump("stack_switches")
-        super()._enter(fn, args)
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        # Switch back and copy the return value to the caller's stack.
-        cpu.charge(
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + self.options.word_bytes * cost.mem_byte_ns * 2
-        )
-        cpu.bump("stack_switches")
-        super()._exit()
-
-    def _enter_fast(self, entry, args, cpu) -> None:
+        # compartment's stack (read caller stack, write callee).
         arg_bytes = max(1, len(args)) * self._word_bytes
         self._copy_hist.observe(arg_bytes)
         cpu.charge(self._ss_base_ns + arg_bytes * self._mem_byte_ns * 2)
         counters = self._counters
         counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._enter_fast(entry, args, cpu)
+        super()._enter(entry, args, cpu)
 
-    def _exit_fast(self, entry, cpu) -> None:
+    def _exit(self, entry, cpu) -> None:
+        # Switch back and copy the return value to the caller's stack.
         cpu.charge(self._ss_exit_ns)
         counters = self._counters
         counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._exit_fast(entry, cpu)
+        super()._exit(entry, cpu)

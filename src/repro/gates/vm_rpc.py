@@ -25,11 +25,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gates.base import Gate, GateOptions
-from repro.machine.cpu import Context
 from repro.machine.faults import GateError, RPCTimeout
 
 if TYPE_CHECKING:
-    from repro.libos.compartment import Compartment
     from repro.libos.library import MicroLibrary
     from repro.machine.machine import Machine
 
@@ -48,7 +46,6 @@ class VMRPCGate(Gate):
         options: GateOptions | None = None,
     ) -> None:
         super().__init__(machine, caller_lib, callee_lib, options)
-        self.callee_comp: "Compartment" = callee_lib.compartment
         if self.callee_comp.vm_domain is None:
             raise GateError(
                 f"VMRPCGate to {callee_lib.NAME}: compartment has no VM domain"
@@ -101,45 +98,12 @@ class VMRPCGate(Gate):
                 * self.options.rpc_backoff_factor ** (attempts - 1)
             )
 
-    def _enter(self, fn: str, args: tuple) -> None:
-        arg_bytes = max(1, len(args)) * self.options.word_bytes
-        self._notify(arg_bytes)
-        self.machine.cpu.push_context(
-            self.callee_comp.make_context(label=f"rpc:{self.callee_lib.NAME}.{fn}")
-        )
-
-    def _exit(self) -> None:
-        cpu = self.machine.cpu
-        cost = self.machine.cost
-        cpu.pop_context()
-        self._notify(self.options.word_bytes)
-        cpu.charge(cost.ret_ns)
-
-    # --- crossing-plan fast path --------------------------------------------
-    # The notification (with its retry/duplicate machinery) stays the
-    # shared _notify; only the context construction is specialized.
-
-    def _enter_fast(self, entry, args, cpu) -> None:
+    def _enter(self, entry, args, cpu) -> None:
         self._notify(max(1, len(args)) * self._word_bytes)
         comp = self.callee_comp
-        ctx = self._ctx_pool
-        if ctx is None:
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=comp.pkru_value,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=comp.capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = comp.pkru_value
-        cpu.push_context(ctx)
+        self._push_context(entry, cpu, comp.pkru_value, comp.capabilities)
 
-    def _exit_fast(self, entry, cpu) -> None:
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
+    def _exit(self, entry, cpu) -> None:
+        self._pop_context(cpu)
         self._notify(self._word_bytes)
         cpu.charge(self._ret_ns)

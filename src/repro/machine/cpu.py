@@ -275,8 +275,7 @@ class CPU:
         Accumulates the clock delta and the loads/stores counters into
         the pending accumulators instead of the registry; they are
         folded in by :meth:`flush_accounting` at the next observation
-        point.  Both the machine's fast and slow access paths use this,
-        so the fastpath toggle cannot change any accounted value.
+        point.  Every access path of the machine charges through here.
         """
         if self.charging:
             self._pending_ns += ns

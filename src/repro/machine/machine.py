@@ -15,6 +15,10 @@ pipeline of the paper's testbed):
    mismatch raises :class:`ProtectionFault` (MPK isolation);
 6. move the bytes.
 
+Steps 3–5 run once per (page, access kind, PKRU) and are then served
+from a software TLB; capability (CHERI) contexts check bounds per
+access instead of PKRU and walk the page table every time.
+
 Device DMA (:meth:`Machine.dma_read` / :meth:`Machine.dma_write`)
 bypasses PKRU — as on real hardware, where MPK does not constrain
 devices — and never charges the CPU clock, which lets the workload
@@ -22,8 +26,6 @@ harness play the role of the external traffic generator.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.machine.address_space import AddressSpace, Permissions
 from repro.machine.cpu import CPU, Context
@@ -44,43 +46,18 @@ class Machine:
         self,
         cost: CostModel | None = None,
         phys_bytes: int = 64 * 1024 * 1024,
-        fastpath: bool | None = None,
-        gateplan: bool | None = None,
     ) -> None:
         self.phys = PhysicalMemory(phys_bytes)
         self.cpu = CPU(cost)
-        #: Software-TLB fast path for load/store/DMA.  On by default;
-        #: ``fastpath=False`` (or env ``REPRO_FASTPATH=0``) forces the
-        #: original page-walk on every access — the reference the
-        #: differential tests and ``bench_machine.py --check`` compare
-        #: against.  The toggle only controls translation caching;
-        #: charging and counters take the same code path either way,
-        #: so every simulated observable is bit-identical.
-        if fastpath is None:
-            fastpath = os.environ.get("REPRO_FASTPATH", "1") != "0"
-        self.fastpath_enabled = bool(fastpath)
         #: Software-TLB telemetry.  Deliberately *not* registry
-        #: counters: hit/miss counts differ between fast and slow runs
-        #: by construction, and keeping them out of the registry keeps
-        #: ``cpu.snapshot()`` bit-identical across the toggle.
+        #: counters: they are host-side facts about translation
+        #: caching, and keeping them out of the registry keeps
+        #: ``cpu.snapshot()`` a pure function of the simulation.
         self.tlb_hits = 0
         self.tlb_misses = 0
-        #: Crossing-plan fast path for gate invokes.  Channels compile a
-        #: per-edge :class:`~repro.gates.base.CrossingPlan` at
-        #: construction (handlers, precomputed charge sums, context
-        #: labels) and take a specialized invoke path when no observer
-        #: (tracer / edge-latency recording) is live.  ``gateplan=False``
-        #: (or env ``REPRO_GATEPLAN=0``) forces the original per-call
-        #: derivation — the reference ``bench_fastpath.py --check``
-        #: compares against.  Both paths issue the identical charge and
-        #: counter sequence, so simulated observables are bit-identical.
-        if gateplan is None:
-            gateplan = os.environ.get("REPRO_GATEPLAN", "1") != "0"
-        self.gateplan_enabled = bool(gateplan)
-        #: Crossing plans compiled by this machine's channels (host-side
-        #: telemetry only — same bit-identity rationale as the TLB
-        #: counters above).
-        self.gate_plans: list = []
+        #: Every gate built on this machine (host-side telemetry for
+        #: :meth:`fastpath_stats`).
+        self.gates: list = []
         #: Observability: span tracer (disabled by default) + metrics
         #: registry (shared with the CPU).  See :mod:`repro.obs`.
         self.obs = Observability(self.cpu)
@@ -137,11 +114,11 @@ class Machine:
     ) -> int:
         """Software-TLB miss: full page walk + checks, then cache.
 
-        Performs exactly the checks — and raises exactly the faults —
-        the slow path performs for one page, then records the earned
-        translation under ``(vpn, op, pkru)``.  Only reached for
-        non-capability contexts (capability checks are per-access
-        bounds, not per-page rights, so they can never be cached).
+        Performs the permission and PKRU checks for one page — raising
+        their faults — then records the earned translation under
+        ``(vpn, op, pkru)``.  Only reached for non-capability contexts
+        (capability checks are per-access bounds, not per-page rights,
+        so they can never be cached).
         """
         vpn = vaddr >> PAGE_SHIFT
         entry = space._pages.get(vpn)
@@ -177,7 +154,7 @@ class Machine:
         if context.capabilities is not None:
             cpu.charge(cpu.cost.cheri_check_ns)
             context.capabilities.check(vaddr, size, "load")
-        elif self.fastpath_enabled and size > 0:
+        elif size > 0:
             space = context.address_space
             cache = space._access_cache
             vpn = vaddr >> PAGE_SHIFT
@@ -228,16 +205,15 @@ class Machine:
             if first_frame >= 0:
                 space._range_cache[range_key] = first_frame << PAGE_SHIFT
             return b"".join(chunks)
+        # Capability contexts and zero-length reads walk the page table:
+        # capability checks are per-access bounds, not per-page rights,
+        # so their translations are never cached.
         chunks = []
         for chunk_va, chunk_size, entry in context.address_space.iter_range(
             vaddr, size
         ):
             if not entry.perms & Permissions.READ:
                 raise PageFault(chunk_va, "read", "page not readable")
-            if context.capabilities is None and not pkru_readable(
-                context.pkru, entry.pkey
-            ):
-                raise ProtectionFault(chunk_va, "read", entry.pkey, context.label)
             paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
             chunks.append(self.phys.read(paddr, chunk_size))
         return b"".join(chunks)
@@ -259,7 +235,7 @@ class Machine:
         if context.capabilities is not None:
             cpu.charge(cpu.cost.cheri_check_ns)
             context.capabilities.check(vaddr, size, "store")
-        elif self.fastpath_enabled and size > 0:
+        elif size > 0:
             space = context.address_space
             cache = space._access_cache
             data = self.phys.data
@@ -287,8 +263,7 @@ class Machine:
                 data[paddr : paddr + size] = payload
                 return
             # Miss: check-and-write page by page, in order, so a fault
-            # mid-store leaves exactly the pages before it written —
-            # matching the slow path byte for byte.
+            # mid-store leaves exactly the pages before it written.
             offset = 0
             va = vaddr
             end = vaddr + size
@@ -314,16 +289,13 @@ class Machine:
             if first_frame >= 0:
                 space._range_cache[range_key] = first_frame << PAGE_SHIFT
             return
+        # Capability contexts and zero-length writes: the page walk.
         offset = 0
         for chunk_va, chunk_size, entry in context.address_space.iter_range(
             vaddr, size
         ):
             if not entry.perms & Permissions.WRITE:
                 raise PageFault(chunk_va, "write", "page not writable")
-            if context.capabilities is None and not pkru_writable(
-                context.pkru, entry.pkey
-            ):
-                raise ProtectionFault(chunk_va, "write", entry.pkey, context.label)
             paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
             self.phys.write(paddr, payload[offset : offset + chunk_size])
             offset += chunk_size
@@ -349,73 +321,59 @@ class Machine:
 
     def dma_write(self, space: AddressSpace, vaddr: int, payload: bytes) -> None:
         """Device write: translates via ``space``, bypasses PKRU and cost."""
-        if self.fastpath_enabled:
-            cache = space._frame_cache
-            data = self.phys.data
-            offset = 0
-            va = vaddr
-            end = vaddr + len(payload)
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get(vpn)
-                if frame is None:
-                    frame = self._dma_frame(space, va)
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-                offset += chunk
-                va += chunk
-            return
+        cache = space._frame_cache
+        data = self.phys.data
         offset = 0
-        for chunk_va, chunk_size, entry in space.iter_range(vaddr, len(payload)):
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            self.phys.write(paddr, payload[offset : offset + chunk_size])
-            offset += chunk_size
+        va = vaddr
+        end = vaddr + len(payload)
+        while va < end:
+            vpn = va >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
+            frame = cache.get(vpn)
+            if frame is None:
+                frame = self._dma_frame(space, va)
+            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
+            offset += chunk
+            va += chunk
 
     def dma_read(self, space: AddressSpace, vaddr: int, size: int) -> bytes:
         """Device read: translates via ``space``, bypasses PKRU and cost."""
-        if self.fastpath_enabled:
-            cache = space._frame_cache
-            view = self.phys.view
-            chunks = []
-            va = vaddr
-            end = vaddr + size
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get(vpn)
-                if frame is None:
-                    frame = self._dma_frame(space, va)
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                chunks.append(view[paddr : paddr + chunk])
-                va += chunk
-            if len(chunks) == 1:
-                return bytes(chunks[0])
-            return b"".join(chunks)
+        cache = space._frame_cache
+        view = self.phys.view
         chunks = []
-        for chunk_va, chunk_size, entry in space.iter_range(vaddr, size):
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            chunks.append(self.phys.read(paddr, chunk_size))
+        va = vaddr
+        end = vaddr + size
+        while va < end:
+            vpn = va >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
+            frame = cache.get(vpn)
+            if frame is None:
+                frame = self._dma_frame(space, va)
+            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+            chunks.append(view[paddr : paddr + chunk])
+            va += chunk
+        if len(chunks) == 1:
+            return bytes(chunks[0])
         return b"".join(chunks)
 
-    # --- fastpath telemetry -----------------------------------------------
+    # --- host-side telemetry ---------------------------------------------
 
     def fastpath_stats(self) -> dict:
-        """Software-TLB telemetry (host-side; never charged, never in
-        the metrics registry — see note in ``__init__``)."""
+        """Software-TLB and crossing-plan telemetry (host-side; never
+        charged, never in the metrics registry).  Every crossing runs
+        on its gate's plan, so ``plan_hits`` is the gates' crossings."""
         return {
-            "enabled": self.fastpath_enabled,
             "tlb_hits": self.tlb_hits,
             "tlb_misses": self.tlb_misses,
             "tlb_invalidations": sum(
                 space.tlb_invalidations for space in self.spaces.values()
             ),
             "gateplan": {
-                "enabled": self.gateplan_enabled,
-                "plans": len(self.gate_plans),
-                "plan_hits": sum(plan.hits for plan in self.gate_plans),
+                "plans": len(self.gates),
+                "plan_hits": sum(gate.crossings for gate in self.gates),
                 "plan_refreshes": sum(
-                    plan.refreshes for plan in self.gate_plans
+                    gate.plan_refreshes for gate in self.gates
                 ),
             },
         }

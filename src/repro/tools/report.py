@@ -42,48 +42,30 @@ from repro.obs import exploration_metrics, write_chrome_trace
 
 
 def machine_telemetry(images) -> dict:
-    """Aggregate host-side fast-path telemetry across N machines.
+    """Aggregate host-side simulator telemetry across N machines.
 
     A cluster run has one :class:`~repro.machine.machine.Machine` per
     shard (plus followers); summing a single ``fastpath_stats()`` would
-    silently drop every machine but one.  Counters are summed,
-    ``enabled`` flags are AND-ed (one disabled machine disables the
-    claim), and the machine count is reported so readers can tell a
-    cluster report from a single-machine one.  Crossing-plan hits sit
-    next to every edge crossing of the same machines, so
-    ``plan_hit_rate`` is the share of crossings the plans served.
+    silently drop every machine but one.  Counters are summed, and the
+    machine count is reported so readers can tell a cluster report
+    from a single-machine one.
     """
     total = {
         "machines": 0,
-        "enabled": True,
         "tlb_hits": 0,
         "tlb_misses": 0,
         "tlb_invalidations": 0,
-        "gateplan": {
-            "enabled": True,
-            "plans": 0,
-            "plan_hits": 0,
-            "edge_crossings": 0,
-            "plan_refreshes": 0,
-        },
+        "gateplan": {"plans": 0, "plan_hits": 0, "plan_refreshes": 0},
         "wheel_cascades": 0,
     }
     delivery = {"wakes": 0.0, "polls": 0.0, "wait_parks": 0.0}
     for image in images:
         stats = image.machine.fastpath_stats()
         total["machines"] += 1
-        total["enabled"] = total["enabled"] and stats["enabled"]
         for key in ("tlb_hits", "tlb_misses", "tlb_invalidations"):
             total[key] += stats[key]
-        gateplan = stats.get("gateplan") or {}
-        total["gateplan"]["enabled"] = (
-            total["gateplan"]["enabled"] and gateplan.get("enabled", True)
-        )
         for key in ("plans", "plan_hits", "plan_refreshes"):
-            total["gateplan"][key] += gateplan.get(key, 0)
-        total["gateplan"]["edge_crossings"] += sum(
-            image.machine.cpu.metrics.edge_counts().values()
-        )
+            total["gateplan"][key] += stats["gateplan"][key]
         total["wheel_cascades"] += getattr(
             image.scheduler, "timer_cascades", 0
         )
@@ -93,12 +75,6 @@ def machine_telemetry(images) -> dict:
         delivery["wait_parks"] += counters.get("queue.wait_parks", 0.0)
     lookups = total["tlb_hits"] + total["tlb_misses"]
     total["tlb_hit_rate"] = total["tlb_hits"] / lookups if lookups else 0.0
-    plans = total["gateplan"]
-    plans["plan_hit_rate"] = (
-        plans["plan_hits"] / plans["edge_crossings"]
-        if plans["edge_crossings"]
-        else 0.0
-    )
     delivery["wake_poll_ratio"] = (
         delivery["wakes"] / delivery["polls"] if delivery["polls"] else 0.0
     )
@@ -147,7 +123,7 @@ def collect(
         summary, numbers = run_workload(image, workload)
     if trace_path:
         write_chrome_trace(image.machine.obs.tracer, trace_path)
-    fastpath = machine_telemetry([image])
+    telemetry = machine_telemetry([image])
     return {
         "layout": image.layout(),
         "workload": {"summary": summary, **numbers},
@@ -164,9 +140,9 @@ def collect(
         # All zeros unless this process also ran the explorer, but the
         # key is always present so CI can diff report shapes.
         "exploration": exploration_metrics().snapshot(),
-        # Simulation fast-path telemetry (host-side software TLB).
+        # Host-side simulator telemetry (software TLB, crossing plans).
         # Always collected; the text renderer shows it under --machine.
-        "machine": fastpath,
+        "machine": telemetry,
         "trace_file": str(trace_path) if trace_path else None,
         "profile_file": str(profile_path) if profile_path else None,
         "profile_hash": profile.profile_hash() if profile else None,
@@ -383,7 +359,7 @@ def render_text(
 
     machine = data.get("machine")
     if machine and show_machine:
-        lines += ["", "== Simulation fast path (host-side) =="]
+        lines += ["", "== Simulator telemetry (host-side) =="]
         if machine.get("machines", 1) > 1:
             lines.append(
                 f"  aggregated across {machine['machines']} machines"
@@ -394,20 +370,13 @@ def render_text(
             f"({machine['tlb_hit_rate']:.1%} hit rate), "
             f"{machine['tlb_invalidations']} shootdowns"
         )
-        if not machine["enabled"]:
-            lines.append("  fast path DISABLED (REPRO_FASTPATH=0)")
         gateplan = machine.get("gateplan")
         if gateplan:
             lines.append(
                 f"  crossing plans: {gateplan['plans']} compiled, "
-                f"{gateplan['plan_hits']} of {gateplan['edge_crossings']} "
-                f"edge crossings planned ({gateplan['plan_hit_rate']:.1%}), "
+                f"{gateplan['plan_hits']} crossings, "
                 f"{gateplan['plan_refreshes']} refreshes"
             )
-            if not gateplan["enabled"]:
-                lines.append(
-                    "  crossing plans DISABLED (REPRO_GATEPLAN=0)"
-                )
         if "wheel_cascades" in machine:
             lines.append(
                 f"  timer wheel: {machine['wheel_cascades']} cascades"
@@ -526,8 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--machine",
         action="store_true",
-        help="also summarize the simulation fast path (software-TLB "
-        "hit/miss/shootdown counts, crossing-plan cache hits, timer-"
+        help="also summarize simulator telemetry (software-TLB "
+        "hit/miss/shootdown counts, crossing plans and refreshes, timer-"
         "wheel cascades, wake-vs-poll completion delivery — host-side "
         "telemetry, never part of the simulated metrics)",
     )

@@ -23,10 +23,12 @@ def test_machine_telemetry_sums_across_all_machines():
     singles = [image.machine.fastpath_stats() for image in images]
     for key in ("tlb_hits", "tlb_misses", "tlb_invalidations"):
         assert aggregated[key] == sum(stats[key] for stats in singles)
+    for key in ("plans", "plan_hits", "plan_refreshes"):
+        assert aggregated["gateplan"][key] == sum(
+            stats["gateplan"][key] for stats in singles
+        )
+    # Every crossing runs on its gate's plan.
     assert aggregated["gateplan"]["plan_hits"] == sum(
-        stats["gateplan"]["plan_hits"] for stats in singles
-    )
-    assert aggregated["gateplan"]["edge_crossings"] == sum(
         sum(image.machine.cpu.metrics.edge_counts().values())
         for image in images
     )
@@ -34,7 +36,6 @@ def test_machine_telemetry_sums_across_all_machines():
     # undercount (this is the regression the aggregation fixes).
     busiest = max(stats["tlb_hits"] for stats in singles)
     assert aggregated["tlb_hits"] > busiest
-    assert aggregated["enabled"] == all(s["enabled"] for s in singles)
     lookups = aggregated["tlb_hits"] + aggregated["tlb_misses"]
     assert aggregated["tlb_hit_rate"] == aggregated["tlb_hits"] / lookups
 
@@ -46,7 +47,6 @@ def test_machine_telemetry_single_machine_keeps_report_shape():
     stats = machine_telemetry([image])
     assert stats["machines"] == 1
     for key in (
-        "enabled",
         "tlb_hits",
         "tlb_hit_rate",
         "gateplan",

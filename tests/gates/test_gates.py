@@ -198,7 +198,7 @@ def test_switched_gate_charges_arg_copies():
     assert switched_cost > shared_cost + 2 * machine.cost.stack_switch_ns - 1
 
 
-def test_caller_side_instrumentation_runs():
+def test_caller_profile_instrumentation_runs():
     machine, service, client = make_world()
     calls = []
     machine.cpu.current.profile.call_monitors.append(

@@ -1,0 +1,202 @@
+"""Golden corpus: the simulated behaviour of gate crossings, pinned.
+
+Each scenario runs a small deterministic simulation and reduces it to
+its final ``clock_ns`` plus one sha256 per canonical part: the return
+values or app numbers, ``cpu.snapshot()``, the metrics snapshot
+(histograms included), and the Chrome trace when anything was traced.
+``corpus.json`` holds the expected entries; the test re-runs every
+scenario and compares.
+
+Scenarios:
+
+- ``trace.<backend>.seed<N>.<observers>`` — the randomized ``svc`` /
+  ``caller`` channel trace (:mod:`tests.golden.worlds`), with observers
+  never on, or flipped mid-trace and mid-park;
+- ``image.<app>.<profile>.<observers>`` — redis and the Fig. 3 iperf
+  image on eight isolation profiles, run untraced, traced, and with
+  per-edge latency recording;
+- ``profile.redis.<backend>`` — ``capture_profile`` around a redis run;
+- ``parked.<backend>.<tracer>`` — two consumers parked in one
+  ``libc->mq`` gate, with the tracer off or switched on mid-park.
+
+Regenerate after an intended change to simulated behaviour with::
+
+    python tests/golden/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+if __package__ in (None, ""):  # run as a script from a checkout
+    _ROOT = pathlib.Path(__file__).resolve().parents[2]
+    sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
+
+import pytest
+
+from repro import BuildConfig, build_image
+from repro.apps import run_named_workload
+from repro.obs import capture_profile, chrome_trace
+from tests.golden.worlds import (
+    BACKENDS,
+    fig3_config,
+    feed,
+    mq_image,
+    park_consumers,
+    redis_config,
+    run_trace,
+)
+
+CORPUS = pathlib.Path(__file__).with_name("corpus.json")
+
+SH_SUITE = ("asan", "ubsan", "stackprotector", "cfi")
+
+#: name -> (backend, hardening, library the app's queue edge targets).
+PROFILES = {
+    "mpk-shared": ("mpk-shared", {}, None),
+    "mpk-switched": ("mpk-switched", {}, None),
+    "vm-rpc": ("vm-rpc", {}, None),
+    "cheri": ("cheri", {}, None),
+    "sh-asan": ("mpk-shared", {"netstack": ("asan",)}, None),
+    "sh-dfi": ("mpk-shared", {"netstack": ("dfi",)}, None),
+    "fig4": ("none", {"netstack": SH_SUITE}, None),
+    "mpk-shared+queue": ("mpk-shared", {}, "netstack"),
+}
+
+#: app -> (config factory, workload parameters).
+IMAGES = {
+    "redis": (redis_config, {"sets": 24, "gets": 60, "window": 4}),
+    "iperf": (fig3_config, {"buffer_size": 256, "total_bytes": 1 << 15}),
+}
+
+REDIS_PROFILE_PARAMS = {"sets": 16, "gets": 40, "window": 4}
+
+
+def _parts(machine, result) -> dict:
+    """The canonical parts of one finished scenario."""
+    cpu = machine.cpu
+    tracer = machine.obs.tracer
+    return {
+        "clock_ns": cpu.clock_ns,
+        "result": result,
+        "snapshot": cpu.snapshot(),
+        "metrics": cpu.metrics.snapshot(),
+        "trace": chrome_trace(tracer) if tracer.events else None,
+    }
+
+
+def _digest(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _entry(parts: dict) -> dict:
+    entry = {"clock_ns": parts["clock_ns"]}
+    for name in ("result", "snapshot", "metrics", "trace"):
+        if parts[name] is not None:
+            entry[name] = _digest(parts[name])
+    return entry
+
+
+def _trace_scenario(backend: str, seed: int, observe: bool):
+    def run():
+        results, machine = run_trace(backend, seed, observe)
+        return _parts(machine, results)
+
+    return run
+
+
+def _image_scenario(app: str, profile: str, observers: str):
+    def run():
+        config, params = IMAGES[app]
+        backend, hardening, queue_to = PROFILES[profile]
+        edges = {f"{app}->{queue_to}": "batch:8"} if queue_to else None
+        image = build_image(config(backend, hardening, edges))
+        if observers == "traced":
+            image.enable_tracing()
+        elif observers == "latency":
+            image.machine.cpu.metrics.record_edge_latency = True
+        _, numbers = run_named_workload(image, app, params)
+        return _parts(image.machine, numbers)
+
+    return run
+
+
+def _profile_scenario(backend: str):
+    def run():
+        image = build_image(
+            BuildConfig(libraries=["libc", "netstack", "redis"], backend=backend)
+        )
+        with capture_profile(image, "redis", REDIS_PROFILE_PARAMS) as cap:
+            _, numbers = run_named_workload(image, "redis", REDIS_PROFILE_PARAMS)
+        return _parts(image.machine, [numbers, cap.profile.to_dict()])
+
+    return run
+
+
+def _parked_scenario(backend: str, trace_mid_park: bool):
+    def run():
+        image = mq_image(backend)
+        qid = image.call("mq", "q_new", 2)
+        threads, returned, _ = park_consumers(image, qid, 2)
+        if trace_mid_park:
+            image.enable_tracing()
+        feed(image, qid, 2)
+        stacks = [len(thread.ctx_stack) for thread in threads]
+        return _parts(image.machine, [sorted(returned), stacks])
+
+    return run
+
+
+def scenarios() -> dict:
+    """Every corpus scenario: name -> zero-arg runner returning parts."""
+    table = {}
+    for backend in BACKENDS:
+        for seed in (1, 7):
+            for observe in (False, True):
+                name = f"trace.{backend}.seed{seed}." + (
+                    "observed" if observe else "unobserved"
+                )
+                table[name] = _trace_scenario(backend, seed, observe)
+    for app in IMAGES:
+        for profile in PROFILES:
+            for observers in ("untraced", "traced", "latency"):
+                name = f"image.{app}.{profile}.{observers}"
+                table[name] = _image_scenario(app, profile, observers)
+    for backend in BACKENDS:
+        table[f"profile.redis.{backend}"] = _profile_scenario(backend)
+    for backend in BACKENDS:
+        for trace_mid_park in (False, True):
+            name = f"parked.{backend}." + (
+                "traced-mid-park" if trace_mid_park else "untraced"
+            )
+            table[name] = _parked_scenario(backend, trace_mid_park)
+    return table
+
+
+SCENARIOS = scenarios()
+
+
+def generate() -> dict:
+    return {name: _entry(run()) for name, run in sorted(SCENARIOS.items())}
+
+
+def _corpus() -> dict:
+    return json.loads(CORPUS.read_text())
+
+
+def test_corpus_covers_every_scenario():
+    assert sorted(_corpus()) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_matches_corpus(name):
+    assert _entry(SCENARIOS[name]()) == _corpus()[name]
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(SCENARIOS)} scenarios to {CORPUS}")

@@ -1,0 +1,298 @@
+"""Small simulated worlds shared by the golden corpus and the gate tests.
+
+- The ``svc``/``caller`` channel world: two hand-installed compartments
+  joined by a sync channel and a queue channel, driven by a seeded
+  randomized trace of sync invokes, faulting invokes, blocking
+  crossings that suspend or fail, batched queue submissions, and —
+  when observed — tracer / edge-latency flips mid-trace and mid-park.
+  Observer flips draw from their own RNG, so an observed run executes
+  exactly the operations of the unobserved run with the same seed.
+- The ``libc``/``mq`` image, with helpers to park consumers inside one
+  blocking ``q_pop`` crossing and feed them.
+- The redis and Fig. 3 iperf image configurations.
+"""
+
+from __future__ import annotations
+
+import random
+
+from repro import BuildConfig, build_image
+from repro.gates import GateOptions, make_channel
+from repro.libos.compartment import Compartment
+from repro.libos.library import Linker, MicroLibrary, export, export_blocking
+from repro.libos.sched.base import ThreadState
+from repro.machine.capabilities import base_capabilities
+from repro.machine.faults import CompartmentFailure, ProtectionFault
+from repro.machine.machine import Machine
+from repro.machine.mpk import pkru_for_keys
+
+BACKENDS = ["mpk-shared", "mpk-switched", "vm-rpc", "cheri"]
+
+
+# --- the svc/caller channel world ---------------------------------------------
+
+
+class SvcLibrary(MicroLibrary):
+    NAME = "svc"
+    SPEC = "[Memory access] Read(Own); Write(Own)"
+    CAP_GRANTS = {"touch": ((0, -64),)}
+
+    @export
+    def echo(self, *args):
+        return args
+
+    @export
+    def touch(self, addr):
+        return addr
+
+    @export
+    def boom(self):
+        raise ValueError("boom")
+
+    @export
+    def record_free(self, value):
+        return value
+
+    @export_blocking
+    def sleepy(self):
+        yield
+        return "done"
+
+    @export_blocking
+    def early_fail(self):
+        raise ValueError("early")
+        yield  # pragma: no cover - makes this a generator
+
+    @export_blocking
+    def crash_later(self, addr):
+        yield
+        raise ProtectionFault(addr, "write", None, "wild write after resume")
+
+
+class CallerLibrary(MicroLibrary):
+    NAME = "caller"
+    SPEC = "[Memory access] Read(Own); Write(Own)"
+
+
+def make_world(backend: str):
+    """A machine with the ``svc`` and ``caller`` compartments installed."""
+    machine = Machine()
+    linker = Linker()
+    comp_a = Compartment(0, "svc-comp", machine)
+    comp_b = Compartment(1, "caller-comp", machine)
+    if backend == "vm-rpc":
+        domain_a = machine.new_vm_domain("svc")
+        comp_a.vm_domain = domain_a
+        comp_a.address_space = domain_a.space
+        domain_b = machine.new_vm_domain("caller")
+        comp_b.vm_domain = domain_b
+        comp_b.address_space = domain_b.space
+    else:
+        space = machine.new_address_space("main")
+        comp_a.address_space = space
+        comp_a.pkey = 1
+        comp_a.pkru_value = pkru_for_keys(writable=[1, 14])
+        comp_b.address_space = space
+        comp_b.pkey = 2
+        comp_b.pkru_value = pkru_for_keys(writable=[2, 14])
+    if backend == "cheri":
+        comp_a.capabilities = base_capabilities(comp_a, [])
+        comp_b.capabilities = base_capabilities(comp_b, [])
+    service = SvcLibrary()
+    caller = CallerLibrary()
+    service.install(machine, comp_a, linker)
+    caller.install(machine, comp_b, linker)
+    return machine, service, caller
+
+
+def enter_caller(machine, caller):
+    # Push AFTER channels exist: queue-channel construction grants the
+    # group-heap pkey to the compartment, and contexts snapshot PKRU.
+    machine.cpu.push_context(caller.compartment.make_context("caller"))
+
+
+def toggle_observer(machine, rng) -> None:
+    """Flip the tracer or per-edge latency recording."""
+    if rng.randrange(2):
+        machine.obs.tracer.enabled = not machine.obs.tracer.enabled
+    else:
+        metrics = machine.cpu.metrics
+        metrics.record_edge_latency = not metrics.record_edge_latency
+
+
+def finish(gen):
+    """Resume a suspended blocking crossing to completion; its result."""
+    try:
+        gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("blocking export suspended twice")
+
+
+def finish_blocking(gen):
+    """Drive a blocking crossing from its first ``next()`` to its end."""
+    next(gen)
+    return finish(gen)
+
+
+def run_trace(backend: str, seed: int, observe: bool):
+    """One seeded randomized trace; returns (results, machine).
+
+    With ``observe`` set, observers flip at random points — between
+    operations and while a blocking crossing is parked — drawn from a
+    second RNG, so the operations themselves are those of the
+    unobserved run.
+    """
+    machine, service, caller = make_world(backend)
+    sync = make_channel(backend, machine, caller, service)
+    queued = make_channel(
+        f"queue:{backend}",
+        machine,
+        caller,
+        service,
+        options=GateOptions(queue_batch=4, queue_depth=16),
+    )
+    enter_caller(machine, caller)
+    rng = random.Random(seed)
+    observers = random.Random(seed + 1_000_003)
+    results = []
+    for _ in range(60):
+        op = rng.randrange(9)
+        if op == 0:
+            args = tuple(rng.randrange(100) for _ in range(rng.randrange(4)))
+            results.append(sync.invoke("echo", args))
+        elif op == 1:
+            results.append(sync.invoke("touch", (rng.randrange(1 << 20),)))
+        elif op == 2:
+            try:
+                sync.invoke("boom", ())
+            except ValueError as exc:
+                results.append(str(exc))
+        elif op == 3:
+            results.append(queued.submit("record_free", rng.randrange(50)))
+        elif op == 4:
+            results.append(queued.flush())
+        elif op == 5:
+            results.append([(c.ticket, c.fn, c.value) for c in queued.poll()])
+        elif op == 6:
+            if observe:
+                toggle_observer(machine, observers)
+        elif op == 7:
+            gen = sync.invoke_gen("sleepy", ())
+            results.append(next(gen))
+            if observe and observers.randrange(2):
+                toggle_observer(machine, observers)
+            results.append(finish(gen))
+        elif op == 8:
+            try:
+                next(sync.invoke_gen("early_fail", ()))
+            except ValueError as exc:
+                results.append(str(exc))
+    machine.obs.tracer.enabled = False
+    queued.flush()
+    results.append([(c.ticket, c.fn, c.value) for c in queued.poll()])
+    # A containable fault after a suspension, first raw (propagate),
+    # then contained (isolate), each followed by a plain and a blocking
+    # crossing into the callee — refused once it has failed.
+    for policy in ("propagate", "isolate"):
+        service.compartment.failure_policy = policy
+        gen = sync.invoke_gen("crash_later", (rng.randrange(1 << 20),))
+        next(gen)
+        try:
+            finish(gen)
+        except (ProtectionFault, CompartmentFailure) as exc:
+            results.append((policy, type(exc).__name__))
+        for call in (
+            lambda: sync.invoke("echo", (policy,)),
+            lambda: finish_blocking(sync.invoke_gen("sleepy", ())),
+        ):
+            try:
+                results.append(call())
+            except CompartmentFailure as exc:
+                results.append((policy, str(exc)))
+        results.append(machine.cpu.context_depth)
+    return results, machine
+
+
+# --- the libc/mq image ----------------------------------------------------------
+
+
+def mq_image(backend: str):
+    return build_image(
+        BuildConfig(
+            libraries=["libc", "mq"],
+            compartments=[["mq"], ["sched", "alloc", "libc"]],
+            backend=backend,
+        )
+    )
+
+
+def park_consumers(image, qid: int, count: int):
+    """Spawn ``count`` consumers and run until all park in ``q_pop``.
+
+    Returns (threads, per-consumer records, the libc->mq channel).  A
+    warm-up crossing first fills the gate's context pool, so the first
+    consumer takes the pooled context and the others must build their
+    own.
+    """
+    libc = image.lib("libc")
+    stub = libc.stub("mq")
+    cpu = image.machine.cpu
+    returned = []
+
+    def warm_up():
+        stub.call("q_len", qid)
+        yield from ()
+
+    def consumer(name):
+        def body():
+            home = cpu.current
+            item = yield from stub.call_gen("q_pop", qid)
+            returned.append((name, item, cpu.context_depth, cpu.current is home))
+
+        return body
+
+    image.spawn("warm-up", warm_up, libc)
+    image.run()
+    threads = [
+        image.spawn(f"consumer{index}", consumer(f"c{index}"), libc)
+        for index in range(count)
+    ]
+    image.run(max_switches=10)
+    assert all(thread.state is ThreadState.BLOCKED for thread in threads)
+    return threads, returned, stub.channel
+
+
+def feed(image, qid: int, count: int) -> None:
+    libc = image.lib("libc")
+    stub = libc.stub("mq")
+
+    def producer():
+        for index in range(count):
+            yield from stub.call_gen("q_push", qid, 0x1000 * (index + 1), 64)
+
+    image.spawn("producer", producer, libc)
+    image.run()
+
+
+# --- redis and Fig. 3 iperf images ---------------------------------------------
+
+
+def redis_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
+    return BuildConfig(
+        libraries=["libc", "netstack", "vfs", "redis"],
+        compartments=[["netstack"], ["vfs"], ["sched", "alloc", "libc", "redis"]],
+        backend=backend,
+        hardening=dict(hardening),
+        queue_edges=dict(queue_edges or {}),
+    )
+
+
+def fig3_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
+    return BuildConfig(
+        libraries=["libc", "netstack", "iperf"],
+        compartments=[["netstack"], ["sched", "alloc", "libc", "iperf"]],
+        backend=backend,
+        hardening=dict(hardening),
+        queue_edges=dict(queue_edges or {}),
+    )

@@ -1,12 +1,13 @@
-"""Differential property tests: the software-TLB fast path vs the walk.
+"""Differential property tests: the software TLB vs the page walk.
 
-Two machines — identical except for the ``fastpath`` flag — execute the
-same randomized trace of map/unmap/protect/pkey/wrpkru/load/store
+A :class:`~repro.machine.machine.Machine` and a test-only
+:class:`~tests.machine.reference.ReferenceMachine` (which walks the page
+table and checks every page on every access) execute the same
+randomized trace of map/unmap/protect/pkey/wrpkru/load/store
 operations.  Every operation must produce the same value or the same
 fault, and at the end the simulated clock, every counter, and the full
-physical memory image must be bit-identical.  This is the proof
-obligation of ISSUE 7: the fast path may only change host wall-clock,
-never any simulated observable.
+physical memory image must be bit-identical: translation caching may
+only change host wall-clock, never any simulated observable.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.machine.faults import PageFault, ProtectionFault, SHViolation
 from repro.machine.machine import Machine
 from repro.machine.memory import PAGE_SIZE
 from repro.machine.mpk import pkru_all_access, pkru_for_keys
+from tests.machine.reference import ReferenceMachine
 
 #: Window of fixed-placement test pages (clear of the reserve bump).
 BASE = 0x2000_0000
@@ -34,8 +36,10 @@ PERM_CHOICES = (
 PKEY_CHOICES = (0, 1, 2, 3)
 
 
-def _build(fastpath: bool, profile: DomainProfile | None = None, caps=None):
-    machine = Machine(fastpath=fastpath)
+def _build(
+    machine_cls=Machine, profile: DomainProfile | None = None, caps=None
+):
+    machine = machine_cls()
     space = machine.new_address_space("main")
     context = machine.boot_context(space, label="test")
     if profile is not None:
@@ -158,16 +162,15 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
     rng = random.Random(seed)
     trace = _random_trace(rng, ops)
     fast, fast_space, _ = _build(
-        True,
+        Machine,
         profile_factory() if profile_factory else None,
         caps_factory() if caps_factory else None,
     )
     slow, slow_space, _ = _build(
-        False,
+        ReferenceMachine,
         profile_factory() if profile_factory else None,
         caps_factory() if caps_factory else None,
     )
-    assert fast.fastpath_enabled and not slow.fastpath_enabled
     for index, op in enumerate(trace):
         fast_result = _apply(fast, fast_space, op)
         slow_result = _apply(slow, slow_space, op)
@@ -185,18 +188,15 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
 
 @pytest.mark.parametrize("seed", range(6))
 def test_differential_neutral_profile(seed):
-    fast, slow = _run_differential(seed)
-    # The fast machine actually exercised its cache; the slow one never
-    # touched it.
+    fast, _ = _run_differential(seed)
+    # The machine actually exercised its cache.
     stats = fast.fastpath_stats()
     assert stats["tlb_hits"] + stats["tlb_misses"] > 0
-    assert slow.fastpath_stats()["tlb_hits"] == 0
-    assert slow.fastpath_stats()["tlb_misses"] == 0
 
 
 @pytest.mark.parametrize("seed", (1, 7))
 def test_differential_asan_like_monitor(seed):
-    """Monitors (charge + veto) run identically on both paths."""
+    """Monitors (charge + veto) run identically on both machines."""
 
     def profile():
         poisoned = (BASE + 2 * PAGE_SIZE + 100, BASE + 2 * PAGE_SIZE + 120)
@@ -244,14 +244,14 @@ def test_differential_capability_context(seed):
             "test", [(BASE, BASE + (NUM_PAGES - 2) * PAGE_SIZE)]
         )
 
-    fast, slow = _run_differential(seed, caps_factory=caps)
+    fast, _ = _run_differential(seed, caps_factory=caps)
     # Enforcement safety: capability accesses never populate the TLB.
     assert fast.fastpath_stats()["tlb_hits"] == 0
     assert fast.fastpath_stats()["tlb_misses"] == 0
 
 
 def test_protect_revokes_cached_read():
-    machine, space, _ = _build(True)
+    machine, space, _ = _build()
     vaddr = space.map_new(PAGE_SIZE, Permissions.RW)
     machine.store(vaddr, b"x" * 8)
     assert machine.load(vaddr, 8) == b"x" * 8  # populates the cache
@@ -263,7 +263,7 @@ def test_protect_revokes_cached_read():
 
 
 def test_pkey_change_invalidates_cached_rights():
-    machine, space, context = _build(True)
+    machine, space, context = _build()
     vaddr = space.map_new(PAGE_SIZE, Permissions.RW, pkey=1)
     context.pkru = pkru_for_keys(writable=(1,))
     machine.store(vaddr, b"ok")
@@ -274,7 +274,7 @@ def test_pkey_change_invalidates_cached_rights():
 
 def test_pkru_switch_needs_no_shootdown():
     """PKRU is part of the cache key: stale rights cannot leak."""
-    machine, space, context = _build(True)
+    machine, space, context = _build()
     vaddr = space.map_new(PAGE_SIZE, Permissions.RW, pkey=3)
     context.pkru = pkru_for_keys(writable=(3,))
     machine.store(vaddr, b"hot")  # cached under the permissive PKRU
@@ -286,7 +286,7 @@ def test_pkru_switch_needs_no_shootdown():
 
 
 def test_remap_returns_new_frame_contents():
-    machine, space, _ = _build(True)
+    machine, space, _ = _build()
     vaddr = space.map_new(PAGE_SIZE, Permissions.RW)
     machine.store(vaddr, b"old!")
     assert machine.load(vaddr, 4) == b"old!"
@@ -299,14 +299,13 @@ def test_remap_returns_new_frame_contents():
 
 
 def test_tlb_telemetry_counts():
-    machine, space, _ = _build(True)
+    machine, space, _ = _build()
     vaddr = space.map_new(PAGE_SIZE, Permissions.RW)
     machine.store(vaddr, b"a")
     machine.store(vaddr, b"b")
     machine.load(vaddr, 1)
     machine.load(vaddr, 1)
     stats = machine.fastpath_stats()
-    assert stats["enabled"] is True
     assert stats["tlb_misses"] == 2  # one read fill, one write fill
     assert stats["tlb_hits"] == 2
     before = stats["tlb_invalidations"]
@@ -318,7 +317,7 @@ def test_tlb_telemetry_counts():
 
 def test_range_cache_bulk_roundtrip_and_invalidation():
     """Multi-page runs hit the range cache; protect revokes the run."""
-    machine, space, _ = _build(True)
+    machine, space, _ = _build()
     vaddr = space.map_new(8 * PAGE_SIZE, Permissions.RW)
     payload = bytes(range(256)) * (8 * PAGE_SIZE // 256)
     machine.store(vaddr, payload)
@@ -331,15 +330,14 @@ def test_range_cache_bulk_roundtrip_and_invalidation():
     space.protect(vaddr + 3 * PAGE_SIZE, PAGE_SIZE, Permissions.READ)
     with pytest.raises(PageFault):
         machine.store(vaddr, payload)
-    # ... and a partial store stops exactly at the revoked page, like
-    # the slow path.
+    # ... and a partial store stops exactly at the revoked page.
     assert machine.load(vaddr, 8 * PAGE_SIZE) == payload
 
 
 def test_range_cache_skips_non_contiguous_runs():
     """Runs over scattered frames never enter the range cache but stay
     correct."""
-    machine, space, _ = _build(True)
+    machine, space, _ = _build()
     vaddr = space.map_new(4 * PAGE_SIZE, Permissions.RW)
     # Remap the second page to a different (later) frame: the run's
     # frames are no longer physically contiguous.  The intervening
@@ -356,20 +354,10 @@ def test_range_cache_skips_non_contiguous_runs():
     assert not space._range_cache  # never cached, still correct
 
 
-def test_fastpath_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert Machine().fastpath_enabled is False
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert Machine().fastpath_enabled is True
-    monkeypatch.delenv("REPRO_FASTPATH")
-    assert Machine().fastpath_enabled is True
-    assert Machine(fastpath=False).fastpath_enabled is False
-
-
 def test_dma_differential():
     """DMA uses the translation-only cache; results stay identical."""
-    fast, fast_space, _ = _build(True)
-    slow, slow_space, _ = _build(False)
+    fast, fast_space, _ = _build(Machine)
+    slow, slow_space, _ = _build(ReferenceMachine)
     for machine, space in ((fast, fast_space), (slow, slow_space)):
         vaddr = space.map_new(3 * PAGE_SIZE, Permissions.RW)
         machine.dma_write(space, vaddr + 100, b"dma" * 2000)
