@@ -122,12 +122,18 @@ class ClusterClient:
         Every delivery thus happens at the same call, in the same order,
         as with a rescan on every call.
         """
-        token = (self.cluster.epoch, self.cluster.map.epoch)
-        if token == self._parked_at:
+        cluster = self.cluster
+        parked = self._parked_at
+        if (
+            parked is not None
+            and parked[0] == cluster.epoch
+            and parked[1] == cluster.map.epoch
+        ):
             return 0
-        self._parked_at = token
+        self._parked_at = (cluster.epoch, cluster.map.epoch)
         dispatched = 0
         blocked: list[Request] = []
+        outstanding = self.outstanding
         while self.pending:
             request = self.pending.popleft()
             node = self._node_for(request)
@@ -135,7 +141,9 @@ class ClusterClient:
                 # Owner dead or missing (mid-failover): park it.
                 blocked.append(request)
                 continue
-            queue = self.outstanding.setdefault(node.name, collections.deque())
+            queue = outstanding.get(node.name)
+            if queue is None:
+                queue = outstanding[node.name] = collections.deque()
             if len(queue) >= self.window:
                 blocked.append(request)
                 continue
@@ -164,7 +172,9 @@ class ClusterClient:
     # --- reply path -------------------------------------------------------
 
     def on_reply(self, node_name: str, payload: bytes) -> None:
-        parser = self._parsers.setdefault(node_name, resp.ReplyParser())
+        parser = self._parsers.get(node_name)
+        if parser is None:
+            parser = self._parsers[node_name] = resp.ReplyParser()
         for reply in parser.feed(payload):
             queue = self.outstanding.get(node_name)
             if not queue:

@@ -97,13 +97,15 @@ class Node:
         )
         #: Receives transmitted payloads (the smart client's reply path).
         self.client_sink: Callable[[str, bytes], None] | None = None
+        #: The image's CPU, whose clock gates every inbox arrival.
+        self._cpu = image.machine.cpu
         netstack = image.lib("netstack")
         netstack.nic.rx_source = self._rx_source
         netstack.nic.tx_sink = self._tx_sink
 
     @property
     def clock_ns(self) -> float:
-        return self.image.machine.cpu.clock_ns
+        return self._cpu.clock_ns
 
     # --- fabric side ------------------------------------------------------
 
@@ -131,14 +133,15 @@ class Node:
     # --- NIC callbacks ----------------------------------------------------
 
     def _rx_source(self) -> bytes | None:
-        if not self._inbox:
+        inbox = self._inbox
+        if not inbox:
             return None
-        arrival, _, payload = self._inbox[0]
-        if arrival > self.clock_ns:
+        arrival, _, payload = inbox[0]
+        if arrival > self._cpu.clock_ns:
             # Still in flight: the NIC marks the wire idle and the rx
             # loop's empty polls advance this node's clock to meet it.
             return None
-        heapq.heappop(self._inbox)
+        heapq.heappop(inbox)
         packet = build_packet(self.port, payload, seq=self._tx_seq)
         self._tx_seq += len(payload)
         return packet

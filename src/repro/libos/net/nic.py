@@ -67,19 +67,17 @@ class NIC:
         """Driver posts an empty buffer for incoming packets."""
         self._rx_posted.append(addr)
 
-    def _pull_from_wire(self) -> None:
+    def _pull_from_wire(self, now: float, cost) -> None:
         """DMA client packets that the wire has finished delivering.
 
         The link serialises bytes at a finite rate: a packet becomes
-        visible only once the simulated clock has passed its arrival
-        time.  When the CPU outruns the wire, polls come back empty and
-        the receiver ends up blocking — line rate becomes the
+        visible only once the simulated clock (``now``) has passed its
+        arrival time.  When the CPU outruns the wire, polls come back
+        empty and the receiver ends up blocking — line rate becomes the
         bottleneck, exactly the large-buffer regime of Figure 3.
         """
         if self.rx_source is None or self.space is None:
             return
-        cost = self.machine.cost
-        now = self.machine.cpu.clock_ns
         # Packets keep arriving while the CPU is busy, so a backlog
         # accumulates and is delivered as a burst at the next poll —
         # bounded by a TCP-window's worth of in-flight data (and by the
@@ -112,14 +110,17 @@ class NIC:
         Charges one descriptor operation when a packet is returned; an
         empty poll is a cheap doorbell read.
         """
-        if not self._rx_done:
-            self._pull_from_wire()
-        if not self._rx_done:
-            self.machine.cpu.charge(self.machine.cost.nic_op_ns / 8)
-            return None
-        self.machine.cpu.charge(self.machine.cost.nic_op_ns)
-        self.machine.cpu.bump("nic_rx")
-        return self._rx_done.popleft()
+        cpu = self.machine.cpu
+        cost = cpu.cost
+        done = self._rx_done
+        if not done:
+            self._pull_from_wire(cpu.clock_ns, cost)
+            if not done:
+                cpu.charge(cost.nic_op_ns / 8)
+                return None
+        cpu.charge(cost.nic_op_ns)
+        cpu.bump("nic_rx")
+        return done.popleft()
 
     def next_rx_ready_ns(self) -> float | None:
         """When the wire will next have a packet ready, if known.

@@ -358,23 +358,24 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
     @export
     def rx_process(self, budget: int = RX_BUDGET) -> int:
         """Drain up to ``budget`` packets from the NIC into sockets."""
-        cost = self.machine.cost
-        start_ns = self.machine.cpu.clock_ns
+        machine = self.machine
+        cpu = machine.cpu
+        cost = cpu.cost
+        nic = self.nic
+        start_ns = cpu.clock_ns
         processed = 0
         while processed < budget:
-            descriptor = self.nic.rx_poll()
+            descriptor = nic.rx_poll()
             if descriptor is None:
                 break
             addr, length = descriptor
-            raw = self.machine.load(addr, HEADER_SIZE)
+            raw = machine.load(addr, HEADER_SIZE)
             header = unpack_header(raw)
             # Port-demux hash-table lookup (netstack's own memory).
-            self.machine.load(
-                self._port_table + (header.dst_port % 64) * 16, 16
-            )
-            self.charge(cost.pkt_fixed_ns + header.length * cost.pkt_byte_ns)
+            machine.load(self._port_table + (header.dst_port % 64) * 16, 16)
+            cpu.charge(cost.pkt_fixed_ns + header.length * cost.pkt_byte_ns)
             # Keep the ring full: replace the consumed buffer.
-            self.nic.post_rx_buffer(self._mbuf_get())
+            nic.post_rx_buffer(self._mbuf_get())
             conn = self._conns_by_port.get(header.dst_port)
             if conn is None or header.length == 0:
                 if conn is not None and header.is_syn:
@@ -399,7 +400,7 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
             processed += 1
         if processed:
             self._rx_batch_hist.observe(processed)
-            tracer = self.machine.obs.tracer
+            tracer = machine.obs.tracer
             if tracer.enabled:
                 tracer.complete(
                     "netstack.rx_process", "net", start_ns, packets=processed

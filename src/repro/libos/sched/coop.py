@@ -66,8 +66,8 @@ thread_join(tid)
         self._timers = TimerWheel()
         self._timer_seq = 0
         #: Directive dispatch table: exact class -> handler, resolved
-        #: in one dict lookup on the hot switch path (an isinstance
-        #: walk remains as the fallback for directive subclasses).
+        #: in one dict lookup on the hot switch path.  Anything else a
+        #: thread yields, subclasses included, is an invalid directive.
         self._dispatch: dict[type, Callable] = {
             Yield: self._on_yield,
             Block: self._on_block,
@@ -130,13 +130,23 @@ thread_join(tid)
 
     @export
     def thread_rm(self, tid: int) -> None:
-        """Remove a thread from scheduling."""
-        thread = self.threads.pop(tid, None)
+        """Remove a thread from scheduling.
+
+        Retires it as :meth:`kill_thread` does: unlinked from its run
+        or wait queue (a parked thread's timer dies with it), its body
+        closed inside its own contexts, its joiners woken.  A thread
+        removing itself cannot close its running body; the run loop
+        drops it when its quantum ends.
+        """
+        thread = self.threads.get(tid)
         if thread is None:
             raise GateError(f"unknown thread {tid}")
-        if thread in self.run_queue:
-            self.run_queue.remove(thread)
-        thread.state = ThreadState.DONE
+        if thread.state is ThreadState.RUNNING:
+            thread.state = ThreadState.DONE
+            del self.threads[tid]
+            self.wake_all(thread.exit_waitq)
+            return
+        self.kill_thread(thread)
 
     # --- wait-queue operations ---------------------------------------------------
 
@@ -199,19 +209,6 @@ thread_join(tid)
         self._timer_seq += 1
         self._timers.schedule(deadline_ns, self._timer_seq, waitq)
 
-    def _fire_due_timers(self) -> int:
-        """Wake every live timer whose deadline has passed.
-
-        Timers whose wait queue emptied in the meantime (the sleeper
-        was killed, or woken through another path) are dropped by the
-        wheel without a spurious wake — previously they "fired" for
-        nobody and still charged a wait-queue operation.
-        """
-        due = self._timers.collect(self.machine.cpu.clock_ns)
-        for entry in due:
-            self.wake_all(entry.waitq)
-        return len(due)
-
     @property
     def pending_timers(self) -> int:
         """Number of armed timers somebody is still waiting on."""
@@ -222,18 +219,16 @@ thread_join(tid)
         """Outer-level wheel re-files so far (host-side telemetry)."""
         return self._timers.cascades
 
+    @property
+    def timer_sweeps(self) -> int:
+        """Wheel advances that swept its levels (host-side telemetry)."""
+        return self._timers.sweeps
+
     # --- run loop -------------------------------------------------------------
 
-    def _switch_cost(self, thread: Thread) -> None:
-        """Charge one context switch (overridden by the verified sched)."""
-        self.charge(self.machine.cost.ctx_switch_ns)
-        if (
-            self.domain_crossing_ns
-            and thread.home_compartment is not None
-            and thread.home_compartment is not self.compartment
-        ):
-            self.charge(2 * self.domain_crossing_ns)
-            self.machine.cpu.bump("sched_domain_crossings", 2)
+    #: Contract hook run before each switch is charged; the verified
+    #: scheduler re-establishes its invariants here.
+    _check_switch: Callable[[Thread], None] | None = None
 
     def run(
         self,
@@ -247,34 +242,55 @@ thread_join(tid)
         switches performed.  Threads left parked on wait queues when
         the loop stops remain BLOCKED — the caller decides whether that
         is a deadlock or a daemon thread.
+
+        A round with nothing due costs O(1) host work: everything a
+        round touches is bound once per call, an empty timer wheel
+        only moves its cursor, and each tracer hook sits behind one
+        ``_enabled`` test.
         """
         cpu = self.machine.cpu
+        charge = cpu.charge
+        counters = cpu.metrics.counters
+        quantum_ns = cpu.metrics.histogram("sched.quantum_ns").values
         tracer = self.machine.obs.tracer
-        quantum_hist = cpu.metrics.histogram("sched.quantum_ns")
+        timers = self._timers
+        collect = timers.collect
+        run_queue = self.run_queue
+        dispatch = self._dispatch
+        check_switch = self._check_switch
+        switch_ns = cpu.cost.ctx_switch_ns
+        # Under MPK every switch into another compartment's thread
+        # enters the scheduler's domain and exits into the thread's:
+        # two crossings.
+        crossing_ns = 2 * self.domain_crossing_ns
+        own = self.compartment
         switches = 0
-        while self.run_queue or self._timers:
+        while run_queue or timers:
             if until is not None and until():
                 break
             if max_switches is not None and switches >= max_switches:
                 break
-            self._fire_due_timers()
-            if not self.run_queue:
+            # Wake every live timer whose deadline has passed; timers
+            # whose sleepers are gone are dropped without a wake.
+            for entry in collect(cpu.clock_ns):
+                self.wake_all(entry.waitq)
+            if not run_queue:
                 # Idle: nothing runnable until the next timer — advance
                 # the clock to its deadline (the tickless-idle path).
                 # Only *live* deadlines count: a timer whose waiters
                 # are all gone must not pull the clock forward.
-                deadline = self._timers.next_live_deadline()
+                deadline = timers.next_live_deadline()
                 if deadline is None:
                     break
                 if deadline > cpu.clock_ns:
-                    cpu.charge(deadline - cpu.clock_ns)
+                    charge(deadline - cpu.clock_ns)
                     if cpu.clock_ns < deadline:
                         raise GateError(
                             "cannot idle-advance the clock while CPU "
                             "charging is disabled"
                         )
                 continue
-            thread = self.run_queue.popleft()
+            thread = run_queue.popleft()
             injector = self.machine.injector
             if injector is not None and injector.should_kill(thread):
                 # Resilience harness: the thread dies before running
@@ -282,16 +298,23 @@ thread_join(tid)
                 # death, e.g. a stack blowout detected on switch-in).
                 self.kill_thread(thread)
                 continue
-            self._switch_cost(thread)
+            if check_switch is not None:
+                check_switch(thread)
+            charge(switch_ns)
+            home = thread.home_compartment
+            if crossing_ns and home is not None and home is not own:
+                charge(crossing_ns)
+                cpu.bump("sched_domain_crossings", 2)
             switches += 1
             self.total_switches += 1
             thread.switches += 1
             thread.state = ThreadState.RUNNING
-            cpu.bump("ctx_switches")
+            counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
             quantum_start = cpu.clock_ns
             # Route trace events to the running thread's own track so
             # spans it leaves open across a suspension nest correctly.
-            tracer.set_track(thread.tid, thread.name)
+            if tracer._enabled:
+                tracer.set_track(thread.tid, thread.name)
             saved = cpu.swap_context_stack(thread.ctx_stack)
             try:
                 directive = next(thread.body)
@@ -320,9 +343,10 @@ thread_join(tid)
                 self._reap_failed(thread, failure)
             finally:
                 thread.ctx_stack = cpu.swap_context_stack(saved)
-                tracer.set_track(HOST_TRACK)
-            quantum_hist.observe(cpu.clock_ns - quantum_start)
-            if tracer.enabled:
+                if tracer._enabled:
+                    tracer.set_track(HOST_TRACK)
+            quantum_ns.append(cpu.clock_ns - quantum_start)
+            if tracer._enabled:
                 tracer.complete(
                     thread.name,
                     "sched",
@@ -333,17 +357,12 @@ thread_join(tid)
                 )
             if thread.state is ThreadState.DONE:
                 continue
-            handler = self._dispatch.get(directive.__class__)
+            handler = dispatch.get(directive.__class__)
             if handler is None:
-                for cls, fallback in self._dispatch.items():
-                    if isinstance(directive, cls):
-                        handler = fallback
-                        break
-                if handler is None:
-                    raise GateError(
-                        f"thread {thread.name} yielded invalid directive "
-                        f"{directive!r}"
-                    )
+                raise GateError(
+                    f"thread {thread.name} yielded invalid directive "
+                    f"{directive!r}"
+                )
             handler(thread, directive, cpu)
         return switches
 

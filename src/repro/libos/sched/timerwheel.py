@@ -7,6 +7,8 @@ tickless-idle clock jumped.  Four levels of 64 slots at 64 ns
 resolution cover ~1.07 simulated seconds before the top level wraps;
 entries further out sit in the top level and cascade down as the wheel
 turns (``cascades`` counts those re-files — host-side telemetry only).
+With nothing armed, :meth:`collect` only moves the cursor: an idle
+scheduler round pays no sweep (``sweeps`` counts the ones that ran).
 
 Semantics preserved from the heap implementation:
 
@@ -71,6 +73,8 @@ class TimerWheel:
         self._count = 0
         #: Entries re-filed from a higher level as the wheel turned.
         self.cascades = 0
+        #: Level sweeps run by :meth:`_advance` (host-side telemetry).
+        self.sweeps = 0
 
     def __len__(self) -> int:
         """Raw armed-entry count (dead entries included until pruned)."""
@@ -101,6 +105,7 @@ class TimerWheel:
     # --- advancing ----------------------------------------------------------
 
     def _advance(self, target_tick: int) -> None:
+        self.sweeps += 1
         cur = self._cur_tick
         self._cur_tick = target_tick
         for level in range(LEVELS):
@@ -138,8 +143,14 @@ class TimerWheel:
         dropped here — the fix for ``pending_timers`` over-reporting —
         and never returned.  The returned batch is sorted by
         ``(deadline_ns, seq)``, the heap implementation's exact order.
+        An empty wheel moves its cursor exactly as a sweep would and
+        returns at once.
         """
         target = int(now_ns / self._resolution)
+        if not self._count:
+            if target > self._cur_tick:
+                self._cur_tick = target
+            return []
         if target > self._cur_tick:
             self._advance(target)
         pending = self._due

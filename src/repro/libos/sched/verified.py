@@ -80,7 +80,7 @@ class VerifiedScheduler(CoopScheduler):
 
     # --- context switch ---------------------------------------------------------
 
-    def _switch_cost(self, thread: Thread) -> None:
+    def _check_switch(self, thread: Thread) -> None:
         # The verified switch re-establishes the scheduler invariants
         # before transferring control: eight clauses at
         # ``contract_check_ns`` each on top of the base switch, giving
@@ -106,4 +106,3 @@ class VerifiedScheduler(CoopScheduler):
             all(t.tid in self.threads for t in self.run_queue),
             "switch inv: run queue threads are registered",
         )
-        super()._switch_cost(thread)

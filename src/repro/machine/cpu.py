@@ -147,8 +147,10 @@ class CPU:
 
         Called at every observation point: direct charges, context
         push/pop/swap (so attribution lands on the accruing context),
-        counter/snapshot reads, and scheduler switches.  Idempotent and
-        cheap when nothing is pending.
+        counter/snapshot reads, and scheduler switches.  Idempotent;
+        the two per-switch callers (:meth:`charge`,
+        :meth:`swap_context_stack`) skip the call when nothing is
+        pending.
         """
         pending = self._pending_ns
         if pending:
@@ -217,7 +219,8 @@ class CPU:
         the stack pointer in the thread control block (which is exactly
         why the paper requires the scheduler to be trusted under MPK).
         """
-        self.flush_accounting()
+        if self._pending_ns or self._pend_loads or self._pend_stores:
+            self.flush_accounting()
         old = self._contexts
         self._contexts = new_stack
         return old
@@ -261,7 +264,8 @@ class CPU:
     def charge(self, ns: float) -> None:
         """Advance the clock by ``ns`` simulated nanoseconds."""
         if self.charging:
-            self.flush_accounting()
+            if self._pending_ns or self._pend_loads or self._pend_stores:
+                self.flush_accounting()
             self._clock_ns += ns
             if self.attribute_time and self._contexts:
                 name = self._contexts[-1].profile.name

@@ -56,7 +56,9 @@ def machine_telemetry(images) -> dict:
         "tlb_misses": 0,
         "tlb_invalidations": 0,
         "gateplan": {"plans": 0, "plan_hits": 0, "plan_refreshes": 0},
+        "wheel_sweeps": 0,
         "wheel_cascades": 0,
+        "sched_rounds": 0,
     }
     delivery = {"wakes": 0.0, "polls": 0.0, "wait_parks": 0.0}
     for image in images:
@@ -66,9 +68,10 @@ def machine_telemetry(images) -> dict:
             total[key] += stats[key]
         for key in ("plans", "plan_hits", "plan_refreshes"):
             total["gateplan"][key] += stats["gateplan"][key]
-        total["wheel_cascades"] += getattr(
-            image.scheduler, "timer_cascades", 0
-        )
+        scheduler = image.scheduler
+        total["wheel_sweeps"] += scheduler.timer_sweeps
+        total["wheel_cascades"] += scheduler.timer_cascades
+        total["sched_rounds"] += scheduler.total_switches
         counters = image.machine.cpu.metrics.counters
         delivery["wakes"] += counters.get("queue.wakes", 0.0)
         delivery["polls"] += counters.get("queue.polls", 0.0)
@@ -377,9 +380,11 @@ def render_text(
                 f"{gateplan['plan_hits']} crossings, "
                 f"{gateplan['plan_refreshes']} refreshes"
             )
-        if "wheel_cascades" in machine:
+        if "wheel_sweeps" in machine:
             lines.append(
-                f"  timer wheel: {machine['wheel_cascades']} cascades"
+                f"  timer wheel: {machine['wheel_sweeps']} sweeps in "
+                f"{machine['sched_rounds']} scheduler rounds, "
+                f"{machine['wheel_cascades']} cascades"
             )
         delivery = machine.get("completion_delivery")
         if delivery and (delivery["wakes"] or delivery["polls"]):
@@ -497,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="also summarize simulator telemetry (software-TLB "
         "hit/miss/shootdown counts, crossing plans and refreshes, timer-"
-        "wheel cascades, wake-vs-poll completion delivery — host-side "
+        "wheel sweeps per scheduler round and cascades, wake-vs-poll "
+        "completion delivery — host-side "
         "telemetry, never part of the simulated metrics)",
     )
     args = parser.parse_args(argv)

@@ -2,14 +2,13 @@
 after an event that can unpark it, and skipping the other rescans
 changes no simulated result."""
 
-import random
-
 import pytest
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.cluster import RedisCluster
 from repro.cluster.fabric import Node
 from repro.cluster.shardmap import ShardMap
+from tests.golden.worlds import run_cluster_load
 
 
 class RescanEveryCall(ClusterClient):
@@ -90,8 +89,8 @@ def test_parked_backlog_is_rescanned_once_per_event():
 
 
 def _run_scenario(client_cls, seed):
-    """Seeded SET/GET load over a small key set, with a stale route, a
-    primary kill + promotion and a shard join, all mid-load."""
+    """The golden corpus's seeded cluster load, with every delivery and
+    every routing call recorded."""
     deliveries = []
     owner_calls = [0]
     deliver = Node.deliver
@@ -110,39 +109,7 @@ def _run_scenario(client_cls, seed):
         patch.setattr(ShardMap, "owner", counted_owner)
         cluster = RedisCluster(shards=("s0", "s1", "s2"), replicate=True)
         client = client_cls(cluster)
-        rng = random.Random(seed)
-        keys = [b"key:%02d" % index for index in range(10)]
-
-        def load(count):
-            for _ in range(count):
-                key = rng.choice(keys)
-                if rng.random() < 0.5:
-                    client.set(key, b"v%08x" % rng.getrandbits(32))
-                else:
-                    client.get(key)
-
-        def drive_until(completed):
-            def advanced():
-                client.pump()
-                return client.completed >= completed
-
-            cluster.fabric.run(until=advanced)
-
-        load(40)
-        stale = keys[0]
-        client.get(stale)
-        client.pending[-1].forced_shard = next(
-            name for name in sorted(cluster.shards)
-            if name != cluster.map.owner(stale)
-        )
-        drive_until(12)
-        cluster.kill_primary("s1")
-        cluster.promote("s1", recover=True)
-        load(30)
-        drive_until(50)
-        cluster.add_shard("s3")
-        load(30)
-        client.drive()
+        run_cluster_load(cluster, client, seed)
         snapshots = [image.machine.cpu.snapshot() for image in cluster.images()]
     return {
         "deliveries": deliveries,

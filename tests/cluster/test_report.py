@@ -38,6 +38,38 @@ def test_machine_telemetry_sums_across_all_machines():
     assert aggregated["tlb_hits"] > busiest
     lookups = aggregated["tlb_hits"] + aggregated["tlb_misses"]
     assert aggregated["tlb_hit_rate"] == aggregated["tlb_hits"] / lookups
+    # No timer is ever armed: every scheduler round on every machine
+    # found the wheel empty and swept nothing.
+    schedulers = [image.scheduler for image in images]
+    assert aggregated["sched_rounds"] == sum(s.total_switches for s in schedulers)
+    assert aggregated["sched_rounds"] > max(s.total_switches for s in schedulers)
+    assert aggregated["wheel_sweeps"] == 0
+    assert aggregated["wheel_cascades"] == 0
+
+
+def test_machine_telemetry_sums_wheel_sweeps():
+    from repro.libos.sched.base import IdleUntil
+    from tests.golden.worlds import timer_image
+
+    images = [timer_image("coop"), timer_image("verified")]
+    for image in images:
+
+        def sleeper():
+            for deadline in (1_000.0, 300_000.0, 20_000_000.0):
+                yield IdleUntil(deadline)
+
+        image.spawn("sleeper", sleeper, image.lib("time"))
+        image.run()
+    aggregated = machine_telemetry(images)
+    sweeps = [image.scheduler.timer_sweeps for image in images]
+    assert min(sweeps) > 0
+    assert aggregated["wheel_sweeps"] == sum(sweeps)
+    assert aggregated["sched_rounds"] == sum(
+        image.scheduler.total_switches for image in images
+    )
+    assert aggregated["wheel_cascades"] == sum(
+        image.scheduler.timer_cascades for image in images
+    )
 
 
 def test_machine_telemetry_single_machine_keeps_report_shape():
@@ -50,7 +82,9 @@ def test_machine_telemetry_single_machine_keeps_report_shape():
         "tlb_hits",
         "tlb_hit_rate",
         "gateplan",
+        "wheel_sweeps",
         "wheel_cascades",
+        "sched_rounds",
         "completion_delivery",
     ):
         assert key in stats

@@ -71,6 +71,22 @@ def test_cli_machine_shows_plan_share_of_crossings(capsys):
     assert "DISABLED" not in out
 
 
+def test_cli_machine_shows_wheel_sweeps_per_round(capsys):
+    """``--machine`` reports the timer wheel's sweeps against the
+    scheduler rounds that ran, beside its cascades."""
+    assert report_main(["--workload", "iperf", "--machine", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)["machine"]
+    assert machine["sched_rounds"] > 0
+    assert report_main(["--workload", "iperf", "--machine"]) == 0
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "timer wheel:" in line)
+    assert line.strip() == (
+        f"timer wheel: {machine['wheel_sweeps']} sweeps in "
+        f"{machine['sched_rounds']} scheduler rounds, "
+        f"{machine['wheel_cascades']} cascades"
+    )
+
+
 def test_cli_with_json_config(tmp_path, capsys):
     config = BuildConfig(
         libraries=["libc", "netstack", "iperf"],

@@ -17,7 +17,14 @@ Scenarios:
   per-edge latency recording;
 - ``profile.redis.<backend>`` — ``capture_profile`` around a redis run;
 - ``parked.<backend>.<tracer>`` — two consumers parked in one
-  ``libc->mq`` gate, with the tracer off or switched on mid-park.
+  ``libc->mq`` gate, with the tracer off or switched on mid-park;
+- ``cluster.<backend>.<tracer>`` — the replicated three-shard cluster
+  under its seeded client load (stale route, failover, shard join),
+  every machine untraced or traced; the parts hold one entry per
+  machine, and the result the client's stats and acked set;
+- ``timers.<scheduler>`` — traced sleepers on every timer-wheel level,
+  a busy yielding thread and an idle stretch, under the C and the
+  verified scheduler.
 
 Regenerate after an intended change to simulated behaviour with::
 
@@ -39,15 +46,21 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import run_named_workload
+from repro.cluster.client import ClusterClient
+from repro.cluster.cluster import RedisCluster
 from repro.obs import capture_profile, chrome_trace
 from tests.golden.worlds import (
     BACKENDS,
+    TracedCluster,
     fig3_config,
     feed,
     mq_image,
     park_consumers,
     redis_config,
+    run_cluster_load,
+    run_timers,
     run_trace,
+    timer_image,
 )
 
 CORPUS = pathlib.Path(__file__).with_name("corpus.json")
@@ -151,6 +164,38 @@ def _parked_scenario(backend: str, trace_mid_park: bool):
     return run
 
 
+def _cluster_scenario(backend: str, traced: bool):
+    def run():
+        cls = TracedCluster if traced else RedisCluster
+        cluster = cls(shards=("s0", "s1", "s2"), backend=backend, replicate=True)
+        client = ClusterClient(cluster)
+        run_cluster_load(cluster, client, seed=3)
+        images = cluster.images()
+        acked = sorted(
+            [key.decode(), value.decode()] for key, value in client.acked.items()
+        )
+        return {
+            "clock_ns": {image.config.name: image.clock_ns for image in images},
+            "result": [client.stats(), acked],
+            "snapshot": [image.machine.cpu.snapshot() for image in images],
+            "metrics": [image.machine.cpu.metrics.snapshot() for image in images],
+            "trace": [chrome_trace(image.machine.obs.tracer) for image in images]
+            if traced
+            else None,
+        }
+
+    return run
+
+
+def _timers_scenario(scheduler: str):
+    def run():
+        image = timer_image(scheduler)
+        image.enable_tracing()
+        return _parts(image.machine, run_timers(image))
+
+    return run
+
+
 def scenarios() -> dict:
     """Every corpus scenario: name -> zero-arg runner returning parts."""
     table = {}
@@ -174,6 +219,12 @@ def scenarios() -> dict:
                 "traced-mid-park" if trace_mid_park else "untraced"
             )
             table[name] = _parked_scenario(backend, trace_mid_park)
+    for backend in ("none", "mpk-shared"):
+        for traced in (False, True):
+            name = f"cluster.{backend}." + ("traced" if traced else "untraced")
+            table[name] = _cluster_scenario(backend, traced)
+    for scheduler in ("coop", "verified"):
+        table[f"timers.{scheduler}"] = _timers_scenario(scheduler)
     return table
 
 

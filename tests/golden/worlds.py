@@ -10,6 +10,11 @@
 - The ``libc``/``mq`` image, with helpers to park consumers inside one
   blocking ``q_pop`` crossing and feed them.
 - The redis and Fig. 3 iperf image configurations.
+- The replicated three-shard cluster and its seeded client load, with
+  a stale forced route, a primary kill + promotion and a shard join,
+  all mid-load.
+- The timer world: sleepers whose deadlines span every timer-wheel
+  level, a busy yielding thread, and an idle stretch.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 import random
 
 from repro import BuildConfig, build_image
+from repro.cluster.cluster import RedisCluster
 from repro.gates import GateOptions, make_channel
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
-from repro.libos.sched.base import ThreadState
+from repro.libos.sched.base import YIELD, IdleUntil, ThreadState
 from repro.machine.capabilities import base_capabilities
 from repro.machine.faults import CompartmentFailure, ProtectionFault
 from repro.machine.machine import Machine
@@ -296,3 +302,153 @@ def fig3_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
         hardening=dict(hardening),
         queue_edges=dict(queue_edges or {}),
     )
+
+
+# --- the replicated cluster -------------------------------------------------------
+
+
+class TracedCluster(RedisCluster):
+    """A cluster whose every image, shard joins included, is traced."""
+
+    def _build_image(self, label: str):
+        image, medium, start_redis = super()._build_image(label)
+        image.enable_tracing()
+        return image, medium, start_redis
+
+
+def run_cluster_load(cluster, client, seed: int) -> None:
+    """Seeded SET/GET load over a small key set, with a stale route, a
+    primary kill + promotion and a shard join, all mid-load."""
+    rng = random.Random(seed)
+    keys = [b"key:%02d" % index for index in range(10)]
+
+    def load(count):
+        for _ in range(count):
+            key = rng.choice(keys)
+            if rng.random() < 0.5:
+                client.set(key, b"v%08x" % rng.getrandbits(32))
+            else:
+                client.get(key)
+
+    def drive_until(completed):
+        def advanced():
+            client.pump()
+            return client.completed >= completed
+
+        cluster.fabric.run(until=advanced)
+
+    load(40)
+    stale = keys[0]
+    client.get(stale)
+    client.pending[-1].forced_shard = next(
+        name for name in sorted(cluster.shards)
+        if name != cluster.map.owner(stale)
+    )
+    drive_until(12)
+    cluster.kill_primary("s1")
+    cluster.promote("s1", recover=True)
+    load(30)
+    drive_until(50)
+    cluster.add_shard("s3")
+    load(30)
+    client.drive()
+
+
+# --- the timer world ----------------------------------------------------------------
+
+#: Sleep lengths (ns) from the innermost wheel level (< 4.1 µs) through
+#: levels 1 (< 262 µs) and 2 (< 16.8 ms) to the top level, and one past
+#: the top level's span (~1.07 s).
+SLEEPS_NS = (
+    700.0,
+    3_000.0,
+    20_000.0,
+    150_000.0,
+    1_500_000.0,
+    12_000_000.0,
+    40_000_000.0,
+    250_000_000.0,
+    1_200_000_000.0,
+)
+
+
+def timer_image(scheduler: str):
+    return build_image(
+        BuildConfig(
+            libraries=["libc", "time"],
+            compartments=[["time"], ["sched", "alloc", "libc"]],
+            backend="mpk-shared",
+            scheduler=scheduler,
+        )
+    )
+
+
+def run_timers(image) -> list:
+    """Sleepers on every wheel level, a busy yielding thread, semaphore
+    timeouts (one expiring, one beaten by a signal), a killed sleeper,
+    two threads idling to one shared deadline, then an idle stretch
+    the clock jumps over.  Returns the timestamped event log."""
+    time_lib = image.lib("time")
+    libc = image.lib("libc")
+    scheduler = image.scheduler
+    cpu = image.machine.cpu
+    events = []
+
+    def log(name, what):
+        events.append((name, what, cpu.clock_ns))
+
+    def sleeper(name, sleeps):
+        def body():
+            for duration in sleeps:
+                yield from time_lib.sleep_ns(duration)
+                log(name, duration)
+
+        return body
+
+    def idler(name, deadline):
+        def body():
+            yield IdleUntil(deadline)
+            log(name, "idle-until")
+            yield IdleUntil(0.0)  # already due: a plain yield
+            log(name, "past-deadline")
+
+        return body
+
+    sem = image.call("libc", "sem_new", 0)
+
+    def sem_waiter(name, timeout):
+        def body():
+            acquired = yield from libc.sem_p_timeout(sem, cpu.clock_ns + timeout)
+            log(name, acquired)
+
+        return body
+
+    for index, duration in enumerate(SLEEPS_NS):
+        image.spawn(f"sleeper{index}", sleeper(f"s{index}", (duration,)), time_lib)
+    image.spawn("rearm", sleeper("rearm", (900.0, 90_000.0, 9_000_000.0)), time_lib)
+    victim = image.spawn("victim", sleeper("victim", (30_000_000.0,)), time_lib)
+    for index in range(2):
+        image.spawn(f"idler{index}", idler(f"i{index}", 7_000.0), time_lib)
+    image.spawn("timeout", sem_waiter("timeout", 5_000.0), libc)
+    image.spawn("signalled", sem_waiter("signalled", 2_000_000.0), libc)
+
+    def busy():
+        for round_ in range(300):
+            time_lib.now_ns()
+            if round_ == 150:
+                image.call("libc", "sem_v", sem)
+            if round_ == 200:
+                scheduler.kill_thread(victim)
+            yield YIELD
+        log("busy", "done")
+        # The idle stretch: everything left sleeps on outer levels.
+        yield from time_lib.sleep_ns(60_000_000.0)
+        for _ in range(50):
+            time_lib.now_ns()
+            yield YIELD
+        log("busy", "second-burst")
+
+    image.spawn("busy", busy, time_lib)
+    image.run()
+    log("run", (scheduler.total_switches, scheduler.pending_timers))
+    return events

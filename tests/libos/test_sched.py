@@ -3,7 +3,14 @@
 import pytest
 
 from repro import BuildConfig, build_image
-from repro.libos.sched.base import YIELD, Block, ThreadState, WaitQueue
+from repro.libos.sched.base import (
+    YIELD,
+    Block,
+    IdleUntil,
+    ThreadState,
+    WaitQueue,
+    Yield,
+)
 from repro.machine.faults import GateError
 
 
@@ -142,6 +149,72 @@ def test_thread_rm(image):
         image.scheduler.thread_rm(thread.tid)
 
 
+def test_thread_rm_retires_a_blocked_thread(image):
+    """A removed thread leaves its wait queue, unwinds, and wakes its
+    joiners; a later wake finds nobody to resume."""
+    scheduler = image.scheduler
+    waitq = WaitQueue("rm")
+    log = []
+
+    def victim_body():
+        try:
+            yield Block(waitq)
+            log.append("resumed")
+        finally:
+            log.append("unwound")
+
+    victim = spawn(image, "victim", victim_body)
+
+    def joiner_body():
+        yield from scheduler.thread_join(victim.tid)
+        log.append("joined")
+
+    spawn(image, "joiner", joiner_body)
+    image.run()
+    assert victim.state is ThreadState.BLOCKED and log == []
+    scheduler.thread_rm(victim.tid)
+    assert victim.done and log == ["unwound"]
+    assert len(waitq) == 0
+    assert scheduler.wake_one(waitq) is False
+    image.run()
+    assert log == ["unwound", "joined"]
+
+
+def test_thread_rm_retires_an_idle_sleeper(image):
+    """Removing an ``IdleUntil`` sleeper kills its timer: it never
+    resumes and never pulls the clock to its deadline."""
+    log = []
+
+    def sleeper_body():
+        yield IdleUntil(1e9)
+        log.append("woke")
+
+    sleeper = spawn(image, "sleeper", sleeper_body)
+    image.run(max_switches=1)
+    assert sleeper.state is ThreadState.BLOCKED
+    assert image.scheduler.pending_timers == 1
+    image.scheduler.thread_rm(sleeper.tid)
+    assert image.scheduler.pending_timers == 0
+    image.run()
+    assert log == [] and sleeper.done
+    assert image.clock_ns < 1e9
+
+
+def test_thread_rm_of_the_running_thread(image):
+    log = []
+
+    def body():
+        log.append("ran")
+        image.scheduler.thread_rm(thread.tid)
+        yield YIELD
+        log.append("resumed")
+
+    thread = spawn(image, "self-removing", body)
+    image.run()
+    assert log == ["ran"] and thread.done
+    assert thread.tid not in image.scheduler.threads
+
+
 def test_duplicate_thread_add_rejected(image):
     def body():
         yield YIELD
@@ -156,7 +229,23 @@ def test_invalid_directive_rejected(image):
         yield "nonsense"
 
     spawn(image, "bad", body)
-    with pytest.raises(GateError):
+    with pytest.raises(
+        GateError, match="thread bad yielded invalid directive 'nonsense'"
+    ):
+        image.run()
+
+
+def test_directive_subclass_is_rejected(image):
+    """Dispatch is by exact directive class: a subclass is not one."""
+
+    class LoudYield(Yield):
+        pass
+
+    def body():
+        yield LoudYield()
+
+    spawn(image, "subclassed", body)
+    with pytest.raises(GateError, match="thread subclassed yielded invalid"):
         image.run()
 
 

@@ -143,6 +143,41 @@ def test_interleaved_schedule_and_collect_preserve_order():
     assert fired == [1, 2, 3]
 
 
+def test_empty_wheel_collect_does_not_sweep(monkeypatch):
+    # An idle scheduler round polls the wheel with nothing armed: the
+    # cursor moves, no level is swept, however far the clock went.
+    wheel = TimerWheel()
+
+    def no_sweep(target_tick):
+        raise AssertionError(f"swept an empty wheel up to tick {target_tick}")
+
+    monkeypatch.setattr(wheel, "_advance", no_sweep)
+    for now in (100.0, 5_000.0, 400_000.0, 20_000_000.0, 2e9):
+        assert wheel.collect(now) == []
+    assert wheel.sweeps == 0
+
+
+def test_timer_armed_after_an_empty_advance_fires_at_its_deadline():
+    wheel = TimerWheel()
+    now = 2e9
+    assert wheel.collect(now) == []
+    behind = now - 5_000.0  # behind the moved cursor: due at once
+    far = now + RESOLUTION_NS * SLOTS**3 * 3 + 17.5  # top level, mid-tick
+    wheel.schedule(far, 1, Waiters())
+    wheel.schedule(behind, 4, Waiters())
+    wheel.schedule(behind, 3, Waiters())
+    wheel.schedule(behind - 1_000.0, 5, Waiters())
+    assert [(e.deadline_ns, e.seq) for e in wheel.collect(now)] == [
+        (behind - 1_000.0, 5),
+        (behind, 3),
+        (behind, 4),
+    ]
+    assert wheel.sweeps == 0  # the due entries needed no sweep
+    assert wheel.collect(far - 0.5) == []
+    assert [(e.deadline_ns, e.seq) for e in wheel.collect(far)] == [(far, 1)]
+    assert wheel.sweeps > 0 and len(wheel) == 0
+
+
 # --- scheduler-level regression: timers for killed sleepers ---------------
 
 
