@@ -24,7 +24,10 @@ simulated clock.  The fabric connects them:
 Liveness needs no special casing: when a node's inbox has only
 future-dated messages its ``rx_source`` answers ``None``, the NIC
 marks the wire idle, and the rx loop's empty polls keep that node's
-clock advancing until the arrival time is reached.
+clock advancing until the arrival time is reached.  The node also
+tells the NIC ahead of time whether a poll at a given clock would find
+its inbox head arrived, so the scheduler replays those empty polls in
+a tight loop instead of running the driver for each.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class Node:
         #: The image's CPU, whose clock gates every inbox arrival.
         self._cpu = image.machine.cpu
         netstack = image.lib("netstack")
-        netstack.nic.rx_source = self._rx_source
+        netstack.nic.attach_source(self._rx_source, self._rx_quiet)
         netstack.nic.tx_sink = self._tx_sink
 
     @property
@@ -145,6 +148,12 @@ class Node:
         packet = build_packet(self.port, payload, seq=self._tx_seq)
         self._tx_seq += len(payload)
         return packet
+
+    def _rx_quiet(self, now_ns: float) -> bool:
+        """True when :meth:`_rx_source` at clock ``now_ns`` answers None:
+        nothing in the inbox has arrived by then."""
+        inbox = self._inbox
+        return not inbox or inbox[0][0] > now_ns
 
     def _tx_sink(self, frame: bytes) -> None:
         from repro.libos.net.packet import unpack_header

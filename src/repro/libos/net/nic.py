@@ -13,6 +13,12 @@ callbacks installed by the workload harness:
   the connection), enabling closed-loop workloads such as the Redis
   benchmark where each response triggers the next request.
 
+A source that can look ahead — one that knows, for a given clock,
+that it would answer ``None`` — is installed with :meth:`NIC.attach_source`
+instead.  Its empty polls of an idle wire can then be replayed without
+running the driver (:meth:`NIC.replay_empty_poll`); a source installed
+by plain assignment never qualifies.
+
 DMA bypasses protection keys and charges no CPU time (the client's
 machine is not the system under test); driver interactions
 (descriptor/doorbell work) charge ``nic_op_ns``.
@@ -40,6 +46,10 @@ class NIC:
         #: Client callbacks (installed by the workload harness).
         self.rx_source: Callable[[], bytes | None] | None = None
         self.tx_sink: Callable[[bytes], None] | None = None
+        #: Look-ahead of the source installed by :meth:`attach_source`,
+        #: valid only while that source is still ``rx_source``.
+        self._rx_quiet: Callable[[float], bool] | None = None
+        self._quiet_source: Callable[[], bytes | None] | None = None
         #: Posted (empty) rx buffers: addresses of stack-owned mbufs.
         self._rx_posted: deque[int] = deque()
         #: Filled rx descriptors: (mbuf address, packet length).
@@ -60,6 +70,20 @@ class NIC:
     def attach(self, space: "AddressSpace") -> None:
         """Bind the NIC's DMA engine to an address space."""
         self.space = space
+
+    def attach_source(
+        self,
+        source: Callable[[], bytes | None],
+        quiet: Callable[[float], bool],
+    ) -> None:
+        """Install a client source together with its look-ahead.
+
+        ``quiet(now)`` must be True exactly when ``source()`` called at
+        clock ``now`` would answer None and change nothing.
+        """
+        self.rx_source = source
+        self._rx_quiet = quiet
+        self._quiet_source = source
 
     # --- receive path ---------------------------------------------------------
 
@@ -121,6 +145,32 @@ class NIC:
         cpu.charge(cost.nic_op_ns)
         cpu.bump("nic_rx")
         return done.popleft()
+
+    def replay_empty_poll(self, now: float) -> float | None:
+        """Replay an empty :meth:`rx_poll` at clock ``now``; its cost.
+
+        Certain only on an idle wire whose source looks ahead: nothing
+        DMA'd, a buffer posted, the wire idle and free by ``now``, and
+        the source quiet at ``now``.  Such a poll asks the source once,
+        gets None, and moves the wire-ready time to ``now`` — applied
+        here — then charges ``nic_op_ns / 8``, returned for the caller
+        to charge in the polling thread's context.  Otherwise nothing
+        changes and the result is None: the poll must run for real.
+        """
+        quiet = self._rx_quiet
+        if (
+            quiet is None
+            or self._rx_done
+            or not self._wire_idle
+            or not self._rx_posted
+            or self._wire_ready_ns > now
+            or self.rx_source is not self._quiet_source
+            or self.space is None
+            or not quiet(now)
+        ):
+            return None
+        self._wire_ready_ns = now
+        return self.machine.cpu.cost.nic_op_ns / 8
 
     def next_rx_ready_ns(self) -> float | None:
         """When the wire will next have a packet ready, if known.

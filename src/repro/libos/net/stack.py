@@ -29,7 +29,7 @@ from typing import Generator
 from repro.libos.library import MicroLibrary, export, export_blocking
 from repro.libos.net.nic import NIC
 from repro.libos.net.packet import HEADER_SIZE, MSS, Header, pack_header, unpack_header
-from repro.libos.sched.base import YIELD, IdleUntil
+from repro.libos.sched.base import YIELD, IdlePoll, IdleUntil
 from repro.machine.faults import GateError
 
 
@@ -410,6 +410,8 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
     def make_rx_loop(self, budget: int | None = None):
         """Body factory for the driver thread (spawned by the image)."""
         quantum = budget if budget is not None else self.RX_BUDGET
+        # A zero budget never polls, so there is no poll to replay.
+        idle = IdlePoll(self._replay_empty_poll) if quantum > 0 else YIELD
 
         def body() -> Generator:
             while not self._stopped:
@@ -420,14 +422,29 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
                     # once everything else blocks too, the scheduler
                     # jumps the clock there instead of ticking empty
                     # polls.  Unknown arrival time (idle wire, closed
-                    # client window) → keep yield-polling.
+                    # client window) → keep polling, and let the
+                    # scheduler replay the polls while nothing else
+                    # can run.
                     ready = self.nic.next_rx_ready_ns()
-                    if ready is not None and ready > self.machine.cpu.clock_ns:
+                    if ready is None:
+                        yield idle
+                        continue
+                    if ready > self.machine.cpu.clock_ns:
                         yield IdleUntil(ready)
                         continue
                 yield YIELD
 
         return body
+
+    def _replay_empty_poll(self, now: float) -> float | None:
+        """The rx loop's next empty poll, replayed (see :class:`IdlePoll`).
+
+        Once the stack stops, the loop's next resumption exits instead
+        of polling.
+        """
+        if self._stopped:
+            return None
+        return self.nic.replay_empty_poll(now)
 
     # --- lifecycle / stats -----------------------------------------------------------
 

@@ -5,7 +5,11 @@ micro-library call it makes via ``yield from stub.call_gen(...)`` —
 suspends by yielding a *directive*:
 
 - :data:`YIELD` — voluntarily give up the CPU, stay runnable;
-- :class:`Block` — sleep on a wait queue until woken.
+- :class:`Block` — sleep on a wait queue until woken;
+- :class:`IdleUntil` — sleep until a known deadline;
+- :class:`IdlePoll` — a yield after an empty device poll, whose
+  repeats the scheduler may replay without resuming the thread;
+- :class:`WaitFlush` — park until a queue channel delivers.
 
 The run loop (in the scheduler micro-library) consumes directives.  A
 suspended thread's whole protection-context stack is saved in its
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 if TYPE_CHECKING:
     from repro.machine.cpu import Context
@@ -85,6 +89,26 @@ class IdleUntil:
     """
 
     deadline_ns: float
+
+
+@dataclasses.dataclass
+class IdlePoll:
+    """Directive: a device poll came back empty; stay runnable.
+
+    Yielded by a polling driver thread (the netstack rx loop) whose
+    device had nothing and cannot say when it will: the wire is idle,
+    so there is no arrival time to sleep until (compare
+    :class:`IdleUntil`).  The scheduler treats it as :data:`YIELD`.
+    While the thread then stays the only runnable one, the run loop
+    may replay its following polls instead of resuming it: one call
+    ``replay(now)`` per round, where ``now`` is the clock the poll
+    would run at.  ``replay`` applies that poll's device-state effects
+    and returns its cost in ns when the poll is certain to come back
+    empty again and end in this same directive; otherwise it changes
+    nothing and returns None, and the round runs for real.
+    """
+
+    replay: "Callable[[float], float | None]"
 
 
 class WaitQueue:

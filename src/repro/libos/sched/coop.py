@@ -16,6 +16,7 @@ from typing import Callable, Generator
 from repro.libos.library import MicroLibrary, export, export_blocking
 from repro.libos.sched.base import (
     Block,
+    IdlePoll,
     IdleUntil,
     Thread,
     ThreadState,
@@ -32,8 +33,23 @@ from repro.machine.faults import (
 from repro.obs.tracer import HOST_TRACK, SCHED_TRACK
 
 
+# The states the run loop and its yield handlers set or test every
+# round, bound once: reading a member off an Enum class is a
+# metaclass attribute lookup, several times dearer than a global.
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+_DONE = ThreadState.DONE
+
+
 class SchedulerIdle(Exception):
     """Internal: raised when the run queue empties during run()."""
+
+
+#: Replay outcomes that hand the current round back to :meth:`run`:
+#: run the rest of it for real (its timer wheel swept), or go on to the
+#: next round (the injector killed the thread).
+_SWEPT = object()
+_NEXT_ROUND = object()
 
 
 class CoopScheduler(MicroLibrary):
@@ -72,8 +88,12 @@ thread_join(tid)
             Yield: self._on_yield,
             Block: self._on_block,
             IdleUntil: self._on_idle_until,
+            IdlePoll: self._on_idle_poll,
             WaitFlush: self._on_wait_flush,
         }
+        #: Rounds replayed instead of resuming an idle poller (host-side
+        #: telemetry, kept out of the metrics registry).
+        self.idle_replays = 0
         #: Threads reaped after a contained compartment failure:
         #: (thread name, CompartmentFailure) in death order.
         self.thread_failures: list[tuple[str, CompartmentFailure]] = []
@@ -246,7 +266,12 @@ thread_join(tid)
         A round with nothing due costs O(1) host work: everything a
         round touches is bound once per call, an empty timer wheel
         only moves its cursor, and each tracer hook sits behind one
-        ``_enabled`` test.
+        ``_enabled`` test.  After a round that ends in
+        :class:`IdlePoll`, while that thread is the only runnable one,
+        the following rounds go through :meth:`_replay_idle_polls`
+        first.  That loop repeats this round's bookkeeping, so a change
+        to one must be made to the other; the twin-node tests in
+        ``tests/cluster/test_idle_replay.py`` compare them bit for bit.
         """
         cpu = self.machine.cpu
         charge = cpu.charge
@@ -265,41 +290,57 @@ thread_join(tid)
         crossing_ns = 2 * self.domain_crossing_ns
         own = self.compartment
         switches = 0
+        # The IdlePoll the last round's thread yielded, if any.
+        idle = None
         while run_queue or timers:
             if until is not None and until():
                 break
             if max_switches is not None and switches >= max_switches:
                 break
-            # Wake every live timer whose deadline has passed; timers
-            # whose sleepers are gone are dropped without a wake.
-            for entry in collect(cpu.clock_ns):
-                self.wake_all(entry.waitq)
-            if not run_queue:
-                # Idle: nothing runnable until the next timer — advance
-                # the clock to its deadline (the tickless-idle path).
-                # Only *live* deadlines count: a timer whose waiters
-                # are all gone must not pull the clock forward.
-                deadline = timers.next_live_deadline()
-                if deadline is None:
+            if idle is not None and len(run_queue) == 1 and run_queue[0] is thread:
+                thread, switches = self._replay_idle_polls(
+                    thread, idle.replay, until, max_switches, switches
+                )
+                if thread is None:
                     break
-                if deadline > cpu.clock_ns:
-                    charge(deadline - cpu.clock_ns)
-                    if cpu.clock_ns < deadline:
-                        raise GateError(
-                            "cannot idle-advance the clock while CPU "
-                            "charging is disabled"
-                        )
+            else:
+                # Wake every live timer whose deadline has passed;
+                # timers whose sleepers are gone are dropped without a
+                # wake.
+                for entry in collect(cpu.clock_ns):
+                    self.wake_all(entry.waitq)
+                thread = _SWEPT
+            idle = None
+            if thread is _NEXT_ROUND:
                 continue
-            thread = run_queue.popleft()
-            injector = self.machine.injector
-            if injector is not None and injector.should_kill(thread):
-                # Resilience harness: the thread dies before running
-                # (site "sched-kill" — a scheduler-visible thread
-                # death, e.g. a stack blowout detected on switch-in).
-                self.kill_thread(thread)
-                continue
-            if check_switch is not None:
-                check_switch(thread)
+            if thread is _SWEPT:
+                if not run_queue:
+                    # Idle: nothing runnable until the next timer —
+                    # advance the clock to its deadline (the
+                    # tickless-idle path).  Only *live* deadlines count:
+                    # a timer whose waiters are all gone must not pull
+                    # the clock forward.
+                    deadline = timers.next_live_deadline()
+                    if deadline is None:
+                        break
+                    if deadline > cpu.clock_ns:
+                        charge(deadline - cpu.clock_ns)
+                        if cpu.clock_ns < deadline:
+                            raise GateError(
+                                "cannot idle-advance the clock while CPU "
+                                "charging is disabled"
+                            )
+                    continue
+                thread = run_queue.popleft()
+                injector = self.machine.injector
+                if injector is not None and injector.should_kill(thread):
+                    # Resilience harness: the thread dies before running
+                    # (site "sched-kill" — a scheduler-visible thread
+                    # death, e.g. a stack blowout detected on switch-in).
+                    self.kill_thread(thread)
+                    continue
+                if check_switch is not None:
+                    check_switch(thread)
             charge(switch_ns)
             home = thread.home_compartment
             if crossing_ns and home is not None and home is not own:
@@ -308,7 +349,7 @@ thread_join(tid)
             switches += 1
             self.total_switches += 1
             thread.switches += 1
-            thread.state = ThreadState.RUNNING
+            thread.state = _RUNNING
             counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
             quantum_start = cpu.clock_ns
             # Route trace events to the running thread's own track so
@@ -320,7 +361,7 @@ thread_join(tid)
                 directive = next(thread.body)
             except StopIteration:
                 directive = None
-                thread.state = ThreadState.DONE
+                thread.state = _DONE
                 self.threads.pop(thread.tid, None)
                 self.wake_all(thread.exit_waitq)
             except CompartmentFailure as failure:
@@ -355,7 +396,7 @@ thread_join(tid)
                     tid=thread.tid,
                     state=thread.state.name,
                 )
-            if thread.state is ThreadState.DONE:
+            if thread.state is _DONE:
                 continue
             handler = dispatch.get(directive.__class__)
             if handler is None:
@@ -363,19 +404,145 @@ thread_join(tid)
                     f"thread {thread.name} yielded invalid directive "
                     f"{directive!r}"
                 )
-            handler(thread, directive, cpu)
+            idle = handler(thread, directive, cpu)
         return switches
+
+    def _replay_idle_polls(self, thread, replay, until, max_switches, switches):
+        """Replay ``thread``'s empty polls while nothing else can run.
+
+        Entered by :meth:`run` in the round after ``thread`` yielded
+        :class:`IdlePoll`, once that round's ``until()`` and
+        ``max_switches`` checks passed and if ``thread`` is the only
+        runnable thread.  While it stays so and ``replay(now)`` vouches
+        that its poll at the clock ``now`` it would run at comes back
+        empty again, a round is the real one without resuming the
+        thread: the timer sweep, the injector's ``should_kill`` and the
+        switch contract run as before, then the same ``ctx_switch_ns``,
+        domain-crossing and poll charges land in the same order and
+        contexts, with the same counters, quantum sample and trace
+        events, and the next round's ``until()`` runs exactly once.
+        The float additions are the real round's, so the clock is
+        bit-identical.
+
+        Each round starts with the timer sweep, as the real one does,
+        so a round that wakes a sleeper or finds the thread no longer
+        alone (or charging off) is handed back right after its sweep:
+        it must not sweep again, because each wake charges
+        ``waitq_op_ns`` and a second sweep would also wake a timer due
+        those few ns later, one round early.
+
+        Returns ``(thread, switches)``, where ``thread`` is None when
+        ``until()`` or ``max_switches`` ended the run, ``_NEXT_ROUND``
+        when the injector killed the thread, ``_SWEPT`` when the
+        current round must run for real from just after its sweep, or
+        the dequeued, checked thread whose round must run for real from
+        the context switch on.
+        """
+        machine = self.machine
+        cpu = machine.cpu
+        charge = cpu.charge
+        counters = cpu.metrics.counters
+        quantum_ns = cpu.metrics.histogram("sched.quantum_ns").values
+        tracer = machine.obs.tracer
+        timers = self._timers
+        collect = timers.collect
+        run_queue = self.run_queue
+        check_switch = self._check_switch
+        switch_ns = cpu.cost.ctx_switch_ns
+        crossing_ns = 2 * self.domain_crossing_ns
+        home = thread.home_compartment
+        if not (crossing_ns and home is not None and home is not self.compartment):
+            crossing_ns = 0.0
+        replayed = 0
+        try:
+            while True:
+                clock = cpu.clock_ns
+                due = collect(clock)
+                if (
+                    due
+                    or not cpu.charging
+                    or len(run_queue) != 1
+                    or run_queue[0] is not thread
+                ):
+                    for entry in due:
+                        self.wake_all(entry.waitq)
+                    return _SWEPT, switches
+                injector = machine.injector
+                # The injector and the switch contract see the thread
+                # dequeued, as in the real round; with neither, the
+                # dequeue and re-queue of the only thread cancel out.
+                watched = injector is not None or check_switch is not None
+                if watched:
+                    run_queue.popleft()
+                    if injector is not None and injector.should_kill(thread):
+                        self.kill_thread(thread)
+                        return _NEXT_ROUND, switches
+                    if check_switch is not None:
+                        check_switch(thread)
+                    clock = cpu.clock_ns
+                now = clock + switch_ns
+                if crossing_ns:
+                    now += crossing_ns
+                poll_ns = replay(now)
+                if poll_ns is None:
+                    if not watched:
+                        run_queue.popleft()
+                    return thread, switches
+                charge(switch_ns)
+                if crossing_ns:
+                    charge(crossing_ns)
+                    cpu.bump("sched_domain_crossings", 2)
+                switches += 1
+                self.total_switches += 1
+                thread.switches += 1
+                counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
+                if tracer._enabled:
+                    tracer.set_track(thread.tid, thread.name)
+                if cpu.attribute_time:
+                    # The poll's time belongs to the thread's domain.
+                    saved = cpu.swap_context_stack(thread.ctx_stack)
+                    charge(poll_ns)
+                    thread.ctx_stack = cpu.swap_context_stack(saved)
+                else:
+                    charge(poll_ns)
+                # The clock is now exactly now + poll_ns.
+                quantum_ns.append((now + poll_ns) - now)
+                if tracer._enabled:
+                    tracer.set_track(HOST_TRACK)
+                    tracer.complete(
+                        thread.name,
+                        "sched",
+                        now,
+                        track=SCHED_TRACK,
+                        tid=thread.tid,
+                        state=_RUNNING.name,
+                    )
+                if watched:
+                    run_queue.append(thread)
+                replayed += 1
+                if until is not None and until():
+                    return None, switches
+                if max_switches is not None and switches >= max_switches:
+                    return None, switches
+        finally:
+            self.idle_replays += replayed
 
     # --- directive handlers ------------------------------------------------------
 
     def _on_yield(self, thread: Thread, directive, cpu) -> None:
-        thread.state = ThreadState.READY
+        thread.state = _READY
         self.run_queue.append(thread)
 
     def _on_block(self, thread: Thread, directive, cpu) -> None:
         thread.state = ThreadState.BLOCKED
         thread.waitq = directive.waitq
         directive.waitq.park(thread)
+
+    def _on_idle_poll(self, thread: Thread, directive, cpu) -> IdlePoll:
+        # A yield; handing the directive back lets the run loop replay
+        # the thread's next polls (see _replay_idle_polls).
+        self._on_yield(thread, directive, cpu)
+        return directive
 
     def _on_idle_until(self, thread: Thread, directive, cpu) -> None:
         deadline = directive.deadline_ns

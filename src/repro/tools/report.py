@@ -59,6 +59,7 @@ def machine_telemetry(images) -> dict:
         "wheel_sweeps": 0,
         "wheel_cascades": 0,
         "sched_rounds": 0,
+        "idle_replays": 0,
     }
     delivery = {"wakes": 0.0, "polls": 0.0, "wait_parks": 0.0}
     for image in images:
@@ -72,6 +73,7 @@ def machine_telemetry(images) -> dict:
         total["wheel_sweeps"] += scheduler.timer_sweeps
         total["wheel_cascades"] += scheduler.timer_cascades
         total["sched_rounds"] += scheduler.total_switches
+        total["idle_replays"] += scheduler.idle_replays
         counters = image.machine.cpu.metrics.counters
         delivery["wakes"] += counters.get("queue.wakes", 0.0)
         delivery["polls"] += counters.get("queue.polls", 0.0)
@@ -386,6 +388,11 @@ def render_text(
                 f"{machine['sched_rounds']} scheduler rounds, "
                 f"{machine['wheel_cascades']} cascades"
             )
+        if "idle_replays" in machine:
+            lines.append(
+                f"  idle polls: {machine['idle_replays']} of "
+                f"{machine['sched_rounds']} scheduler rounds replayed"
+            )
         delivery = machine.get("completion_delivery")
         if delivery and (delivery["wakes"] or delivery["polls"]):
             lines.append(
@@ -502,8 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="also summarize simulator telemetry (software-TLB "
         "hit/miss/shootdown counts, crossing plans and refreshes, timer-"
-        "wheel sweeps per scheduler round and cascades, wake-vs-poll "
-        "completion delivery — host-side "
+        "wheel sweeps per scheduler round and cascades, replayed idle "
+        "polls, wake-vs-poll completion delivery — host-side "
         "telemetry, never part of the simulated metrics)",
     )
     args = parser.parse_args(argv)

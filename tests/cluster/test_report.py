@@ -88,3 +88,28 @@ def test_machine_telemetry_single_machine_keeps_report_shape():
         "completion_delivery",
     ):
         assert key in stats
+
+
+def test_machine_telemetry_sums_replayed_idle_polls():
+    from repro.tools.report import render_text
+
+    cluster = _loaded_cluster()
+    images = cluster.images()
+    aggregated = machine_telemetry(images)
+    replays = [image.scheduler.idle_replays for image in images]
+    # Fabric nodes look ahead into their inboxes, so most of their
+    # empty polls replay without resuming the rx thread.
+    assert aggregated["idle_replays"] == sum(replays) > 0
+    assert aggregated["idle_replays"] < aggregated["sched_rounds"]
+    report = {
+        "layout": "",
+        "workload": {"summary": ""},
+        "crossings": [],
+        "time_by_compartment_ns": {},
+        "memory": [],
+        "machine": aggregated,
+    }
+    assert (
+        f"  idle polls: {aggregated['idle_replays']} of "
+        f"{aggregated['sched_rounds']} scheduler rounds replayed"
+    ) in render_text(report, show_machine=True).splitlines()

@@ -87,6 +87,20 @@ def test_cli_machine_shows_wheel_sweeps_per_round(capsys):
     )
 
 
+def test_cli_machine_shows_no_replayed_idle_polls_on_one_machine(capsys):
+    """``--machine`` counts the idle polls replayed instead of run; a
+    lone machine's client source cannot look ahead, so none are."""
+    assert report_main(["--workload", "iperf", "--machine", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)["machine"]
+    assert machine["idle_replays"] == 0
+    assert report_main(["--workload", "iperf", "--machine"]) == 0
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "idle polls:" in line)
+    assert line.strip() == (
+        f"idle polls: 0 of {machine['sched_rounds']} scheduler rounds replayed"
+    )
+
+
 def test_cli_with_json_config(tmp_path, capsys):
     config = BuildConfig(
         libraries=["libc", "netstack", "iperf"],

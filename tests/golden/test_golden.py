@@ -18,10 +18,16 @@ Scenarios:
 - ``profile.redis.<backend>`` — ``capture_profile`` around a redis run;
 - ``parked.<backend>.<tracer>`` — two consumers parked in one
   ``libc->mq`` gate, with the tracer off or switched on mid-park;
-- ``cluster.<backend>.<tracer>`` — the replicated three-shard cluster
+- ``cluster.<backend>.<variant>`` — the replicated three-shard cluster
   under its seeded client load (stale route, failover, shard join),
-  every machine untraced or traced; the parts hold one entry per
+  every machine untraced, traced, or attributing time to domains
+  (``domain_time_ns`` joins the result); the parts hold one entry per
   machine, and the result the client's stats and acked set;
+- ``cluster.none.sleepers`` — the same, with a periodic sleeper thread
+  per machine whose timers expire amid runs of empty rx polls (its
+  wake-up clocks join the result);
+- ``cluster.verified.<tracer>`` — the same on the verified scheduler,
+  whose contract checks charge every context switch;
 - ``timers.<scheduler>`` — traced sleepers on every timer-wheel level,
   a busy yielding thread and an idle stretch, under the C and the
   verified scheduler.
@@ -51,7 +57,11 @@ from repro.cluster.cluster import RedisCluster
 from repro.obs import capture_profile, chrome_trace
 from tests.golden.worlds import (
     BACKENDS,
+    AttributedCluster,
+    SleeperCluster,
     TracedCluster,
+    TracedVerifiedCluster,
+    VerifiedCluster,
     fig3_config,
     feed,
     mq_image,
@@ -164,9 +174,8 @@ def _parked_scenario(backend: str, trace_mid_park: bool):
     return run
 
 
-def _cluster_scenario(backend: str, traced: bool):
+def _cluster_scenario(backend: str, cls: type = RedisCluster):
     def run():
-        cls = TracedCluster if traced else RedisCluster
         cluster = cls(shards=("s0", "s1", "s2"), backend=backend, replicate=True)
         client = ClusterClient(cluster)
         run_cluster_load(cluster, client, seed=3)
@@ -174,9 +183,15 @@ def _cluster_scenario(backend: str, traced: bool):
         acked = sorted(
             [key.decode(), value.decode()] for key, value in client.acked.items()
         )
+        result = [client.stats(), acked]
+        if issubclass(cls, SleeperCluster):
+            result.append(cluster.wakes)
+        if issubclass(cls, AttributedCluster):
+            result.append([image.machine.cpu.domain_time_ns for image in images])
+        traced = issubclass(cls, TracedCluster)
         return {
             "clock_ns": {image.config.name: image.clock_ns for image in images},
-            "result": [client.stats(), acked],
+            "result": result,
             "snapshot": [image.machine.cpu.snapshot() for image in images],
             "metrics": [image.machine.cpu.metrics.snapshot() for image in images],
             "trace": [chrome_trace(image.machine.obs.tracer) for image in images]
@@ -220,9 +235,18 @@ def scenarios() -> dict:
             )
             table[name] = _parked_scenario(backend, trace_mid_park)
     for backend in ("none", "mpk-shared"):
-        for traced in (False, True):
-            name = f"cluster.{backend}." + ("traced" if traced else "untraced")
-            table[name] = _cluster_scenario(backend, traced)
+        table[f"cluster.{backend}.untraced"] = _cluster_scenario(backend)
+        table[f"cluster.{backend}.traced"] = _cluster_scenario(
+            backend, TracedCluster
+        )
+        table[f"cluster.{backend}.attributed"] = _cluster_scenario(
+            backend, AttributedCluster
+        )
+    table["cluster.none.sleepers"] = _cluster_scenario("none", SleeperCluster)
+    table["cluster.verified.untraced"] = _cluster_scenario("none", VerifiedCluster)
+    table["cluster.verified.traced"] = _cluster_scenario(
+        "none", TracedVerifiedCluster
+    )
     for scheduler in ("coop", "verified"):
         table[f"timers.{scheduler}"] = _timers_scenario(scheduler)
     return table

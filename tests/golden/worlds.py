@@ -12,7 +12,8 @@
 - The redis and Fig. 3 iperf image configurations.
 - The replicated three-shard cluster and its seeded client load, with
   a stale forced route, a primary kill + promotion and a shard join,
-  all mid-load.
+  all mid-load; cluster variants traced, on the verified scheduler,
+  attributing time to domains, or with a periodic sleeper per image.
 - The timer world: sleepers whose deadlines span every timer-wheel
   level, a busy yielding thread, and an idle stretch.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 
 from repro import BuildConfig, build_image
-from repro.cluster.cluster import RedisCluster
+from repro.cluster.cluster import CLUSTER_LIBRARIES, RedisCluster
 from repro.gates import GateOptions, make_channel
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
@@ -313,6 +314,79 @@ class TracedCluster(RedisCluster):
     def _build_image(self, label: str):
         image, medium, start_redis = super()._build_image(label)
         image.enable_tracing()
+        return image, medium, start_redis
+
+
+class VerifiedCluster(RedisCluster):
+    """A cluster whose every machine runs the verified scheduler.
+
+    Built here rather than through a cluster option: the image is the
+    one :meth:`RedisCluster._build_image` builds, with
+    ``scheduler="verified"``.
+    """
+
+    def _build_image(self, label: str):
+        from repro.apps.workload import start_redis
+        from repro.libos.blk.blkdev import DiskMedium
+
+        image = build_image(
+            BuildConfig(
+                libraries=list(CLUSTER_LIBRARIES),
+                compartments=[list(group) for group in self.compartments],
+                backend=self.backend,
+                name=label,
+                scheduler="verified",
+            )
+        )
+        medium = DiskMedium()
+        image.lib("blk").attach_medium(medium)
+        image.call("kv", "set_flush_policy", self.flush_policy)
+        return image, medium, start_redis
+
+
+class TracedVerifiedCluster(TracedCluster, VerifiedCluster):
+    """The verified-scheduler cluster, every image traced."""
+
+
+class AttributedCluster(RedisCluster):
+    """A cluster whose every CPU attributes simulated time to domains."""
+
+    def _build_image(self, label: str):
+        image, medium, start_redis = super()._build_image(label)
+        image.machine.cpu.attribute_time = True
+        return image, medium, start_redis
+
+
+#: Sleeper period (ns): shorter than a typical stretch of empty rx
+#: polls, so most wake-ups fall inside one.
+SLEEPER_PERIOD_NS = 3_100.0
+SLEEPER_WAKES = 120
+
+
+class SleeperCluster(RedisCluster):
+    """A cluster whose every image also runs a periodic sleeper thread.
+
+    The sleeper parks on a timer (:class:`IdleUntil`) while the rx
+    thread polls an idle wire, so its timers expire in the middle of
+    runs of empty polls.  ``wakes`` maps image name to the clock at
+    each wake-up.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.wakes: dict[str, list[float]] = {}
+        super().__init__(*args, **kwargs)
+
+    def _build_image(self, label: str):
+        image, medium, start_redis = super()._build_image(label)
+        cpu = image.machine.cpu
+        log = self.wakes[label] = []
+
+        def sleeper():
+            for _ in range(SLEEPER_WAKES):
+                yield IdleUntil(cpu.clock_ns + SLEEPER_PERIOD_NS)
+                log.append(cpu.clock_ns)
+
+        image.spawn("sleeper", sleeper, image.lib("redis"))
         return image, medium, start_redis
 
 
