@@ -21,6 +21,7 @@ from repro.apps import (
     run_redis_phase,
     start_redis,
 )
+from repro.perf.meter import left_sum
 
 LIBRARIES = ["libc", "netstack", "redis"]
 COMPARTMENTS = [["netstack"], ["sched", "alloc", "libc", "redis"]]
@@ -110,7 +111,7 @@ def test_fig4_shape_claims(benchmark, report):
         for k in keys
     }
 
-    mean = lambda d: sum(d.values()) / len(d)  # noqa: E731
+    mean = lambda d: left_sum(d.values()) / len(d)  # noqa: E731
     global_slowdown = mean(base) / mean(global_alloc)
     local_slowdown = mean(base) / mean(local_alloc)
     # "With a global allocator, the slowdown from running the network

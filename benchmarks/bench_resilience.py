@@ -31,12 +31,18 @@ BACKENDS = ("none", "mpk-shared", "mpk-switched", "vm-rpc", "cheri")
 SITES = ("gate-crash", "wild-write", "alloc-exhaustion", "sched-kill", "vm-drop")
 ISOLATING = ("mpk-shared", "mpk-switched", "vm-rpc", "cheri")
 SEED = 7
+POLICY = "restart-with-backoff"
 
 
 def test_containment_matrix(benchmark, report):
     result = benchmark.pedantic(
         lambda: run_campaign(
-            backends=BACKENDS, sites=SITES, schedules=2, seed=SEED
+            "containment",
+            backends=BACKENDS,
+            sites=SITES,
+            schedules=2,
+            seed=SEED,
+            policy=POLICY,
         ),
         rounds=1,
         iterations=1,
@@ -75,7 +81,7 @@ def test_containment_matrix(benchmark, report):
     payload = {
         "seed": SEED,
         "schedules": 2,
-        "policy": result.policy,
+        "policy": POLICY,
         "matrix": matrix,
         "containment_rate": rates,
         "mean_recovery_ns": mean_recovery,
@@ -87,7 +93,7 @@ def test_containment_matrix(benchmark, report):
                     "backend",
                     "site",
                     "seed",
-                    "outcome",
+                    "verdict",
                     "attempts",
                     "injected",
                     "restarts",
@@ -131,10 +137,10 @@ def test_same_seed_identical_matrix(report):
         schedules=2,
         seed=SEED,
     )
-    first = run_campaign(**kwargs)
-    second = run_campaign(**kwargs)
+    first = run_campaign("containment", **kwargs)
+    second = run_campaign("containment", **kwargs)
     assert first.matrix() == second.matrix()
-    assert [c["outcome"] for c in first.cells] == [
-        c["outcome"] for c in second.cells
+    assert [c["verdict"] for c in first.cells] == [
+        c["verdict"] for c in second.cells
     ]
     report.row("resilience", "same seed -> identical matrix: ok")

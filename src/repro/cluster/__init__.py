@@ -10,8 +10,8 @@
   failover, rebalancing);
 - :mod:`repro.cluster.client` — the smart client and acked-write
   ground truth;
-- :mod:`repro.cluster.campaign` — seeded failure campaigns with
-  cluster-level verdicts.
+- :mod:`repro.cluster.campaign` — seeded failure cells with
+  cluster-level verdicts (the campaign engine's ``cluster`` kind).
 """
 
 from repro.cluster.client import ClusterClient, verify_acked

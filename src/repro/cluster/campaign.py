@@ -1,13 +1,15 @@
-"""Cluster failure campaigns: seeded crashes with cluster-level verdicts.
+"""Cluster failure cells: seeded crashes with cluster-level verdicts.
 
-The single-machine recovery campaign (:mod:`repro.resilience.campaign`)
-asks "did the journal survive the power cut?".  The cluster campaign
-asks the distributed version: **does an acked write survive losing the
-machine that acked it?**  Each cell drives seeded RESP load through
-the smart client (which records the acked ground truth), injects one
-cluster-level failure, lets the cluster fail over / rebalance, and
-audits every acked key through real wire reads plus host-side store
-inspection.
+The single-machine recovery campaign asks "did the journal survive the
+power cut?".  The cluster campaign asks the distributed version:
+**does an acked write survive losing the machine that acked it?**
+Each cell drives seeded RESP load through the smart client (which
+records the acked ground truth), injects one cluster-level failure,
+lets the cluster fail over / rebalance, and audits every acked key
+through real wire reads plus host-side store inspection.  This module
+holds the cell function and the site table; the campaign engine
+(:mod:`repro.resilience.campaign`, ``--kind cluster``) sweeps the
+cells and keeps the matrix.
 
 Sites
     ``primary-kill``
@@ -36,21 +38,12 @@ Verdicts (worst kept per site × backend across schedules)
 
 Every cell is a pure function of (backend, site, seed): same inputs,
 bit-identical verdicts.
-
-CLI::
-
-    python -m repro.cluster.campaign --backends none,mpk-shared \
-        --sites primary-kill --schedules 1 --seed 9 --sets 24 \
-        --check primary-kill --json -
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import random
-import sys
 
 from repro.cluster.client import ClusterClient, verify_acked
 from repro.cluster.cluster import RedisCluster
@@ -58,26 +51,10 @@ from repro.machine.faults import PowerFailure
 from repro.resilience.injector import arm
 from repro.resilience.plan import InjectionPlan
 
-DEFAULT_BACKENDS = ("none", "mpk-shared")
-DEFAULT_SITES = (
-    "primary-kill",
-    "repl-crash-primary",
-    "repl-drop",
-    "stale-read",
-    "shard-join",
-)
 DEFAULT_SHARDS = ("s0", "s1", "s2")
 
-#: Worst-case ordering for the site × backend matrix.
-SEVERITY = {
-    "not-triggered": 0,
-    "rebalance-converged": 1,
-    "no-acked-write-lost": 1,
-    "stale-read-window": 2,
-    "acked-write-lost": 3,
-}
-
-#: The verdict each site must earn for a CI ``--check`` to pass.
+#: The sites, in campaign order, and the verdict each must earn for a
+#: ``--check`` to pass.
 EXPECTED = {
     "primary-kill": "no-acked-write-lost",
     "repl-crash-primary": "no-acked-write-lost",
@@ -238,133 +215,3 @@ def run_cluster_cell(
         if shard.follower is not None:
             shard.follower.image.shutdown()
     return cell
-
-
-@dataclasses.dataclass
-class ClusterCampaignResult:
-    """Everything one cluster campaign produced."""
-
-    seed: int
-    schedules: int
-    cells: list[dict]
-
-    def matrix(self) -> dict[str, dict[str, str]]:
-        """site → backend → worst verdict across schedules."""
-        table: dict[str, dict[str, str]] = {}
-        for cell in self.cells:
-            row = table.setdefault(cell["site"], {})
-            previous = row.get(cell["backend"])
-            if previous is None or SEVERITY[cell["verdict"]] > SEVERITY[previous]:
-                row[cell["backend"]] = cell["verdict"]
-        return table
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "schedules": self.schedules,
-            "matrix": self.matrix(),
-            "cells": self.cells,
-        }
-
-
-def run_cluster_campaign(
-    backends=DEFAULT_BACKENDS,
-    sites=DEFAULT_SITES,
-    schedules: int = 1,
-    seed: int = 0,
-    sets: int = 24,
-    shards=DEFAULT_SHARDS,
-) -> ClusterCampaignResult:
-    """K seeded schedules per (cluster site × backend)."""
-    cells = []
-    for site in sites:
-        for schedule in range(schedules):
-            cell_seed = seed + 7919 * schedule
-            for backend in backends:
-                cells.append(
-                    run_cluster_cell(
-                        backend, site, cell_seed, sets=sets, shards=shards
-                    )
-                )
-    return ClusterCampaignResult(seed=seed, schedules=schedules, cells=cells)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run a seeded cluster failure campaign"
-    )
-    parser.add_argument(
-        "--backends",
-        default=",".join(DEFAULT_BACKENDS),
-        help="comma-separated isolation backends",
-    )
-    parser.add_argument(
-        "--sites",
-        default=",".join(DEFAULT_SITES),
-        help="comma-separated cluster fault sites",
-    )
-    parser.add_argument("--schedules", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--sets", type=int, default=24, metavar="N",
-        help="seeded SETs per cell",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=3, metavar="N",
-        help="shards in the initial cluster",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", help="write the result JSON ('-' = stdout)"
-    )
-    parser.add_argument(
-        "--check",
-        action="append",
-        default=[],
-        metavar="SITE",
-        help="exit non-zero unless every selected backend earns SITE's "
-        "expected verdict (CI assertion)",
-    )
-    args = parser.parse_args(argv)
-    backends = tuple(b for b in args.backends.split(",") if b)
-    sites = tuple(s for s in args.sites.split(",") if s)
-    shards = tuple("s%d" % i for i in range(args.shards))
-    result = run_cluster_campaign(
-        backends=backends,
-        sites=sites,
-        schedules=args.schedules,
-        seed=args.seed,
-        sets=args.sets,
-        shards=shards,
-    )
-    matrix = result.matrix()
-    for site, row in matrix.items():
-        for backend, verdict in row.items():
-            print(f"{site:20s} x {backend:13s} -> {verdict}")
-    if args.json:
-        payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload + "\n")
-    failed = False
-    if not result.cells:
-        print("ERROR: campaign produced no cells", file=sys.stderr)
-        failed = True
-    for site in args.check:
-        expected = EXPECTED.get(site)
-        row = matrix.get(site, {})
-        for backend in backends:
-            verdict = row.get(backend)
-            if verdict != expected:
-                print(
-                    f"ERROR: {backend} at {site}: verdict {verdict!r}, "
-                    f"expected {expected!r}",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

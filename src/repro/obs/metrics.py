@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.perf.meter import percentile
+from repro.perf.meter import left_sum, percentile
 
 
 @dataclasses.dataclass
@@ -52,7 +52,7 @@ class Histogram:
 
     @property
     def total(self) -> float:
-        return sum(self.values)
+        return left_sum(self.values)
 
     @property
     def mean(self) -> float:

@@ -34,6 +34,19 @@ def mreq_per_s(requests: float, elapsed_ns: float) -> float:
     return requests / elapsed_ns * 1e3
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right, as ``sum()`` did before Python 3.12.
+
+    From 3.12 on, ``sum()`` of floats compensates rounding error, so the
+    same simulated additions would round differently from one Python to
+    the next; the golden corpus pins them bit for bit.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def percentile(values: list[float], fraction: float) -> float:
     """Nearest-rank percentile of ``values`` (``fraction`` in [0, 1]).
 

@@ -9,11 +9,12 @@ compartment misbehaves*.  This package makes that measurable:
   death, lost VM notifications) with seeded schedules;
 - :mod:`repro.resilience.injector` — the :class:`FaultInjector` the
   machine consults at each hook site;
-- :mod:`repro.resilience.campaign` — the campaign driver producing the
-  site × backend containment matrix, plus *recovery campaigns* that
-  crash a durable redis deployment (power failures at the storage
-  sites) and verify that reboot + recovery restores every acknowledged
-  write with no torn record surfacing.
+- :mod:`repro.resilience.campaign` — the one campaign engine: seeded
+  containment campaigns (the site × backend containment matrix),
+  recovery campaigns that crash a durable redis deployment (power
+  failures at the storage sites) and verify that reboot + recovery
+  restores every acknowledged write with no torn record surfacing,
+  and cluster failover campaigns (:mod:`repro.cluster.campaign`).
 """
 
 from repro.resilience.injector import FaultInjector, InjectionEvent, arm
@@ -23,16 +24,13 @@ from repro.resilience.plan import SITES, FaultSpec, InjectionPlan
 #: so `python -m repro.resilience.campaign` does not import the module
 #: twice (runpy would warn).
 _CAMPAIGN_EXPORTS = (
-    "DEFAULT_BACKENDS",
-    "DEFAULT_SITES",
-    "DEFAULT_RECOVERY_SITES",
+    "KINDS",
+    "CampaignKind",
     "CampaignResult",
-    "RecoveryCampaignResult",
     "default_plan",
     "default_recovery_plan",
     "run_campaign",
     "run_cell",
-    "run_recovery_campaign",
     "run_recovery_cell",
 )
 
@@ -45,21 +43,18 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "DEFAULT_BACKENDS",
-    "DEFAULT_RECOVERY_SITES",
-    "DEFAULT_SITES",
+    "KINDS",
     "SITES",
+    "CampaignKind",
     "CampaignResult",
     "FaultInjector",
     "FaultSpec",
     "InjectionEvent",
     "InjectionPlan",
-    "RecoveryCampaignResult",
     "arm",
     "default_plan",
     "default_recovery_plan",
     "run_campaign",
     "run_cell",
-    "run_recovery_campaign",
     "run_recovery_cell",
 ]

@@ -1,10 +1,18 @@
-"""Seeded fault-injection campaigns → the containment matrix.
+"""Seeded fault-injection campaigns → site × backend verdict matrices.
 
-A campaign runs one workload cell per (backend × fault site × seeded
-schedule): build an image, arm the site's :class:`InjectionPlan`,
-drive an iperf transfer with a bounded retry budget (the supervisor a
-production deployment would have), and classify what the injected
-fault did:
+One engine runs three campaign *kinds*.  A campaign runs one cell per
+(fault site × seeded schedule × backend); each cell builds its world,
+injects one fault, and reports a ``verdict``.  The matrix keeps the
+worst verdict per site × backend across schedules, and a check of a
+site passes when every backend's worst verdict is one the kind accepts
+there.  A :class:`CampaignKind` records all that differs between
+kinds: default backends and sites, the verdict severity order, the
+passing verdicts per site, how a site's schedules derive from the
+seed, and the cell function.
+
+**Containment** (:func:`run_cell`) drives an iperf transfer with a
+bounded retry budget (the supervisor a production deployment would
+have) and classifies what the injected fault did:
 
 - ``recovered``  — the fault fired and the workload still completed
   (VM-RPC retries absorbed it, or the failed compartment restarted);
@@ -17,14 +25,11 @@ fault did:
 - ``not-triggered`` — the site never fired under this backend (e.g.
   VM notification faults on a non-VM backend).
 
-Everything is a pure function of the seed and the simulated machine,
-so the same seed always yields the identical matrix.
-
-**Recovery campaigns** (``--recovery``) run the durability variant:
+**Recovery** (:func:`run_recovery_cell`) runs the durability variant:
 a redis server journaling SET/DEL through a gate into the storage
 compartment (``blk`` + ``kv``), power failures injected at the storage
 sites (``blk-torn-write``, ``crash-mid-compaction``,
-``crash-mid-recovery``), and a *recovery verdict* per cell:
+``crash-mid-recovery``), and a verdict per cell:
 
 - ``recovered-state``  — after crash + reboot + recovery, every
   acknowledged (flushed) write reads back exactly, and no torn record
@@ -35,42 +40,45 @@ sites (``blk-torn-write``, ``crash-mid-compaction``,
   escaped the CRC check) — the worst verdict;
 - ``not-triggered``    — the armed fault never fired.
 
+**Cluster** (:func:`repro.cluster.campaign.run_cluster_cell`) asks
+whether an acked write survives losing the machine that acked it; its
+module documents the sites and verdicts.
+
+Everything is a pure function of the seed and the simulated machine,
+so the same seed always yields the identical matrix.
+
 CLI (used by the CI smoke steps)::
 
-    python -m repro.resilience.campaign --backends mpk-shared,vm-rpc \\
-        --sites wild-write --schedules 1 --seed 7 \\
-        --check-contained wild-write
-    python -m repro.resilience.campaign --recovery --schedules 2 \\
-        --seed 11 --check-recovered blk-torn-write
+    python -m repro.resilience.campaign --kind containment \\
+        --backends mpk-shared,vm-rpc --sites wild-write --schedules 1 \\
+        --seed 7 --check wild-write
+    python -m repro.resilience.campaign --kind recovery --schedules 2 \\
+        --seed 11 --check blk-torn-write
+    python -m repro.resilience.campaign --kind cluster --sets 24 \\
+        --seed 9 --check primary-kill --json -
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
-import sys
-
 import random
+import sys
+from typing import Callable
 
+from repro.cluster.campaign import EXPECTED, run_cluster_cell
 from repro.core.builder import build_image
 from repro.core.config import BuildConfig
 from repro.machine.faults import MachineError, PowerFailure
 from repro.resilience.injector import FaultInjector, arm
 from repro.resilience.plan import InjectionPlan
 
-#: Backends a campaign sweeps by default.
-DEFAULT_BACKENDS = ("none", "mpk-shared", "mpk-switched", "vm-rpc", "cheri")
-#: Fault sites a campaign arms by default.
-DEFAULT_SITES = (
-    "gate-crash",
-    "wild-write",
-    "alloc-exhaustion",
-    "sched-kill",
-    "vm-drop",
-)
-#: Severity order for aggregating schedule outcomes into a matrix cell.
-_SEVERITY = {"not-triggered": 0, "recovered": 1, "contained": 2, "propagated": 3}
+#: Every isolation backend.
+_ALL_BACKENDS = ("none", "mpk-shared", "mpk-switched", "vm-rpc", "cheri")
+
+# --- containment campaigns (iperf under compartment faults) -----------------
 
 #: Workload shape: a small iperf transfer, netstack isolated from the
 #: rest (the paper's Fig. 3 two-compartment split).
@@ -198,13 +206,13 @@ def run_cell(
         else None
     )
     thread_failures = len(image.scheduler.thread_failures)
-    outcome = _classify(injector, completed, failures, thread_failures)
+    verdict = _classify(injector, completed, failures, thread_failures)
     counters = image.machine.cpu.metrics.counters
     cell = {
         "backend": backend,
         "site": site,
         "seed": plan.seed,
-        "outcome": outcome,
+        "verdict": verdict,
         "completed": completed,
         "attempts": used_attempts,
         "injected": injector.fired,
@@ -227,109 +235,7 @@ def run_cell(
     return cell
 
 
-@dataclasses.dataclass
-class CampaignResult:
-    """Everything one campaign produced."""
-
-    seed: int
-    policy: str
-    schedules: int
-    cells: list[dict]
-
-    def matrix(self) -> dict[str, dict[str, str]]:
-        """site → backend → worst outcome across schedules."""
-        table: dict[str, dict[str, str]] = {}
-        for cell in self.cells:
-            row = table.setdefault(cell["site"], {})
-            previous = row.get(cell["backend"])
-            if (
-                previous is None
-                or _SEVERITY[cell["outcome"]] > _SEVERITY[previous]
-            ):
-                row[cell["backend"]] = cell["outcome"]
-        return table
-
-    def containment_rate(self, backend: str) -> float:
-        """Fraction of triggered cells stopped (contained or recovered)."""
-        triggered = [
-            cell
-            for cell in self.cells
-            if cell["backend"] == backend and cell["outcome"] != "not-triggered"
-        ]
-        if not triggered:
-            return 1.0
-        stopped = [
-            cell
-            for cell in triggered
-            if cell["outcome"] in ("contained", "recovered")
-        ]
-        return len(stopped) / len(triggered)
-
-    def recovery_latencies(self, backend: str) -> list[float]:
-        """Recovery latencies (ns) of recovered cells with a retry."""
-        return [
-            cell["recovery_ns"]
-            for cell in self.cells
-            if cell["backend"] == backend and cell["recovery_ns"] is not None
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "schedules": self.schedules,
-            "matrix": self.matrix(),
-            "containment_rate": {
-                backend: self.containment_rate(backend)
-                for backend in sorted({c["backend"] for c in self.cells})
-            },
-            "cells": self.cells,
-        }
-
-
-def run_campaign(
-    backends=DEFAULT_BACKENDS,
-    sites=DEFAULT_SITES,
-    schedules: int = 2,
-    seed: int = 0,
-    policy: str = "restart-with-backoff",
-    total_bytes: int = _TOTAL_BYTES,
-) -> CampaignResult:
-    """K seeded schedules per (site × backend); returns the result."""
-    cells = []
-    for site in sites:
-        base = default_plan(site, seed)
-        for schedule in base.schedules(schedules):
-            for backend in backends:
-                cells.append(
-                    run_cell(
-                        backend,
-                        site,
-                        InjectionPlan(schedule.seed, list(schedule.specs)),
-                        policy=policy,
-                        total_bytes=total_bytes,
-                    )
-                )
-    return CampaignResult(
-        seed=seed, policy=policy, schedules=schedules, cells=cells
-    )
-
-
 # --- recovery campaigns (durability under power failure) --------------------
-
-#: Fault sites a recovery campaign arms by default.
-DEFAULT_RECOVERY_SITES = (
-    "blk-torn-write",
-    "crash-mid-compaction",
-    "crash-mid-recovery",
-)
-#: Severity order for aggregating recovery verdicts into a matrix cell.
-_RECOVERY_SEVERITY = {
-    "not-triggered": 0,
-    "recovered-state": 1,
-    "lost-acked-write": 2,
-    "torn-surfaced": 3,
-}
 
 #: Workload shape: redis journaling into an isolated storage compartment.
 _RECOVERY_LIBRARIES = ["libc", "netstack", "blk", "kv", "redis"]
@@ -519,59 +425,195 @@ def run_recovery_cell(
     }
 
 
-@dataclasses.dataclass
-class RecoveryCampaignResult:
-    """Everything one recovery campaign produced."""
+# --- the engine -------------------------------------------------------------
 
+
+@dataclasses.dataclass(frozen=True)
+class CampaignKind:
+    """What sets one kind of campaign apart; the engine does the rest."""
+
+    #: Backends and fault sites a campaign sweeps by default.
+    backends: tuple[str, ...]
+    sites: tuple[str, ...]
+    #: Verdict -> severity; a matrix cell keeps the worst verdict.
+    severity: dict[str, int]
+    #: The verdicts that pass a check of one site.
+    passing: Callable[[str], tuple[str, ...]]
+    #: (site, seed, k) -> the site's k schedules, one per cell row.
+    schedules: Callable[[str, int, int], list]
+    #: (backend, site, schedule, **options) -> one cell with a verdict.
+    cell: Callable[..., dict]
+
+
+KINDS = {
+    "containment": CampaignKind(
+        backends=_ALL_BACKENDS,
+        sites=(
+            "gate-crash",
+            "wild-write",
+            "alloc-exhaustion",
+            "sched-kill",
+            "vm-drop",
+        ),
+        severity={
+            "not-triggered": 0,
+            "recovered": 1,
+            "contained": 2,
+            "propagated": 3,
+        },
+        passing=lambda site: ("contained", "recovered"),
+        schedules=lambda site, seed, k: default_plan(site, seed).schedules(k),
+        cell=run_cell,
+    ),
+    "recovery": CampaignKind(
+        backends=_ALL_BACKENDS,
+        sites=("blk-torn-write", "crash-mid-compaction", "crash-mid-recovery"),
+        severity={
+            "not-triggered": 0,
+            "recovered-state": 1,
+            "lost-acked-write": 2,
+            "torn-surfaced": 3,
+        },
+        passing=lambda site: ("recovered-state", "not-triggered"),
+        schedules=lambda site, seed, k: (
+            default_recovery_plan(site, seed).schedules(k)
+        ),
+        cell=run_recovery_cell,
+    ),
+    "cluster": CampaignKind(
+        backends=("none", "mpk-shared"),
+        sites=tuple(EXPECTED),
+        severity={
+            "not-triggered": 0,
+            "rebalance-converged": 1,
+            "no-acked-write-lost": 1,
+            "stale-read-window": 2,
+            "acked-write-lost": 3,
+        },
+        passing=lambda site: (EXPECTED[site],) if site in EXPECTED else (),
+        schedules=lambda site, seed, k: [seed + 7919 * i for i in range(k)],
+        cell=run_cluster_cell,
+    ),
+}
+
+
+@dataclasses.dataclass
+class CampaignResult:
+    """Everything one campaign produced."""
+
+    kind: str
     seed: int
     schedules: int
     cells: list[dict]
 
+    def backends(self) -> list[str]:
+        """The backends swept, in campaign order."""
+        return list(dict.fromkeys(cell["backend"] for cell in self.cells))
+
     def matrix(self) -> dict[str, dict[str, str]]:
         """site → backend → worst verdict across schedules."""
+        severity = KINDS[self.kind].severity
         table: dict[str, dict[str, str]] = {}
         for cell in self.cells:
             row = table.setdefault(cell["site"], {})
             previous = row.get(cell["backend"])
-            if (
-                previous is None
-                or _RECOVERY_SEVERITY[cell["verdict"]]
-                > _RECOVERY_SEVERITY[previous]
-            ):
-                row[cell["backend"]] = cell["verdict"]
+            verdict = cell["verdict"]
+            if previous is None or severity[verdict] > severity[previous]:
+                row[cell["backend"]] = verdict
         return table
+
+    def passes(self, site: str, verdict: str | None) -> bool:
+        """The check rule: does ``verdict`` at ``site`` pass?"""
+        return verdict in KINDS[self.kind].passing(site)
+
+    def failures(self, sites) -> list[str]:
+        """Why a check of ``sites`` fails; empty when it passes.
+
+        One line per backend whose worst verdict at a checked site does
+        not pass, and one if the campaign produced no cells at all.
+        """
+        if not self.cells:
+            return ["campaign produced no cells"]
+        matrix = self.matrix()
+        problems = []
+        for site in sites:
+            for backend in self.backends():
+                verdict = matrix.get(site, {}).get(backend)
+                if not self.passes(site, verdict):
+                    problems.append(
+                        f"{backend} at {site}: verdict {verdict!r}, expected "
+                        f"one of {KINDS[self.kind].passing(site)}"
+                    )
+        return problems
+
+    def containment_rate(self, backend: str) -> float:
+        """Fraction of triggered cells whose verdict passes the check."""
+        triggered = [
+            cell
+            for cell in self.cells
+            if cell["backend"] == backend
+            and cell["verdict"] != "not-triggered"
+        ]
+        if not triggered:
+            return 1.0
+        passed = [
+            cell
+            for cell in triggered
+            if self.passes(cell["site"], cell["verdict"])
+        ]
+        return len(passed) / len(triggered)
+
+    def recovery_latencies(self, backend: str) -> list[float]:
+        """Recovery latencies (ns) of containment cells with a retry."""
+        return [
+            cell["recovery_ns"]
+            for cell in self.cells
+            if cell["backend"] == backend
+            and cell.get("recovery_ns") is not None
+        ]
 
     def to_dict(self) -> dict:
         return {
+            "kind": self.kind,
             "seed": self.seed,
             "schedules": self.schedules,
             "matrix": self.matrix(),
+            "containment_rate": {
+                backend: self.containment_rate(backend)
+                for backend in self.backends()
+            },
             "cells": self.cells,
         }
 
 
-def run_recovery_campaign(
-    backends=DEFAULT_BACKENDS,
-    sites=DEFAULT_RECOVERY_SITES,
-    schedules: int = 2,
+def run_campaign(
+    kind: str,
+    backends=None,
+    sites=None,
+    schedules: int = 1,
     seed: int = 0,
-    sets: int = 40,
-) -> RecoveryCampaignResult:
-    """K seeded schedules per (storage site × backend)."""
-    cells = []
-    for site in sites:
-        base = default_recovery_plan(site, seed)
-        for schedule in base.schedules(schedules):
-            for backend in backends:
-                cells.append(
-                    run_recovery_cell(
-                        backend,
-                        site,
-                        InjectionPlan(schedule.seed, list(schedule.specs)),
-                        sets=sets,
-                    )
-                )
-    return RecoveryCampaignResult(seed=seed, schedules=schedules, cells=cells)
+    **options,
+) -> CampaignResult:
+    """K seeded schedules per (site × backend) of one campaign kind.
+
+    ``backends`` and ``sites`` default to the kind's; ``options`` go to
+    every cell (``policy`` for containment, ``sets`` for recovery,
+    ``sets`` and ``shards`` for cluster).
+    """
+    spec = KINDS[kind]
+    cells = [
+        spec.cell(backend, site, schedule, **options)
+        for site in (spec.sites if sites is None else sites)
+        for schedule in spec.schedules(site, seed, schedules)
+        for backend in (spec.backends if backends is None else backends)
+    ]
+    return CampaignResult(kind, seed, schedules, cells)
+
+
+def _names(text: str | None) -> tuple[str, ...] | None:
+    if text is None:
+        return None
+    return tuple(name for name in text.split(",") if name)
 
 
 def main(argv=None) -> int:
@@ -579,108 +621,66 @@ def main(argv=None) -> int:
         description="Run a seeded fault-injection campaign"
     )
     parser.add_argument(
-        "--backends",
-        default=",".join(DEFAULT_BACKENDS),
-        help="comma-separated isolation backends",
+        "--kind",
+        choices=tuple(KINDS),
+        default="containment",
+        help="campaign kind (default: containment)",
     )
     parser.add_argument(
-        "--sites",
-        default=",".join(DEFAULT_SITES),
-        help="comma-separated fault sites",
+        "--backends",
+        help="comma-separated isolation backends (default: the kind's)",
     )
-    parser.add_argument("--schedules", type=int, default=2)
+    parser.add_argument(
+        "--sites", help="comma-separated fault sites (default: the kind's)"
+    )
+    parser.add_argument("--schedules", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--policy",
-        default="restart-with-backoff",
         choices=("propagate", "isolate", "restart-with-backoff"),
+        help="failure policy of containment cells "
+        "(default: restart-with-backoff)",
+    )
+    parser.add_argument(
+        "--sets", type=int, metavar="N", help="SETs per recovery or cluster cell"
+    )
+    parser.add_argument(
+        "--shards", type=int, metavar="N", help="shards in each cluster cell"
     )
     parser.add_argument(
         "--json", metavar="FILE", help="write the result JSON ('-' = stdout)"
     )
     parser.add_argument(
-        "--check-contained",
+        "--check",
         action="append",
         default=[],
         metavar="SITE",
-        help="exit non-zero unless every selected backend contains or "
-        "recovers SITE (CI assertion)",
-    )
-    parser.add_argument(
-        "--recovery",
-        action="store_true",
-        help="run the storage recovery campaign (durability under "
-        "power failure) instead of the containment campaign",
-    )
-    parser.add_argument(
-        "--sets",
-        type=int,
-        default=40,
-        metavar="N",
-        help="durable SETs per recovery cell",
-    )
-    parser.add_argument(
-        "--check-recovered",
-        action="append",
-        default=[],
-        metavar="SITE",
-        help="exit non-zero unless every selected backend earns verdict "
-        "'recovered-state' (or 'not-triggered') for SITE (CI assertion)",
+        help="exit non-zero unless every selected backend's worst verdict "
+        "at SITE passes the kind's check (CI assertion)",
     )
     args = parser.parse_args(argv)
-    backends = tuple(b for b in args.backends.split(",") if b)
-    if args.recovery:
-        sites = (
-            tuple(s for s in args.sites.split(",") if s)
-            if args.sites != ",".join(DEFAULT_SITES)
-            else DEFAULT_RECOVERY_SITES
-        )
-        recovery = run_recovery_campaign(
-            backends=backends,
-            sites=sites,
-            schedules=args.schedules,
-            seed=args.seed,
-            sets=args.sets,
-        )
-        matrix = recovery.matrix()
-        for site, row in matrix.items():
-            for backend, verdict in row.items():
-                print(f"{site:20s} x {backend:13s} -> {verdict}")
-        if args.json:
-            payload = json.dumps(recovery.to_dict(), indent=2, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w") as handle:
-                    handle.write(payload + "\n")
-        failed = False
-        if not recovery.cells:
-            print("ERROR: campaign produced no cells", file=sys.stderr)
-            failed = True
-        for site in args.check_recovered:
-            row = matrix.get(site, {})
-            for backend in backends:
-                verdict = row.get(backend)
-                if verdict not in ("recovered-state", "not-triggered"):
-                    print(
-                        f"ERROR: {backend} lost durable state at {site} "
-                        f"(verdict: {verdict})",
-                        file=sys.stderr,
-                    )
-                    failed = True
-        return 1 if failed else 0
-    sites = tuple(s for s in args.sites.split(",") if s)
+    shards = args.shards
+    options = {
+        "policy": args.policy,
+        "sets": args.sets,
+        "shards": None if shards is None else tuple(f"s{i}" for i in range(shards)),
+    }
+    options = {name: val for name, val in options.items() if val is not None}
+    accepted = inspect.signature(KINDS[args.kind].cell).parameters
+    for name in options:
+        if name not in accepted:
+            parser.error(f"--{name} does not apply to --kind {args.kind}")
     result = run_campaign(
-        backends=backends,
-        sites=sites,
+        args.kind,
+        backends=_names(args.backends),
+        sites=_names(args.sites),
         schedules=args.schedules,
         seed=args.seed,
-        policy=args.policy,
+        **options,
     )
-    matrix = result.matrix()
-    for site, row in matrix.items():
-        for backend, outcome in row.items():
-            print(f"{site:18s} x {backend:13s} -> {outcome}")
+    for site, row in result.matrix().items():
+        for backend, verdict in row.items():
+            print(f"{site:20s} x {backend:13s} -> {verdict}")
     if args.json:
         payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         if args.json == "-":
@@ -688,22 +688,10 @@ def main(argv=None) -> int:
         else:
             with open(args.json, "w") as handle:
                 handle.write(payload + "\n")
-    failed = False
-    if not result.cells:
-        print("ERROR: campaign produced no cells", file=sys.stderr)
-        failed = True
-    for site in args.check_contained:
-        row = matrix.get(site, {})
-        for backend in backends:
-            outcome = row.get(backend)
-            if outcome not in ("contained", "recovered"):
-                print(
-                    f"ERROR: {backend} did not contain {site} "
-                    f"(outcome: {outcome})",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
+    failures = result.failures(args.check)
+    for failure in failures:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

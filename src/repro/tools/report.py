@@ -17,15 +17,14 @@ benchmarks and CI can diff reports instead of scraping text.
 ``--profile FILE`` captures a schema-versioned
 :class:`repro.obs.WorkloadProfile` of the run — the measured artifact
 ``tools/profile.py recommend`` feeds back into the explorer.
-``--resilience`` additionally runs a seeded fault-injection campaign
-across all isolation backends and prints the site × backend
-containment matrix (see :mod:`repro.resilience`); ``--recovery`` does
-the same for the storage power-failure sites and prints the recovery
-verdict matrix (does a durable redis deployment lose acknowledged
-writes after crash + reboot?).  ``--cluster`` runs a small sharded,
-replicated redis cluster plus its failure campaign and reports slot
-balance, replication lag, and the cluster verdict matrix (see
-:mod:`repro.cluster`).  ``--queue`` summarizes queue-channel
+``--resilience``, ``--recovery`` and ``--cluster`` each also run one
+seeded campaign (:mod:`repro.resilience.campaign`) on its kind's
+default sites and backends and print its site × backend verdict
+matrix: containment of compartment faults, durable redis state after
+crash + reboot, and acked writes across cluster failover.
+``--cluster`` also reports a small sharded, replicated redis
+cluster's slot balance and replication lag (see :mod:`repro.cluster`).
+``--queue`` summarizes queue-channel
 activity — submissions, doorbells per op, batch-size and ring-depth
 distributions — for configs with ``queue_edges``.
 """
@@ -154,58 +153,28 @@ def collect(
     }
 
 
-def collect_resilience(seed: int = 0, schedules: int = 1) -> dict:
-    """Run a default containment campaign; summary for the report."""
-    from repro.resilience import run_campaign
-
-    result = run_campaign(schedules=schedules, seed=seed)
-    backends = sorted({cell["backend"] for cell in result.cells})
-    return {
-        "seed": result.seed,
-        "policy": result.policy,
-        "schedules": result.schedules,
-        "matrix": result.matrix(),
-        "containment_rate": {
-            backend: result.containment_rate(backend) for backend in backends
-        },
-        "recovery_ns": {
-            backend: result.recovery_latencies(backend) for backend in backends
-        },
-    }
+#: Report section (and its CLI flag) -> (campaign kind, matrix heading).
+CAMPAIGN_SECTIONS = {
+    "resilience": ("containment", "Containment matrix"),
+    "recovery": ("recovery", "Recovery verdicts"),
+    "cluster": ("cluster", "Cluster verdicts"),
+}
 
 
-def collect_recovery(seed: int = 0, schedules: int = 1) -> dict:
-    """Run a storage recovery campaign; summary for the report."""
-    from repro.resilience import run_recovery_campaign
+def collect_campaign(kind: str, **kwargs) -> dict:
+    """One campaign's result: :func:`~repro.resilience.campaign.run_campaign`
+    of ``kind`` with ``kwargs``."""
+    from repro.resilience.campaign import run_campaign
 
-    result = run_recovery_campaign(schedules=schedules, seed=seed)
-    return {
-        "seed": result.seed,
-        "schedules": result.schedules,
-        "matrix": result.matrix(),
-        "cells": [
-            {
-                "site": cell["site"],
-                "backend": cell["backend"],
-                "verdict": cell["verdict"],
-                "acked": cell["acked"],
-                "restored": cell["restored"],
-                "torn_records_discarded": cell["torn_records_discarded"],
-            }
-            for cell in result.cells
-        ],
-    }
+    return run_campaign(kind, **kwargs).to_dict()
 
 
-def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
-    """Run a small replicated cluster + failure campaign; summary.
+def collect_cluster(sets: int = 18) -> dict:
+    """A live three-shard replicated cluster after ``sets`` SETs.
 
-    Two parts: a live three-shard snapshot (slot balance, replication
-    lag, per-machine fast-path telemetry aggregated with
-    :func:`machine_telemetry`) and the cluster campaign's
-    site × backend verdict matrix.
+    Slot balance, replication lag and per-machine fast-path telemetry
+    aggregated with :func:`machine_telemetry`.
     """
-    from repro.cluster.campaign import run_cluster_campaign
     from repro.cluster.client import ClusterClient
     from repro.cluster.cluster import RedisCluster
 
@@ -214,7 +183,7 @@ def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
     for index in range(sets):
         client.set(b"key:%03d" % index, b"v%03d" % index * 4)
     client.drive()
-    snapshot = {
+    return {
         "slots": cluster.map.counts(),
         "epoch": cluster.map.epoch,
         "shards": cluster.shard_report(),
@@ -222,12 +191,27 @@ def collect_cluster(seed: int = 0, sets: int = 18) -> dict:
         "replication_lag": cluster.replication_lag(),
         "machine": machine_telemetry(cluster.images()),
     }
-    campaign = run_cluster_campaign(seed=seed, sets=sets)
-    return {
-        "seed": seed,
-        "snapshot": snapshot,
-        "matrix": campaign.matrix(),
-    }
+
+
+def render_campaign(heading: str, campaign: dict) -> list[str]:
+    """A campaign's site × backend matrix and containment rates."""
+    matrix = campaign["matrix"]
+    rates = campaign["containment_rate"]
+    backends = sorted(rates)
+    verdicts = [verdict for row in matrix.values() for verdict in row.values()]
+    width = 2 + max(map(len, [*backends, *verdicts]))
+    site_width = 2 + max(map(len, matrix))
+    header = "".join(f"{backend:>{width}s}" for backend in backends)
+    lines = ["", f"== {heading} (site x backend) =="]
+    lines.append(" " * (2 + site_width) + header)
+    for site, row in sorted(matrix.items()):
+        cells = "".join(f"{row.get(b, '-'):>{width}s}" for b in backends)
+        lines.append(f"  {site:{site_width}s}{cells}")
+    lines.append(
+        "  containment rate: "
+        + "  ".join(f"{backend}={rates[backend]:.0%}" for backend in backends)
+    )
+    return lines
 
 
 def render_text(
@@ -262,34 +246,8 @@ def render_text(
             f"heap in use {row['heap_in_use']:>8d} B "
             f"({row['heap_live_blocks']} blocks)"
         )
-    resilience = data.get("resilience")
-    if resilience:
-        lines += ["", "== Containment matrix (site x backend) =="]
-        backends = sorted(resilience["containment_rate"])
-        lines.append("  " + " " * 18 + "".join(f"{b:>14s}" for b in backends))
-        for site, row in sorted(resilience["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>14s}" for b in backends)
-            lines.append(f"  {site:18s}{cells}")
-        rates = "  ".join(
-            f"{backend}={rate:.0%}"
-            for backend, rate in resilience["containment_rate"].items()
-        )
-        lines.append(f"  containment rate: {rates}")
-
-    recovery = data.get("recovery")
-    if recovery:
-        lines += ["", "== Recovery verdicts (site x backend) =="]
-        backends = sorted(
-            {backend for row in recovery["matrix"].values() for backend in row}
-        )
-        lines.append("  " + " " * 22 + "".join(f"{b:>16s}" for b in backends))
-        for site, row in sorted(recovery["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>16s}" for b in backends)
-            lines.append(f"  {site:22s}{cells}")
-
-    cluster = data.get("cluster")
-    if cluster:
-        snapshot = cluster["snapshot"]
+    snapshot = data.get("cluster", {}).get("snapshot")
+    if snapshot:
         lines += ["", "== Cluster (sharded, replicated redis) =="]
         slots = "  ".join(
             f"{shard}={count}"
@@ -311,14 +269,9 @@ def render_text(
                 f"max {lag['max_ns'] / 1e3:.1f} us "
                 f"({lag['samples']} samples)"
             )
-        lines += ["", "== Cluster verdicts (site x backend) =="]
-        backends = sorted(
-            {backend for row in cluster["matrix"].values() for backend in row}
-        )
-        lines.append("  " + " " * 20 + "".join(f"{b:>20s}" for b in backends))
-        for site, row in sorted(cluster["matrix"].items()):
-            cells = "".join(f"{row.get(b, '-'):>20s}" for b in backends)
-            lines.append(f"  {site:20s}{cells}")
+    for section, (_, heading) in CAMPAIGN_SECTIONS.items():
+        if data.get(section):
+            lines += render_campaign(heading, data[section])
 
     if show_queue:
         metrics = data.get("metrics", {})
@@ -519,16 +472,13 @@ def main(argv: list[str] | None = None) -> int:
     data = collect(
         config_from_args(args), args.workload, args.trace, args.profile
     )
-    if args.resilience:
-        data["resilience"] = collect_resilience(
-            seed=args.resilience_seed, schedules=args.resilience_schedules
-        )
-    if args.recovery:
-        data["recovery"] = collect_recovery(
-            seed=args.resilience_seed, schedules=args.resilience_schedules
-        )
+    for section, (kind, _) in CAMPAIGN_SECTIONS.items():
+        if getattr(args, section):
+            data[section] = collect_campaign(
+                kind, seed=args.resilience_seed, schedules=args.resilience_schedules
+            )
     if args.cluster:
-        data["cluster"] = collect_cluster(seed=args.resilience_seed)
+        data["cluster"]["snapshot"] = collect_cluster()
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:

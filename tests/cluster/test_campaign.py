@@ -1,16 +1,14 @@
 """Cluster campaign: verdicts, determinism, retry discipline."""
 
+import json
+
 import pytest
 
-from repro.cluster.campaign import (
-    EXPECTED,
-    SEVERITY,
-    run_cluster_campaign,
-    run_cluster_cell,
-)
+from repro.cluster.campaign import EXPECTED, run_cluster_cell
 from repro.cluster.cluster import RedisCluster
 from repro.cluster.client import ClusterClient
 from repro.cluster.replication import MAX_RETRIES
+from repro.resilience.campaign import KINDS, CampaignResult, main, run_campaign
 from repro.resilience.injector import arm
 from repro.resilience.plan import InjectionPlan
 
@@ -62,7 +60,8 @@ def test_cells_are_deterministic():
 
 
 def test_campaign_matrix_keeps_worst_verdict():
-    result = run_cluster_campaign(
+    result = run_campaign(
+        "cluster",
         backends=("none",),
         sites=("primary-kill",),
         schedules=2,
@@ -78,9 +77,75 @@ def test_campaign_matrix_keeps_worst_verdict():
 
 
 def test_severity_and_expected_cover_all_verdicts():
-    assert set(EXPECTED.values()) <= set(SEVERITY)
-    assert SEVERITY["acked-write-lost"] > SEVERITY["stale-read-window"]
-    assert SEVERITY["stale-read-window"] > SEVERITY["no-acked-write-lost"]
+    severity = KINDS["cluster"].severity
+    assert set(EXPECTED.values()) <= set(severity)
+    assert severity["acked-write-lost"] > severity["stale-read-window"]
+    assert severity["stale-read-window"] > severity["no-acked-write-lost"]
+
+
+def test_check_of_a_site_not_run_fails():
+    result = CampaignResult(
+        kind="cluster",
+        seed=0,
+        schedules=1,
+        cells=[
+            {
+                "site": "primary-kill",
+                "backend": "none",
+                "verdict": "no-acked-write-lost",
+            }
+        ],
+    )
+    assert result.failures(["primary-kill"]) == []
+    assert result.failures(["stale-read"]) == [
+        "none at stale-read: verdict None, "
+        "expected one of ('stale-read-window',)"
+    ]
+    assert result.failures(["no-such-site"]) == [
+        "none at no-such-site: verdict None, expected one of ()"
+    ]
+
+
+def test_cli_check_cluster(capsys, tmp_path):
+    out = tmp_path / "cluster.json"
+    code = main([
+        "--kind", "cluster",
+        "--backends", "none",
+        "--sites", "primary-kill,stale-read",
+        "--seed", "9",
+        "--sets", "12",
+        "--shards", "2",
+        "--check", "primary-kill",
+        "--check", "stale-read",
+        "--json", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "cluster"
+    assert payload["matrix"] == {
+        "primary-kill": {"none": "no-acked-write-lost"},
+        "stale-read": {"none": "stale-read-window"},
+    }
+    assert "stale-read" in capsys.readouterr().out
+
+
+def test_cli_check_cluster_fails_on_unexpected_verdict(capsys):
+    # One SET, and the seed picks the shard that does not own it: the
+    # promoted follower serves no acked key, so no stale read can be
+    # observed and the site earns ``not-triggered``.
+    code = main([
+        "--kind", "cluster",
+        "--backends", "none",
+        "--sites", "stale-read",
+        "--seed", "1",
+        "--sets", "1",
+        "--shards", "2",
+        "--check", "stale-read",
+    ])
+    assert code == 1
+    assert "none at stale-read: verdict 'not-triggered'" in (
+        capsys.readouterr().err
+    )
 
 
 def test_unknown_site_rejected():

@@ -30,7 +30,11 @@ Scenarios:
   whose contract checks charge every context switch;
 - ``timers.<scheduler>`` — traced sleepers on every timer-wheel level,
   a busy yielding thread and an idle stretch, under the C and the
-  verified scheduler.
+  verified scheduler;
+- ``campaign.<kind>`` — one seeded campaign per kind (containment,
+  recovery, cluster) on the kind's default sites and backends, seed 0;
+  the entry keeps the site × backend matrix verbatim and pins every
+  cell, with its verdict read into a fixed position.
 
 Regenerate after an intended change to simulated behaviour with::
 
@@ -55,6 +59,7 @@ from repro.apps import run_named_workload
 from repro.cluster.client import ClusterClient
 from repro.cluster.cluster import RedisCluster
 from repro.obs import capture_profile, chrome_trace
+from repro.resilience.campaign import run_campaign
 from tests.golden.worlds import (
     BACKENDS,
     AttributedCluster,
@@ -97,6 +102,18 @@ IMAGES = {
 
 REDIS_PROFILE_PARAMS = {"sets": 16, "gets": 40, "window": 4}
 
+#: Campaign kind -> the run its corpus scenario pins, at seed 0 on the
+#: kind's default sites and backends.  Two cluster schedules cover the
+#: ``seed + 7919 * k`` derivation.
+CAMPAIGNS = {
+    "containment": {"schedules": 1},
+    "recovery": {"schedules": 1},
+    "cluster": {"schedules": 2, "sets": 24},
+}
+
+#: Parts an entry keeps verbatim; it pins the others by sha256.
+PLAIN = ("clock_ns", "matrix")
+
 
 def _parts(machine, result) -> dict:
     """The canonical parts of one finished scenario."""
@@ -117,11 +134,11 @@ def _digest(value) -> str:
 
 
 def _entry(parts: dict) -> dict:
-    entry = {"clock_ns": parts["clock_ns"]}
-    for name in ("result", "snapshot", "metrics", "trace"):
-        if parts[name] is not None:
-            entry[name] = _digest(parts[name])
-    return entry
+    return {
+        name: value if name in PLAIN else _digest(value)
+        for name, value in parts.items()
+        if value is not None
+    }
 
 
 def _trace_scenario(backend: str, seed: int, observe: bool):
@@ -211,6 +228,18 @@ def _timers_scenario(scheduler: str):
     return run
 
 
+def _campaign_scenario(kind: str):
+    def run():
+        result = run_campaign(kind, seed=0, **CAMPAIGNS[kind])
+        cells = []
+        for cell in result.cells:
+            cell = dict(cell)
+            cells.append([cell.pop("verdict"), cell])
+        return {"matrix": result.matrix(), "result": cells}
+
+    return run
+
+
 def scenarios() -> dict:
     """Every corpus scenario: name -> zero-arg runner returning parts."""
     table = {}
@@ -249,6 +278,8 @@ def scenarios() -> dict:
     )
     for scheduler in ("coop", "verified"):
         table[f"timers.{scheduler}"] = _timers_scenario(scheduler)
+    for kind in CAMPAIGNS:
+        table[f"campaign.{kind}"] = _campaign_scenario(kind)
     return table
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.obs.metrics import MetricsRegistry
+from repro.perf.meter import left_sum
 
 
 def test_counter_starts_at_zero_and_accumulates():
@@ -42,6 +43,19 @@ def test_histogram_summary_and_percentiles():
 
 def test_empty_histogram_summary():
     assert MetricsRegistry().histogram("empty").summary() == {"count": 0}
+
+
+def test_histogram_total_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum ends at
+    # 0.0; the compensated sum() of Python 3.12+ returns 1.0.
+    values = [1e16, 1.0, -1e16]
+    assert left_sum(values) == 0.0
+    hist = MetricsRegistry().histogram("lat")
+    for value in values:
+        hist.observe(value)
+    assert hist.total == 0.0
+    assert hist.summary()["sum"] == 0.0
+    assert hist.mean == 0.0
 
 
 def test_edges_key_on_kind_and_report_sorted():

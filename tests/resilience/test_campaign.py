@@ -1,4 +1,6 @@
-"""Campaign driver: matrix shape, determinism, containment claims."""
+"""Campaign engine: matrix shape, determinism, containment claims."""
+
+import json
 
 import pytest
 
@@ -18,13 +20,14 @@ def test_default_plans_cover_every_site():
 def test_same_seed_same_matrix():
     def matrix():
         result = run_campaign(
+            "containment",
             backends=("none", "mpk-shared"),
             sites=("gate-crash", "wild-write"),
             schedules=2,
             seed=42,
         )
         return result.matrix(), [
-            (cell["outcome"], cell["injected"], cell["attempts"])
+            (cell["verdict"], cell["injected"], cell["attempts"])
             for cell in result.cells
         ]
 
@@ -33,6 +36,7 @@ def test_same_seed_same_matrix():
 
 def test_wild_write_contained_by_isolation_not_by_none():
     result = run_campaign(
+        "containment",
         backends=("none", "mpk-shared", "vm-rpc"),
         sites=("wild-write",),
         schedules=1,
@@ -48,6 +52,7 @@ def test_wild_write_contained_by_isolation_not_by_none():
 
 def test_vm_transient_faults_recovered_by_retry():
     result = run_campaign(
+        "containment",
         backends=("vm-rpc", "none"),
         sites=("vm-drop",),
         schedules=1,
@@ -60,11 +65,9 @@ def test_vm_transient_faults_recovered_by_retry():
 
 
 def test_cell_payload_is_json_ready():
-    import json
-
     cell = run_cell("mpk-shared", "gate-crash", default_plan("gate-crash", 1))
     json.dumps(cell)  # must not raise
-    assert cell["outcome"] in (
+    assert cell["verdict"] in (
         "recovered", "contained", "propagated", "not-triggered"
     )
     assert cell["injected"] >= 1
@@ -73,6 +76,7 @@ def test_cell_payload_is_json_ready():
 
 def test_recovery_latency_recorded_when_retry_needed():
     result = run_campaign(
+        "containment",
         backends=("mpk-shared",),
         sites=("gate-crash",),
         schedules=1,
@@ -85,14 +89,18 @@ def test_recovery_latency_recorded_when_retry_needed():
 def test_cli_check_contained(capsys, tmp_path):
     out = tmp_path / "campaign.json"
     code = main([
+        "--kind", "containment",
         "--backends", "mpk-shared",
         "--sites", "wild-write",
         "--schedules", "1",
-        "--check-contained", "wild-write",
+        "--check", "wild-write",
         "--json", str(out),
     ])
     assert code == 0
-    assert out.exists()
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "containment"
+    assert payload["matrix"]["wild-write"]["mpk-shared"] == "recovered"
+    assert payload["containment_rate"] == {"mpk-shared": 1.0}
     assert "wild-write" in capsys.readouterr().out
 
 
@@ -101,7 +109,23 @@ def test_cli_check_contained_fails_for_none_backend(capsys):
         "--backends", "none",
         "--sites", "wild-write",
         "--schedules", "1",
-        "--check-contained", "wild-write",
+        "--check", "wild-write",
     ])
     assert code == 1
-    assert "did not contain" in capsys.readouterr().err
+    assert (
+        "none at wild-write: verdict 'propagated'" in capsys.readouterr().err
+    )
+
+
+def test_cli_check_fails_when_campaign_has_no_cells(capsys):
+    assert main(["--sites", "", "--check", "wild-write"]) == 1
+    assert "campaign produced no cells" in capsys.readouterr().err
+
+
+def test_cli_rejects_options_of_another_kind(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--kind", "containment", "--sets", "12"])
+    assert exit_info.value.code == 2
+    assert "--sets does not apply to --kind containment" in (
+        capsys.readouterr().err
+    )

@@ -5,24 +5,26 @@ import json
 import pytest
 
 from repro.resilience import (
-    DEFAULT_RECOVERY_SITES,
-    RecoveryCampaignResult,
+    KINDS,
+    CampaignResult,
     default_recovery_plan,
-    run_recovery_campaign,
+    run_campaign,
     run_recovery_cell,
 )
 from repro.resilience.campaign import main
 
+RECOVERY_SITES = KINDS["recovery"].sites
+
 
 def test_default_recovery_plans_cover_every_site():
-    for site in DEFAULT_RECOVERY_SITES:
+    for site in RECOVERY_SITES:
         plan = default_recovery_plan(site, seed=3)
         assert plan.specs, site
     with pytest.raises(ValueError):
         default_recovery_plan("disk-on-fire", seed=3)
 
 
-@pytest.mark.parametrize("site", DEFAULT_RECOVERY_SITES)
+@pytest.mark.parametrize("site", RECOVERY_SITES)
 def test_each_site_ends_in_recovered_state(site):
     """The acceptance property: every acknowledged write survives the
     crash, and no torn record ever surfaces."""
@@ -48,7 +50,8 @@ def test_recovery_works_behind_real_gates():
 
 def test_same_seed_same_recovery_matrix():
     def run():
-        result = run_recovery_campaign(
+        result = run_campaign(
+            "recovery",
             backends=("none", "mpk-shared"),
             sites=("blk-torn-write", "crash-mid-compaction"),
             schedules=2,
@@ -74,7 +77,8 @@ def test_matrix_keeps_worst_verdict():
         return {"site": "blk-torn-write", "backend": backend,
                 "verdict": verdict}
 
-    result = RecoveryCampaignResult(
+    result = CampaignResult(
+        kind="recovery",
         seed=0,
         schedules=3,
         cells=[
@@ -88,6 +92,10 @@ def test_matrix_keeps_worst_verdict():
     row = result.matrix()["blk-torn-write"]
     assert row["none"] == "lost-acked-write"
     assert row["mpk-shared"] == "torn-surfaced"
+    # The check reads the worst verdict; the rate reads every
+    # triggered cell.
+    assert len(result.failures(["blk-torn-write"])) == 2
+    assert result.containment_rate("none") == 0.5
 
 
 def test_recovery_cell_payload_is_json_ready():
@@ -107,13 +115,13 @@ def test_recovery_cell_payload_is_json_ready():
 def test_cli_check_recovered(capsys, tmp_path):
     out = tmp_path / "recovery.json"
     code = main([
-        "--recovery",
+        "--kind", "recovery",
         "--backends", "none",
         "--sites", "blk-torn-write",
         "--schedules", "1",
         "--seed", "5",
         "--sets", "12",
-        "--check-recovered", "blk-torn-write",
+        "--check", "blk-torn-write",
         "--json", str(out),
     ])
     assert code == 0
