@@ -23,6 +23,12 @@ written against the async surface run unchanged on every backend; the
 queue channel (:mod:`repro.gates.queue`) overrides it to batch many
 submissions into one doorbell crossing.
 
+Gate crossings are compiled, the way FlexOS's toolchain replaces each
+gate placeholder with backend-specific code when it builds the image:
+every backend states its domain switch as source fragments, and a
+gate turns the crossing templates below plus those fragments into one
+Python function per export, the first time the export is crossed.
+
 Construct channels through :func:`repro.gates.registry.make_channel`;
 direct gate instantiation raises :class:`GateError`.
 """
@@ -30,8 +36,11 @@ direct gate instantiation raises :class:`GateError`.
 from __future__ import annotations
 
 import dataclasses
+import linecache
+import re
+import textwrap
 import threading
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.libos.sched.base import WaitFlush
 from repro.machine.cpu import Context
@@ -100,7 +109,8 @@ def _require_factory(cls: type) -> None:
 
 
 class _PlanEntry:
-    """One export's precompiled crossing state (see :class:`Gate`).
+    """One export's static facts: what its compiled crossing binds and
+    what the misuse checks read.
 
     ``extra`` is backend payload — e.g. the CHERI gate stashes the
     export's ``CAP_GRANTS`` specs so no crossing re-reads the class
@@ -115,6 +125,254 @@ class _PlanEntry:
         self.blocking = blocking
         self.ctx_label = ctx_label
         self.extra = None
+
+
+# --- compiled crossings ---------------------------------------------------------
+#
+# A gate crossing is compiled, per export, into one Python function from
+# a template below and its backend's ENTER/EXIT fragments (see
+# :class:`Gate`).  In templates and fragments, a line holding only a
+# macro name — ``NAME`` or ``NAME(arg)`` — expands, at that line's
+# indentation, into the macro's source (``{0}`` standing for ``arg``),
+# itself expanded in turn.  ``CHARGE``, ``PUSH`` and ``POP`` are
+# ``CPU.charge``, ``push_context`` and ``pop_context`` inlined step for
+# step: the same float additions in the same order, and the pending
+# memory-op fold exactly where those methods fold it.  ``ADD`` is a
+# ``CHARGE`` right after a fold point (a CHARGE, PUSH or POP, or a call
+# that charges) with no memory access in between: nothing can be
+# pending there, so it drops the fold test and changes nothing else.
+_MACROS = {
+    "FOLD": """
+        if cpu._pending_ns or cpu._pend_loads or cpu._pend_stores:
+            cpu.flush_accounting()
+    """,
+    "ADD": """
+        cpu._clock_ns += {0}
+        if cpu.attribute_time:
+            cpu._attribute({0})
+    """,
+    "CHARGE": """
+        FOLD
+        ADD({0})
+    """,
+    "PUSH": """
+        FOLD
+        cpu._contexts.append({0})
+    """,
+    "POP": """
+        if not cpu._contexts:
+            raise RuntimeError("context stack underflow")
+        FOLD
+        {0} = cpu._contexts.pop()
+    """,
+    # Push the callee's context for this crossing — the gate's pooled
+    # one, or a fresh one while another crossing (parked inside the
+    # callee) holds it — carrying the fragment's locals ``pkru`` and
+    # ``capabilities``.
+    "PUSH_POOLED": """
+        ctx = gate._ctx_pool
+        if ctx is None:
+            ctx = Context(
+                address_space=comp.address_space,
+                pkru=pkru,
+                profile=comp.profile,
+                label=label,
+                capabilities=capabilities,
+            )
+        else:
+            gate._ctx_pool = None
+            ctx.label = label
+            ctx.pkru = pkru
+            ctx.capabilities = capabilities
+        PUSH(ctx)
+    """,
+    # Pop the callee's context; it refills the pool only if empty.
+    "POP_POOLED": """
+        POP(ctx)
+        if gate._ctx_pool is None:
+            gate._ctx_pool = ctx
+    """,
+    # The caller side of every single crossing: the call charge plus
+    # the caller profile's per-call instrumentation, its call monitors
+    # (CFI target checks), then the gate's COUNT.
+    "PROLOGUE": """
+        profile = cpu._contexts[-1].profile
+        CHARGE(call_ns + profile.call_extra_ns)
+        monitors = profile.call_monitors
+        if monitors:
+            for monitor in monitors:
+                monitor(caller_name, callee_name, fn)
+        COUNT
+    """,
+    # The backend's EXIT, then close what entry observed.  The span
+    # closes even when the exit itself fails (a lost VM-RPC return
+    # notification), so the next crossing's span is a sibling and not a
+    # child.  The latency sample is taken when the argument is true:
+    # ``exited`` (set only by a clean exit) for plain and batched
+    # crossings and returning blocking ones, ``False`` for a blocking
+    # crossing that unwinds.
+    "LEAVE": """
+        exited = False
+        try:
+            EXIT
+            exited = True
+        finally:
+            if observed is not None:
+                gate._close(observed, {0})
+    """,
+}
+
+#: A plain export: the handler runs between ENTER and EXIT.  A
+#: containable fault is translated (``_contain``) before the exit runs.
+_PLAIN = """
+def crossing(args):
+    PROLOGUE
+    observed = gate._observe(fn) if gate._observing else None
+    ENTER
+    try:
+        injector = machine.injector
+        if injector is not None:
+            injector.on_crossing(gate, fn)
+        return handler(*args)
+    except CONTAINABLE_FAULTS as exc:
+        failure = gate._contain(exc)
+        if failure is None:
+            raise
+        raise failure from exc
+    finally:
+        LEAVE(exited)
+"""
+
+#: A blocking export: a generator function, so everything — the
+#: prologue included — runs from the first ``next()``.  The exit runs
+#: before ``_contain`` on a containable fault, and not at all on
+#: ``GeneratorExit``: a thread destroyed while parked inside the callee
+#: discards its whole saved context stack (this crossing's context
+#: included), so only its span is closed, on the track it was opened on.
+_BLOCKING = """
+def crossing(args):
+    PROLOGUE
+    observed = gate._observe(fn) if gate._observing else None
+    ENTER
+    try:
+        injector = machine.injector
+        if injector is not None:
+            injector.on_crossing(gate, fn)
+        result = yield from handler(*args)
+    except GeneratorExit:
+        if observed is not None and observed[1] is not None:
+            tracer.end(track=observed[1])
+        raise
+    except CONTAINABLE_FAULTS as exc:
+        LEAVE(False)
+        failure = gate._contain(exc)
+        if failure is None:
+            raise
+        raise failure from exc
+    except BaseException:
+        LEAVE(False)
+        raise
+    LEAVE(exited)
+    return result
+"""
+
+#: Many queued operations under one crossing (the doorbell): one call
+#: charge, one crossing record and one ENTER/EXIT for the batch, which
+#: enters with the first op's context label and a one-word payload
+#: (the ring tail index).  The call monitors ran for every op at
+#: submission (``Gate.admit``).
+_BATCH = """
+def crossing(ops, entries):
+    profile = cpu._contexts[-1].profile
+    CHARGE(call_ns + profile.call_extra_ns)
+    COUNT
+    observed = gate._observe(f"batch[{len(ops)}]") if gate._observing else None
+    entry = entries[0]
+    label = entry.ctx_label
+    args = (len(ops),)
+    ENTER
+    completions = []
+    try:
+        failure = None
+        for (ticket, fn, args), entry in zip(ops, entries):
+            if failure is not None:
+                completions.append(Completion(ticket, fn, error=failure))
+                continue
+            try:
+                PER_OP_ENTER
+                injector = machine.injector
+                if injector is not None:
+                    injector.on_crossing(gate, fn)
+                completions.append(
+                    Completion(ticket, fn, value=entry.handler(*args))
+                )
+            except CONTAINABLE_FAULTS as exc:
+                failure = gate._contain(exc)
+                if failure is None:
+                    raise
+                completions.append(Completion(ticket, fn, error=failure))
+            except Exception as exc:
+                completions.append(Completion(ticket, fn, error=exc))
+    finally:
+        LEAVE(exited)
+    return completions
+"""
+
+_TEMPLATES = {"plain": _PLAIN, "blocking": _BLOCKING, "batch": _BATCH}
+
+_MACRO_LINE = re.compile(r"^( *)([A-Z][A-Z_]*)(?:\((.*)\))?$")
+
+
+def _expand(source: str, macros: dict[str, str]) -> list[str]:
+    """Expand every macro line of ``source``; returns the lines."""
+    lines: list[str] = []
+    for line in textwrap.dedent(source).strip("\n").splitlines():
+        match = _MACRO_LINE.match(line)
+        if match is None or match[2] not in macros:
+            lines.append(line)
+            continue
+        pad, name, arg = match.groups()
+        text = macros[name] if arg is None else macros[name].format(arg)
+        lines.extend(pad + inner for inner in _expand(text, macros) if inner)
+    return lines
+
+
+#: (gate class, template name) -> factory compiled from their source;
+#: a pure cache, since the source depends on nothing else.
+_FACTORIES: dict[tuple[type, str], Callable] = {}
+
+
+def _factory(cls: type, kind: str, names: tuple[str, ...]) -> Callable:
+    """The compiled ``make(*names) -> crossing`` for a gate class.
+
+    Rendered and compiled once per class and template; every crossing
+    of that kind is a closure over one call's bound values.  The source
+    is registered with :mod:`linecache` under a pseudo file name, so
+    tracebacks through a crossing show its lines.
+    """
+    factory = _FACTORIES.get((cls, kind))
+    if factory is not None:
+        return factory
+    macros = {
+        **_MACROS,
+        "COUNT": cls._count_source(),
+        "ENTER": cls.ENTER,
+        "EXIT": cls.EXIT,
+        "PER_OP_ENTER": cls.PER_OP_ENTER,
+    }
+    body = "".join(f"    {line}\n" for line in _expand(_TEMPLATES[kind], macros))
+    source = f"def make({', '.join(names)}):\n{body}    return crossing\n"
+    filename = f"<{cls.__name__} {kind} crossing>"
+    lines = source.splitlines(True)
+    linecache.cache[filename] = (len(source), None, lines, filename)
+    namespace = {
+        "CONTAINABLE_FAULTS": CONTAINABLE_FAULTS,
+        "Completion": Completion,
+        "Context": Context,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    factory = _FACTORIES[(cls, kind)] = namespace["make"]
+    return factory
 
 
 @dataclasses.dataclass
@@ -295,14 +553,21 @@ class Gate(Channel):
     backend's own counter — so counts agree across backends instead of
     each gate bumping an ad-hoc subset.
 
-    Each gate compiles a crossing plan at construction: one
-    :class:`_PlanEntry` per export (resolved handler, blocking flag,
-    the callee context's label) plus the cost-model sums its backend
-    charges, so a crossing does no lookups or string formatting.
-    ``invoke``, ``invoke_batch`` and ``invoke_gen`` each have one body,
-    in this order: misuse check, prologue (call charge, call monitors,
-    failed-callee check, crossing counters), observers sampled once at
-    entry, ``_enter``, handler, ``_exit``, observers closed.
+    **Compiled crossings.**  When an export is first crossed, its gate
+    compiles one callable for it — a plain function, or a generator
+    function for a blocking export — from the crossing templates in
+    this module and its backend's ``ENTER``/``EXIT`` source fragments,
+    with the handler, callee compartment, context label, cost
+    constants, counter table and metrics edge bound as closure cells;
+    the first batch compiles the gate's one batch crossing.
+    ``invoke`` and ``invoke_gen`` are one dict probe plus a call.  The
+    compiled body runs, in one frame and in this order: prologue (call
+    charge, call monitors, failed-callee fail-fast or revival, crossing
+    counters), observers sampled once at entry, enter, handler, exit,
+    observers closed.  What may change between crossings — the
+    compartment's PKRU, failure state and profile, the context pool,
+    the injector, the observers, time attribution — is read through
+    its object on every crossing, never bound by value.
     """
 
     #: True for channels that cross a compartment boundary; only the
@@ -313,6 +578,17 @@ class Gate(Channel):
     #: Backend-specific counter bumped alongside the unified ones
     #: ("mpk_crossings", "vm_rpcs", ...); empty string disables it.
     EXTRA_COUNTER = ""
+    #: The backend's domain switch into the callee and back, as source
+    #: the compiled crossings inline (see the macros above).  Fragments
+    #: see the names ``_bindings`` returns, the crossing's ``entry``,
+    #: ``label`` and ``args``, and ``Context``; ``ENTER`` leaves the
+    #: pushed context, if any, in ``ctx`` for ``EXIT``.
+    ENTER = ""
+    EXIT = ""
+    #: Per-operation rearm inside one batched crossing.  Most backends
+    #: switch domains once per batch and need nothing here; the CHERI
+    #: gate installs each operation's capability delegations.
+    PER_OP_ENTER = ""
 
     def __init__(
         self,
@@ -337,21 +613,16 @@ class Gate(Channel):
         self._obs = machine.obs
         self._caller_name = caller_lib.NAME
         self._callee_name = callee_lib.NAME
-        self._counters = self._metrics.counters
-        self._call_ns = machine.cost.call_ns
-        self._ret_ns = machine.cost.ret_ns
-        self._is_boundary = self.IS_BOUNDARY
-        bumps = []
-        if self._is_boundary:
-            bumps.append("gate_crossings")
-        if self.EXTRA_COUNTER:
-            bumps.append(self.EXTRA_COUNTER)
-        self._bump_names = tuple(bumps)
         blocking = callee_lib.blocking_exports
         self._plan = {
             fn: _PlanEntry(fn, handler, fn in blocking, self._plan_ctx_label(fn))
             for fn, handler in callee_lib.exports.items()
         }
+        #: Compiled crossings by export: plain, blocking, and the one
+        #: batch (doorbell) crossing.
+        self._calls: dict[str, Callable] = {}
+        self._gen_calls: dict[str, Callable] = {}
+        self._batch_call: Callable | None = None
         #: Whether any observer (the tracer, per-edge latency recording)
         #: is live, re-resolved only when the machine's observability
         #: epoch moves: one int compare per crossing.
@@ -359,17 +630,72 @@ class Gate(Channel):
         self._obs_epoch = -1
         #: Host-side telemetry: how often ``_observing`` was re-resolved.
         self.plan_refreshes = 0
-        #: Pooled callee Context: ``_enter`` takes it (building a fresh
-        #: one while another crossing holds it) and ``_exit`` hands a
-        #: context back only into an empty pool.
+        #: Pooled callee Context: a crossing's enter takes it (building
+        #: a fresh one while another crossing holds it) and its exit
+        #: hands a context back only into an empty pool.
         self._ctx_pool = None
         machine.gates.append(self)
 
-    # --- plan helpers ---------------------------------------------------------
+    # --- compilation ----------------------------------------------------------
 
     def _plan_ctx_label(self, fn: str) -> str:
         """The label of the callee context a crossing into ``fn`` pushes."""
         return f"{self.callee_lib.NAME}.{fn}"
+
+    @classmethod
+    def _count_source(cls) -> str:
+        """``COUNT``: fail fast (or revive) a failed callee, count the
+        crossing, and re-resolve the observers on an epoch bump."""
+        lines = []
+        if cls.IS_BOUNDARY:
+            lines += [
+                "if comp is not None and comp.failed:",
+                "    gate._check_available(comp, cpu)",
+            ]
+        lines += ["gate.crossings += 1", "edge.crossings += 1"]
+        names = ["gate_crossings"] if cls.IS_BOUNDARY else []
+        if cls.EXTRA_COUNTER:
+            names.append(cls.EXTRA_COUNTER)
+        for name in names:
+            lines.append(f'counters["{name}"] = counters.get("{name}", 0.0) + 1.0')
+        lines += [
+            "if gate._obs_epoch != obs.epoch:",
+            "    gate._refresh()",
+        ]
+        return "\n".join(lines)
+
+    def _bindings(self) -> dict[str, Any]:
+        """The per-gate values a compiled crossing binds.
+
+        Backends add their cost constants; every gate of one class must
+        return the same names in the same order.
+        """
+        machine = self.machine
+        return {
+            "gate": self,
+            "machine": machine,
+            "cpu": machine.cpu,
+            "obs": self._obs,
+            "tracer": self._tracer,
+            "counters": self._metrics.counters,
+            "edge": self._edge,
+            "comp": self.callee_comp,
+            "caller_name": self._caller_name,
+            "callee_name": self._callee_name,
+            "call_ns": machine.cost.call_ns,
+            "ret_ns": machine.cost.ret_ns,
+        }
+
+    def _compile(self, entry: _PlanEntry) -> Callable:
+        """Compile (and keep) the crossing into one export."""
+        bindings = self._bindings()
+        bindings.update(
+            entry=entry, fn=entry.fn, handler=entry.handler, label=entry.ctx_label
+        )
+        kind = "blocking" if entry.blocking else "plain"
+        crossing = _factory(type(self), kind, tuple(bindings))(**bindings)
+        (self._gen_calls if entry.blocking else self._calls)[entry.fn] = crossing
+        return crossing
 
     def _lookup(self, fn: str, blocking: bool) -> _PlanEntry:
         """Entry-point enforcement: only exports are callable."""
@@ -388,62 +714,30 @@ class Gate(Channel):
             f"{callee.NAME}.{fn} is blocking; use call_gen / yield from"
         )
 
-    def _prologue(self, fn: str):
-        """Caller side of every crossing; returns the CPU.
+    def _misused(self, fn: str) -> Generator:
+        """``invoke_gen`` of a non-blocking or unknown export: raises
+        the same GateError as ``_lookup`` at the first ``next()``."""
+        self._lookup(fn, blocking=True)
+        yield  # pragma: no cover - _lookup raised
 
-        Charges the call plus the caller profile's per-call
-        instrumentation, runs its call monitors, fails fast (or
-        revives) a failed callee, then counts the crossing.
+    def admit(self, fn: str) -> None:
+        """Submission-time checks for one operation of a batch.
+
+        Entry-point enforcement, then the caller profile's call
+        monitors (CFI target checks, SH-inference observation) — once
+        per operation, in submission order, in the caller's context.
+        A violation is the caller's: the operation is never queued, so
+        its target never runs and the callee is not marked failed.
         """
-        cpu = self.machine.cpu
-        profile = cpu._contexts[-1].profile
-        cpu.charge(self._call_ns + profile.call_extra_ns)
-        monitors = profile.call_monitors
-        if monitors:
-            for monitor in monitors:
-                monitor(self._caller_name, self._callee_name, fn)
-        if self._is_boundary:
-            comp = self.callee_comp
-            if comp is not None and comp.failed:
-                self._check_available(comp, cpu)
-        self.crossings += 1
-        self._edge.crossings += 1
-        counters = self._counters
-        for name in self._bump_names:
-            counters[name] = counters.get(name, 0.0) + 1.0
-        return cpu
-
-    def _push_context(self, entry: _PlanEntry, cpu, pkru: int, capabilities):
-        """Push the callee's context for ``entry``, pooled when free."""
-        ctx = self._ctx_pool
-        if ctx is None:
-            comp = self.callee_comp
-            ctx = Context(
-                address_space=comp.address_space,
-                pkru=pkru,
-                profile=comp.profile,
-                label=entry.ctx_label,
-                capabilities=capabilities,
-            )
-        else:
-            self._ctx_pool = None
-            ctx.label = entry.ctx_label
-            ctx.pkru = pkru
-            ctx.capabilities = capabilities
-        cpu.push_context(ctx)
-        return ctx
-
-    def _pop_context(self, cpu) -> None:
-        """Pop the callee's context; it refills the pool if empty."""
-        ctx = cpu.pop_context()
-        if self._ctx_pool is None:
-            self._ctx_pool = ctx
+        self._lookup(fn, blocking=False)
+        for monitor in self.machine.cpu.current.profile.call_monitors:
+            monitor(self._caller_name, self._callee_name, fn)
 
     # --- observers --------------------------------------------------------------
 
     def _refresh(self) -> None:
         """Re-resolve observer enablement after an obs-epoch bump."""
-        self._observing = self._is_boundary and (
+        self._observing = self.IS_BOUNDARY and (
             self._tracer._enabled or self._metrics._record_edge_latency
         )
         self._obs_epoch = self._obs.epoch
@@ -473,25 +767,14 @@ class Gate(Channel):
         )
         return started, tracer.current_track
 
-    def _close(self, entry, cpu, observed, sample: bool) -> None:
-        """``_exit``, then close what entry observed (if anything).
-
-        The span closes even when the exit itself fails (a lost VM-RPC
-        return notification), so the next crossing's span is a sibling
-        and not a child.  The latency sample is taken only after a
-        clean exit, and only when ``sample`` asks for it.  Hot paths
-        call ``_exit`` directly when nothing was observed.
-        """
-        if observed is None:
-            self._exit(entry, cpu)
-            return
+    def _close(self, observed, sample: bool) -> None:
+        """After the exit: take the latency sample if asked, close the span."""
         started, traced = observed
         try:
-            self._exit(entry, cpu)
             if sample and started is not None:
                 self._metrics.edge_latency(
                     self._caller_name, self._callee_name
-                ).observe(cpu.clock_ns - started)
+                ).observe(self.machine.cpu.clock_ns - started)
         finally:
             if traced is not None:
                 self._tracer.end()
@@ -545,105 +828,44 @@ class Gate(Channel):
             )
         return failure
 
-    # --- domain switch hooks (overridden by real gates) ---------------------------
-
-    def _enter(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        """Perform/charge the switch into the callee's domain."""
-
-    def _exit(self, entry: _PlanEntry, cpu) -> None:
-        """Perform/charge the switch back into the caller's domain."""
-
-    def _per_op_enter(self, entry: _PlanEntry, args: tuple, cpu) -> None:
-        """Per-operation rearm inside one batched crossing.
-
-        Most backends switch domains once per batch and need nothing
-        here; the CHERI gate overrides it to install each operation's
-        capability delegations on the already-derived context.
-        """
-
     # --- channel interface ---------------------------------------------------------
 
     def invoke(self, fn: str, args: tuple) -> Any:
-        entry = self._plan.get(fn)
-        if entry is None or entry.blocking:
-            self._lookup(fn, blocking=False)  # raises GateError
-        cpu = self._prologue(fn)
-        if self._obs_epoch != self._obs.epoch:
-            self._refresh()
-        observed = self._observe(fn) if self._observing else None
-        self._enter(entry, args, cpu)
-        try:
-            injector = self.machine.injector
-            if injector is not None:
-                injector.on_crossing(self, fn)
-            return entry.handler(*args)
-        except CONTAINABLE_FAULTS as exc:
-            failure = self._contain(exc)
-            if failure is None:
-                raise
-            raise failure from exc
-        finally:
-            if observed is None:
-                self._exit(entry, cpu)
-            else:
-                self._close(entry, cpu, observed, True)
+        crossing = self._calls.get(fn)
+        if crossing is None:
+            crossing = self._compile(self._lookup(fn, blocking=False))
+        return crossing(args)
 
     def invoke_batch(
         self, ops: list[tuple[int, str, tuple]]
     ) -> list[Completion]:
         """Execute many queued operations under ONE crossing (doorbell).
 
-        ``ops`` is ``[(ticket, fn, args), ...]``.  The gate pays one
-        caller-side charge, one crossing record, and one enter/exit
-        domain switch for the whole batch; each op then dispatches
-        inside the callee's domain.  Crash-mid-batch semantics: an op
-        failing with a containable fault gets the translated
-        :class:`CompartmentFailure` in its completion, every *later* op
-        in the batch is aborted with the same failure (the callee
-        domain is gone), and ops that completed before it keep their
-        results — exactly the state N sync calls would have left behind
-        at the point of the crash.  Under the ``propagate`` policy the
-        raw fault is raised instead (whole-image crash, as sync invoke
-        would).  Ordinary (non-fault) exceptions fail only their own
-        op, as N separate sync calls would.
+        ``ops`` is ``[(ticket, fn, args), ...]``, each already admitted
+        (:meth:`admit`).  The gate pays one caller-side charge, one
+        crossing record, and one enter/exit domain switch for the whole
+        batch; each op then dispatches inside the callee's domain.
+        Crash-mid-batch semantics: an op failing with a containable
+        fault gets the translated :class:`CompartmentFailure` in its
+        completion, every *later* op in the batch is aborted with the
+        same failure (the callee domain is gone), and ops that
+        completed before it keep their results — exactly the state N
+        sync calls would have left behind at the point of the crash.
+        Under the ``propagate`` policy the raw fault is raised instead
+        (whole-image crash, as sync invoke would).  Ordinary
+        (non-fault) exceptions fail only their own op, as N separate
+        sync calls would.
         """
         if not ops:
             return []
         entries = [self._lookup(fn, blocking=False) for _, fn, _ in ops]
-        cpu = self._prologue(ops[0][1])
-        if self._obs_epoch != self._obs.epoch:
-            self._refresh()
-        observed = self._observe(f"batch[{len(ops)}]") if self._observing else None
-        machine = self.machine
-        completions: list[Completion] = []
-        # The doorbell payload is one word: the ring tail index.
-        self._enter(entries[0], (len(ops),), cpu)
-        try:
-            failure: BaseException | None = None
-            for (ticket, fn, args), entry in zip(ops, entries):
-                if failure is not None:
-                    completions.append(Completion(ticket, fn, error=failure))
-                    continue
-                try:
-                    self._per_op_enter(entry, args, cpu)
-                    if machine.injector is not None:
-                        machine.injector.on_crossing(self, fn)
-                    completions.append(
-                        Completion(ticket, fn, value=entry.handler(*args))
-                    )
-                except CONTAINABLE_FAULTS as exc:
-                    failure = self._contain(exc)
-                    if failure is None:
-                        raise
-                    completions.append(Completion(ticket, fn, error=failure))
-                except Exception as exc:
-                    completions.append(Completion(ticket, fn, error=exc))
-        finally:
-            if observed is None:
-                self._exit(entries[0], cpu)
-            else:
-                self._close(entries[0], cpu, observed, True)
-        return completions
+        crossing = self._batch_call
+        if crossing is None:
+            bindings = self._bindings()
+            crossing = self._batch_call = _factory(
+                type(self), "batch", tuple(bindings)
+            )(**bindings)
+        return crossing(ops, entries)
 
     def invoke_gen(self, fn: str, args: tuple) -> Generator:
         """Blocking crossing: a generator to drive with ``yield from``.
@@ -658,43 +880,13 @@ class Gate(Channel):
         the callee — so a thread destroyed mid-call or an unwinding
         fault records nothing.
         """
-        entry = self._plan.get(fn)
-        if entry is None or not entry.blocking:
-            self._lookup(fn, blocking=True)  # raises GateError
-        cpu = self._prologue(fn)
-        if self._obs_epoch != self._obs.epoch:
-            self._refresh()
-        observed = self._observe(fn) if self._observing else None
-        self._enter(entry, args, cpu)
-        try:
-            injector = self.machine.injector
-            if injector is not None:
-                injector.on_crossing(self, fn)
-            result = yield from entry.handler(*args)
-        except GeneratorExit:
-            # The thread was destroyed while parked inside the callee:
-            # its entire saved protection-context stack (including the
-            # context this gate pushed) is discarded with it, so there
-            # is nothing to restore on the live CPU — but the trace
-            # span must still be closed on the track it was opened on,
-            # or exports carry a dangling span for the dead thread.
-            if observed is not None and observed[1] is not None:
-                self._tracer.end(track=observed[1])
-            raise
-        except CONTAINABLE_FAULTS as exc:
-            self._close(entry, cpu, observed, False)
-            failure = self._contain(exc)
-            if failure is None:
-                raise
-            raise failure from exc
-        except BaseException:
-            self._close(entry, cpu, observed, False)
-            raise
-        if observed is None:
-            self._exit(entry, cpu)
-        else:
-            self._close(entry, cpu, observed, True)
-        return result
+        crossing = self._gen_calls.get(fn)
+        if crossing is None:
+            entry = self._plan.get(fn)
+            if entry is None or not entry.blocking:
+                return self._misused(fn)
+            crossing = self._compile(entry)
+        return crossing(args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

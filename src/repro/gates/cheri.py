@@ -34,6 +34,32 @@ class CHERIGate(Gate):
     KIND = "cheri"
     EXTRA_COUNTER = "cheri_crossings"
 
+    # The callee context carries a capability set derived from the
+    # compartment's, plus the call's delegations; popping it revokes
+    # every delegated capability.
+    ENTER = """
+        CHARGE(crossing_ns)
+        pkru = comp.pkru_value
+        capabilities = comp.capabilities.derive()
+        if entry.extra:
+            gate._grant(entry.extra, args, capabilities, cpu)
+        PUSH_POOLED
+    """
+    EXIT = """
+        POP_POOLED
+        ADD(cheri_exit_ns)
+    """
+    # A batched crossing (queue channel doorbell) enters the callee
+    # domain once with no per-call pointers; each drained submission
+    # then delegates its own bounded capabilities on the live context.
+    # Grants accumulate over the batch and are revoked together when
+    # the batch context pops — the price of amortising the crossing is
+    # a batch-wide (rather than per-call) revocation epoch.
+    PER_OP_ENTER = """
+        if entry.extra:
+            gate._grant(entry.extra, args, cpu._contexts[-1].capabilities, cpu)
+    """
+
     def __init__(
         self,
         machine: "Machine",
@@ -47,10 +73,7 @@ class CHERIGate(Gate):
                 f"CHERIGate to {callee_lib.NAME}: compartment has no "
                 f"capability set (build with backend='cheri')"
             )
-        cost = machine.cost
-        self._crossing_ns = cost.cheri_crossing_ns
-        self._grant_ns = cost.cheri_grant_ns
-        self._cheri_exit_ns = cost.cheri_crossing_ns + cost.ret_ns
+        self._grant_ns = machine.cost.cheri_grant_ns
         # CAP_GRANTS is class-level static metadata: stash each
         # export's grant specs on its plan entry once.
         for fn, entry in self._plan.items():
@@ -59,10 +82,18 @@ class CHERIGate(Gate):
     def _plan_ctx_label(self, fn: str) -> str:
         return f"cap:{self.callee_lib.NAME}.{fn}"
 
+    def _bindings(self) -> dict:
+        cost = self.machine.cost
+        return {
+            **super()._bindings(),
+            "crossing_ns": cost.cheri_crossing_ns,
+            "cheri_exit_ns": cost.cheri_crossing_ns + cost.ret_ns,
+        }
+
     def _grant(self, specs, args: tuple, capabilities, cpu) -> None:
         """Charge and install one call's delegations."""
         grant_ns = self._grant_ns
-        counters = self._counters
+        counters = self._metrics.counters
         nargs = len(args)
         for pointer_index, size_spec in specs:
             if pointer_index >= nargs:
@@ -79,29 +110,3 @@ class CHERIGate(Gate):
             cpu.charge(grant_ns)
             capabilities.grant(addr, size)
             counters["cap_grants"] = counters.get("cap_grants", 0.0) + 1.0
-
-    def _enter(self, entry, args, cpu) -> None:
-        cpu.charge(self._crossing_ns)
-        comp = self.callee_comp
-        capabilities = comp.capabilities.derive()
-        if entry.extra:
-            self._grant(entry.extra, args, capabilities, cpu)
-        self._push_context(entry, cpu, comp.pkru_value, capabilities)
-
-    def _per_op_enter(self, entry, args, cpu) -> None:
-        """Install one batched op's delegations on the live context.
-
-        A batched crossing (queue channel doorbell) enters the callee
-        domain once with no per-call pointers; each drained submission
-        then delegates its own bounded capabilities here.  Grants
-        accumulate over the batch and are revoked together when the
-        batch context pops — the price of amortising the crossing is a
-        batch-wide (rather than per-call) revocation epoch.
-        """
-        if entry.extra:
-            self._grant(entry.extra, args, cpu._contexts[-1].capabilities, cpu)
-
-    def _exit(self, entry, cpu) -> None:
-        # Popping the context revokes every delegated capability.
-        self._pop_context(cpu)
-        cpu.charge(self._cheri_exit_ns)

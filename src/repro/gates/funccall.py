@@ -26,9 +26,7 @@ class DirectChannel(Gate):
     #: gate crossing.
     IS_BOUNDARY = False
     EXTRA_COUNTER = "direct_calls"
-
-    def _exit(self, entry, cpu) -> None:
-        cpu.charge(self._ret_ns)
+    EXIT = "CHARGE(ret_ns)"
 
 
 class ProfileChannel(Gate):
@@ -46,10 +44,12 @@ class ProfileChannel(Gate):
     #: historical ``direct_calls`` counter for its call cost class.
     EXTRA_COUNTER = "direct_calls"
 
-    def _enter(self, entry, args, cpu) -> None:
-        comp = self.callee_comp
-        self._push_context(entry, cpu, comp.pkru_value, comp.capabilities)
-
-    def _exit(self, entry, cpu) -> None:
-        self._pop_context(cpu)
-        cpu.charge(self._ret_ns)
+    ENTER = """
+        pkru = comp.pkru_value
+        capabilities = comp.capabilities
+        PUSH_POOLED
+    """
+    EXIT = """
+        POP_POOLED
+        ADD(ret_ns)
+    """

@@ -26,6 +26,22 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
 
     KIND = "mpk-switched"
 
+    # Stack switch plus copying each parameter word to the target
+    # compartment's stack (read caller stack, write callee); on the way
+    # back, switch back and copy the return value to the caller's
+    # stack.  Then the shared-stack gate's WRPKRU pair.
+    ENTER = """
+        arg_bytes = max(1, len(args)) * word_bytes
+        copy_hist.observe(arg_bytes)
+        CHARGE(ss_base_ns + arg_bytes * mem_byte_ns * 2)
+        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
+    """ + MPKSharedStackGate.ENTER
+
+    EXIT = """
+        CHARGE(ss_exit_ns)
+        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
+    """ + MPKSharedStackGate.EXIT
+
     def __init__(
         self,
         machine: "Machine",
@@ -37,31 +53,19 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         # Distribution of the per-crossing parameter copies — the cost
         # component that separates this gate from the shared-stack one.
         self._copy_hist = machine.cpu.metrics.histogram("gate.arg_copy_bytes")
+
+    def _bindings(self) -> dict:
         # Charge sums keep the association order (a + b) + c of the
         # original per-call arithmetic; the golden corpus pins the floats.
-        cost = machine.cost
-        self._ss_base_ns = cost.stack_switch_ns + cost.mem_op_ns
-        self._mem_byte_ns = cost.mem_byte_ns
-        self._word_bytes = self.options.word_bytes
-        self._ss_exit_ns = (
-            cost.stack_switch_ns
-            + cost.mem_op_ns
-            + self.options.word_bytes * cost.mem_byte_ns * 2
-        )
-
-    def _enter(self, entry, args, cpu) -> None:
-        # Stack switch plus copying each parameter word to the target
-        # compartment's stack (read caller stack, write callee).
-        arg_bytes = max(1, len(args)) * self._word_bytes
-        self._copy_hist.observe(arg_bytes)
-        cpu.charge(self._ss_base_ns + arg_bytes * self._mem_byte_ns * 2)
-        counters = self._counters
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._enter(entry, args, cpu)
-
-    def _exit(self, entry, cpu) -> None:
-        # Switch back and copy the return value to the caller's stack.
-        cpu.charge(self._ss_exit_ns)
-        counters = self._counters
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
-        super()._exit(entry, cpu)
+        cost = self.machine.cost
+        word_bytes = self.options.word_bytes
+        return {
+            **super()._bindings(),
+            "copy_hist": self._copy_hist,
+            "word_bytes": word_bytes,
+            "mem_byte_ns": cost.mem_byte_ns,
+            "ss_base_ns": cost.stack_switch_ns + cost.mem_op_ns,
+            "ss_exit_ns": (
+                cost.stack_switch_ns + cost.mem_op_ns + word_bytes * cost.mem_byte_ns * 2
+            ),
+        }

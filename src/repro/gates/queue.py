@@ -149,10 +149,11 @@ class QueueChannel(Channel):
 
     def submit(self, fn: str, *args: Any) -> int:
         """Append one SQE; flushes on ring-full or batch-size policy."""
-        # Entry-point enforcement happens at submission time so an
-        # unknown or blocking export fails where the caller can see it,
-        # not batches later inside someone else's flush.
-        self.inner._lookup(fn, blocking=False)
+        # Entry-point enforcement and the caller's call monitors (CFI)
+        # run at submission time, once per op, so a bad op fails where
+        # the caller can see it — never queued, never run — not
+        # batches later inside someone else's flush.
+        self.inner.admit(fn)
         if len(self._pending) >= self._depth:
             self.flush()
         ticket = self._take_ticket()

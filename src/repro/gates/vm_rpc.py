@@ -38,6 +38,20 @@ class VMRPCGate(Gate):
     KIND = "vm-rpc"
     EXTRA_COUNTER = "vm_rpcs"
 
+    # One notification carries the call's argument words; the return
+    # notification carries one word back.
+    ENTER = """
+        gate._notify(max(1, len(args)) * word_bytes)
+        pkru = comp.pkru_value
+        capabilities = comp.capabilities
+        PUSH_POOLED
+    """
+    EXIT = """
+        POP_POOLED
+        gate._notify(word_bytes)
+        ADD(ret_ns)
+    """
+
     def __init__(
         self,
         machine: "Machine",
@@ -53,10 +67,12 @@ class VMRPCGate(Gate):
         #: Resilience accounting for this channel.
         self.retries = 0
         self.duplicates_discarded = 0
-        self._word_bytes = self.options.word_bytes
 
     def _plan_ctx_label(self, fn: str) -> str:
         return f"rpc:{self.callee_lib.NAME}.{fn}"
+
+    def _bindings(self) -> dict:
+        return {**super()._bindings(), "word_bytes": self.options.word_bytes}
 
     def _notify(self, payload_bytes: int) -> None:
         """Send one notification, resending on loss until delivered.
@@ -97,13 +113,3 @@ class VMRPCGate(Gate):
                 cost.vm_rpc_timeout_ns
                 * self.options.rpc_backoff_factor ** (attempts - 1)
             )
-
-    def _enter(self, entry, args, cpu) -> None:
-        self._notify(max(1, len(args)) * self._word_bytes)
-        comp = self.callee_comp
-        self._push_context(entry, cpu, comp.pkru_value, comp.capabilities)
-
-    def _exit(self, entry, cpu) -> None:
-        self._pop_context(cpu)
-        self._notify(self._word_bytes)
-        cpu.charge(self._ret_ns)

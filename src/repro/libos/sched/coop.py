@@ -326,9 +326,13 @@ thread_join(tid)
                     if deadline > cpu.clock_ns:
                         charge(deadline - cpu.clock_ns)
                         if cpu.clock_ns < deadline:
+                            # Float rounding can leave clock + (deadline
+                            # - clock) short of the deadline; the timer
+                            # would then never come due.
                             raise GateError(
-                                "cannot idle-advance the clock while CPU "
-                                "charging is disabled"
+                                f"idle advance left the clock at "
+                                f"{cpu.clock_ns!r} ns, short of the next "
+                                f"timer deadline {deadline!r} ns"
                             )
                     continue
                 thread = run_queue.popleft()
@@ -426,7 +430,7 @@ thread_join(tid)
 
         Each round starts with the timer sweep, as the real one does,
         so a round that wakes a sleeper or finds the thread no longer
-        alone (or charging off) is handed back right after its sweep:
+        alone is handed back right after its sweep:
         it must not sweep again, because each wake charges
         ``waitq_op_ns`` and a second sweep would also wake a timer due
         those few ns later, one round early.
@@ -460,7 +464,6 @@ thread_join(tid)
                 due = collect(clock)
                 if (
                     due
-                    or not cpu.charging
                     or len(run_queue) != 1
                     or run_queue[0] is not thread
                 ):

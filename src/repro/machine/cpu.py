@@ -72,20 +72,19 @@ class Context:
 class CPU:
     """Simulated CPU: context stack, nanosecond clock, and counters.
 
-    The clock only moves via :meth:`charge`; determinism is total.  The
-    ``charging`` flag lets the harness perform setup work (loading a
-    workload into NIC rings, seeding datasets) without billing the
-    measured server.
+    The clock only moves by charges — :meth:`charge`, and the same
+    additions inlined by the machine's access path and the compiled
+    gate crossings — so determinism is total.
     """
 
     def __init__(self, cost: CostModel | None = None) -> None:
         self.cost = cost if cost is not None else DEFAULT_COST_MODEL
         self._clock_ns: float = 0.0
-        self.charging: bool = True
         self._contexts: list[Context] = []
         # Deferred accounting (the machine fast path): memory ops
         # accumulate their clock and counter deltas into these plain
-        # attributes instead of going through charge()/bump() per op.
+        # attributes instead of going through charge()/bump() per op
+        # (Machine.load/store add to them inline).
         # flush_accounting() folds them into the real clock/counters at
         # every observation point — any direct charge, context change,
         # stats/snapshot read — so no external reader can tell the
@@ -148,19 +147,15 @@ class CPU:
         Called at every observation point: direct charges, context
         push/pop/swap (so attribution lands on the accruing context),
         counter/snapshot reads, and scheduler switches.  Idempotent;
-        the two per-switch callers (:meth:`charge`,
-        :meth:`swap_context_stack`) skip the call when nothing is
-        pending.
+        the charge and context-change paths skip the call when nothing
+        is pending.
         """
         pending = self._pending_ns
         if pending:
             self._pending_ns = 0.0
             self._clock_ns += pending
-            if self.attribute_time and self._contexts:
-                name = self._contexts[-1].profile.name
-                self._domain_time_ns[name] = (
-                    self._domain_time_ns.get(name, 0.0) + pending
-                )
+            if self.attribute_time:
+                self._attribute(pending)
         if self._pend_loads:
             counters = self.metrics.counters
             counters["loads"] = counters.get("loads", 0.0) + self._pend_loads
@@ -194,14 +189,16 @@ class CPU:
 
     def push_context(self, context: Context) -> None:
         """Enter a protection domain (gate entry, boot)."""
-        self.flush_accounting()
+        if self._pending_ns or self._pend_loads or self._pend_stores:
+            self.flush_accounting()
         self._contexts.append(context)
 
     def pop_context(self) -> Context:
         """Leave the current protection domain (gate return)."""
         if not self._contexts:
             raise RuntimeError("context stack underflow")
-        self.flush_accounting()
+        if self._pending_ns or self._pend_loads or self._pend_stores:
+            self.flush_accounting()
         return self._contexts.pop()
 
     @property
@@ -262,16 +259,22 @@ class CPU:
     # --- accounting -------------------------------------------------------
 
     def charge(self, ns: float) -> None:
-        """Advance the clock by ``ns`` simulated nanoseconds."""
-        if self.charging:
-            if self._pending_ns or self._pend_loads or self._pend_stores:
-                self.flush_accounting()
-            self._clock_ns += ns
-            if self.attribute_time and self._contexts:
-                name = self._contexts[-1].profile.name
-                self._domain_time_ns[name] = (
-                    self._domain_time_ns.get(name, 0.0) + ns
-                )
+        """Advance the clock by ``ns`` simulated nanoseconds.
+
+        Compiled gate crossings inline exactly these steps (see
+        ``CHARGE`` in :mod:`repro.gates.base`).
+        """
+        if self._pending_ns or self._pend_loads or self._pend_stores:
+            self.flush_accounting()
+        self._clock_ns += ns
+        if self.attribute_time:
+            self._attribute(ns)
+
+    def _attribute(self, ns: float) -> None:
+        """Add a charge to the executing context's profile's time."""
+        if self._contexts:
+            name = self._contexts[-1].profile.name
+            self._domain_time_ns[name] = self._domain_time_ns.get(name, 0.0) + ns
 
     def charge_mem(self, ns: float, op: str, size: int) -> None:
         """Deferred-accounting charge for one memory op.
@@ -279,10 +282,10 @@ class CPU:
         Accumulates the clock delta and the loads/stores counters into
         the pending accumulators instead of the registry; they are
         folded in by :meth:`flush_accounting` at the next observation
-        point.  Every access path of the machine charges through here.
+        point.  ``Machine.load``/``store`` perform these additions
+        inline.
         """
-        if self.charging:
-            self._pending_ns += ns
+        self._pending_ns += ns
         if op == "load":
             self._pend_loads += 1.0
             self._pend_load_bytes += size

@@ -49,6 +49,8 @@ class Machine:
     ) -> None:
         self.phys = PhysicalMemory(phys_bytes)
         self.cpu = CPU(cost)
+        #: The active cost model (the CPU's; set once, at construction).
+        self.cost: CostModel = self.cpu.cost
         #: Software-TLB telemetry.  Deliberately *not* registry
         #: counters: they are host-side facts about translation
         #: caching, and keeping them out of the registry keeps
@@ -73,11 +75,6 @@ class Machine:
         #: :mod:`repro.libos.alloc.groupheap`); installed by the builder
         #: or lazily by the first queue channel that needs ring memory.
         self.group_heaps = None
-
-    @property
-    def cost(self) -> CostModel:
-        """The active cost model."""
-        return self.cpu.cost
 
     # --- topology ---------------------------------------------------------
 
@@ -141,13 +138,18 @@ class Machine:
     def load(self, vaddr: int, size: int) -> bytes:
         """Checked read of ``size`` bytes by the current context."""
         cpu = self.cpu
-        context = cpu.current
+        contexts = cpu._contexts
+        if not contexts:
+            raise RuntimeError("no execution context active")
+        context = contexts[-1]
         profile = context.profile
-        cpu.charge_mem(
-            (cpu.cost.mem_op_ns + size * cpu.cost.mem_byte_ns) * profile.load_factor,
-            "load",
-            size,
-        )
+        cost = cpu.cost
+        # Deferred accounting, inline (CPU.charge_mem's additions).
+        cpu._pending_ns += (
+            cost.mem_op_ns + size * cost.mem_byte_ns
+        ) * profile.load_factor
+        cpu._pend_loads += 1.0
+        cpu._pend_load_bytes += size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "load", vaddr, size)
@@ -167,7 +169,8 @@ class Machine:
                 else:
                     self.tlb_hits += 1
                 paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-                return bytes(self.phys.view[paddr : paddr + size])
+                # Slicing the mmap copies once, straight into bytes.
+                return self.phys.data[paddr : paddr + size]
             # Multi-page: try the range cache first — one probe and one
             # slice when the run was already checked and its frames are
             # physically contiguous.
@@ -176,11 +179,11 @@ class Machine:
             npages = last_vpn - vpn + 1
             range_key = (vpn, npages, "read", pkru)
             base_paddr = space._range_cache.get(range_key)
-            view = self.phys.view
             if base_paddr is not None:
                 self.tlb_hits += 1
                 paddr = base_paddr | (vaddr & _PAGE_MASK)
-                return bytes(view[paddr : paddr + size])
+                return self.phys.data[paddr : paddr + size]
+            view = self.phys.view
             chunks = []
             offset = vaddr
             end = vaddr + size
@@ -221,14 +224,18 @@ class Machine:
     def store(self, vaddr: int, payload: bytes) -> None:
         """Checked write of ``payload`` by the current context."""
         cpu = self.cpu
-        context = cpu.current
+        contexts = cpu._contexts
+        if not contexts:
+            raise RuntimeError("no execution context active")
+        context = contexts[-1]
         profile = context.profile
         size = len(payload)
-        cpu.charge_mem(
-            (cpu.cost.mem_op_ns + size * cpu.cost.mem_byte_ns) * profile.store_factor,
-            "store",
-            size,
-        )
+        cost = cpu.cost
+        cpu._pending_ns += (
+            cost.mem_op_ns + size * cost.mem_byte_ns
+        ) * profile.store_factor
+        cpu._pend_stores += 1.0
+        cpu._pend_store_bytes += size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "store", vaddr, size)

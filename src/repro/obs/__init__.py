@@ -80,8 +80,8 @@ class Observability:
         # Give the CPU its hook point (wrpkru instants, etc.).
         cpu.tracer = self.tracer
         #: Monotonic generation counter for observability toggles.
-        #: Precompiled gate crossing plans cache which recorders
-        #: (tracer spans, edge-latency histograms) are live and only
+        #: Compiled gate crossings cache whether any recorder (tracer
+        #: spans, edge-latency histograms) is live and only
         #: re-resolve when this epoch moves — one int compare per
         #: crossing instead of re-checking every hook.
         self.epoch = 0

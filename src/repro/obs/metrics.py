@@ -116,9 +116,9 @@ class MetricsRegistry:
         #: sessions (:mod:`repro.obs.profile`) pay for it.
         self._record_edge_latency = False
         #: Optional zero-arg hook fired when :attr:`record_edge_latency`
-        #: flips — the machine's Observability bumps its epoch so gate
-        #: crossing plans re-resolve (exploration registries leave it
-        #: unset).
+        #: flips — the machine's Observability bumps its epoch so
+        #: compiled gate crossings re-resolve (exploration registries
+        #: leave it unset).
         self._on_obs_toggle: "Callable[[], None] | None" = None
 
     @property

@@ -38,8 +38,8 @@ class Tracer:
         self._enabled = False
         #: Optional zero-arg hook fired whenever :attr:`enabled` flips.
         #: The machine's :class:`~repro.obs.Observability` points it at
-        #: its epoch bump so precompiled gate crossing plans know to
-        #: re-resolve their recorder lists.
+        #: its epoch bump so compiled gate crossings know to re-resolve
+        #: whether an observer is live.
         self._on_toggle: Callable[[], None] | None = None
         self.events: list[dict] = []
         self.track_names: dict[int, str] = {

@@ -144,7 +144,7 @@ def collect(
         # All zeros unless this process also ran the explorer, but the
         # key is always present so CI can diff report shapes.
         "exploration": exploration_metrics().snapshot(),
-        # Host-side simulator telemetry (software TLB, crossing plans).
+        # Host-side simulator telemetry (software TLB, gate crossings).
         # Always collected; the text renderer shows it under --machine.
         "machine": telemetry,
         "trace_file": str(trace_path) if trace_path else None,
@@ -461,8 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         "--machine",
         action="store_true",
         help="also summarize simulator telemetry (software-TLB "
-        "hit/miss/shootdown counts, crossing plans and refreshes, timer-"
-        "wheel sweeps per scheduler round and cascades, replayed idle "
+        "hit/miss/shootdown counts, gates, crossings and observer "
+        "refreshes, timer-wheel sweeps per scheduler round and "
+        "cascades, replayed idle "
         "polls, wake-vs-poll completion delivery — host-side "
         "telemetry, never part of the simulated metrics)",
     )

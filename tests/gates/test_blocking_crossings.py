@@ -1,4 +1,4 @@
-"""Blocking gate crossings on the crossing plan.
+"""Blocking gate crossings, compiled per export.
 
 A blocking export (``mq.q_pop``, ``libc.sem_p``, ``netstack.recv``)
 suspends inside the callee's domain, so its crossing spans scheduler

@@ -1,7 +1,7 @@
-"""Property suite for gate crossings on the crossing plan.
+"""Property suite for compiled gate crossings.
 
-Every crossing — plain, batched, blocking — runs one body on its gate's
-precompiled plan; observers (the tracer, per-edge latency recording)
+Every crossing — plain, batched, blocking — runs one body, compiled per
+export by its gate; observers (the tracer, per-edge latency recording)
 only hook that body, sampled once at entry.  Randomized operation
 traces (sync invokes, faulting invokes, blocking crossings that suspend
 or fail, batched queue submissions) run once unobserved and once with

@@ -1,0 +1,131 @@
+"""Host-cost guards for the two hottest simulator paths.
+
+- *Frame budget.*  A gate crossing is compiled into one function per
+  export, and a checked load or store accounts for itself inline, so
+  each costs a fixed, small number of Python frames.  The budgets
+  below count ``sys.setprofile`` "call" events (generator resumptions
+  included) and hold on CPython 3.10–3.12; an interpreted step sneaking
+  back into either path shows up here as a budget overrun.
+- *Ledger coverage.*  perfbench's traced ledger attributes gate time by
+  wrapping ``Gate.invoke`` and ``Gate.invoke_gen`` on the class, so
+  every crossing must enter through one of them.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+
+import pytest
+
+from repro import build_image
+from repro.apps import run_iperf
+from repro.gates import make_channel
+from repro.gates.base import Gate
+from repro.libos.library import Stub
+from tests.golden.worlds import enter_caller, fig3_config, make_world
+
+#: Channel kind -> (plain crossing, blocking crossing) frame budget,
+#: counted from the Stub call: the stub, the gate entry point, the
+#: compiled crossing and the handler (both resumed once when blocking),
+#: plus whatever the backend's domain switch still calls.
+BUDGETS = {
+    "direct": (4, 6),
+    "profile": (4, 6),
+    "mpk-shared": (4, 6),
+    "mpk-switched": (5, 7),
+    "cheri": (6, 8),
+    "vm-rpc": (10, 12),
+}
+
+
+def _frames(thunk) -> int:
+    """Python frames entered while ``thunk`` runs (itself excluded).
+
+    The cyclic collector is held off meanwhile: finalizers it runs
+    (generators left over from earlier tests) are Python frames too.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is not thunk.__code__:
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGETS))
+def test_crossing_frame_budget(kind):
+    world = kind if kind in ("mpk-switched", "cheri", "vm-rpc") else "mpk-shared"
+    machine, service, caller = make_world(world)
+    stub = Stub(make_channel(kind, machine, caller, service))
+    enter_caller(machine, caller)
+
+    def plain():
+        stub.call("echo", 1)
+
+    def blocking():
+        for _ in stub.call_gen("sleepy"):
+            pass
+
+    plain()  # compiles the crossings and fills the context pool
+    blocking()
+    plain_budget, blocking_budget = BUDGETS[kind]
+    assert _frames(plain) <= plain_budget
+    assert _frames(blocking) <= blocking_budget
+
+
+def test_memory_access_frame_budget():
+    machine, _, caller = make_world("mpk-shared")
+    enter_caller(machine, caller)
+    addr = caller.compartment.alloc_region(4096)
+
+    def load():
+        machine.load(addr, 8)
+
+    def store():
+        machine.store(addr, b"01234567")
+
+    def copy():
+        machine.copy(addr + 64, addr, 8)
+
+    for access in (load, store, copy):
+        access()  # fills the software TLB
+    assert _frames(load) <= 1
+    assert _frames(store) <= 1
+    assert _frames(copy) <= 3  # copy, load, store
+
+
+def test_every_crossing_enters_through_the_wrapped_entry_points(monkeypatch):
+    """Wrap the entry points on the class before the image exists, as
+    the traced ledger does; the wrappers see every crossing."""
+    entered = 0
+    invoke, invoke_gen = Gate.invoke, Gate.invoke_gen
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            nonlocal entered
+            entered += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Gate, "invoke", counted(invoke))
+    monkeypatch.setattr(Gate, "invoke_gen", counted(invoke_gen))
+    image = build_image(fig3_config("mpk-shared", {}))
+    run_iperf(image, 256, 1 << 15)
+    crossings = sum(gate.crossings for gate in image.machine.gates)
+    assert crossings > 300
+    assert entered == crossings

@@ -161,6 +161,42 @@ def test_cfi_stops_rogue_control_transfer():
         image.machine.cpu.pop_context()
 
 
+def test_cfi_checks_every_batched_op():
+    """A queue edge batches calls into one doorbell crossing, but CFI
+    still checks each op's target, once, before it can run: the rogue
+    op fails at submission, the legitimate op before it still runs, and
+    the callee is not blamed."""
+    image = build_image(
+        BuildConfig(
+            libraries=LIBS,
+            compartments=GROUPS,
+            backend="mpk-shared",
+            hardening={"netstack": ("cfi",)},
+            queue_edges={"netstack->libc": "batch:8"},
+        )
+    )
+    machine = image.machine
+    libc_comp = image.compartment_of("libc")
+    buf = libc_comp.alloc_region(4096)
+    libc = image.lib("netstack").stub("libc")
+    machine.cpu.push_context(image.compartment_of("netstack").make_context("rogue"))
+    try:
+        # libc::memset is not in the netstack's analysed call graph.
+        with pytest.raises(SHViolation, match="cfi"):
+            libc.call("memset", buf, 0xAA, 8)
+        checks = machine.cpu.stats["cfi_checks"]
+        libc.submit("memcpy", buf + 64, buf, 8)
+        with pytest.raises(SHViolation, match="cfi"):
+            libc.submit("memset", buf, 0xAA, 8)
+        assert libc.flush() == 1
+        assert [c.fn for c in libc.poll() if c.ok] == ["memcpy"]
+    finally:
+        machine.cpu.pop_context()
+    assert machine.cpu.stats["cfi_checks"] == checks + 2
+    assert machine.dma_read(libc_comp.address_space, buf, 8) == bytes(8)
+    assert not libc_comp.failed
+
+
 def test_gates_only_expose_declared_entry_points():
     """'Code execution starts only at well-defined entry points.'"""
     from repro.machine.faults import GateError

@@ -42,16 +42,6 @@ def test_charge_advances_clock():
     assert cpu.clock_ns == 15.0
 
 
-def test_charging_can_be_disabled():
-    cpu = CPU()
-    cpu.charging = False
-    cpu.charge(100.0)
-    assert cpu.clock_ns == 0.0
-    cpu.charging = True
-    cpu.charge(1.0)
-    assert cpu.clock_ns == 1.0
-
-
 def test_counters_and_snapshot():
     cpu = CPU()
     cpu.bump("loads")

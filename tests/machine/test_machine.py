@@ -111,6 +111,18 @@ def test_access_charges_clock_and_counters(booted):
     assert machine.cpu.stats["store_bytes"] == 100
 
 
+def test_access_without_context_raises_before_charging(machine):
+    space = machine.new_address_space("main")
+    vaddr = space.map_new(PAGE_SIZE)
+    for access in (
+        lambda: machine.load(vaddr, 8),
+        lambda: machine.store(vaddr, b"x" * 8),
+    ):
+        with pytest.raises(RuntimeError, match="no execution context active"):
+            access()
+    assert machine.cpu.snapshot() == {"clock_ns": 0.0}
+
+
 def test_profile_factor_scales_cost(machine):
     space = machine.new_address_space("main")
     vaddr = space.map_new(PAGE_SIZE)
