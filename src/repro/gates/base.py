@@ -134,36 +134,14 @@ class _PlanEntry:
 # :class:`Gate`).  In templates and fragments, a line holding only a
 # macro name — ``NAME`` or ``NAME(arg)`` — expands, at that line's
 # indentation, into the macro's source (``{0}`` standing for ``arg``),
-# itself expanded in turn.  ``CHARGE``, ``PUSH`` and ``POP`` are
-# ``CPU.charge``, ``push_context`` and ``pop_context`` inlined step for
-# step: the same float additions in the same order, and the pending
-# memory-op fold exactly where those methods fold it.  ``ADD`` is a
-# ``CHARGE`` right after a fold point (a CHARGE, PUSH or POP, or a call
-# that charges) with no memory access in between: nothing can be
-# pending there, so it drops the fold test and changes nothing else.
+# itself expanded in turn.  ``CHARGE`` is ``CPU.charge`` inlined step
+# for step, and the pooled push and pop are ``push_context`` and
+# ``pop_context``.
 _MACROS = {
-    "FOLD": """
-        if cpu._pending_ns or cpu._pend_loads or cpu._pend_stores:
-            cpu.flush_accounting()
-    """,
-    "ADD": """
+    "CHARGE": """
         cpu._clock_ns += {0}
         if cpu.attribute_time:
             cpu._attribute({0})
-    """,
-    "CHARGE": """
-        FOLD
-        ADD({0})
-    """,
-    "PUSH": """
-        FOLD
-        cpu._contexts.append({0})
-    """,
-    "POP": """
-        if not cpu._contexts:
-            raise RuntimeError("context stack underflow")
-        FOLD
-        {0} = cpu._contexts.pop()
     """,
     # Push the callee's context for this crossing — the gate's pooled
     # one, or a fresh one while another crossing (parked inside the
@@ -184,11 +162,13 @@ _MACROS = {
             ctx.label = label
             ctx.pkru = pkru
             ctx.capabilities = capabilities
-        PUSH(ctx)
+        cpu._contexts.append(ctx)
     """,
     # Pop the callee's context; it refills the pool only if empty.
     "POP_POOLED": """
-        POP(ctx)
+        if not cpu._contexts:
+            raise RuntimeError("context stack underflow")
+        ctx = cpu._contexts.pop()
         if gate._ctx_pool is None:
             gate._ctx_pool = ctx
     """,

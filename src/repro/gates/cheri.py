@@ -47,7 +47,7 @@ class CHERIGate(Gate):
     """
     EXIT = """
         POP_POOLED
-        ADD(cheri_exit_ns)
+        CHARGE(cheri_exit_ns)
     """
     # A batched crossing (queue channel doorbell) enters the callee
     # domain once with no per-call pointers; each drained submission

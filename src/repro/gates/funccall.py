@@ -51,5 +51,5 @@ class ProfileChannel(Gate):
     """
     EXIT = """
         POP_POOLED
-        ADD(ret_ns)
+        CHARGE(ret_ns)
     """

@@ -32,7 +32,7 @@ class MPKSharedStackGate(Gate):
         pkru = cpu._contexts[-1].pkru
         capabilities = comp.capabilities
         PUSH_POOLED
-        ADD(wrpkru_ns)
+        CHARGE(wrpkru_ns)
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
         if tracer._enabled:
             tracer.instant("wrpkru", "mpk", value=comp.pkru_value)
@@ -43,11 +43,11 @@ class MPKSharedStackGate(Gate):
         POP_POOLED
         # WRPKRU back to the caller's domain value (which the caller's
         # context already holds, so nothing to assign).
-        ADD(wrpkru_ns)
+        CHARGE(wrpkru_ns)
         counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
         if tracer._enabled:
             tracer.instant("wrpkru", "mpk", value=cpu._contexts[-1].pkru)
-        ADD(exit_ns)
+        CHARGE(exit_ns)
     """
 
     def _bindings(self) -> dict:

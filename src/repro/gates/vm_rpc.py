@@ -49,7 +49,7 @@ class VMRPCGate(Gate):
     EXIT = """
         POP_POOLED
         gate._notify(word_bytes)
-        ADD(ret_ns)
+        CHARGE(ret_ns)
     """
 
     def __init__(

@@ -106,6 +106,9 @@ class MicroLibrary:
         self.machine = machine
         self.compartment = compartment
         self.linker = linker
+        #: Charge flat simulated time: the CPU's own ``charge``, bound
+        #: here so a library charge costs one frame.
+        self.charge = machine.cpu.charge
         compartment.libraries.append(self)
         self.on_install()
 
@@ -128,11 +131,6 @@ class MicroLibrary:
         if self.compartment is None:
             raise GateError(f"{self.NAME}: not installed yet")
         return self.compartment.alloc_region(size)
-
-    def charge(self, ns: float) -> None:
-        """Charge flat simulated time to the CPU."""
-        assert self.machine is not None
-        self.machine.cpu.charge(ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         where = self.compartment.name if self.compartment else "uninstalled"

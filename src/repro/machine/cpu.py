@@ -74,32 +74,16 @@ class CPU:
 
     The clock only moves by charges — :meth:`charge`, and the same
     additions inlined by the machine's access path and the compiled
-    gate crossings — so determinism is total.
+    gate crossings — so determinism is total, and reading the clock,
+    a counter or a snapshot never moves it.
     """
 
     def __init__(self, cost: CostModel | None = None) -> None:
         self.cost = cost if cost is not None else DEFAULT_COST_MODEL
         self._clock_ns: float = 0.0
         self._contexts: list[Context] = []
-        # Deferred accounting (the machine fast path): memory ops
-        # accumulate their clock and counter deltas into these plain
-        # attributes instead of going through charge()/bump() per op
-        # (Machine.load/store add to them inline).
-        # flush_accounting() folds them into the real clock/counters at
-        # every observation point — any direct charge, context change,
-        # stats/snapshot read — so no external reader can tell the
-        # difference.  The per-op counter deltas are integer-valued
-        # floats, so addition order cannot change their value.
-        self._pending_ns: float = 0.0
-        self._pend_loads: float = 0.0
-        self._pend_load_bytes: float = 0.0
-        self._pend_stores: float = 0.0
-        self._pend_store_bytes: float = 0.0
         #: All metrics of this CPU (counters, histograms, gate edges).
         self.metrics = MetricsRegistry()
-        # Reading any counter through the registry API must first fold
-        # in the pending memory-op deltas (see flush_accounting).
-        self.metrics._pre_read = self.flush_accounting
         #: Span tracer, attached by :class:`repro.obs.Observability`
         #: (None only for a bare CPU constructed outside a Machine).
         self.tracer = None
@@ -108,7 +92,7 @@ class CPU:
         #: profiler.  Off by default (it taxes every charge).
         self.attribute_time: bool = False
         #: Accumulated simulated ns per domain-profile name.
-        self._domain_time_ns: dict[str, float] = {}
+        self.domain_time_ns: dict[str, float] = {}
         # PKRU sealing: WRPKRU is unprivileged on real hardware, so any
         # compartment could rewrite its own permissions.  FlexOS must
         # police it ("via static analysis, runtime checks or page-table
@@ -116,62 +100,10 @@ class CPU:
         # implementations — may issue WRPKRU.
         self._gate_token = object()
 
-    # --- deferred accounting ----------------------------------------------
-
     @property
     def clock_ns(self) -> float:
-        """Current simulated time, pending memory-op charges included.
-
-        The flush adds the same single ``_pending_ns`` term to
-        ``_clock_ns`` that this property adds on the fly, so reading
-        the clock and flushing it produce bit-identical floats.
-        """
-        return self._clock_ns + self._pending_ns
-
-    @property
-    def stats(self) -> dict[str, float]:
-        """Legacy flat-counter view — the registry's counter table
-        itself (flushed), so ``bump``/``stats`` never diverge."""
-        self.flush_accounting()
-        return self.metrics.counters
-
-    @property
-    def domain_time_ns(self) -> dict[str, float]:
-        """Accumulated simulated ns per domain-profile name (flushed)."""
-        self.flush_accounting()
-        return self._domain_time_ns
-
-    def flush_accounting(self) -> None:
-        """Fold pending memory-op charges into the clock and counters.
-
-        Called at every observation point: direct charges, context
-        push/pop/swap (so attribution lands on the accruing context),
-        counter/snapshot reads, and scheduler switches.  Idempotent;
-        the charge and context-change paths skip the call when nothing
-        is pending.
-        """
-        pending = self._pending_ns
-        if pending:
-            self._pending_ns = 0.0
-            self._clock_ns += pending
-            if self.attribute_time:
-                self._attribute(pending)
-        if self._pend_loads:
-            counters = self.metrics.counters
-            counters["loads"] = counters.get("loads", 0.0) + self._pend_loads
-            counters["load_bytes"] = (
-                counters.get("load_bytes", 0.0) + self._pend_load_bytes
-            )
-            self._pend_loads = 0.0
-            self._pend_load_bytes = 0.0
-        if self._pend_stores:
-            counters = self.metrics.counters
-            counters["stores"] = counters.get("stores", 0.0) + self._pend_stores
-            counters["store_bytes"] = (
-                counters.get("store_bytes", 0.0) + self._pend_store_bytes
-            )
-            self._pend_stores = 0.0
-            self._pend_store_bytes = 0.0
+        """Current simulated time (read-only; only charges move it)."""
+        return self._clock_ns
 
     # --- context management ----------------------------------------------
 
@@ -189,16 +121,12 @@ class CPU:
 
     def push_context(self, context: Context) -> None:
         """Enter a protection domain (gate entry, boot)."""
-        if self._pending_ns or self._pend_loads or self._pend_stores:
-            self.flush_accounting()
         self._contexts.append(context)
 
     def pop_context(self) -> Context:
         """Leave the current protection domain (gate return)."""
         if not self._contexts:
             raise RuntimeError("context stack underflow")
-        if self._pending_ns or self._pend_loads or self._pend_stores:
-            self.flush_accounting()
         return self._contexts.pop()
 
     @property
@@ -216,8 +144,6 @@ class CPU:
         the stack pointer in the thread control block (which is exactly
         why the paper requires the scheduler to be trusted under MPK).
         """
-        if self._pending_ns or self._pend_loads or self._pend_stores:
-            self.flush_accounting()
         old = self._contexts
         self._contexts = new_stack
         return old
@@ -264,8 +190,6 @@ class CPU:
         Compiled gate crossings inline exactly these steps (see
         ``CHARGE`` in :mod:`repro.gates.base`).
         """
-        if self._pending_ns or self._pend_loads or self._pend_stores:
-            self.flush_accounting()
         self._clock_ns += ns
         if self.attribute_time:
             self._attribute(ns)
@@ -274,24 +198,7 @@ class CPU:
         """Add a charge to the executing context's profile's time."""
         if self._contexts:
             name = self._contexts[-1].profile.name
-            self._domain_time_ns[name] = self._domain_time_ns.get(name, 0.0) + ns
-
-    def charge_mem(self, ns: float, op: str, size: int) -> None:
-        """Deferred-accounting charge for one memory op.
-
-        Accumulates the clock delta and the loads/stores counters into
-        the pending accumulators instead of the registry; they are
-        folded in by :meth:`flush_accounting` at the next observation
-        point.  ``Machine.load``/``store`` perform these additions
-        inline.
-        """
-        self._pending_ns += ns
-        if op == "load":
-            self._pend_loads += 1.0
-            self._pend_load_bytes += size
-        else:
-            self._pend_stores += 1.0
-            self._pend_store_bytes += size
+            self.domain_time_ns[name] = self.domain_time_ns.get(name, 0.0) + ns
 
     def bump(self, counter: str, amount: float = 1.0) -> None:
         """Increment a named statistics counter (via the registry)."""
@@ -299,11 +206,10 @@ class CPU:
 
     def reset_stats(self) -> None:
         """Clear all counters (the clock is left untouched)."""
-        self.flush_accounting()
         self.metrics.counters.clear()
 
     def snapshot(self) -> dict[str, float]:
         """Copy of the counters plus the current clock."""
-        snap = dict(self.stats)
-        snap["clock_ns"] = self.clock_ns
+        snap = dict(self.metrics.counters)
+        snap["clock_ns"] = self._clock_ns
         return snap

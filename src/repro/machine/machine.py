@@ -63,6 +63,9 @@ class Machine:
         #: Observability: span tracer (disabled by default) + metrics
         #: registry (shared with the CPU).  See :mod:`repro.obs`.
         self.obs = Observability(self.cpu)
+        # The registry's counter table, which load/store bump inline
+        # (it is only ever cleared in place, never replaced).
+        self._counters = self.cpu.metrics.counters
         self.spaces: dict[str, AddressSpace] = {}
         self.vm_domains: dict[str, VMDomain] = {}
         self._shared_windows = SharedWindowAllocator(self.phys)
@@ -144,12 +147,14 @@ class Machine:
         context = contexts[-1]
         profile = context.profile
         cost = cpu.cost
-        # Deferred accounting, inline (CPU.charge_mem's additions).
-        cpu._pending_ns += (
-            cost.mem_op_ns + size * cost.mem_byte_ns
-        ) * profile.load_factor
-        cpu._pend_loads += 1.0
-        cpu._pend_load_bytes += size
+        # CPU.charge and two counter bumps, inline.
+        ns = (cost.mem_op_ns + size * cost.mem_byte_ns) * profile.load_factor
+        cpu._clock_ns += ns
+        if cpu.attribute_time:
+            cpu._attribute(ns)
+        counters = self._counters
+        counters["loads"] = counters.get("loads", 0.0) + 1.0
+        counters["load_bytes"] = counters.get("load_bytes", 0.0) + size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "load", vaddr, size)
@@ -231,11 +236,13 @@ class Machine:
         profile = context.profile
         size = len(payload)
         cost = cpu.cost
-        cpu._pending_ns += (
-            cost.mem_op_ns + size * cost.mem_byte_ns
-        ) * profile.store_factor
-        cpu._pend_stores += 1.0
-        cpu._pend_store_bytes += size
+        ns = (cost.mem_op_ns + size * cost.mem_byte_ns) * profile.store_factor
+        cpu._clock_ns += ns
+        if cpu.attribute_time:
+            cpu._attribute(ns)
+        counters = self._counters
+        counters["stores"] = counters.get("stores", 0.0) + 1.0
+        counters["store_bytes"] = counters.get("store_bytes", 0.0) + size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "store", vaddr, size)

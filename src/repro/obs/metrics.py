@@ -1,11 +1,11 @@
 """The metrics registry: counters, gauges, histograms, crossing edges.
 
 One registry per simulated CPU.  It subsumes the ad-hoc statistics the
-reproduction grew organically — the CPU's flat ``stats`` dict *is* the
-registry's counter table (``cpu.bump`` writes through
-:meth:`MetricsRegistry.inc`), and every gate's per-edge crossing count
-lives in an :class:`EdgeStats` keyed by the caller→callee edge — so the
-crossing heat-matrix the paper's Fig. 5 diagnosis needs falls out of
+reproduction grew organically — the CPU's counters are the registry's
+counter table (``cpu.bump`` writes through :meth:`MetricsRegistry.inc`),
+and every gate's per-edge crossing count lives in an
+:class:`EdgeStats` keyed by the caller→callee edge — so the crossing
+heat-matrix the paper's Fig. 5 diagnosis needs falls out of
 :meth:`MetricsRegistry.crossing_matrix` without any extra
 instrumentation.
 
@@ -90,8 +90,9 @@ class EdgeStats:
 class MetricsRegistry:
     """All metrics of one simulated machine, behind one API.
 
-    - :attr:`counters` is a plain dict so the CPU can expose it as its
-      legacy ``stats`` attribute;
+    - :attr:`counters` is a plain dict, only ever cleared in place, so
+      the machine's loads and stores and the compiled gate crossings
+      bind it once and bump it inline;
     - gauges and histograms are created on first use;
     - edges are registered by gates at link time and keyed by
       ``(caller, callee, kind)`` so replicated channels of different
@@ -100,11 +101,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        #: Optional zero-arg hook invoked before any counter read
-        #: (:meth:`counter`, :meth:`snapshot`).  The CPU points it at
-        #: its ``flush_accounting`` so deferred memory-op deltas are
-        #: folded in before anyone observes the table.
-        self._pre_read: "Callable[[], None] | None" = None
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
@@ -139,8 +135,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> float:
         """Current value of a counter (0 when never bumped)."""
-        if self._pre_read is not None:
-            self._pre_read()
         return self.counters.get(name, 0.0)
 
     # --- gauges / histograms ----------------------------------------------
@@ -237,8 +231,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-ready copy of everything the registry holds."""
-        if self._pre_read is not None:
-            self._pre_read()
         return {
             "counters": dict(self.counters),
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},

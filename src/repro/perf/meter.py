@@ -135,7 +135,7 @@ class Meter:
 
     def __enter__(self) -> "Meter":
         self._start_ns = self.machine.cpu.clock_ns
-        self._start_stats = dict(self.machine.cpu.stats)
+        self._start_stats = dict(self.machine.cpu.metrics.counters)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -143,7 +143,7 @@ class Meter:
 
     def stats_delta(self) -> dict[str, float]:
         """Counter changes during the measured interval."""
-        current = self.machine.cpu.stats
+        current = self.machine.cpu.metrics.counters
         keys = set(current) | set(self._start_stats)
         return {
             key: current.get(key, 0.0) - self._start_stats.get(key, 0.0)

@@ -331,7 +331,7 @@ def render_text(
         gateplan = machine.get("gateplan")
         if gateplan:
             lines.append(
-                f"  crossing plans: {gateplan['plans']} compiled, "
+                f"  gates: {gateplan['plans']} built, "
                 f"{gateplan['plan_hits']} crossings, "
                 f"{gateplan['plan_refreshes']} refreshes"
             )

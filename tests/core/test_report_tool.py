@@ -81,7 +81,7 @@ def test_cli_with_flags(capsys):
 
 
 def test_cli_machine_shows_plan_share_of_crossings(capsys):
-    """``--machine`` reports the crossing plans and the crossings they
+    """``--machine`` reports the gates built and the crossings they
     served, which are all of the image's edge crossings."""
     assert report_main(["--workload", "iperf", "--machine", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -89,8 +89,8 @@ def test_cli_machine_shows_plan_share_of_crossings(capsys):
     assert data["machine"]["gateplan"]["plan_hits"] == crossings > 0
     assert report_main(["--workload", "iperf", "--machine"]) == 0
     out = capsys.readouterr().out
-    line = next(line for line in out.splitlines() if "crossing plans:" in line)
-    assert re.search(rf"\d+ compiled, {crossings} crossings, \d+ refreshes", line)
+    line = next(line for line in out.splitlines() if "gates:" in line)
+    assert re.search(rf"\d+ built, {crossings} crossings, \d+ refreshes", line)
     assert "DISABLED" not in out
 
 

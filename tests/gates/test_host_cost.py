@@ -1,11 +1,13 @@
-"""Host-cost guards for the two hottest simulator paths.
+"""Host-cost guards for the hottest simulator paths.
 
 - *Frame budget.*  A gate crossing is compiled into one function per
-  export, and a checked load or store accounts for itself inline, so
-  each costs a fixed, small number of Python frames.  The budgets
-  below count ``sys.setprofile`` "call" events (generator resumptions
-  included) and hold on CPython 3.10–3.12; an interpreted step sneaking
-  back into either path shows up here as a budget overrun.
+  export, a checked load or store charges the clock inline, and a
+  library charge is the CPU's own ``charge``, so each costs a fixed,
+  small number of Python frames — alone or one after another.  The
+  budgets below count ``sys.setprofile`` "call" events (generator
+  resumptions included) and hold on CPython 3.10–3.12; an interpreted
+  step sneaking back into any of these paths shows up here as a budget
+  overrun.
 - *Ledger coverage.*  perfbench's traced ledger attributes gate time by
   wrapping ``Gate.invoke`` and ``Gate.invoke_gen`` on the class, so
   every crossing must enter through one of them.
@@ -66,12 +68,18 @@ def _frames(thunk) -> int:
     return calls
 
 
-@pytest.mark.parametrize("kind", sorted(BUDGETS))
-def test_crossing_frame_budget(kind):
+def _stub_world(kind: str):
+    """A machine, a stub over a ``kind`` channel, and the entered caller."""
     world = kind if kind in ("mpk-switched", "cheri", "vm-rpc") else "mpk-shared"
     machine, service, caller = make_world(world)
     stub = Stub(make_channel(kind, machine, caller, service))
     enter_caller(machine, caller)
+    return machine, stub, caller
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGETS))
+def test_crossing_frame_budget(kind):
+    machine, stub, caller = _stub_world(kind)
 
     def plain():
         stub.call("echo", 1)
@@ -85,6 +93,25 @@ def test_crossing_frame_budget(kind):
     plain_budget, blocking_budget = BUDGETS[kind]
     assert _frames(plain) <= plain_budget
     assert _frames(blocking) <= blocking_budget
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGETS))
+def test_crossing_after_a_load_frame_budget(kind):
+    """A load leaves no work behind for the next charge: a crossing
+    right after one costs what the two cost alone (a load is one frame
+    outside capability contexts)."""
+    machine, stub, caller = _stub_world(kind)
+    addr = caller.compartment.alloc_region(4096)
+
+    def load():
+        machine.load(addr, 8)
+
+    def load_then_cross():
+        machine.load(addr, 8)
+        stub.call("echo", 1)
+
+    load_then_cross()
+    assert _frames(load_then_cross) <= BUDGETS[kind][0] + _frames(load)
 
 
 def test_memory_access_frame_budget():
@@ -106,6 +133,21 @@ def test_memory_access_frame_budget():
     assert _frames(load) <= 1
     assert _frames(store) <= 1
     assert _frames(copy) <= 3  # copy, load, store
+
+    def load_then_charge():
+        machine.load(addr, 8)
+        machine.cpu.charge(1.0)
+
+    assert _frames(load_then_charge) <= 2  # load, charge
+
+
+def test_library_charge_frame_budget():
+    machine, _, caller = make_world("mpk-shared")
+
+    def charge():
+        caller.charge(1.0)
+
+    assert _frames(charge) <= 1  # CPU.charge itself
 
 
 def test_every_crossing_enters_through_the_wrapped_entry_points(monkeypatch):

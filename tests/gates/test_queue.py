@@ -355,7 +355,7 @@ def test_durable_redis_over_queued_journal():
     stats = image.call("redis", "redis_stats")
     assert stats["kv_writes"] == 2 and stats["errors"] == 0
     assert image.call("kv", "kv_keys") == [b"a", b"b"]
-    counters = image.machine.cpu.stats
+    counters = image.machine.cpu.metrics.counters
     assert counters["queue.submitted"] >= 2
     assert counters["queue.doorbells"] >= 1
     assert counters["queue.doorbells"] < counters["queue.submitted"] + 1

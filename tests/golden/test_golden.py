@@ -39,10 +39,24 @@ Scenarios:
 Regenerate after an intended change to simulated behaviour with::
 
     python tests/golden/test_golden.py
+
+A regeneration that should move simulated time only at the rounding
+level is reviewed first: dump every scenario's full parts on the old
+and the new tree, then compare the two dumps::
+
+    python tests/golden/test_golden.py --dump old.json    # old tree
+    python tests/golden/test_golden.py --dump new.json    # new tree
+    python tests/golden/test_golden.py --compare old.json new.json
+
+``--compare`` takes any two JSON documents (``benchmarks/results.json``
+too).  It requires identical structure and identical non-float values,
+reports how many floats moved and the worst relative drift, and fails
+above :data:`DRIFT_BOUND`.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -149,12 +163,17 @@ def _trace_scenario(backend: str, seed: int, observe: bool):
     return run
 
 
+def _image_world(app: str, profile: str):
+    """A freshly built ``app`` image on ``profile``, and its workload."""
+    config, params = IMAGES[app]
+    backend, hardening, queue_to = PROFILES[profile]
+    edges = {f"{app}->{queue_to}": "batch:8"} if queue_to else None
+    return build_image(config(backend, hardening, edges)), params
+
+
 def _image_scenario(app: str, profile: str, observers: str):
     def run():
-        config, params = IMAGES[app]
-        backend, hardening, queue_to = PROFILES[profile]
-        edges = {f"{app}->{queue_to}": "batch:8"} if queue_to else None
-        image = build_image(config(backend, hardening, edges))
+        image, params = _image_world(app, profile)
         if observers == "traced":
             image.enable_tracing()
         elif observers == "latency":
@@ -303,6 +322,140 @@ def test_scenario_matches_corpus(name):
     assert _entry(SCENARIOS[name]()) == _corpus()[name]
 
 
-if __name__ == "__main__":
+def _run_image(app: str, profile: str, observe: bool, attribute: bool = False):
+    """Run one image world; when ``observe``, read the counters, both
+    snapshots (and, when attributing, ``domain_time_ns``) after every
+    fifth load.  Returns what the run ends with."""
+    image, params = _image_world(app, profile)
+    machine = image.machine
+    cpu = machine.cpu
+    cpu.attribute_time = attribute
+    if observe:
+        load = machine.load
+        loads = 0
+
+        def observed_load(vaddr, size):
+            nonlocal loads
+            data = load(vaddr, size)
+            loads += 1
+            if loads % 5 == 0:
+                cpu.metrics.snapshot()
+                cpu.snapshot()
+                cpu.metrics.counter("loads")
+                if attribute:
+                    dict(cpu.domain_time_ns)
+            return data
+
+        machine.load = observed_load
+    _, numbers = run_named_workload(image, app, params)
+    return cpu.clock_ns, numbers, cpu.snapshot(), cpu.domain_time_ns
+
+
+@pytest.mark.parametrize(
+    "app, profile, attribute",
+    [(app, profile, False) for app in IMAGES for profile in PROFILES]
+    + [("redis", "mpk-switched", True)],
+)
+def test_reading_counters_never_moves_the_clock(app, profile, attribute):
+    """Observing is invisible to the simulation: reads mid-run leave
+    the clock, the workload numbers and the final snapshot bit-identical."""
+    unobserved = _run_image(app, profile, observe=False, attribute=attribute)
+    observed = _run_image(app, profile, observe=True, attribute=attribute)
+    assert repr(observed) == repr(unobserved)
+
+
+#: Worst relative float drift a reviewed regeneration may show.
+DRIFT_BOUND = 1e-9
+
+
+def _walk(old, new, path: str, drifts: list, problems: list) -> None:
+    """Collect float drifts and every other difference of two JSON trees."""
+    if type(old) is not type(new):
+        problems.append(f"{path}: {type(old).__name__} != {type(new).__name__}")
+    elif isinstance(old, dict):
+        if old.keys() != new.keys():
+            problems.append(f"{path}: keys {sorted(old.keys() ^ new.keys())}")
+            return
+        for key in old:
+            _walk(old[key], new[key], f"{path}.{key}", drifts, problems)
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            problems.append(f"{path}: length {len(old)} != {len(new)}")
+            return
+        for index, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, f"{path}[{index}]", drifts, problems)
+    elif isinstance(old, float):
+        if old != new:
+            drifts.append((abs(old - new) / max(abs(old), abs(new)), path))
+    elif old != new:
+        problems.append(f"{path}: {old!r} != {new!r}")
+
+
+def compare(old, new) -> tuple[list, list]:
+    """``(float drifts, other differences)`` between two JSON trees.
+
+    A drift is ``(relative difference, path)`` for each float that
+    moved; every other difference — type, keys, length, or any
+    non-float value — is a message naming its path.
+    """
+    drifts: list = []
+    problems: list = []
+    _walk(old, new, "$", drifts, problems)
+    return drifts, problems
+
+
+def test_compare_measures_float_drift_and_flags_everything_else():
+    old = {"clock_ns": 100.0, "result": [1, "a", 2.0], "n": 3}
+    drifts, problems = compare(old, {**old, "clock_ns": 100.0 + 1e-10})
+    assert [path for _, path in drifts] == ["$.clock_ns"] and not problems
+    assert drifts[0][0] == pytest.approx(1e-12, rel=1e-3)
+    drifts, problems = compare(old, {**old, "result": [1, "b", 2.0], "n": 3.0})
+    assert not drifts
+    assert problems == ["$.result[1]: 'a' != 'b'", "$.n: int != float"]
+    assert compare(old, {"n": 3})[1] == ["$: keys ['clock_ns', 'result']"]
+
+
+def _dump(path: pathlib.Path) -> None:
+    parts = {name: run() for name, run in sorted(SCENARIOS.items())}
+    path.write_text(json.dumps(parts, sort_keys=True, default=repr) + "\n")
+    print(f"wrote the parts of {len(parts)} scenarios to {path}")
+
+
+def _compare(old_path: pathlib.Path, new_path: pathlib.Path) -> int:
+    drifts, problems = compare(
+        json.loads(old_path.read_text()), json.loads(new_path.read_text())
+    )
+    for problem in problems[:20]:
+        print(f"differs: {problem}")
+    worst, where = max(drifts, default=(0.0, "-"))
+    print(
+        f"{len(problems)} non-float differences; {len(drifts)} floats moved; "
+        f"worst relative drift {worst:.3g} at {where}"
+    )
+    return 1 if problems or worst > DRIFT_BOUND else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden corpus.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--dump", metavar="FILE", type=pathlib.Path,
+        help="write every scenario's full parts instead of regenerating",
+    )
+    mode.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"), type=pathlib.Path,
+        help=f"compare two dumps (or results files); fail above {DRIFT_BOUND:g}",
+    )
+    args = parser.parse_args(argv)
+    if args.compare:
+        return _compare(*args.compare)
+    if args.dump:
+        _dump(args.dump)
+        return 0
     CORPUS.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(SCENARIOS)} scenarios to {CORPUS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -184,7 +184,7 @@ def test_cfi_checks_every_batched_op():
         # libc::memset is not in the netstack's analysed call graph.
         with pytest.raises(SHViolation, match="cfi"):
             libc.call("memset", buf, 0xAA, 8)
-        checks = machine.cpu.stats["cfi_checks"]
+        checks = machine.cpu.metrics.counters["cfi_checks"]
         libc.submit("memcpy", buf + 64, buf, 8)
         with pytest.raises(SHViolation, match="cfi"):
             libc.submit("memset", buf, 0xAA, 8)
@@ -192,7 +192,7 @@ def test_cfi_checks_every_batched_op():
         assert [c.fn for c in libc.poll() if c.ok] == ["memcpy"]
     finally:
         machine.cpu.pop_context()
-    assert machine.cpu.stats["cfi_checks"] == checks + 2
+    assert machine.cpu.metrics.counters["cfi_checks"] == checks + 2
     assert machine.dma_read(libc_comp.address_space, buf, 8) == bytes(8)
     assert not libc_comp.failed
 

@@ -44,9 +44,9 @@ class ReferenceMachine(Machine):
         context = cpu.current
         profile = context.profile
         factor = profile.load_factor if op == "load" else profile.store_factor
-        cpu.charge_mem(
-            (cpu.cost.mem_op_ns + size * cpu.cost.mem_byte_ns) * factor, op, size
-        )
+        cpu.charge((cpu.cost.mem_op_ns + size * cpu.cost.mem_byte_ns) * factor)
+        cpu.bump(f"{op}s")
+        cpu.bump(f"{op}_bytes", size)
         for monitor in profile.monitors:
             monitor(self, op, vaddr, size)
         if context.capabilities is not None:

@@ -52,7 +52,7 @@ def test_counters_and_snapshot():
     assert snap["bytes"] == 64
     assert "clock_ns" in snap
     cpu.reset_stats()
-    assert cpu.stats == {}
+    assert cpu.metrics.counters == {}
 
 
 def test_custom_cost_model():

@@ -231,7 +231,8 @@ def test_differential_dfi_like_monitor(seed):
         )
 
     fast, slow = _run_differential(seed, profile_factory=profile)
-    assert fast.cpu.stats.get("dfi_checks") == slow.cpu.stats.get("dfi_checks")
+    dfi_checks = [m.cpu.metrics.counters.get("dfi_checks") for m in (fast, slow)]
+    assert dfi_checks[0] == dfi_checks[1]
 
 
 @pytest.mark.parametrize("seed", (3, 11))
@@ -312,7 +313,7 @@ def test_tlb_telemetry_counts():
     space.protect(vaddr, PAGE_SIZE, Permissions.READ)
     assert machine.fastpath_stats()["tlb_invalidations"] == before + 1
     # Telemetry never leaks into the simulated counter registry.
-    assert "tlb_hits" not in machine.cpu.stats
+    assert "tlb_hits" not in machine.cpu.metrics.counters
 
 
 def test_range_cache_bulk_roundtrip_and_invalidation():

@@ -107,8 +107,8 @@ def test_access_charges_clock_and_counters(booted):
     start = machine.cpu.clock_ns
     machine.store(vaddr, b"x" * 100)
     assert machine.cpu.clock_ns > start
-    assert machine.cpu.stats["stores"] == 1
-    assert machine.cpu.stats["store_bytes"] == 100
+    assert machine.cpu.metrics.counters["stores"] == 1
+    assert machine.cpu.metrics.counters["store_bytes"] == 100
 
 
 def test_access_without_context_raises_before_charging(machine):

@@ -54,9 +54,9 @@ def test_gates_are_authorized(image):
     cpu = image.machine.cpu
     cpu.push_context(image.compartment_of("iperf").make_context("app"))
     try:
-        before = cpu.stats.get("wrpkru", 0)
+        before = cpu.metrics.counters.get("wrpkru", 0)
         iperf.stub("netstack").call("listen", 6100)
-        issued = cpu.stats["wrpkru"] - before
+        issued = cpu.metrics.counters["wrpkru"] - before
         # Two per crossing (entry + exit); listen itself plus its
         # internal netstack→libc sem_new crossing.
         assert issued >= 2 and issued % 2 == 0

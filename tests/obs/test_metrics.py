@@ -143,16 +143,6 @@ def test_snapshot_is_json_ready_and_reset_zeroes():
     assert edge.crossings == 0
 
 
-def test_cpu_stats_is_the_registry_counter_table():
-    image = build_image(BuildConfig(libraries=["libc"]))
-    cpu = image.machine.cpu
-    assert cpu.stats is cpu.metrics.counters
-    cpu.bump("custom", 2)
-    assert cpu.metrics.counter("custom") == 2.0
-    cpu.reset_stats()
-    assert cpu.metrics.counter("custom") == 0.0
-
-
 def test_gate_crossings_feed_registry_edges():
     image = build_image(
         BuildConfig(
@@ -172,7 +162,7 @@ def test_gate_crossings_feed_registry_edges():
         assert edge.crossings == crossings
     # gate_crossings counts only real boundary crossings; mpk edges
     # also land in the backend-specific counter.
-    stats = image.machine.cpu.stats
+    stats = image.machine.cpu.metrics.counters
     assert stats["gate_crossings"] == stats["mpk_crossings"]
 
 
@@ -190,7 +180,7 @@ def test_profile_backend_counts_boundary_crossings():
     from repro.apps import run_iperf
 
     run_iperf(image, 1024, 1 << 16)
-    stats = image.machine.cpu.stats
+    stats = image.machine.cpu.metrics.counters
     assert stats["gate_crossings"] > 0
     assert stats["direct_calls"] > stats["gate_crossings"]
     flat = build_image(
@@ -201,4 +191,4 @@ def test_profile_backend_counts_boundary_crossings():
         )
     )
     run_iperf(flat, 1024, 1 << 16)
-    assert flat.machine.cpu.stats.get("gate_crossings", 0) == 0
+    assert flat.machine.cpu.metrics.counters.get("gate_crossings", 0) == 0

@@ -175,7 +175,7 @@ def test_vm_rpc_retries_do_not_inflate_crossings():
             for _ in range(5):
                 stub.call("net_stats")
         cpu.pop_context()
-        stats = image.machine.cpu.stats
+        stats = image.machine.cpu.metrics.counters
         matrix = cap.profile.crossing_matrix()
         return matrix["iperf"]["netstack"], stats
 

@@ -118,7 +118,8 @@ def test_tracing_does_not_change_simulated_time():
         if traced:
             image.enable_tracing()
         result = run_iperf(image, 512, 1 << 16)
-        return image.clock_ns, result.elapsed_ns, dict(image.machine.cpu.stats)
+        counters = dict(image.machine.cpu.metrics.counters)
+        return image.clock_ns, result.elapsed_ns, counters
 
     assert run(False) == run(True)
 

@@ -62,7 +62,7 @@ def test_gate_crash_fires_on_nth_matching_crossing():
     assert injector.fired == 1
     assert injector.events[0].site == "gate-crash"
     assert injector.events[0].outcome == "raised"
-    assert image.machine.cpu.stats["resilience.injected"] == 1
+    assert image.machine.cpu.metrics.counters["resilience.injected"] == 1
 
 
 def test_propagate_policy_lets_raw_fault_escape():
@@ -83,7 +83,7 @@ def test_isolate_policy_translates_and_marks_failed():
     assert netstack_comp.last_failure is not None
     assert isinstance(netstack_comp.last_failure, CompartmentFailure)
     assert isinstance(netstack_comp.last_failure.cause, InjectedFault)
-    assert image.machine.cpu.stats["resilience.contained"] >= 1
+    assert image.machine.cpu.metrics.counters["resilience.contained"] >= 1
     # isolate never revives: the compartment stays failed.
     assert netstack_comp.restarts == 0
 
@@ -111,7 +111,7 @@ def test_restart_policy_revives_after_backoff():
     _call_netstack(image)
     assert not netstack_comp.failed
     assert netstack_comp.restarts == 1
-    assert image.machine.cpu.stats["resilience.restarts"] == 1
+    assert image.machine.cpu.metrics.counters["resilience.restarts"] == 1
 
 
 def test_restart_backoff_is_exponential():
@@ -173,7 +173,7 @@ def test_vm_drop_recovered_by_retry():
     arm(image, InjectionPlan(seed=1).drop_vm_notify(nth=3))
     result = _run(image)
     assert result.throughput_mbps > 0
-    stats = image.machine.cpu.stats
+    stats = image.machine.cpu.metrics.counters
     assert stats["vm_rpc_retries"] >= 1
     assert stats.get("vm_rpc_timeouts", 0) == 0
 
@@ -183,7 +183,7 @@ def test_vm_drop_burst_exhausts_retries():
     arm(image, InjectionPlan(seed=1).drop_vm_notify(nth=3, count=50))
     with pytest.raises(RPCTimeout):
         _run(image)
-    assert image.machine.cpu.stats["vm_rpc_timeouts"] >= 1
+    assert image.machine.cpu.metrics.counters["vm_rpc_timeouts"] >= 1
 
 
 def test_vm_duplicate_discarded():
@@ -192,7 +192,7 @@ def test_vm_duplicate_discarded():
     result = _run(image)
     assert result.throughput_mbps > 0
     assert injector.events[0].outcome == "duplicated"
-    assert image.machine.cpu.stats["vm_rpc_duplicates"] == 1
+    assert image.machine.cpu.metrics.counters["vm_rpc_duplicates"] == 1
 
 
 def test_retry_costs_simulated_time():
