@@ -258,9 +258,9 @@ def test_explorer_pipeline(benchmark, report):
 
         perf = simulated_perf_fn(LIBS, workload="iperf")
         t1 = time.perf_counter()
-        # Pre-measure all candidates through the parallel batch path,
-        # then run the strategies against the warm memo.
-        perf.measure_many(explorer.deployments, workers=4)
+        # Pre-measure all candidates through the batch path, then run
+        # the strategies against the warm memo.
+        perf.measure_many(explorer.deployments)
         budget = explorer.max_security_within_budget(budget=1e9, perf_fn=perf)
         safe = explorer.best_performance_meeting(["no-wild-writes"], perf_fn=perf)
         portable = explorer.most_portable(["no-wild-writes"], perf_fn=perf)
@@ -274,7 +274,7 @@ def test_explorer_pipeline(benchmark, report):
         "Design-space exploration",
         f"{len(explorer.deployments)} deployments enumerated in "
         f"{enumerate_s * 1e3:.1f} ms; both strategies + portability "
-        f"searched (simulation-backed, parallel measurement) in "
+        f"searched (simulation-backed, batch measurement) in "
         f"{search_s:.2f} s",
     )
     report.row(
@@ -325,7 +325,7 @@ def test_persistent_cache_warm_run(tmp_path, report):
     cold = Explorer(defs)
     cold_perf = simulated_perf_fn(LIBS, workload="iperf", cache_path=cache_path)
     t0 = time.perf_counter()
-    cold_perf.measure_many(cold.deployments, workers=4)
+    cold_perf.measure_many(cold.deployments)
     cold_best = cold.best_performance_meeting(["no-wild-writes"], perf_fn=cold_perf)
     cold_s = time.perf_counter() - t0
 
@@ -333,7 +333,7 @@ def test_persistent_cache_warm_run(tmp_path, report):
     warm = Explorer(defs)
     warm_perf = simulated_perf_fn(LIBS, workload="iperf", cache_path=cache_path)
     t0 = time.perf_counter()
-    warm_perf.measure_many(warm.deployments, workers=4)
+    warm_perf.measure_many(warm.deployments)
     warm_best = warm.best_performance_meeting(["no-wild-writes"], perf_fn=warm_perf)
     warm_s = time.perf_counter() - t0
     builds_after = exploration_metrics().counter("explore.builds")

@@ -19,6 +19,7 @@ import random
 
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
+from repro.apps.resp import encode_command
 from repro.apps.workload import run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
 from repro.resilience import default_recovery_plan, run_recovery_cell
@@ -44,8 +45,7 @@ start_redis(image)
 
 entries = {b"motd": b"welcome back", b"hits": b"1024", b"theme": b"dark"}
 requests = [
-    b"SET %s %d\n" % (key, len(value)) + value
-    for key, value in entries.items()
+    encode_command(b"SET", key, value) for key, value in entries.items()
 ]
 run_redis_phase(image, requests, window=2, expect_prefix=b"+OK")
 
@@ -57,7 +57,10 @@ print(f"served {stats['sets']} SETs, journaled {stats['kv_writes']} "
 
 image.call("kv", "set_flush_policy", "batch:1000")  # stop flushing
 run_redis_phase(
-    image, [b"SET doomed 4\nlost"], window=1, expect_prefix=b"+OK"
+    image,
+    [encode_command(b"SET", b"doomed", b"lost")],
+    window=1,
+    expect_prefix=b"+OK",
 )
 kv_stats = image.call("kv", "kv_stats")
 pending = kv_stats["seq"] - kv_stats["durable_seq"]
@@ -81,7 +84,10 @@ print("every flushed write survived; the unflushed one is gone "
 
 start_redis(rebooted)
 run_redis_phase(
-    rebooted, [b"GET motd\n"], window=1, expect_prefix=b"$12\nwelcome back"
+    rebooted,
+    [encode_command(b"GET", b"motd")],
+    window=1,
+    expect_prefix=b"$12\r\nwelcome back\r\n",
 )
 print("GET motd -> 'welcome back' (served from the recovered store)")
 

@@ -1,22 +1,18 @@
 """A Redis-like key/value server (paper §4, Redis experiments).
 
-Speaks two request framings over the simulated TCP-lite stream, chosen
-per command by the first byte — exactly how real redis accepts both
-RESP arrays and inline commands on one connection:
+Speaks RESP2 over the simulated TCP-lite stream, the wire protocol
+redis-benchmark and every redis client speak: a request is an array of
+bulk strings (``*2\\r\\n$3\\r\\nGET\\r\\n$3\\r\\nkey\\r\\n``), parsed
+incrementally by :mod:`repro.apps.resp`, and replies are framed by that
+module's encoders (``$5\\r\\nvalue\\r\\n``, ``+OK\\r\\n``, ``:1\\r\\n``).
+A request that is not a RESP array — any first byte other than ``*``
+— is a protocol error answered like a malformed frame.
 
-- **RESP2** (``*2\\r\\n$3\\r\\nGET\\r\\n$3\\r\\nkey\\r\\n`` → ``$5\\r\\nvalue\\r\\n``):
-  the wire protocol external clients speak, parsed incrementally by
-  :mod:`repro.apps.resp`.  Replies use RESP framing (CRLF, trailing
-  terminator on bulk strings).
-- **legacy text** (``SET <key> <len>\\n<len value bytes>`` → ``+OK\\n``):
-  the original ad-hoc protocol, kept as the inline-command compat path
-  (disable with ``accept_inline = False``).
-
-Request parsing is a proper byte-stream parser in both framings:
-partial commands at the end of a receive are shifted to the front of
-the request buffer and completed by the next ``recv``, so pipelined
-clients (the closed-loop workload, like redis-benchmark) work at any
-window size and frames may split at any byte boundary.
+Request parsing is a proper byte-stream parser: partial frames at the
+end of a receive are shifted to the front of the request buffer and
+completed by the next ``recv``, so pipelined clients (the closed-loop
+workload, like redis-benchmark) work at any window size and frames may
+split at any byte boundary.
 
 Structure relevant to the paper's numbers:
 
@@ -83,9 +79,16 @@ class DumpTruncatedError(GateError):
 #: Commands that take a key (slot routing applies to these).
 _KEYED = frozenset(("set", "get", "del", "exists", "incr", "append"))
 
+#: The argument-less command tuples and the constant replies, built once.
+_ERR_COMMAND = ("err",)
+_PING_COMMAND = ("ping",)
+_OK = resp_proto.encode_simple(b"OK")
+_PONG = resp_proto.encode_simple(b"PONG")
+_ERR = resp_proto.encode_error(b"ERR")
+
 
 class RedisServerApp(MicroLibrary):
-    """Minimal pipelining-capable key/value server (RESP2 + inline)."""
+    """Minimal pipelining-capable key/value server (RESP2)."""
 
     NAME = "redis"
     SPEC = """
@@ -125,8 +128,6 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
     BUF_SIZE = 4096
     #: Size of the per-request reply object (redis robj analogue).
     REPLY_OBJ_SIZE = 64
-    #: Accept legacy inline/text commands alongside RESP arrays.
-    accept_inline = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -227,54 +228,40 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
 
         return body
 
-    # --- request parsing (both framings → command tuples) -----------------
+    # --- request parsing (RESP arrays → command tuples) -------------------
 
     def _parse_commands(self, raw: bytes) -> tuple[list[tuple], int]:
         """Parse every complete command in ``raw``; (commands, consumed).
 
-        Command tuples end with the framing flag (``True`` = RESP —
-        the reply uses RESP framing):
+        Command tuples:
 
-        - ``("set", key, value_offset, length, resp)``
-        - ``("get"|"del"|"exists"|"incr", key, resp)``
-        - ``("append", key, suffix_offset, length, resp)``
-        - ``("ping", resp)`` / ``("err", resp)``
+        - ``("set", key, value_offset, length)``
+        - ``("get"|"del"|"exists"|"incr", key)``
+        - ``("append", key, suffix_offset, length)``
+        - ``("ping",)`` / ``("err",)``
 
-        A malformed RESP frame (bad header, oversized bulk) consumes
-        the rest of the buffer and yields one ``err`` — the typed
-        :class:`~repro.apps.resp.RespError` path; resynchronising
-        inside a corrupt stream would execute attacker-framed bytes.
+        A malformed frame (a first byte other than ``*``, a bad header,
+        an oversized bulk) consumes the rest of the buffer and yields
+        one ``err`` — the typed :class:`~repro.apps.resp.RespError`
+        path; resynchronising inside a corrupt stream would execute
+        attacker-framed bytes.
         """
         commands: list[tuple] = []
         pos = 0
         limit = len(raw)
         while pos < limit:
-            if raw[pos] == 0x2A:  # "*": a RESP array
-                try:
-                    parsed = resp_proto.parse_array(
-                        raw, pos, max_bulk=self.BUF_SIZE - 64
-                    )
-                except resp_proto.RespError:
-                    commands.append(("err", True))
-                    pos = limit
-                    break
-                if parsed is None:
-                    break  # incomplete frame: wait for more bytes
-                args, offsets, pos = parsed
-                commands.append(self._command_from_resp(args, offsets))
-            else:
-                if not self.accept_inline:
-                    commands.append(("err", True))
-                    pos = limit
-                    break
-                newline = raw.find(b"\n", pos)
-                if newline < 0:
-                    break  # incomplete line
-                step = self._command_from_line(raw, pos, newline)
-                if step is None:
-                    break  # inline value not fully received yet
-                command, pos = step
-                commands.append(command)
+            try:
+                parsed = resp_proto.parse_array(
+                    raw, pos, max_bulk=self.BUF_SIZE - 64
+                )
+            except resp_proto.RespError:
+                commands.append(_ERR_COMMAND)
+                pos = limit
+                break
+            if parsed is None:
+                break  # incomplete frame: wait for more bytes
+            args, offsets, pos = parsed
+            commands.append(self._command_from_resp(args, offsets))
         return commands, pos
 
     @staticmethod
@@ -282,53 +269,20 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         name = args[0].upper()
         argc = len(args)
         if name == b"SET" and argc == 3:
-            return ("set", args[1], offsets[2], len(args[2]), True)
+            return ("set", args[1], offsets[2], len(args[2]))
         if name == b"GET" and argc == 2:
-            return ("get", args[1], True)
+            return ("get", args[1])
         if name == b"DEL" and argc == 2:
-            return ("del", args[1], True)
+            return ("del", args[1])
         if name == b"EXISTS" and argc == 2:
-            return ("exists", args[1], True)
+            return ("exists", args[1])
         if name == b"INCR" and argc == 2:
-            return ("incr", args[1], True)
+            return ("incr", args[1])
         if name == b"APPEND" and argc == 3:
-            return ("append", args[1], offsets[2], len(args[2]), True)
+            return ("append", args[1], offsets[2], len(args[2]))
         if name == b"PING" and argc == 1:
-            return ("ping", True)
-        return ("err", True)
-
-    def _command_from_line(
-        self, raw: bytes, pos: int, newline: int
-    ) -> tuple[tuple, int] | None:
-        """One legacy text command at ``pos``; ``(command, next_pos)``.
-
-        Returns ``None`` when a SET/APPEND value extends past the
-        received bytes (partial command — retry after the next recv).
-        """
-        line = raw[pos:newline]
-        if line.startswith(b"SET ") or line.startswith(b"APPEND "):
-            op = "set" if line[0] == 0x53 else "append"
-            parsed = self._parse_set(
-                line if op == "set" else b"SET " + line[7:]
-            )
-            if parsed is None:
-                return ("err", False), newline + 1
-            key, length = parsed
-            value_start = newline + 1
-            if value_start + length > len(raw):
-                return None  # value not fully received yet
-            return (op, key, value_start, length, False), value_start + length
-        if line.startswith(b"GET "):
-            return ("get", line[4:].strip(), False), newline + 1
-        if line.startswith(b"DEL "):
-            return ("del", line[4:].strip(), False), newline + 1
-        if line.startswith(b"EXISTS "):
-            return ("exists", line[7:].strip(), False), newline + 1
-        if line.startswith(b"INCR "):
-            return ("incr", line[5:].strip(), False), newline + 1
-        if line.strip() == b"PING":
-            return ("ping", False), newline + 1
-        return ("err", False), newline + 1
+            return _PING_COMMAND
+        return _ERR_COMMAND
 
     # --- synchronous execution --------------------------------------------
 
@@ -344,32 +298,31 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
 
     def _execute(self, command: tuple, req_buf: int, resp_buf: int) -> int:
         kind = command[0]
-        rsp = command[-1]
         if kind == "err":
-            return self._reply_error(resp_buf, rsp)
+            return self._reply_error(resp_buf)
         if kind == "ping":
-            return self._store_reply(resp_buf, b"+PONG", rsp)
+            return self._store_reply(resp_buf, _PONG)
         key = command[1]
         if kind in _KEYED:
             redirect = self._route(key)
             if redirect is not None:
-                return self._reply_moved(resp_buf, redirect, rsp)
+                return self._reply_moved(resp_buf, redirect)
         if kind == "set":
-            _, _, offset, length, _ = command
+            _, _, offset, length = command
             self._do_set(key, req_buf + offset, length)
-            return self._reply_ok(resp_buf, rsp)
+            return self._store_reply(resp_buf, _OK)
         if kind == "get":
-            return self._do_get(key, resp_buf, rsp)
+            return self._do_get(key, resp_buf)
         if kind == "del":
-            return self._do_del(key, resp_buf, rsp)
+            return self._do_del(key, resp_buf)
         if kind == "exists":
-            return self._do_exists(key, resp_buf, rsp)
+            return self._do_exists(key, resp_buf)
         if kind == "incr":
-            return self._do_incr(key, resp_buf, rsp)
+            return self._do_incr(key, resp_buf)
         if kind == "append":
-            _, _, offset, length, _ = command
-            return self._do_append(key, req_buf + offset, length, resp_buf, rsp)
-        return self._reply_error(resp_buf, rsp)
+            _, _, offset, length = command
+            return self._do_append(key, req_buf + offset, length, resp_buf)
+        return self._reply_error(resp_buf)
 
     def _send_reply(self, resp_buf: int, reply_len: int, sockfd: int) -> None:
         # Per-request reply object, as redis allocates per command.
@@ -410,19 +363,17 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             if kind in _KEYED:
                 redirect = self._route(command[1])
                 if redirect is not None:
-                    staged.append(("moved", redirect, command[-1]))
+                    staged.append(("moved", redirect))
                     continue
             if kind == "set":
-                _, key, offset, length, rsp = command
+                _, key, offset, length = command
                 ticket = None
                 if length <= KV_MAX_VALUE:
                     ticket = self._kv.submit(
                         "put", key, req_buf + offset, length
                     )
                     submitted += 1
-                staged.append(
-                    ("set", ticket, key, req_buf + offset, length, rsp)
-                )
+                staged.append(("set", ticket, key, req_buf + offset, length))
             elif kind == "del":
                 # Journal unconditionally: whether the key exists can
                 # only be decided once earlier staged SETs have applied,
@@ -430,7 +381,7 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
                 key = command[1]
                 ticket = self._kv.submit("delete", key)
                 submitted += 1
-                staged.append(("del", ticket, key, command[-1]))
+                staged.append(("del", ticket, key))
             else:
                 staged.append(command)
         # Wake-driven completion delivery: block until every journal
@@ -444,50 +395,36 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         for entry in staged:
             kind = entry[0]
             if kind == "set":
-                _, ticket, key, value_addr, length, rsp = entry
+                _, ticket, key, value_addr, length = entry
                 completion = done.get(ticket)
                 if ticket is not None and (
                     completion is None or not completion.ok
                 ):
-                    reply_len = self._reply_error(resp_buf, rsp)
+                    reply_len = self._reply_error(resp_buf)
                 else:
                     if ticket is not None:
                         self.kv_writes += 1
                         self._replicate_put(key, value_addr, length)
                     self._apply_set(key, value_addr, length)
-                    reply_len = self._reply_ok(resp_buf, rsp)
+                    reply_len = self._store_reply(resp_buf, _OK)
             elif kind == "del":
-                _, ticket, key, rsp = entry
+                _, ticket, key = entry
                 completion = done.get(ticket)
                 if completion is None or not completion.ok:
-                    reply_len = self._reply_error(resp_buf, rsp)
+                    reply_len = self._reply_error(resp_buf)
                 else:
                     self.kv_writes += 1
                     self._replicate_delete(key)
                     removed = self._drop_key(key)
-                    reply_len = self._reply_int(resp_buf, removed, rsp)
+                    reply_len = self._reply_int(resp_buf, removed)
             elif kind == "moved":
-                _, redirect, rsp = entry
-                reply_len = self._reply_moved(resp_buf, redirect, rsp)
+                reply_len = self._reply_moved(resp_buf, entry[1])
             else:
                 reply_len = self._execute(entry, req_buf, resp_buf)
             self._send_reply(resp_buf, reply_len, sockfd)
         return consumed
 
     # --- commands ---------------------------------------------------------------
-
-    @staticmethod
-    def _parse_set(line: bytes) -> tuple[bytes, int] | None:
-        parts = line.split()
-        if len(parts) != 3:
-            return None
-        try:
-            length = int(parts[2])
-        except ValueError:
-            return None
-        if length < 0:
-            return None
-        return parts[1], length
 
     def _replicate_put(self, key: bytes, value_addr: int, length: int) -> None:
         """Mirror one journaled put to the follower (before the ack)."""
@@ -544,22 +481,22 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         self._store[key] = (stored, length)
         self.sets += 1
 
-    def _do_get(self, key: bytes, resp_buf: int, rsp: bool = False) -> int:
+    def _do_get(self, key: bytes, resp_buf: int) -> int:
         self.gets += 1
         entry = self._store.get(key)
         if entry is None:
             self.misses += 1
-            return self._store_reply(resp_buf, b"$-1", rsp)
+            return self._store_reply(resp_buf, resp_proto.NULL_BULK)
         addr, length = entry
-        head = b"$%d\r\n" % length if rsp else b"$%d\n" % length
+        # A bulk reply framed in place: the value is copied straight
+        # from the private heap between its header and terminator.
+        head = b"$%d\r\n" % length
         self.machine.store(resp_buf, head)
         if length:
             self.machine.copy(resp_buf + len(head), addr, length)
         total = len(head) + length
-        if rsp:
-            self.machine.store(resp_buf + total, b"\r\n")
-            total += 2
-        return total
+        self.machine.store(resp_buf + total, resp_proto.CRLF)
+        return total + 2
 
     def _drop_key(self, key: bytes) -> int:
         """Remove a key from the in-memory store; 1 if it existed."""
@@ -569,7 +506,7 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         self._alloc.call("free", entry[0])
         return 1
 
-    def _do_del(self, key: bytes, resp_buf: int, rsp: bool = False) -> int:
+    def _do_del(self, key: bytes, resp_buf: int) -> int:
         entry = self._store.pop(key, None)
         if entry is not None:
             if self._kv is not None:
@@ -577,12 +514,12 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
                 self.kv_writes += 1
                 self._replicate_delete(key)
             self._alloc.call("free", entry[0])
-        return self._reply_int(resp_buf, 1 if entry is not None else 0, rsp)
+        return self._reply_int(resp_buf, 1 if entry is not None else 0)
 
-    def _do_exists(self, key: bytes, resp_buf: int, rsp: bool = False) -> int:
-        return self._reply_int(resp_buf, 1 if key in self._store else 0, rsp)
+    def _do_exists(self, key: bytes, resp_buf: int) -> int:
+        return self._reply_int(resp_buf, 1 if key in self._store else 0)
 
-    def _do_incr(self, key: bytes, resp_buf: int, rsp: bool = False) -> int:
+    def _do_incr(self, key: bytes, resp_buf: int) -> int:
         entry = self._store.get(key)
         if entry is None:
             current = 0
@@ -592,7 +529,7 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             try:
                 current = int(raw)
             except ValueError:
-                return self._reply_error(resp_buf, rsp)
+                return self._reply_error(resp_buf)
         current += 1
         encoded = b"%d" % current
         # Durability: journal the post-image before applying or acking,
@@ -603,15 +540,10 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         if entry is not None:
             self._alloc.call("free", entry[0])
         self._store[key] = (stored, len(encoded))
-        return self._reply_int(resp_buf, current, rsp)
+        return self._reply_int(resp_buf, current)
 
     def _do_append(
-        self,
-        key: bytes,
-        suffix_addr: int,
-        suffix_len: int,
-        resp_buf: int,
-        rsp: bool = False,
+        self, key: bytes, suffix_addr: int, suffix_len: int, resp_buf: int
     ) -> int:
         entry = self._store.get(key)
         old_len = entry[1] if entry is not None else 0
@@ -635,34 +567,27 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
                 self._replicate_bytes(
                     key, self.machine.load(stored, total) if total else b""
                 )
-        return self._reply_int(resp_buf, total, rsp)
+        return self._reply_int(resp_buf, total)
 
     # --- reply framing ----------------------------------------------------
 
-    def _store_reply(self, resp_buf: int, body: bytes, rsp: bool) -> int:
-        reply = body + (b"\r\n" if rsp else b"\n")
+    def _store_reply(self, resp_buf: int, reply: bytes) -> int:
         self.machine.store(resp_buf, reply)
         return len(reply)
 
-    def _reply_ok(self, resp_buf: int, rsp: bool = False) -> int:
-        return self._store_reply(resp_buf, b"+OK", rsp)
+    def _reply_int(self, resp_buf: int, value: int) -> int:
+        return self._store_reply(resp_buf, resp_proto.encode_integer(value))
 
-    def _reply_int(self, resp_buf: int, value: int, rsp: bool = False) -> int:
-        return self._store_reply(resp_buf, b":%d" % value, rsp)
-
-    def _reply_error(self, resp_buf: int, rsp: bool = False) -> int:
+    def _reply_error(self, resp_buf: int) -> int:
         self.errors += 1
-        return self._store_reply(resp_buf, b"-ERR", rsp)
+        return self._store_reply(resp_buf, _ERR)
 
-    def _reply_moved(
-        self, resp_buf: int, redirect: tuple, rsp: bool = False
-    ) -> int:
+    def _reply_moved(self, resp_buf: int, redirect: tuple) -> int:
         slot, owner = redirect
         self.redirects += 1
         owner_bytes = owner.encode() if isinstance(owner, str) else owner
-        return self._store_reply(
-            resp_buf, b"-MOVED %d %s" % (slot, owner_bytes), rsp
-        )
+        reply = resp_proto.encode_error(b"MOVED %d %s" % (slot, owner_bytes))
+        return self._store_reply(resp_buf, reply)
 
     # --- persistence (RDB-style dump over the vfs micro-library) ----------------------
 

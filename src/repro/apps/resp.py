@@ -12,7 +12,9 @@ Two consumers share this module:
   straight out of its shared receive buffer with :func:`parse_array` —
   offsets of every bulk argument inside the parsed buffer are returned
   alongside the bytes, so a SET value can be journaled zero-copy from
-  the buffer it already sits in;
+  the buffer it already sits in — and frames its replies with
+  :func:`encode_simple`, :func:`encode_error`, :func:`encode_integer`
+  and :data:`NULL_BULK`;
 - **clients** (the workload generator, the cluster smart client, the
   framing tests) encode commands with :func:`encode_command` and parse
   reply streams incrementally with :class:`ReplyParser`.

@@ -192,40 +192,23 @@ def start_redis(image: "Image", port: int | None = None):
 
 
 def make_set_payloads(
-    count: int,
-    value_size: int,
-    keyspace: int | None = None,
-    protocol: str = "resp",
+    count: int, value_size: int, keyspace: int | None = None
 ) -> list[bytes]:
-    """SET request payloads cycling over a bounded keyspace.
-
-    ``protocol="resp"`` (default) encodes RESP2 arrays — the framing an
-    external redis client speaks; ``protocol="text"`` keeps the legacy
-    inline ``SET <key> <len>\\n<value>`` compat format.
-    """
+    """RESP2 SET request payloads cycling over a bounded keyspace."""
     keys = keyspace if keyspace is not None else count
     value = b"v" * value_size
-    if protocol == "resp":
-        return [
-            resp.encode_command(b"SET", b"key%d" % (index % keys), value)
-            for index in range(count)
-        ]
     return [
-        b"SET key%d %d\n" % (index % keys, value_size) + value
+        resp.encode_command(b"SET", b"key%d" % (index % keys), value)
         for index in range(count)
     ]
 
 
-def make_get_payloads(
-    count: int, keyspace: int, protocol: str = "resp"
-) -> list[bytes]:
-    """GET request payloads cycling over a bounded keyspace."""
-    if protocol == "resp":
-        return [
-            resp.encode_command(b"GET", b"key%d" % (index % keyspace))
-            for index in range(count)
-        ]
-    return [b"GET key%d\n" % (index % keyspace) for index in range(count)]
+def make_get_payloads(count: int, keyspace: int) -> list[bytes]:
+    """RESP2 GET request payloads cycling over a bounded keyspace."""
+    return [
+        resp.encode_command(b"GET", b"key%d" % (index % keyspace))
+        for index in range(count)
+    ]
 
 
 def run_closed_loop(

@@ -15,10 +15,10 @@ layers keep repeated exploration cheap:
 2. an optional persistent :class:`repro.core.perfcache.PerfCache`
    (``cache_path=``) keyed additionally by workload/backend/config, so
    a warm second run builds **zero** images;
-3. :func:`measure_many` / ``perf_fn.measure_many`` — fan unmeasured
-   candidates out over a ``concurrent.futures`` executor (each
-   candidate simulates on its own private machine, so measurements are
-   independent and deterministic regardless of schedule).
+3. :func:`measure_many` / ``perf_fn.measure_many`` — measure a batch
+   in order, once per distinct :meth:`Deployment.key`.  Measurement
+   is sequential: a candidate is a pure-Python simulation, so a thread
+   pool only serialises the runs on the GIL and adds its own overhead.
 
 Build counts and cache traffic land in
 :func:`repro.obs.exploration_metrics` (``explore.builds``,
@@ -27,7 +27,6 @@ Build counts and cache traffic land in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.config import BuildConfig
@@ -95,8 +94,8 @@ def simulated_perf_fn(
       run can be dissected afterwards; persistent-cache hits skip the
       build and therefore have no snapshot;
     - ``perf_cache`` — the backing :class:`PerfCache`;
-    - ``measure_many(deployments, workers=None)`` — pre-measure a
-      batch in parallel (see :func:`measure_many`).
+    - ``measure_many(deployments)`` — pre-measure a batch (see
+      :func:`measure_many`).
 
     ``estimator`` names the cost model in persistent-cache keys
     (default ``"measured"`` — these really are measured runs); override
@@ -161,10 +160,8 @@ def simulated_perf_fn(
         memo[key] = cost
         return cost
 
-    def batch(
-        deployments: Iterable["Deployment"], workers: int | None = None
-    ) -> list[float]:
-        return measure_many(measure, deployments, workers=workers)
+    def batch(deployments: Iterable["Deployment"]) -> list[float]:
+        return measure_many(measure, deployments)
 
     measure.snapshots = snapshots
     measure.perf_cache = perf_cache
@@ -175,28 +172,16 @@ def simulated_perf_fn(
 def measure_many(
     perf_fn: Callable[["Deployment"], float],
     deployments: Iterable["Deployment"],
-    workers: int | None = None,
 ) -> list[float]:
-    """Measure a batch of candidates concurrently; returns their costs
-    in input order.
+    """Measure a batch of candidates; returns their costs in input order.
 
-    Candidates sharing a :meth:`Deployment.key` are measured once: the
-    batch is deduplicated before dispatch so two threads never build
-    the same image.  Each simulation runs on its own private machine
-    and the memo/cache writes are plain dict stores, so results are
-    identical to sequential measurement.
+    Candidates sharing a :meth:`Deployment.key` are measured once, in
+    first-seen order, and every input reports its key's cost.
     """
     deployments = list(deployments)
     unique: dict = {}
     for deployment in deployments:
         unique.setdefault(deployment.key(), deployment)
     exploration_metrics().inc("explore.measure.batches")
-    if len(unique) <= 1 or workers == 1:
-        costs = {key: perf_fn(d) for key, d in unique.items()}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = {
-                key: executor.submit(perf_fn, d) for key, d in unique.items()
-            }
-            costs = {key: future.result() for key, future in futures.items()}
+    costs = {key: perf_fn(d) for key, d in unique.items()}
     return [costs[deployment.key()] for deployment in deployments]

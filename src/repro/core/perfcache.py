@@ -100,9 +100,9 @@ class PerfCache:
     def __init__(self, path: str | os.PathLike | None) -> None:
         self.path = pathlib.Path(path) if path is not None else None
         self._entries: dict[str, float] = {}
-        # Serialises entry-update + file-write so parallel measurement
-        # (measure_many) can't persist a stale snapshot that drops a
-        # concurrent put's entry.
+        # Serialises entry-update + file-write so puts from several
+        # threads sharing one cache can't persist a stale snapshot that
+        # drops a concurrent put's entry.
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             try:

@@ -94,8 +94,8 @@ class GateOptions:
 
 #: Set while :func:`repro.gates.registry.make_channel` constructs a
 #: gate; direct instantiation outside the factory raises GateError.
-#: Thread-local because images are built concurrently (measure_many's
-#: pool).
+#: Thread-local, so a factory call on one thread never admits a direct
+#: instantiation on another.
 _FACTORY = threading.local()
 
 

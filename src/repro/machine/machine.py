@@ -16,8 +16,9 @@ pipeline of the paper's testbed):
 6. move the bytes.
 
 Steps 3–5 run once per (page, access kind, PKRU) and are then served
-from a software TLB; capability (CHERI) contexts check bounds per
-access instead of PKRU and walk the page table every time.
+from a software TLB.  Capability (CHERI) contexts check their bounds
+on every access first, then translate on the same TLB path under the
+all-access PKRU: they are not subject to protection keys.
 
 Device DMA (:meth:`Machine.dma_read` / :meth:`Machine.dma_write`)
 bypasses PKRU — as on real hardware, where MPK does not constrain
@@ -33,10 +34,14 @@ from repro.machine.cycles import CostModel
 from repro.machine.ept import SharedWindowAllocator, VMDomain
 from repro.machine.faults import PageFault, ProtectionFault
 from repro.machine.memory import PAGE_SHIFT, PhysicalMemory
-from repro.machine.mpk import pkru_readable, pkru_writable
+from repro.machine.mpk import pkru_all_access, pkru_readable, pkru_writable
 from repro.obs import Observability
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+#: The PKRU value capability contexts translate under.  Their reach is
+#: their capability set, checked on every access; CHERI builds assign
+#: no pkeys, so the key check it implies always passes.
+_CAPABILITY_PKRU = pkru_all_access()
 
 
 class Machine:
@@ -110,15 +115,20 @@ class Machine:
     # --- checked access -----------------------------------------------------
 
     def _tlb_fill(
-        self, space: AddressSpace, context: Context, vaddr: int, op: str
+        self,
+        space: AddressSpace,
+        context: Context,
+        vaddr: int,
+        op: str,
+        pkru: int,
     ) -> int:
         """Software-TLB miss: full page walk + checks, then cache.
 
         Performs the permission and PKRU checks for one page — raising
         their faults — then records the earned translation under
-        ``(vpn, op, pkru)``.  Only reached for non-capability contexts
-        (capability checks are per-access bounds, not per-page rights,
-        so they can never be cached).
+        ``(vpn, op, pkru)``.  ``pkru`` is the context's own value, or
+        the all-access value for a capability context, whose per-access
+        bounds check has already passed and is never cached.
         """
         vpn = vaddr >> PAGE_SHIFT
         entry = space._pages.get(vpn)
@@ -127,15 +137,15 @@ class Machine:
         if op == "read":
             if not entry.perms & Permissions.READ:
                 raise PageFault(vaddr, "read", "page not readable")
-            if not pkru_readable(context.pkru, entry.pkey):
+            if not pkru_readable(pkru, entry.pkey):
                 raise ProtectionFault(vaddr, "read", entry.pkey, context.label)
         else:
             if not entry.perms & Permissions.WRITE:
                 raise PageFault(vaddr, "write", "page not writable")
-            if not pkru_writable(context.pkru, entry.pkey):
+            if not pkru_writable(pkru, entry.pkey):
                 raise ProtectionFault(vaddr, "write", entry.pkey, context.label)
         self.tlb_misses += 1
-        space._access_cache[(vpn, op, context.pkru)] = entry.frame
+        space._access_cache[(vpn, op, pkru)] = entry.frame
         return entry.frame
 
     def load(self, vaddr: int, size: int) -> bytes:
@@ -158,72 +168,66 @@ class Machine:
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "load", vaddr, size)
-        if context.capabilities is not None:
-            cpu.charge(cpu.cost.cheri_check_ns)
-            context.capabilities.check(vaddr, size, "load")
-        elif size > 0:
-            space = context.address_space
-            cache = space._access_cache
-            vpn = vaddr >> PAGE_SHIFT
-            if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-                # Hot case: the access fits one page — one dict probe,
-                # one slice.
-                frame = cache.get((vpn, "read", context.pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, vaddr, "read")
-                else:
-                    self.tlb_hits += 1
-                paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-                # Slicing the mmap copies once, straight into bytes.
-                return self.phys.data[paddr : paddr + size]
-            # Multi-page: try the range cache first — one probe and one
-            # slice when the run was already checked and its frames are
-            # physically contiguous.
+        if context.capabilities is None:
             pkru = context.pkru
-            last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-            npages = last_vpn - vpn + 1
-            range_key = (vpn, npages, "read", pkru)
-            base_paddr = space._range_cache.get(range_key)
-            if base_paddr is not None:
+        else:
+            # Bounds are per access and never cached; translation is.
+            cpu.charge(cost.cheri_check_ns)
+            context.capabilities.check(vaddr, size, "load")
+            pkru = _CAPABILITY_PKRU
+        if size <= 0:
+            if size:
+                raise ValueError("size must be non-negative")
+            return b""
+        space = context.address_space
+        cache = space._access_cache
+        vpn = vaddr >> PAGE_SHIFT
+        if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
+            # Hot case: the access fits one page — one dict probe, one
+            # slice.
+            frame = cache.get((vpn, "read", pkru))
+            if frame is None:
+                frame = self._tlb_fill(space, context, vaddr, "read", pkru)
+            else:
                 self.tlb_hits += 1
-                paddr = base_paddr | (vaddr & _PAGE_MASK)
-                return self.phys.data[paddr : paddr + size]
-            view = self.phys.view
-            chunks = []
-            offset = vaddr
-            end = vaddr + size
-            first_frame = None
-            next_frame = None
-            while offset < end:
-                vpn = offset >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - offset
-                frame = cache.get((vpn, "read", pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, offset, "read")
-                else:
-                    self.tlb_hits += 1
-                if first_frame is None:
-                    first_frame = frame
-                elif frame != next_frame:
-                    first_frame = -1  # run is not physically contiguous
-                next_frame = frame + 1
-                paddr = (frame << PAGE_SHIFT) | (offset & _PAGE_MASK)
-                chunks.append(view[paddr : paddr + chunk])
-                offset += chunk
-            if first_frame >= 0:
-                space._range_cache[range_key] = first_frame << PAGE_SHIFT
-            return b"".join(chunks)
-        # Capability contexts and zero-length reads walk the page table:
-        # capability checks are per-access bounds, not per-page rights,
-        # so their translations are never cached.
+            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
+            # Slicing the mmap copies once, straight into bytes.
+            return self.phys.data[paddr : paddr + size]
+        # Multi-page: try the range cache first — one probe and one
+        # slice when the run was already checked and its frames are
+        # physically contiguous.
+        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
+        npages = last_vpn - vpn + 1
+        range_key = (vpn, npages, "read", pkru)
+        base_paddr = space._range_cache.get(range_key)
+        if base_paddr is not None:
+            self.tlb_hits += 1
+            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            return self.phys.data[paddr : paddr + size]
+        view = self.phys.view
         chunks = []
-        for chunk_va, chunk_size, entry in context.address_space.iter_range(
-            vaddr, size
-        ):
-            if not entry.perms & Permissions.READ:
-                raise PageFault(chunk_va, "read", "page not readable")
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            chunks.append(self.phys.read(paddr, chunk_size))
+        offset = vaddr
+        end = vaddr + size
+        first_frame = None
+        next_frame = None
+        while offset < end:
+            vpn = offset >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - offset
+            frame = cache.get((vpn, "read", pkru))
+            if frame is None:
+                frame = self._tlb_fill(space, context, offset, "read", pkru)
+            else:
+                self.tlb_hits += 1
+            if first_frame is None:
+                first_frame = frame
+            elif frame != next_frame:
+                first_frame = -1  # run is not physically contiguous
+            next_frame = frame + 1
+            paddr = (frame << PAGE_SHIFT) | (offset & _PAGE_MASK)
+            chunks.append(view[paddr : paddr + chunk])
+            offset += chunk
+        if first_frame >= 0:
+            space._range_cache[range_key] = first_frame << PAGE_SHIFT
         return b"".join(chunks)
 
     def store(self, vaddr: int, payload: bytes) -> None:
@@ -246,73 +250,65 @@ class Machine:
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "store", vaddr, size)
-        if context.capabilities is not None:
-            cpu.charge(cpu.cost.cheri_check_ns)
-            context.capabilities.check(vaddr, size, "store")
-        elif size > 0:
-            space = context.address_space
-            cache = space._access_cache
-            data = self.phys.data
-            vpn = vaddr >> PAGE_SHIFT
-            if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-                frame = cache.get((vpn, "write", context.pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, vaddr, "write")
-                else:
-                    self.tlb_hits += 1
-                paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-                data[paddr : paddr + size] = payload
-                return
-            # Multi-page: a range-cache hit means every page of the run
-            # already passed its checks and the frames are physically
-            # contiguous — the whole store is one slice assignment.
+        if context.capabilities is None:
             pkru = context.pkru
-            last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-            npages = last_vpn - vpn + 1
-            range_key = (vpn, npages, "write", pkru)
-            base_paddr = space._range_cache.get(range_key)
-            if base_paddr is not None:
-                self.tlb_hits += 1
-                paddr = base_paddr | (vaddr & _PAGE_MASK)
-                data[paddr : paddr + size] = payload
-                return
-            # Miss: check-and-write page by page, in order, so a fault
-            # mid-store leaves exactly the pages before it written.
-            offset = 0
-            va = vaddr
-            end = vaddr + size
-            first_frame = None
-            next_frame = None
-            while va < end:
-                vpn = va >> PAGE_SHIFT
-                chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-                frame = cache.get((vpn, "write", pkru))
-                if frame is None:
-                    frame = self._tlb_fill(space, context, va, "write")
-                else:
-                    self.tlb_hits += 1
-                if first_frame is None:
-                    first_frame = frame
-                elif frame != next_frame:
-                    first_frame = -1  # run is not physically contiguous
-                next_frame = frame + 1
-                paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-                data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-                offset += chunk
-                va += chunk
-            if first_frame >= 0:
-                space._range_cache[range_key] = first_frame << PAGE_SHIFT
+        else:
+            cpu.charge(cost.cheri_check_ns)
+            context.capabilities.check(vaddr, size, "store")
+            pkru = _CAPABILITY_PKRU
+        if not size:
             return
-        # Capability contexts and zero-length writes: the page walk.
+        space = context.address_space
+        cache = space._access_cache
+        data = self.phys.data
+        vpn = vaddr >> PAGE_SHIFT
+        if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
+            frame = cache.get((vpn, "write", pkru))
+            if frame is None:
+                frame = self._tlb_fill(space, context, vaddr, "write", pkru)
+            else:
+                self.tlb_hits += 1
+            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
+            data[paddr : paddr + size] = payload
+            return
+        # Multi-page: a range-cache hit means every page of the run
+        # already passed its checks and the frames are physically
+        # contiguous — the whole store is one slice assignment.
+        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
+        npages = last_vpn - vpn + 1
+        range_key = (vpn, npages, "write", pkru)
+        base_paddr = space._range_cache.get(range_key)
+        if base_paddr is not None:
+            self.tlb_hits += 1
+            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            data[paddr : paddr + size] = payload
+            return
+        # Miss: check-and-write page by page, in order, so a fault
+        # mid-store leaves exactly the pages before it written.
         offset = 0
-        for chunk_va, chunk_size, entry in context.address_space.iter_range(
-            vaddr, size
-        ):
-            if not entry.perms & Permissions.WRITE:
-                raise PageFault(chunk_va, "write", "page not writable")
-            paddr = (entry.frame << 12) | (chunk_va & 0xFFF)
-            self.phys.write(paddr, payload[offset : offset + chunk_size])
-            offset += chunk_size
+        va = vaddr
+        end = vaddr + size
+        first_frame = None
+        next_frame = None
+        while va < end:
+            vpn = va >> PAGE_SHIFT
+            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
+            frame = cache.get((vpn, "write", pkru))
+            if frame is None:
+                frame = self._tlb_fill(space, context, va, "write", pkru)
+            else:
+                self.tlb_hits += 1
+            if first_frame is None:
+                first_frame = frame
+            elif frame != next_frame:
+                first_frame = -1  # run is not physically contiguous
+            next_frame = frame + 1
+            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
+            offset += chunk
+            va += chunk
+        if first_frame >= 0:
+            space._range_cache[range_key] = first_frame << PAGE_SHIFT
 
     def copy(self, dst: int, src: int, size: int) -> None:
         """Checked memory-to-memory copy (one load + one store)."""

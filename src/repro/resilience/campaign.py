@@ -68,6 +68,7 @@ import random
 import sys
 from typing import Callable
 
+from repro.apps.resp import encode_command
 from repro.cluster.campaign import EXPECTED, run_cluster_cell
 from repro.core.builder import build_image
 from repro.core.config import BuildConfig
@@ -272,7 +273,7 @@ def _recovery_payloads(count: int) -> tuple[list[bytes], dict[bytes, bytes]]:
         key = b"rk%04d" % index
         value = (b"%04d" % (index % 10_000)) * 4
         values[key] = value
-        requests.append(b"SET %s %d\n" % (key, len(value)) + value)
+        requests.append(encode_command(b"SET", key, value))
     return requests, values
 
 

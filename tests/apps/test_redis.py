@@ -10,6 +10,7 @@ from repro.apps import (
     run_redis_phase,
     start_redis,
 )
+from repro.apps.resp import encode_command as cmd
 
 GROUPS = [["netstack"], ["sched", "alloc", "libc", "redis"]]
 
@@ -43,59 +44,76 @@ def run_requests(image, payloads, window=4):
 def test_set_then_get_roundtrip(image):
     responses = run_requests(
         image,
-        [b"SET color 4\nblue", b"GET color\n"],
+        [cmd(b"SET", b"color", b"blue"), cmd(b"GET", b"color")],
     )
-    assert responses == [b"+OK\n", b"$4\nblue"]
+    assert responses == [b"+OK\r\n", b"$4\r\nblue\r\n"]
 
 
 def test_get_miss(image):
-    responses = run_requests(image, [b"GET nothing\n"])
-    assert responses == [b"$-1\n"]
+    responses = run_requests(image, [cmd(b"GET", b"nothing")])
+    assert responses == [b"$-1\r\n"]
     assert image.call("redis", "redis_stats")["misses"] == 1
 
 
 def test_overwrite_replaces_value(image):
     responses = run_requests(
         image,
-        [b"SET k 3\nold", b"SET k 7\nnewdata", b"GET k\n"],
+        [
+            cmd(b"SET", b"k", b"old"),
+            cmd(b"SET", b"k", b"newdata"),
+            cmd(b"GET", b"k"),
+        ],
     )
-    assert responses[-1] == b"$7\nnewdata"
+    assert responses[-1] == b"$7\r\nnewdata\r\n"
     assert image.call("redis", "dbsize") == 1
 
 
 def test_values_live_in_simulated_memory(image):
-    run_requests(image, [b"SET key 11\nhello world"])
+    run_requests(image, [cmd(b"SET", b"key", b"hello world")])
     assert image.lib("redis").value_of(b"key") == b"hello world"
     assert image.lib("redis").value_of(b"absent") is None
 
 
 def test_empty_value(image):
-    responses = run_requests(image, [b"SET empty 0\n", b"GET empty\n"])
-    assert responses == [b"+OK\n", b"$0\n"]
+    responses = run_requests(
+        image, [cmd(b"SET", b"empty", b""), cmd(b"GET", b"empty")]
+    )
+    assert responses == [b"+OK\r\n", b"$0\r\n\r\n"]
 
 
 def test_binaryish_values(image):
-    value = bytes(range(1, 128))
-    request = b"SET bin %d\n" % len(value) + value
-    responses = run_requests(image, [request, b"GET bin\n"])
-    assert responses[-1] == b"$%d\n" % len(value) + value
+    # Every byte value, CR and LF included: RESP bulks are length-framed.
+    value = bytes(range(256))
+    responses = run_requests(
+        image, [cmd(b"SET", b"bin", value), cmd(b"GET", b"bin")]
+    )
+    assert responses[-1] == b"$%d\r\n" % len(value) + value + b"\r\n"
+    assert image.lib("redis").value_of(b"bin") == value
 
 
 def test_malformed_commands(image):
     responses = run_requests(
         image,
-        [b"SET missing-args\n", b"FLY away\n", b"SET k notanum\n"],
+        [
+            cmd(b"SET", b"missing-args"),
+            cmd(b"FLY", b"away"),
+            cmd(b"SET", b"k", b"v", b"extra"),
+        ],
     )
-    assert responses == [b"-ERR\n"] * 3
-    assert image.call("redis", "redis_stats")["errors"] == 3
+    assert responses == [b"-ERR\r\n"] * 3
+    stats = image.call("redis", "redis_stats")
+    assert stats["errors"] == 3
+    assert stats["sets"] == 0
+    assert image.call("redis", "dbsize") == 0
 
 
 def test_pipelined_commands_in_one_packet(image):
     responses = run_requests(
-        image, [b"SET a 1\nxGET a\n" + b"GET missing\n"]
+        image,
+        [cmd(b"SET", b"a", b"x") + cmd(b"GET", b"a") + cmd(b"GET", b"missing")],
     )
     # One packet carrying three commands yields three responses.
-    assert responses == [b"+OK\n", b"$1\nx", b"$-1\n"]
+    assert responses == [b"+OK\r\n", b"$1\r\nx\r\n", b"$-1\r\n"]
 
 
 def test_partial_command_across_packets(image):
@@ -103,16 +121,23 @@ def test_partial_command_across_packets(image):
     second arrives (stream reassembly)."""
     # window=2 so the completing packet is sent without waiting for a
     # response to the (necessarily silent) partial one.
-    half1 = b"SET split 10\nfirst"
-    half2 = b"half!GET split\n"
+    frame = cmd(b"SET", b"split", b"firsthalf!")
+    cut = frame.index(b"first") + len(b"first")
+    half1 = frame[:cut]
+    half2 = frame[cut:] + cmd(b"GET", b"split")
     responses = run_requests(image, [half1, half2], window=2)
-    assert responses == [b"+OK\n", b"$10\nfirsthalf!"]
+    assert responses == [b"+OK\r\n", b"$10\r\nfirsthalf!\r\n"]
 
 
 def test_stats_counters(image):
     run_requests(
         image,
-        [b"SET a 1\nx", b"GET a\n", b"GET a\n", b"GET b\n"],
+        [
+            cmd(b"SET", b"a", b"x"),
+            cmd(b"GET", b"a"),
+            cmd(b"GET", b"a"),
+            cmd(b"GET", b"b"),
+        ],
     )
     stats = image.call("redis", "redis_stats")
     assert stats["sets"] == 1
@@ -142,13 +167,6 @@ def test_payload_generators():
     assert b"$4\r\nkey0\r\n" in sets[4]  # keyspace cycles
     gets = make_get_payloads(6, 3)
     assert gets[3] == b"*2\r\n$3\r\nGET\r\n$4\r\nkey0\r\n"
-
-
-def test_payload_generators_text_compat():
-    sets = make_set_payloads(10, 16, keyspace=4, protocol="text")
-    assert sets[0].startswith(b"SET key0 16\n")
-    gets = make_get_payloads(6, 3, protocol="text")
-    assert gets[3] == b"GET key0\n"
 
 
 def test_start_redis_idempotent(image):

@@ -6,6 +6,7 @@ import pytest
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
 from repro.apps.rediserver import DumpTruncatedError
+from repro.apps.resp import encode_command as cmd
 from repro.apps.workload import run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
 
@@ -33,9 +34,7 @@ def drive(image, payloads, expect=b"+OK"):
 
 
 def set_payloads(entries):
-    return [
-        b"SET %s %d\n" % (key, len(value)) + value for key, value in entries
-    ]
+    return [cmd(b"SET", key, value) for key, value in entries]
 
 
 # --- durable SET/DEL ---------------------------------------------------------
@@ -56,7 +55,7 @@ def test_set_journals_into_kv():
 def test_del_journals_tombstone():
     image = build_durable()
     drive(image, set_payloads([(b"doomed", b"x")]))
-    run_redis_phase(image, [b"DEL doomed\n"], expect_prefix=b":1")
+    run_redis_phase(image, [cmd(b"DEL", b"doomed")], expect_prefix=b":1\r\n")
     assert image.call("kv", "kv_keys") == []
     assert image.call("redis", "redis_stats")["kv_writes"] == 2
 
@@ -92,7 +91,7 @@ def test_reboot_recovery_restores_store(backend):
         image,
         set_payloads([(b"delta", b"old")] + entries),
     )
-    run_redis_phase(image, [b"DEL beta\n"], expect_prefix=b":1")
+    run_redis_phase(image, [cmd(b"DEL", b"beta")], expect_prefix=b":1\r\n")
 
     # Reboot: fresh image, same medium, recover on boot.
     fresh = build_durable(medium, backend)
@@ -117,7 +116,9 @@ def test_recovered_store_serves_gets():
     fresh.call("redis", "recover")
     start_redis(fresh)
     run_redis_phase(
-        fresh, [b"GET served\n"], expect_prefix=b"$12\nafter-reboot"
+        fresh,
+        [cmd(b"GET", b"served")],
+        expect_prefix=b"$12\r\nafter-reboot\r\n",
     )
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BuildConfig, build_image
-from repro.apps import ClosedLoopSource, start_redis
+from repro.apps import ClosedLoopSource, resp, start_redis
 from repro.apps.workload import _switch_budget
 
 keys = st.sampled_from([b"k0", b"k1", b"k2", b"key-long-name"])
-values = st.binary(min_size=0, max_size=120).filter(lambda v: b"\n" not in v)
+# RESP bulks are length-framed, so values may hold any byte, CR and LF too.
+values = st.binary(min_size=0, max_size=120)
 
 commands = st.one_of(
     st.tuples(st.just("SET"), keys, values),
@@ -26,34 +27,25 @@ commands = st.one_of(
 
 
 def encode(command) -> bytes:
-    if command[0] == "SET":
-        _, key, value = command
-        return b"SET %s %d\n%s" % (key, len(value), value)
-    if command[0] == "APPEND":
-        _, key, value = command
-        return b"APPEND %s %d\n%s" % (key, len(value), value)
-    return b"%s %s\n" % (command[0].encode(), command[1])
+    return resp.encode_command(command[0].encode(), *command[1:])
 
 
 def model_response(store: dict, command) -> bytes:
     kind = command[0]
     if kind == "SET":
         store[command[1]] = command[2]
-        return b"+OK\n"
+        return resp.encode_simple(b"OK")
     if kind == "GET":
-        value = store.get(command[1])
-        if value is None:
-            return b"$-1\n"
-        return b"$%d\n%s" % (len(value), value)
+        return resp.encode_bulk(store.get(command[1]))
     if kind == "DEL":
         existed = command[1] in store
         store.pop(command[1], None)
-        return b":%d\n" % (1 if existed else 0)
+        return resp.encode_integer(1 if existed else 0)
     if kind == "EXISTS":
-        return b":%d\n" % (1 if command[1] in store else 0)
+        return resp.encode_integer(1 if command[1] in store else 0)
     if kind == "APPEND":
         store[command[1]] = store.get(command[1], b"") + command[2]
-        return b":%d\n" % len(store[command[1]])
+        return resp.encode_integer(len(store[command[1]]))
     raise AssertionError(kind)
 
 

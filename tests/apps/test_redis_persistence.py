@@ -4,6 +4,7 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
+from repro.apps.resp import encode_command
 from repro.apps.workload import run_redis_phase
 
 
@@ -24,9 +25,7 @@ def build(backend="none", groups=None):
 
 def populate(image, entries):
     start_redis(image)
-    payloads = [
-        b"SET %s %d\n" % (key, len(value)) + value for key, value in entries
-    ]
+    payloads = [encode_command(b"SET", key, value) for key, value in entries]
     run_redis_phase(image, payloads, window=4, expect_prefix=b"+OK")
 
 

@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 
 from repro import BuildConfig, build_image
-from repro.apps import resp, start_redis
+from repro.apps import ClosedLoopSource, resp, start_redis
 from repro.apps.workload import run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
 from repro.libos.net.packet import build_packet, unpack_header
@@ -248,19 +248,42 @@ def test_resp_pipelined_burst_single_packet():
     assert values == [b"OK"] * 8 + [b"v"] * 8
 
 
-def test_text_and_resp_interleave_on_one_connection():
+def _exchange(image, payloads):
+    """Send ``payloads`` one at a time (window 1); the reply to each."""
+    source = ClosedLoopSource(6379, payloads, window=1)
+    replies = []
+    netstack = image.lib("netstack")
+    netstack.nic.rx_source = source.source
+    netstack.nic.tx_sink = lambda frame: (
+        source.sink(frame),
+        replies.append(source.last_response),
+    )
+    image.run(until=lambda: source.done, max_switches=100_000)
+    assert source.done
+    return replies
+
+
+def test_non_resp_request_is_a_protocol_error():
+    """A buffer whose first byte is not ``*`` is one malformed frame:
+    one ``-ERR``, nothing executed, and the stream keeps serving RESP."""
     image = _volatile_image()
     start_redis(image)
-    raw_replies = _drive_raw(
+    assert _exchange(image, [b"SET k 1\nx"]) == [b"-ERR\r\n"]
+    stats = image.call("redis", "redis_stats")
+    assert stats["errors"] == 1
+    assert stats["sets"] == 0
+    assert image.call("redis", "dbsize") == 0
+    assert image.lib("redis").value_of(b"k") is None
+
+    replies = _exchange(
         image,
         [
-            b"SET mixed 3\nxyz",
-            resp.encode_command(b"GET", b"mixed"),
-            b"GET mixed\n",
+            resp.encode_command(b"SET", b"k", b"v"),
+            resp.encode_command(b"GET", b"k"),
         ],
-        3,
     )
-    assert b"".join(raw_replies) == b"+OK\n$3\r\nxyz\r\n$3\nxyz"
+    assert replies == [b"+OK\r\n", b"$1\r\nv\r\n"]
+    assert image.call("redis", "redis_stats")["errors"] == 1
 
 
 def test_oversized_resp_command_gets_typed_error_reply():
@@ -350,11 +373,15 @@ def test_incr_after_recovery_continues_sequence():
     image = _build_durable(medium)
     start_redis(image)
     run_redis_phase(
-        image, [b"INCR seq\n", b"INCR seq\n"], expect_prefix=b":"
+        image,
+        [resp.encode_command(b"INCR", b"seq") for _ in range(2)],
+        expect_prefix=b":",
     )
 
     fresh = _build_durable(medium)
     fresh.call("redis", "recover")
     start_redis(fresh)
-    run_redis_phase(fresh, [b"INCR seq\n"], expect_prefix=b":3")
+    run_redis_phase(
+        fresh, [resp.encode_command(b"INCR", b"seq")], expect_prefix=b":3\r\n"
+    )
     assert fresh.lib("redis").value_of(b"seq") == b"3"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.resp import encode_command
 from repro.cluster.fabric import Fabric, Link
 from repro.cluster.cluster import RedisCluster
 from repro.cluster.client import ClusterClient
@@ -33,7 +34,7 @@ def _one_node_cluster():
 
 def test_delivery_waits_for_arrival_time_on_receiver_clock():
     cluster, node = _one_node_cluster()
-    arrival = node.deliver(b"PING\n")
+    arrival = node.deliver(encode_command(b"PING"))
     assert arrival > node.clock_ns  # in flight, not instantly visible
     assert node._rx_source() is None  # NIC sees an idle wire for now
     replies = []
@@ -41,7 +42,7 @@ def test_delivery_waits_for_arrival_time_on_receiver_clock():
     cluster.fabric.run(until=lambda: replies)
     # The node's clock had to advance past the arrival to consume it.
     assert node.clock_ns >= arrival
-    assert replies == [b"+PONG\n"]
+    assert replies == [b"+PONG\r\n"]
 
 
 def test_conservative_stepping_runs_min_clock_node_first():

@@ -122,11 +122,11 @@ def test_measure_many_matches_sequential():
     sequential = simulated_perf_fn(LIBS, workload="iperf")
     expected = [sequential(d) for d in deployments]
 
-    parallel = simulated_perf_fn(LIBS, workload="iperf")
-    got = parallel.measure_many(deployments, workers=4)
+    batched = simulated_perf_fn(LIBS, workload="iperf")
+    got = batched.measure_many(deployments)
     assert got == expected
     # Duplicate inputs measure once but report per-input costs.
-    doubled = parallel.measure_many(deployments * 2, workers=4)
+    doubled = batched.measure_many(deployments * 2)
     assert doubled == expected * 2
 
 
@@ -140,7 +140,7 @@ def test_measure_many_dedupes_builds():
         calls.append(d.key())
         return 1.0
 
-    costs = measure_many(perf, [deployment, deployment, deployment], workers=3)
+    costs = measure_many(perf, [deployment, deployment, deployment])
     assert costs == [1.0, 1.0, 1.0]
     assert len(calls) == 1
 

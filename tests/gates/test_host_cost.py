@@ -114,8 +114,10 @@ def test_crossing_after_a_load_frame_budget(kind):
     assert _frames(load_then_cross) <= BUDGETS[kind][0] + _frames(load)
 
 
-def test_memory_access_frame_budget():
-    machine, _, caller = make_world("mpk-shared")
+def _accesses(world: str):
+    """The machine, an address and load/store/copy thunks of an entered
+    caller, each run once so the software TLB holds its translations."""
+    machine, _, caller = make_world(world)
     enter_caller(machine, caller)
     addr = caller.compartment.alloc_region(4096)
 
@@ -129,7 +131,12 @@ def test_memory_access_frame_budget():
         machine.copy(addr + 64, addr, 8)
 
     for access in (load, store, copy):
-        access()  # fills the software TLB
+        access()
+    return machine, addr, load, store, copy
+
+
+def test_memory_access_frame_budget():
+    machine, addr, load, store, copy = _accesses("mpk-shared")
     assert _frames(load) <= 1
     assert _frames(store) <= 1
     assert _frames(copy) <= 3  # copy, load, store
@@ -139,6 +146,12 @@ def test_memory_access_frame_budget():
         machine.cpu.charge(1.0)
 
     assert _frames(load_then_charge) <= 2  # load, charge
+
+    # A capability context adds its per-access bounds check (the
+    # charge, the check, its range scan), then takes the same TLB path.
+    _, _, load, store, _ = _accesses("cheri")
+    assert _frames(load) <= 4
+    assert _frames(store) <= 4
 
 
 def test_library_charge_frame_budget():

@@ -13,6 +13,7 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
+from repro.apps.resp import encode_command
 from repro.apps.workload import run_redis_phase
 from repro.core.config import parse_queue_policy
 from repro.core.errors import BuildError
@@ -325,9 +326,7 @@ def build_durable_redis(backend="mpk-shared", queue_edges=None):
 
 
 def set_payloads(entries):
-    return [
-        b"SET %s %d\n" % (key, len(value)) + value for key, value in entries
-    ]
+    return [encode_command(b"SET", key, value) for key, value in entries]
 
 
 def test_builder_wires_queue_edges():
@@ -376,12 +375,12 @@ def test_batch_one_matches_sync_semantics():
     )
     payloads = set_payloads(
         [(b"a", b"one"), (b"b", b"two"), (b"a", b"three")]
-    ) + [b"DEL b\n", b"GET a\n"]
+    ) + [encode_command(b"DEL", b"b"), encode_command(b"GET", b"a")]
     for image in (sync_image, queued_image):
         start_redis(image)
         run_redis_phase(image, payloads[:3], window=4, expect_prefix=b"+OK")
-        run_redis_phase(image, [payloads[3]], expect_prefix=b":1")
-        run_redis_phase(image, [payloads[4]], expect_prefix=b"$5")
+        run_redis_phase(image, [payloads[3]], expect_prefix=b":1\r\n")
+        run_redis_phase(image, [payloads[4]], expect_prefix=b"$5\r\nthree")
     sync_stats = image_stats = None
     sync_stats = sync_image.call("redis", "redis_stats")
     image_stats = queued_image.call("redis", "redis_stats")
