@@ -16,49 +16,45 @@ Three phases over the sharded redis cluster
   reported: slots moved, keys/bytes migrated over the wire, and the
   migration's simulated duration.
 
-Results go to ``benchmarks/BENCH_cluster.json``.  Runs standalone:
-
-    PYTHONPATH=src python benchmarks/bench_cluster.py --smoke
+Every phase is recorded under ``cluster`` in ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-
 from repro.cluster.client import ClusterClient, verify_acked
 from repro.cluster.cluster import RedisCluster
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_cluster.json"
 
 SHARD_COUNTS = (1, 2, 3)
 #: Acceptance floor for aggregate throughput scaling 1 -> 3 shards.
 MIN_SCALING = 1.7
+SETS = 240
+GETS = 240
+BACKEND = "none"
+#: Picks the failover victim among the sorted shard names.
+FAILOVER_SEED = 11
 
 
 def _clock(cluster: RedisCluster) -> float:
     return max(node.clock_ns for node in cluster.fabric.alive_nodes())
 
 
-def scaling_cell(shards: int, sets: int, gets: int, backend: str) -> dict:
+def scaling_cell(shards: int) -> dict:
     """Aggregate SET/GET throughput at a given shard count."""
     names = tuple("s%d" % index for index in range(shards))
-    cluster = RedisCluster(shards=names, backend=backend, replicate=False)
+    cluster = RedisCluster(shards=names, backend=BACKEND, replicate=False)
     client = ClusterClient(cluster)
     start = _clock(cluster)
-    for index in range(sets):
+    for index in range(SETS):
         client.set(b"key:%04d" % index, b"v%04d" % index * 8)
     client.drive()
-    for index in range(gets):
-        client.get(b"key:%04d" % (index % sets))
+    for index in range(GETS):
+        client.get(b"key:%04d" % (index % SETS))
     client.drive()
     elapsed = _clock(cluster) - start
     ops = client.completed
     assert client.stats()["errors"] == 0
     return {
         "shards": shards,
-        "backend": backend,
         "ops": ops,
         "acked_sets": len(client.acked),
         "elapsed_ns": elapsed,
@@ -66,29 +62,28 @@ def scaling_cell(shards: int, sets: int, gets: int, backend: str) -> dict:
     }
 
 
-def failover_cell(sets: int, backend: str, seed: int = 11) -> dict:
+def failover_cell() -> dict:
     """Kill one primary mid-load; measure promotion on the follower."""
     cluster = RedisCluster(
-        shards=("s0", "s1", "s2"), backend=backend, replicate=True
+        shards=("s0", "s1", "s2"), backend=BACKEND, replicate=True
     )
     client = ClusterClient(cluster)
-    for index in range(sets):
+    for index in range(SETS):
         client.set(b"key:%04d" % index, b"v%04d" % index * 8)
-    threshold = max(1, sets // 2)
+    threshold = max(1, SETS // 2)
 
     def mid_load() -> bool:
         client.pump()
         return len(client.acked) >= threshold or client.done
 
     cluster.fabric.run(until=mid_load)
-    victim = sorted(cluster.shards)[seed % len(cluster.shards)]
+    victim = sorted(cluster.shards)[FAILOVER_SEED % len(cluster.shards)]
     cluster.kill_primary(victim)
     report = cluster.promote(victim, recover=True)
     client.drive()
     audit = verify_acked(cluster, client)
     shard = cluster.shards[victim]
     return {
-        "backend": backend,
         "victim": victim,
         "acked": len(client.acked),
         "failover_ns": shard.failover_ns,
@@ -99,19 +94,18 @@ def failover_cell(sets: int, backend: str, seed: int = 11) -> dict:
     }
 
 
-def rebalance_cell(sets: int, backend: str) -> dict:
+def rebalance_cell() -> dict:
     """Join a fourth shard into a loaded cluster; cost of convergence."""
     cluster = RedisCluster(
-        shards=("s0", "s1", "s2"), backend=backend, replicate=False
+        shards=("s0", "s1", "s2"), backend=BACKEND, replicate=False
     )
     client = ClusterClient(cluster)
-    for index in range(sets):
+    for index in range(SETS):
         client.set(b"key:%04d" % index, b"v%04d" % index * 8)
     client.drive()
     report = cluster.add_shard("s3")
     audit = verify_acked(cluster, client)
     return {
-        "backend": backend,
         "keys_before": len(client.acked),
         "moved_slots": len(report["moved_slots"]),
         "migrated_keys": report["migrated_keys"],
@@ -121,78 +115,53 @@ def rebalance_cell(sets: int, backend: str) -> dict:
     }
 
 
-def run(sets: int, gets: int, backend: str) -> dict:
-    scaling = [
-        scaling_cell(count, sets, gets, backend) for count in SHARD_COUNTS
-    ]
-    single = scaling[0]["throughput_ops_per_ms"]
-    tripled = scaling[-1]["throughput_ops_per_ms"]
-    payload = {
-        "backend": backend,
-        "sets": sets,
-        "gets": gets,
-        "scaling": scaling,
-        "scaling_1_to_3": tripled / single,
-        "failover": failover_cell(sets, backend),
-        "rebalance": rebalance_cell(sets, backend),
-    }
-    _check(payload)
-    return payload
-
-
-def _check(payload: dict) -> None:
-    """The claims the numbers must support (smoke-level sanity)."""
-    assert payload["scaling_1_to_3"] >= MIN_SCALING, payload["scaling_1_to_3"]
-    # More shards never lose operations.
-    for cell in payload["scaling"]:
-        assert cell["ops"] == payload["sets"] + payload["gets"]
-    failover = payload["failover"]
-    assert failover["no_acked_write_lost"]
-    assert failover["failover_ns"] > 0
-    rebalance = payload["rebalance"]
-    assert rebalance["converged"]
-    assert rebalance["migrated_keys"] >= 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sizes for CI (same phases, same checks)",
+def test_cluster_scaling(report):
+    """>= 1.7x aggregate throughput from 1 to 3 shards, no op lost."""
+    scaling = [scaling_cell(count) for count in SHARD_COUNTS]
+    ratio = (
+        scaling[-1]["throughput_ops_per_ms"]
+        / scaling[0]["throughput_ops_per_ms"]
     )
-    parser.add_argument("--backend", default="none")
-    parser.add_argument("--json", default=str(BENCH_JSON))
-    options = parser.parse_args(argv)
-    if options.smoke:
-        payload = run(sets=48, gets=48, backend=options.backend)
-    else:
-        payload = run(sets=240, gets=240, backend=options.backend)
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    for cell in payload["scaling"]:
-        print(
+    for cell in scaling:
+        report.row(
+            "Cluster (simulated)",
             f"shards={cell['shards']}  "
             f"{cell['throughput_ops_per_ms']:8.1f} ops/ms  "
-            f"({cell['ops']} ops in {cell['elapsed_ns'] / 1e6:.2f} ms)"
+            f"({cell['ops']} ops in {cell['elapsed_ns'] / 1e6:.2f} ms)",
         )
-    print(f"scaling 1->3: {payload['scaling_1_to_3']:.2f}x")
-    failover = payload["failover"]
-    print(
+    report.row("Cluster (simulated)", f"scaling 1->3: {ratio:.2f}x")
+    report.value("cluster", "scaling", scaling)
+    report.value("cluster", "scaling_1_to_3", ratio)
+    assert ratio >= MIN_SCALING, ratio
+    # More shards never lose operations.
+    for cell in scaling:
+        assert cell["ops"] == SETS + GETS
+
+
+def test_cluster_failover(report):
+    """A killed primary's follower takes over without losing acked writes."""
+    failover = failover_cell()
+    report.row(
+        "Cluster (simulated)",
         f"failover: {failover['failover_ns'] / 1e6:.2f} ms "
         f"(victim {failover['victim']}, acked {failover['acked']}, "
-        f"no-acked-write-lost={failover['no_acked_write_lost']})"
+        f"no-acked-write-lost={failover['no_acked_write_lost']})",
     )
-    rebalance = payload["rebalance"]
-    print(
+    report.value("cluster", "failover", failover)
+    assert failover["no_acked_write_lost"]
+    assert failover["failover_ns"] > 0
+
+
+def test_cluster_rebalance(report):
+    """A fourth shard joins a loaded cluster and the key space converges."""
+    rebalance = rebalance_cell()
+    report.row(
+        "Cluster (simulated)",
         f"rebalance: {rebalance['migrated_keys']} keys / "
         f"{rebalance['migrated_bytes']} bytes in "
         f"{rebalance['migration_ns'] / 1e6:.2f} ms "
-        f"(moved {rebalance['moved_slots']} slots)"
+        f"(moved {rebalance['moved_slots']} slots)",
     )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    report.value("cluster", "rebalance", rebalance)
+    assert rebalance["converged"]
+    assert rebalance["migrated_keys"] >= 0

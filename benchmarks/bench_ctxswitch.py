@@ -37,20 +37,19 @@ def measure(scheduler: str) -> float:
 
 
 @pytest.mark.parametrize("scheduler,expected", [("coop", 76.6), ("verified", 218.6)])
-def test_ctx_switch_latency(benchmark, report, scheduler, expected):
-    latency = benchmark.pedantic(measure, args=(scheduler,), rounds=1, iterations=1)
+def test_ctx_switch_latency(report, scheduler, expected):
+    latency = measure(scheduler)
     report.row(
         "Context switch microbenchmark",
         f"{scheduler:9s} scheduler: {latency:6.1f} ns/switch "
         f"(paper: {expected} ns)",
     )
     report.value("ctxswitch", scheduler, latency)
-    benchmark.extra_info["ns_per_switch"] = latency
     assert latency == pytest.approx(expected, rel=0.02)
 
 
-def test_verified_is_about_3x(benchmark, report):
-    coop = benchmark.pedantic(measure, args=("coop",), rounds=1, iterations=1)
+def test_verified_is_about_3x(report):
+    coop = measure("coop")
     verified = measure("verified")
     ratio = verified / coop
     assert 2.5 < ratio < 3.3  # paper: "3x slower"

@@ -10,17 +10,16 @@ pairwise variant compatibility matrix + coloring memo + lazy
 enumeration — pushes the scale wall compared to the eager reference
 pipeline, across a library-count × variant-count grid.
 
-The headline comparison (10 libraries × 3 variants, 59049 combos) is
-written to ``benchmarks/BENCH_explorer.json`` together with the grid,
-and asserts the fast path is ≥10× faster with bit-identical
-deployments and strategy answers.  ``test_explorer_perf_smoke`` is the
-small-scale CI guard.
+The headline comparison (10 libraries × 3 variants, 59049 combos)
+asserts the fast path is ≥10× faster with bit-identical deployments
+and strategy answers; ``test_explorer_perf_smoke`` is the small-scale
+guard.  Seconds and speedups are host time, printed only; the combo
+counts, memo sizes, exploration stats and picks are recorded under
+``explorer`` in ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
 from repro.core.autobench import simulated_perf_fn
@@ -40,12 +39,6 @@ from repro.core.hardening import (
 from repro.core.metadata import LibrarySpec, Region, Requires
 
 LIBS = ["libc", "netstack", "vfs", "iperf"]
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_explorer.json"
-
-#: Accumulated across tests in this module, dumped by whichever test
-#: runs last so a partial selection still writes a valid file.
-_BENCH_DATA: dict = {}
 
 
 def synthetic_libdefs(count: int) -> list[LibraryDef]:
@@ -85,7 +78,7 @@ def synthetic_libdefs(count: int) -> list[LibraryDef]:
     return defs
 
 
-def _eager_strategy_keys(deployments, libdefs) -> dict:
+def _eager_strategy_picks(deployments, libdefs) -> dict:
     """Strategy answers computed directly over the eager list, with the
     same first-optimum tie-breaking the Explorer uses."""
     perf = lambda d: estimate_crossing_cost(d, libdefs)  # noqa: E731
@@ -98,17 +91,17 @@ def _eager_strategy_keys(deployments, libdefs) -> dict:
     ]
     best_perf = min(compliant, key=perf) if compliant else None
     return {
-        "max_security_within_budget": max_security and max_security.key(),
-        "best_performance_meeting": best_perf and best_perf.key(),
+        "max_security_within_budget": max_security,
+        "best_performance_meeting": best_perf,
     }
 
 
-def _fast_strategy_keys(explorer: Explorer) -> dict:
+def _fast_strategy_picks(explorer: Explorer) -> dict:
     max_security = explorer.max_security_within_budget(budget=1e9)
     best_perf = explorer.best_performance_meeting(["no-wild-writes"])
     return {
-        "max_security_within_budget": max_security and max_security.key(),
-        "best_performance_meeting": best_perf and best_perf.key(),
+        "max_security_within_budget": max_security,
+        "best_performance_meeting": best_perf,
     }
 
 
@@ -127,18 +120,21 @@ def _compare_paths(count: int, alternatives: bool) -> dict:
     t0 = time.perf_counter()
     eager = enumerate_deployments(defs, alternatives, eager=True)
     eager_enumerate_s = time.perf_counter() - t0
-    eager_keys = _eager_strategy_keys(eager, defs)
+    eager_picks = _eager_strategy_picks(eager, defs)
     eager_total_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     explorer = Explorer(defs, alternatives)
     fast = explorer.deployments
     fast_enumerate_s = time.perf_counter() - t0
-    fast_keys = _fast_strategy_keys(explorer)
+    fast_picks = _fast_strategy_picks(explorer)
     fast_total_s = time.perf_counter() - t0
 
     assert fast == eager, "fast path must be bit-identical to eager"
-    assert fast_keys == eager_keys, "strategy answers must be identical"
+    keys = lambda picks: {n: p and p.key() for n, p in picks.items()}  # noqa: E731
+    assert keys(fast_picks) == keys(eager_picks), (
+        "strategy answers must be identical"
+    )
     return {
         "libraries": count,
         "variants": variants,
@@ -155,64 +151,53 @@ def _compare_paths(count: int, alternatives: bool) -> dict:
         "pipeline_speedup": (
             eager_total_s / fast_total_s if fast_total_s else float("inf")
         ),
-        "strategies_identical": True,
-        "strategy_keys": {
-            name: key and repr(key) for name, key in fast_keys.items()
+        "strategy_picks": {
+            name: pick and pick.describe() for name, pick in fast_picks.items()
         },
         "stats": explorer.exploration_stats(),
     }
 
 
-def _write_bench_json() -> None:
-    serialisable = json.loads(json.dumps(_BENCH_DATA, default=repr))
-    BENCH_JSON.write_text(json.dumps(serialisable, indent=2, sort_keys=True))
+def _simulated(result: dict) -> dict:
+    """The part of a comparison that is not host time."""
+    return {
+        key: result[key]
+        for key in ("libraries", "variants", "combos", "strategy_picks", "stats")
+    }
 
 
-def test_explorer_scaling_grid(benchmark, report):
+def test_explorer_scaling_grid(report):
     """Fast-path enumeration cost across library count × variant count."""
-
-    def run():
-        grid = []
-        for alternatives in (False, True):
-            for count in (4, 6, 8, 10):
-                defs = synthetic_libdefs(count)
-                t0 = time.perf_counter()
-                explorer = Explorer(defs, alternatives)
-                combos = len(explorer.deployments)
-                elapsed = time.perf_counter() - t0
-                grid.append(
-                    {
-                        "libraries": count,
-                        "variants": max(
-                            len(sh_variants(d, alternatives)) for d in defs
-                        ),
-                        "combos": combos,
-                        "fast_s": elapsed,
-                        "coloring_memo_size": len(explorer.coloring_cache),
-                    }
-                )
-        return grid
-
-    grid = benchmark.pedantic(run, rounds=1, iterations=1)
-    _BENCH_DATA["grid"] = grid
-    _write_bench_json()
-    for row in grid:
-        report.row(
-            "Explorer scaling",
-            f"{row['libraries']} libs x {row['variants']} variants: "
-            f"{row['combos']} combos in {row['fast_s'] * 1e3:.0f} ms "
-            f"({row['coloring_memo_size']} distinct colorings)",
-        )
-    report.value("Explorer scaling", "grid", grid)
+    grid = []
+    for alternatives in (False, True):
+        for count in (4, 6, 8, 10):
+            defs = synthetic_libdefs(count)
+            t0 = time.perf_counter()
+            explorer = Explorer(defs, alternatives)
+            combos = len(explorer.deployments)
+            elapsed = time.perf_counter() - t0
+            variants = max(len(sh_variants(d, alternatives)) for d in defs)
+            memo = len(explorer.coloring_cache)
+            report.row(
+                "Explorer scaling",
+                f"{count} libs x {variants} variants: {combos} combos in "
+                f"{elapsed * 1e3:.0f} ms ({memo} distinct colorings)",
+            )
+            grid.append(
+                {
+                    "libraries": count,
+                    "variants": variants,
+                    "combos": combos,
+                    "coloring_memo_size": memo,
+                }
+            )
+    report.value("explorer", "grid", grid)
 
 
-def test_fast_vs_eager_headline(benchmark, report):
+def test_fast_vs_eager_headline(report):
     """The acceptance target: ≥10× at 10 libraries × 3 variants."""
-    headline = benchmark.pedantic(
-        lambda: _compare_paths(10, alternatives=True), rounds=1, iterations=1
-    )
-    _BENCH_DATA["headline"] = headline
-    _write_bench_json()
+    headline = _compare_paths(10, alternatives=True)
+    report.value("explorer", "headline", _simulated(headline))
     report.row(
         "Explorer fast path",
         f"10 libs x 3 variants ({headline['combos']} combos): enumeration "
@@ -224,7 +209,6 @@ def test_fast_vs_eager_headline(benchmark, report):
         f"({headline['pipeline_speedup']:.1f}x); identical deployments & "
         f"strategy answers",
     )
-    report.value("Explorer fast path", "headline", headline)
     assert headline["enumerate_speedup"] >= 10.0
     assert headline["pipeline_speedup"] >= 5.0
 
@@ -237,8 +221,7 @@ def test_explorer_perf_smoke(report):
     a wide margin there, so the 1.0× assertion has plenty of slack.
     """
     result = _compare_paths(6, alternatives=True)
-    _BENCH_DATA.setdefault("smoke", result)
-    _write_bench_json()
+    report.value("explorer", "smoke", _simulated(result))
     report.row(
         "Explorer fast path",
         f"smoke 6 libs x 3 variants: enumeration "
@@ -249,27 +232,21 @@ def test_explorer_perf_smoke(report):
     assert result["fast_enumerate_s"] <= result["eager_enumerate_s"] * 1.10
 
 
-def test_explorer_pipeline(benchmark, report):
-    def run():
-        t0 = time.perf_counter()
-        defs = library_defs(BuildConfig(libraries=LIBS))
-        explorer = Explorer(defs)
-        enumerate_s = time.perf_counter() - t0
+def test_explorer_pipeline(report):
+    t0 = time.perf_counter()
+    defs = library_defs(BuildConfig(libraries=LIBS))
+    explorer = Explorer(defs)
+    enumerate_s = time.perf_counter() - t0
 
-        perf = simulated_perf_fn(LIBS, workload="iperf")
-        t1 = time.perf_counter()
-        # Pre-measure all candidates through the batch path, then run
-        # the strategies against the warm memo.
-        perf.measure_many(explorer.deployments)
-        budget = explorer.max_security_within_budget(budget=1e9, perf_fn=perf)
-        safe = explorer.best_performance_meeting(["no-wild-writes"], perf_fn=perf)
-        portable = explorer.most_portable(["no-wild-writes"], perf_fn=perf)
-        search_s = time.perf_counter() - t1
-        return explorer, budget, safe, portable, enumerate_s, search_s
-
-    explorer, budget, safe, portable, enumerate_s, search_s = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
+    perf = simulated_perf_fn(LIBS, workload="iperf")
+    t1 = time.perf_counter()
+    # Pre-measure all candidates through the batch path, then run the
+    # strategies against the warm memo.
+    perf.measure_many(explorer.deployments)
+    budget = explorer.max_security_within_budget(budget=1e9, perf_fn=perf)
+    safe = explorer.best_performance_meeting(["no-wild-writes"], perf_fn=perf)
+    portable = explorer.most_portable(["no-wild-writes"], perf_fn=perf)
+    search_s = time.perf_counter() - t1
     report.row(
         "Design-space exploration",
         f"{len(explorer.deployments)} deployments enumerated in "
@@ -292,22 +269,30 @@ def test_explorer_pipeline(benchmark, report):
         f"most-portable -> {deployment.describe()} "
         f"(runs on {len(placements)} device classes)",
     )
+    report.value(
+        "explorer",
+        "pipeline",
+        {
+            "deployments": len(explorer.deployments),
+            "max_security_within_budget": budget.describe(),
+            "max_security_score": security_score(budget),
+            "best_performance_meeting": safe.describe(),
+            "best_performance_ns_per_byte": perf(safe),
+            "most_portable": deployment.describe(),
+            "most_portable_devices": sorted(placements),
+        },
+    )
     assert budget is not None and safe is not None
     assert len(placements) >= 4
 
 
-def test_exploration_scales_with_library_count(benchmark, report):
+def test_exploration_scales_with_library_count(report):
     """Enumeration cost grows with 2^(hardenable libs): measure it."""
-
-    def run():
-        timings = {}
-        for libs in (["libc"], ["libc", "netstack"], LIBS):
-            t0 = time.perf_counter()
-            explorer = Explorer(library_defs(BuildConfig(libraries=libs)))
-            timings[len(explorer.deployments)] = time.perf_counter() - t0
-        return timings
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    timings = {}
+    for libs in (["libc"], ["libc", "netstack"], LIBS):
+        t0 = time.perf_counter()
+        explorer = Explorer(library_defs(BuildConfig(libraries=libs)))
+        timings[len(explorer.deployments)] = time.perf_counter() - t0
     cells = "  ".join(
         f"{count} deployments: {secs * 1e3:.1f} ms"
         for count, secs in sorted(timings.items())
@@ -340,13 +325,14 @@ def test_persistent_cache_warm_run(tmp_path, report):
 
     assert builds_after == builds_before, "warm run must build zero images"
     assert warm_best.key() == cold_best.key()
-    _BENCH_DATA["persistent_cache"] = {
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "entries": len(warm_perf.perf_cache),
-        "warm_builds": builds_after - builds_before,
-    }
-    _write_bench_json()
+    report.value(
+        "explorer",
+        "persistent_cache",
+        {
+            "entries": len(warm_perf.perf_cache),
+            "warm_builds": builds_after - builds_before,
+        },
+    )
     report.row(
         "Explorer fast path",
         f"persistent perf cache: cold search {cold_s:.2f} s -> warm "

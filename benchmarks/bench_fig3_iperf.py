@@ -74,21 +74,18 @@ def sweep(config: BuildConfig) -> dict[int, float]:
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
-def test_fig3_iperf_throughput(benchmark, report, label):
-    series = benchmark.pedantic(sweep, args=(CONFIGS[label],), rounds=1, iterations=1)
+def test_fig3_iperf_throughput(report, label):
+    series = sweep(CONFIGS[label])
     cells = "  ".join(f"{size}:{mbps:8.0f}" for size, mbps in series.items())
     report.row("Fig3 iperf throughput (Mb/s)", f"{label:15s} {cells}")
     report.value("fig3", label, series)
-    benchmark.extra_info["series_mbps"] = {str(k): v for k, v in series.items()}
     # Shape assertions: monotone-ish growth and saturation.
     assert series[BUFFER_SIZES[-1]] > series[BUFFER_SIZES[0]]
 
 
-def test_fig3_shape_claims(benchmark, report):
+def test_fig3_shape_claims(report):
     """The paper's qualitative claims about Figure 3."""
-    baseline = benchmark.pedantic(
-        sweep, args=(CONFIGS["KVM Baseline"],), rounds=1, iterations=1
-    )
+    baseline = sweep(CONFIGS["KVM Baseline"])
     mpk_shared = sweep(CONFIGS["MPK-Sha. (KVM)"])
     mpk_switched = sweep(CONFIGS["MPK-Sw. (KVM)"])
     sh = sweep(CONFIGS["SH (KVM)"])

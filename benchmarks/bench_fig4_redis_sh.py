@@ -75,24 +75,19 @@ def measure(overrides: dict, payload: int, op: str) -> float:
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
-def test_fig4_redis_sh(benchmark, report, label):
-    def run() -> dict[str, float]:
-        return {
-            f"{op} {payload}B": measure(CONFIGS[label], payload, op)
-            for payload in PAYLOADS
-            for op in ("SET", "GET")
-        }
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig4_redis_sh(report, label):
+    series = {
+        f"{op} {payload}B": measure(CONFIGS[label], payload, op)
+        for payload in PAYLOADS
+        for op in ("SET", "GET")
+    }
     cells = "  ".join(f"{key}: {value:5.3f}" for key, value in series.items())
     report.row("Fig4 Redis SH configs (Mreq/s)", f"{label:16s} {cells}")
     report.value("fig4", label, series)
-    benchmark.extra_info["mreq_s"] = series
 
 
-def test_fig4_shape_claims(benchmark, report):
+def test_fig4_shape_claims(report):
     """Allocator-placement and verified-scheduler claims."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     keys = [f"{op} {p}B" for p in PAYLOADS for op in ("SET", "GET")]
     base = {
         k: measure(CONFIGS["No SH"], int(k.split()[1][:-1]), k.split()[0])

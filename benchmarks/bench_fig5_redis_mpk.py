@@ -67,25 +67,20 @@ _CASES = [("No Isol.", "none")] + [
 
 
 @pytest.mark.parametrize("model,backend", _CASES)
-def test_fig5_redis_mpk(benchmark, report, model, backend):
-    def run() -> dict[int, float]:
-        return {
-            payload: measure(model, backend, payload, report=report)
-            for payload in PAYLOADS
-        }
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig5_redis_mpk(report, model, backend):
+    series = {
+        payload: measure(model, backend, payload, report=report)
+        for payload in PAYLOADS
+    }
     stacks = {"none": "", "mpk-shared": " Sh.", "mpk-switched": " Sw."}[backend]
     cells = "  ".join(f"{p}B: {v:5.3f}" for p, v in series.items())
     report.row(
         "Fig5 Redis MPK models (GET Mreq/s)", f"{model + stacks:18s} {cells}"
     )
     report.value("fig5", f"{model}{stacks}", series)
-    benchmark.extra_info["mreq_s"] = {str(k): v for k, v in series.items()}
 
 
-def test_fig5_shape_claims(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig5_shape_claims(report):
     payload = 5
     base = measure("No Isol.", "none", payload)
     nw_sha = measure("NW-only", "mpk-shared", payload)

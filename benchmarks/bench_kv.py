@@ -12,25 +12,20 @@ storage subsystem's design choices:
   longer log costs proportionally more; compaction collapses the log
   to the live set so recovery cost tracks *data*, not *history*.
 
-Results go to ``benchmarks/BENCH_kv.json``.  Runs standalone too:
-
-    PYTHONPATH=src python benchmarks/bench_kv.py --smoke
+Both are recorded under ``kv`` in ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-
 from repro import BuildConfig, build_image
 from repro.libos.blk.blkdev import DiskMedium
 
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_kv.json"
-
 BACKENDS = ("none", "mpk-shared", "mpk-switched", "cheri")
 POLICIES = ("every-write", "batch:16")
+WRITES = 600
+LOG_SIZES = (100, 300, 600)
+#: Distinct keys the recovery logs cycle over.
+LIVE_KEYS = 30
 
 
 def _build(medium: DiskMedium, backend: str):
@@ -45,17 +40,17 @@ def _build(medium: DiskMedium, backend: str):
     return image
 
 
-def _fill(image, buf, count: int, live_keys: int):
-    """``count`` puts cycling over ``live_keys`` distinct keys."""
+def _fill(image, buf, count: int):
+    """``count`` puts cycling over ``LIVE_KEYS`` distinct keys."""
     space = image.compartments[0].address_space
     for index in range(count):
         value = (b"%06d" % index) * 8  # 48 bytes
         image.machine.dma_write(space, buf, value)
-        image.call("kv", "put", b"bench%04d" % (index % live_keys), buf,
+        image.call("kv", "put", b"bench%04d" % (index % LIVE_KEYS), buf,
                    len(value))
 
 
-def throughput_cell(backend: str, policy: str, writes: int) -> dict:
+def throughput_cell(backend: str, policy: str) -> dict:
     """Simulated ns/put for one (backend, flush-policy) pair.
 
     Puts are driven from the application compartment through a real
@@ -72,7 +67,7 @@ def throughput_cell(backend: str, policy: str, writes: int) -> dict:
     image.machine.cpu.push_context(context)
     try:
         start = image.clock_ns
-        for index in range(writes):
+        for index in range(WRITES):
             value = (b"%06d" % index) * 8  # 48 bytes
             image.machine.dma_write(space, buf, value)
             stub.call("put", b"bench%04d" % (index % 32), buf, len(value))
@@ -83,31 +78,31 @@ def throughput_cell(backend: str, policy: str, writes: int) -> dict:
     return {
         "backend": backend,
         "policy": policy,
-        "writes": writes,
-        "ns_per_put": elapsed / writes,
-        "puts_per_msec": writes / (elapsed / 1e6),
+        "writes": WRITES,
+        "ns_per_put": elapsed / WRITES,
+        "puts_per_msec": WRITES / (elapsed / 1e6),
         "flushes": stats["flushes"],
         "medium_writes": stats["medium_writes"],
     }
 
 
-def throughput_matrix(writes: int) -> list[dict]:
+def throughput_matrix() -> list[dict]:
     return [
-        throughput_cell(backend, policy, writes)
+        throughput_cell(backend, policy)
         for backend in BACKENDS
         for policy in POLICIES
     ]
 
 
-def recovery_curve(log_sizes: tuple[int, ...], live_keys: int = 30) -> list[dict]:
+def recovery_curve() -> list[dict]:
     """Recovery cost for growing logs, before and after compaction."""
     points = []
-    for size in log_sizes:
+    for size in LOG_SIZES:
         medium = DiskMedium()
         image = _build(medium, "none")
         image.call("kv", "set_flush_policy", "batch:8")
         buf = image.call("alloc", "malloc_shared", 4096)
-        _fill(image, buf, size, live_keys)
+        _fill(image, buf, size)
         image.call("kv", "sync")
 
         fresh = _build(medium, "none")
@@ -126,109 +121,33 @@ def recovery_curve(log_sizes: tuple[int, ...], live_keys: int = 30) -> list[dict
     return points
 
 
-def run(writes: int, log_sizes: tuple[int, ...]) -> dict:
-    matrix = throughput_matrix(writes)
-    curve = recovery_curve(log_sizes)
-    payload = {
-        "writes": writes,
-        "log_sizes": list(log_sizes),
-        "throughput": matrix,
-        "recovery": curve,
-    }
-    _check(payload)
-    return payload
-
-
-def _check(payload: dict) -> None:
-    """The claims the numbers must support (smoke-level sanity)."""
-    by_cell = {
-        (cell["backend"], cell["policy"]): cell
-        for cell in payload["throughput"]
-    }
+def test_kv_flush_policy_throughput(report):
+    """Batching amortizes flush barriers; gates separate by crossing cost."""
+    by_cell = {}
+    for cell in throughput_matrix():
+        by_cell[(cell["backend"], cell["policy"])] = cell
+        report.row(
+            "KV put cost (ns, simulated)",
+            f"{cell['backend']:13s} {cell['policy']:12s} "
+            f"{cell['ns_per_put']:9.1f} ({cell['flushes']} flushes)",
+        )
+        report.value("kv", f"{cell['backend']}/{cell['policy']}", cell)
     for backend in BACKENDS:
         every = by_cell[(backend, "every-write")]
         batch = by_cell[(backend, "batch:16")]
-        # Batching amortizes flush barriers: strictly fewer flushes,
-        # strictly cheaper puts.
+        # Strictly fewer flushes, strictly cheaper puts.
         assert batch["flushes"] < every["flushes"], backend
         assert batch["ns_per_put"] < every["ns_per_put"], backend
-    # Gates separate by crossing cost under the batched policy.
     assert (
         by_cell[("none", "batch:16")]["ns_per_put"]
         < by_cell[("mpk-shared", "batch:16")]["ns_per_put"]
         < by_cell[("mpk-switched", "batch:16")]["ns_per_put"]
     )
 
-    curve = payload["recovery"]
-    if not curve:
-        return
-    # Longer history costs more to replay ...
-    for shorter, longer in zip(curve, curve[1:]):
-        assert longer["recovery_ns"] > shorter["recovery_ns"]
-    # ... until compaction collapses it to the live set.
-    largest = curve[-1]
-    assert largest["post_compaction_recovery_ns"] < largest["recovery_ns"]
-    assert (
-        largest["post_compaction_records"] <= largest["live_keys"] + 2
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sizes for CI (same matrix shape, same checks)",
-    )
-    parser.add_argument("--json", default=str(BENCH_JSON))
-    options = parser.parse_args(argv)
-    if options.smoke:
-        payload = run(writes=120, log_sizes=(50, 150, 300))
-    else:
-        payload = run(writes=600, log_sizes=(100, 300, 600))
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
-    )
-    for cell in payload["throughput"]:
-        print(
-            f"{cell['backend']:13s} {cell['policy']:12s} "
-            f"{cell['ns_per_put']:10.1f} ns/put "
-            f"({cell['flushes']} flushes)"
-        )
-    for point in payload["recovery"]:
-        print(
-            f"log={point['log_records']:4d} recovery "
-            f"{point['recovery_ns']:>10.0f} ns -> compacted "
-            f"{point['post_compaction_recovery_ns']:>10.0f} ns"
-        )
-    print(f"wrote {options.json}")
-    return 0
-
-
-# --- pytest entry points (same helpers, bench-suite reporting) ---------------
-
-
-def test_kv_flush_policy_throughput(report):
-    matrix = throughput_matrix(writes=120)
-    for cell in matrix:
-        report.row(
-            "KV put cost (ns, simulated)",
-            f"{cell['backend']:13s} {cell['policy']:12s} "
-            f"{cell['ns_per_put']:9.1f}",
-        )
-        report.value(
-            "kv", f"{cell['backend']}/{cell['policy']}", cell["ns_per_put"]
-        )
-    _check({"throughput": matrix, "recovery": []})
-
 
 def test_kv_recovery_scales_with_log_not_history(report):
-    curve = recovery_curve(log_sizes=(50, 150, 300))
-    payload = {
-        "throughput": throughput_matrix(writes=60),
-        "recovery": curve,
-    }
-    _check(payload)
+    """Longer history costs more to replay, until compaction collapses it."""
+    curve = recovery_curve()
     for point in curve:
         report.row(
             "KV recovery vs log size (ns, simulated)",
@@ -237,7 +156,8 @@ def test_kv_recovery_scales_with_log_not_history(report):
             f"after-compaction={point['post_compaction_recovery_ns']:8.0f}",
         )
     report.value("kv", "recovery_curve", curve)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for shorter, longer in zip(curve, curve[1:]):
+        assert longer["recovery_ns"] > shorter["recovery_ns"]
+    largest = curve[-1]
+    assert largest["post_compaction_recovery_ns"] < largest["recovery_ns"]
+    assert largest["post_compaction_records"] <= largest["live_keys"] + 2

@@ -10,23 +10,20 @@ crossing frequencies × per-backend crossing cost + measured-time-
 weighted SH overheads), and **measure both picks** by re-running the
 workload under ``repro.obs``.
 
-Headline (written to ``benchmarks/BENCH_profile.json``): on the iperf
-workload the static estimator picks DFI-hardening the netstack/libc
-compartment (DFI looks cheap at weight 2), but iperf's receive path is
-store-heavy, so measured DFI overhead exceeds the measured cost of the
-MPK crossings it avoids — the profile-guided pick (keep the split,
-skip the hardening) measures ~15% faster.  On redis both estimators
-agree (the DFI-hardened single compartment really is fastest), which
-is the other half of the contract: profile-guidance must never do
-*worse* than the static pick.  A third test pins the observability
-invariant the pipeline rests on: profiling a run changes no simulated
-result bit.
+Headline (recorded under ``profile`` in ``benchmarks/results.json``):
+on the iperf workload the static estimator picks DFI-hardening the
+netstack/libc compartment (DFI looks cheap at weight 2), but iperf's
+receive path is store-heavy, so measured DFI overhead exceeds the
+measured cost of the MPK crossings it avoids — the profile-guided pick
+(keep the split, skip the hardening) measures ~15% faster.  On redis
+both estimators agree (the DFI-hardened single compartment really is
+fastest), which is the other half of the contract: profile-guidance
+must never do *worse* than the static pick.  A third test pins the
+observability invariant the pipeline rests on: profiling a run changes
+no simulated result bit.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 from repro.apps import run_named_workload, workload_params
 from repro.core.builder import build_image, library_defs
@@ -38,15 +35,6 @@ from repro.core.explorer import (
     requirement_satisfied,
 )
 from repro.obs import capture_profile
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_profile.json"
-
-_BENCH_DATA: dict = {}
-
-
-def _write_bench_json() -> None:
-    serialisable = json.loads(json.dumps(_BENCH_DATA, default=repr))
-    BENCH_JSON.write_text(json.dumps(serialisable, indent=2, sort_keys=True))
 
 
 def _measure(deployment, libraries, workload, params, backend) -> dict:
@@ -135,8 +123,6 @@ def test_profile_guided_beats_static_on_iperf(report):
         ["libc", "netstack", "iperf"],
         ["write-protected:iperf"],
     )
-    _BENCH_DATA["iperf"] = result
-    _write_bench_json()
     report.row(
         "Profile-guided re-compartmentalization",
         f"iperf: static pick [{result['static']['describe']}] "
@@ -145,7 +131,7 @@ def test_profile_guided_beats_static_on_iperf(report):
         f"{result['profiled']['elapsed_ns'] / 1e3:.1f} us "
         f"(measured delta {result['measured_delta_ns'] / 1e3:.1f} us)",
     )
-    report.value("Profile-guided re-compartmentalization", "iperf", result)
+    report.value("profile", "iperf", result)
     assert not result["same_pick"], (
         "the static estimator is expected to mis-rank DFI on iperf's "
         "store-heavy path; if the picks converged the headline is gone"
@@ -162,8 +148,6 @@ def test_profile_guided_matches_static_on_redis(report):
         ["libc", "netstack", "redis"],
         ["write-protected:redis"],
     )
-    _BENCH_DATA["redis"] = result
-    _write_bench_json()
     report.row(
         "Profile-guided re-compartmentalization",
         f"redis: static pick [{result['static']['describe']}] "
@@ -172,7 +156,7 @@ def test_profile_guided_matches_static_on_redis(report):
         f"{result['profiled']['elapsed_ns'] / 1e3:.1f} us "
         f"(same_pick={result['same_pick']})",
     )
-    report.value("Profile-guided re-compartmentalization", "redis", result)
+    report.value("profile", "redis", result)
     assert (
         result["profiled"]["elapsed_ns"] <= result["static"]["elapsed_ns"]
     ), "profile-guided pick must never measure slower than the static pick"
@@ -207,14 +191,16 @@ def test_profiling_is_free(report):
     assert results[0] == results[1], (
         "profiling on vs off must produce bit-identical simulated results"
     )
-    _BENCH_DATA["bit_identical"] = {
-        "workload": "redis",
-        "summary": results[0][0],
-        "final_clock_ns": results[0][2],
-        "identical": True,
-        "profile_hash": profile.profile_hash(),
-    }
-    _write_bench_json()
+    report.value(
+        "profile",
+        "bit_identical",
+        {
+            "workload": "redis",
+            "summary": results[0][0],
+            "final_clock_ns": results[0][2],
+            "profile_hash": profile.profile_hash(),
+        },
+    )
     report.row(
         "Profile-guided re-compartmentalization",
         f"profiling on vs off: bit-identical redis run "

@@ -20,29 +20,22 @@ the measured edge × the backend's per-crossing round-trip cost
 (:func:`repro.gates.registry.relative_crossing_cost`) ÷ operations —
 i.e. what the caller pays in doorbells.  ``sim_ns_per_op`` (wall
 simulated time) is reported alongside: it includes the ring traffic the
-queue adds, so it improves less than the crossing cost does.
-
-Results go to ``benchmarks/BENCH_queue.json``.  Runs standalone:
-
-    PYTHONPATH=src python benchmarks/bench_queue.py --smoke
+queue adds, so it improves less than the crossing cost does.  Every
+cell is recorded under ``queue`` in ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import pathlib
 
 from repro import BuildConfig, build_image
 from repro.gates.registry import relative_crossing_cost
 from repro.libos.net.packet import MSS
 
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_queue.json"
-
 KV_BACKENDS = ("mpk-shared", "mpk-switched", "vm-rpc")
 NET_BACKENDS = ("mpk-shared", "cheri")
 BATCH = 8
 SWEEP_BATCHES = (1, 2, 8, 32)
+PUTS = 400
+SENDS = 64
 
 
 def _edge_channel(image, caller: str, callee: str):
@@ -61,7 +54,7 @@ def _build_kv(backend: str, batch: int | None):
     )
 
 
-def kv_cell(backend: str, puts: int, batch: int | None) -> dict:
+def kv_cell(backend: str, batch: int | None) -> dict:
     """ns and crossings per put, sync (batch=None) or queued."""
     image = _build_kv(backend, batch)
     libc = image.lib("libc")
@@ -80,7 +73,7 @@ def kv_cell(backend: str, puts: int, batch: int | None) -> dict:
     try:
         crossings_before = channel.crossings
         start = image.clock_ns
-        for index in range(puts):
+        for index in range(PUTS):
             value = (b"%06d" % index) * 8  # 48 bytes
             buf = bufs[index % ring]
             machine.dma_write(space, buf, value)
@@ -103,10 +96,10 @@ def kv_cell(backend: str, puts: int, batch: int | None) -> dict:
         "backend": backend,
         "mode": f"queued(batch:{batch})" if batch else "sync",
         "batch": batch or 1,
-        "ops": puts,
+        "ops": PUTS,
         "edge_crossings": crossings,
-        "crossing_cost_per_op_ns": crossings * per_crossing / puts,
-        "sim_ns_per_op": elapsed / puts,
+        "crossing_cost_per_op_ns": crossings * per_crossing / PUTS,
+        "sim_ns_per_op": elapsed / PUTS,
     }
 
 
@@ -122,7 +115,7 @@ def _build_net(backend: str, batch: int | None):
     )
 
 
-def net_cell(backend: str, sends: int, batch: int | None) -> dict:
+def net_cell(backend: str, batch: int | None) -> dict:
     """Crossings per transmitted segment for the netstack->libc edge.
 
     Each send covers ``batch`` (or 8, for the sync baseline) MSS-sized
@@ -140,13 +133,13 @@ def net_cell(backend: str, sends: int, batch: int | None) -> dict:
     image.machine.dma_write(space, buf, b"\xa5" * size)
     crossings_before = channel.crossings
     start = image.clock_ns
-    for _ in range(sends):
+    for _ in range(SENDS):
         sent = image.call("netstack", "send", sockfd, buf, size)
         assert sent == size
     elapsed = image.clock_ns - start
     crossings = channel.crossings - crossings_before
     segments = image.call("netstack", "net_stats")["tx_packets"]
-    assert segments == sends * segments_per_send
+    assert segments == SENDS * segments_per_send
     per_crossing = relative_crossing_cost(backend)
     return {
         "workload": "netstack.send",
@@ -160,99 +153,51 @@ def net_cell(backend: str, sends: int, batch: int | None) -> dict:
     }
 
 
-def run(puts: int, sends: int) -> dict:
-    kv_cells = []
+def _record(report, cell: dict) -> None:
+    report.value(
+        "queue", f"{cell['workload']}/{cell['backend']}/{cell['mode']}", cell
+    )
+    report.row(
+        "Queue channels (per-op ns, simulated)",
+        f"{cell['workload']:13s} {cell['backend']:12s} {cell['mode']:16s} "
+        f"crossing {cell['crossing_cost_per_op_ns']:9.1f}  "
+        f"wall {cell['sim_ns_per_op']:9.1f}",
+    )
+
+
+def test_queue_kv_put_amortises_crossings(report):
+    """>=2x lower per-op crossing cost at batch 8, fewer edge crossings."""
     for backend in KV_BACKENDS:
-        kv_cells.append(kv_cell(backend, puts, None))
-        kv_cells.append(kv_cell(backend, puts, BATCH))
-    net_cells = []
-    for backend in NET_BACKENDS:
-        net_cells.append(net_cell(backend, sends, None))
-        net_cells.append(net_cell(backend, sends, BATCH))
-    sweep = [kv_cell("mpk-shared", puts, batch) for batch in SWEEP_BATCHES]
-    payload = {
-        "puts": puts,
-        "sends": sends,
-        "batch": BATCH,
-        "kv": kv_cells,
-        "net": net_cells,
-        "sweep": sweep,
-        "amortised_cost_model": {
-            backend: {
-                "sync_ns": relative_crossing_cost(backend),
-                f"queue_batch_{BATCH}_ns": relative_crossing_cost(
-                    f"queue:{backend}", batch=BATCH
-                ),
-            }
-            for backend in sorted(set(KV_BACKENDS) | set(NET_BACKENDS))
-        },
-    }
-    _check(payload)
-    return payload
-
-
-def _check(payload: dict) -> None:
-    """The claims the numbers must support (smoke-level sanity)."""
-
-    def by_mode(cells, workload, backend):
-        rows = [
-            c
-            for c in cells
-            if c["workload"] == workload and c["backend"] == backend
-        ]
-        sync = next(c for c in rows if c["mode"] == "sync")
-        queued = next(c for c in rows if c["mode"].startswith("queued"))
-        return sync, queued
-
-    # Acceptance: >=2x lower per-op crossing cost at batch >= 8 for both
-    # batched kv.put and netstack send, on at least two backends each.
-    for backend in KV_BACKENDS:
-        sync, queued = by_mode(payload["kv"], "kv.put", backend)
+        sync = kv_cell(backend, None)
+        queued = kv_cell(backend, BATCH)
+        _record(report, sync)
+        _record(report, queued)
         assert (
             queued["crossing_cost_per_op_ns"]
             <= sync["crossing_cost_per_op_ns"] / 2
         ), backend
         assert queued["edge_crossings"] < sync["edge_crossings"]
+
+
+def test_queue_netstack_send_amortises_crossings(report):
+    """>=2x lower per-op crossing cost at batch 8 for multi-segment sends."""
     for backend in NET_BACKENDS:
-        sync, queued = by_mode(payload["net"], "netstack.send", backend)
+        sync = net_cell(backend, None)
+        queued = net_cell(backend, BATCH)
+        _record(report, sync)
+        _record(report, queued)
         assert (
             queued["crossing_cost_per_op_ns"]
             <= sync["crossing_cost_per_op_ns"] / 2
         ), backend
-    # The sweep amortises monotonically in batch size.
-    sweep = payload["sweep"]
+
+
+def test_queue_batch_sweep_is_monotonic(report):
+    """kv.put on mpk-shared amortises monotonically in batch size."""
+    sweep = [kv_cell("mpk-shared", batch) for batch in SWEEP_BATCHES]
+    report.value("queue", "sweep", sweep)
     for smaller, larger in zip(sweep, sweep[1:]):
         assert (
             larger["crossing_cost_per_op_ns"]
             <= smaller["crossing_cost_per_op_ns"]
         )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sizes for CI (same matrix shape, same checks)",
-    )
-    parser.add_argument("--json", default=str(BENCH_JSON))
-    options = parser.parse_args(argv)
-    if options.smoke:
-        payload = run(puts=64, sends=16)
-    else:
-        payload = run(puts=400, sends=64)
-    pathlib.Path(options.json).write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
-    )
-    for cell in payload["kv"] + payload["net"]:
-        print(
-            f"{cell['workload']:13s} {cell['backend']:12s} "
-            f"{cell['mode']:16s} "
-            f"crossing {cell['crossing_cost_per_op_ns']:9.1f} ns/op  "
-            f"wall {cell['sim_ns_per_op']:9.1f} ns/op"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,17 +15,14 @@ The headline assertions: every hardware-isolation backend
 (mpk-shared, mpk-switched, vm-rpc, cheri) contains a cross-compartment
 wild write that backend ``none`` lets corrupt the victim silently, and
 the VM backend recovers dropped notifications through gate-level
-retry/backoff.  Results go to ``benchmarks/BENCH_resilience.json``.
+retry/backoff.  The matrix, rates, latencies and cells are recorded
+under ``resilience`` in ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
+from repro.perf.meter import left_sum
 from repro.resilience import run_campaign
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_resilience.json"
 
 BACKENDS = ("none", "mpk-shared", "mpk-switched", "vm-rpc", "cheri")
 SITES = ("gate-crash", "wild-write", "alloc-exhaustion", "sched-kill", "vm-drop")
@@ -34,18 +31,14 @@ SEED = 7
 POLICY = "restart-with-backoff"
 
 
-def test_containment_matrix(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_campaign(
-            "containment",
-            backends=BACKENDS,
-            sites=SITES,
-            schedules=2,
-            seed=SEED,
-            policy=POLICY,
-        ),
-        rounds=1,
-        iterations=1,
+def test_containment_matrix(report):
+    result = run_campaign(
+        "containment",
+        backends=BACKENDS,
+        sites=SITES,
+        schedules=2,
+        seed=SEED,
+        policy=POLICY,
     )
     matrix = result.matrix()
 
@@ -71,40 +64,12 @@ def test_containment_matrix(benchmark, report):
         backend: result.recovery_latencies(backend) for backend in BACKENDS
     }
     mean_recovery = {
-        backend: (sum(values) / len(values) if values else None)
+        backend: (left_sum(values) / len(values) if values else None)
         for backend, values in latencies.items()
     }
     assert rates["none"] < 1.0
     for backend in ISOLATING:
         assert rates[backend] == 1.0
-
-    payload = {
-        "seed": SEED,
-        "schedules": 2,
-        "policy": POLICY,
-        "matrix": matrix,
-        "containment_rate": rates,
-        "mean_recovery_ns": mean_recovery,
-        "recovery_ns": latencies,
-        "cells": [
-            {
-                key: cell[key]
-                for key in (
-                    "backend",
-                    "site",
-                    "seed",
-                    "verdict",
-                    "attempts",
-                    "injected",
-                    "restarts",
-                    "vm_rpc_retries",
-                    "recovery_ns",
-                )
-            }
-            for cell in result.cells
-        ],
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     for site in SITES:
         row = matrix[site]
@@ -125,8 +90,31 @@ def test_containment_matrix(benchmark, report):
                 "resilience",
                 f"mean recovery {backend}: {mean / 1e3:.1f} us simulated",
             )
+    report.value("resilience", "matrix", matrix)
     report.value("resilience", "containment_rate", rates)
     report.value("resilience", "mean_recovery_ns", mean_recovery)
+    report.value("resilience", "recovery_ns", latencies)
+    report.value(
+        "resilience",
+        "cells",
+        [
+            {
+                key: cell[key]
+                for key in (
+                    "backend",
+                    "site",
+                    "seed",
+                    "verdict",
+                    "attempts",
+                    "injected",
+                    "restarts",
+                    "vm_rpc_retries",
+                    "recovery_ns",
+                )
+            }
+            for cell in result.cells
+        ],
+    )
 
 
 def test_same_seed_identical_matrix(report):

@@ -53,14 +53,10 @@ def baseline():
 
 
 @pytest.mark.parametrize("component", list(COMPONENTS))
-def test_table1_sh_placement(benchmark, report, baseline, component):
+def test_table1_sh_placement(report, baseline, component):
     libs = COMPONENTS[component]
     others = [lib for lib in ALL_LIBS if lib not in libs]
-
-    def run() -> tuple[float, float]:
-        return measure(libs), measure(others)
-
-    only, all_but = benchmark.pedantic(run, rounds=1, iterations=1)
+    only, all_but = measure(libs), measure(others)
     report.row(
         "Table1 iperf SH placement",
         f"{component:20s} SH-all-but-C: {all_but:7.0f} Mb/s "
@@ -72,14 +68,10 @@ def test_table1_sh_placement(benchmark, report, baseline, component):
         component,
         {"only_mbps": only, "all_but_mbps": all_but, "baseline_mbps": baseline},
     )
-    benchmark.extra_info["slowdown_only"] = baseline / only
-    benchmark.extra_info["slowdown_all_but"] = baseline / all_but
 
 
-def test_table1_whole_system(benchmark, report, baseline):
-    everything = benchmark.pedantic(
-        measure, args=(ALL_LIBS,), rounds=1, iterations=1
-    )
+def test_table1_whole_system(report, baseline):
+    everything = measure(ALL_LIBS)
     report.row(
         "Table1 iperf SH placement",
         f"{'Entire system':20s} baseline: {baseline:7.0f} Mb/s   "
@@ -94,16 +86,12 @@ def test_table1_whole_system(benchmark, report, baseline):
     assert baseline / everything > 2.0
 
 
-def test_table1_shape_claims(benchmark, report, baseline):
+def test_table1_shape_claims(report, baseline):
     """Ordering claims: libc dominates, scheduler is ~free."""
-    slowdowns = benchmark.pedantic(
-        lambda: {
-            component: baseline / measure(libs)
-            for component, libs in COMPONENTS.items()
-        },
-        rounds=1,
-        iterations=1,
-    )
+    slowdowns = {
+        component: baseline / measure(libs)
+        for component, libs in COMPONENTS.items()
+    }
     # "The performance impact strongly depends on the component
     # running with SH: the scheduler brings a 1% overhead while the
     # LibC has a 2.3x slowdown.  Interestingly, the slowdown with SH

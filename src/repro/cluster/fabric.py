@@ -125,14 +125,6 @@ class Node:
         self._inbox_seq += 1
         return arrival
 
-    @property
-    def inbox_depth(self) -> int:
-        return len(self._inbox)
-
-    def next_arrival_ns(self) -> float | None:
-        """Earliest scheduled arrival, if any."""
-        return self._inbox[0][0] if self._inbox else None
-
     # --- NIC callbacks ----------------------------------------------------
 
     def _rx_source(self) -> bytes | None:

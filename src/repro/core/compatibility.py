@@ -197,11 +197,6 @@ class CompatibilityMatrix:
                 edges.add(self._pair_edges[(a, b)])
         return edges
 
-    def edges_for_indices(self, indices: tuple[int, ...]) -> set[frozenset[str]]:
-        """Conflict edges for a variant-index tuple in ``names`` order."""
-        selection = dict(zip(self.names, indices))
-        return self.edges_for(selection)
-
     def conflict_graph(
         self, selection: dict[str, int]
     ) -> tuple[list[str], set[frozenset[str]]]:

@@ -30,6 +30,7 @@ from repro.core.hardening import (
     sh_variants,
 )
 from repro.obs.metrics import exploration_metrics
+from repro.perf.meter import left_sum
 
 if TYPE_CHECKING:
     from repro.obs.profile import WorkloadProfile
@@ -108,7 +109,7 @@ def crossing_cost_fn(
             for callee in callees_by_name.get(name, ()):
                 if callee in coloring and coloring[callee] != color:
                     crossings += 1
-        sh_cost = sum(
+        sh_cost = left_sum(
             SH_WEIGHTS.get(technique, 1.0)
             for techniques in deployment.choices.values()
             for technique in techniques
@@ -329,9 +330,9 @@ def profiled_cost_fn(
                     queued_crossings += count
                 else:
                     boundary_crossings += count
-        sh_ns = sum(
+        sh_ns = left_sum(
             lib_time.get(name, 0.0)
-            * sum(
+            * left_sum(
                 SH_TIME_FRACTIONS.get(technique, SH_TIME_FRACTION_DEFAULT)
                 for technique in techniques
             )

@@ -41,10 +41,6 @@ _RUNNING = ThreadState.RUNNING
 _DONE = ThreadState.DONE
 
 
-class SchedulerIdle(Exception):
-    """Internal: raised when the run queue empties during run()."""
-
-
 #: Replay outcomes that hand the current round back to :meth:`run`:
 #: run the rest of it for real (its timer wheel swept), or go on to the
 #: next round (the injector killed the thread).

@@ -244,8 +244,3 @@ class AddressSpace:
     def is_mapped(self, vaddr: int) -> bool:
         """True if the page containing ``vaddr`` is mapped."""
         return (vaddr >> PAGE_SHIFT) in self._pages
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of pages currently mapped."""
-        return len(self._pages)

@@ -17,7 +17,11 @@ from repro.apps.resp import encode_command
 from repro.apps.workload import run_redis_phase
 from repro.core.config import parse_queue_policy
 from repro.core.errors import BuildError
-from repro.core.explorer import profiled_cost_fn, queue_recommendations
+from repro.core.explorer import (
+    auto_tune_queue_edges,
+    profiled_cost_fn,
+    queue_recommendations,
+)
 from repro.gates import GateOptions, QueueChannel, make_channel
 from repro.gates.registry import relative_crossing_cost
 from repro.libos.compartment import Compartment
@@ -454,3 +458,58 @@ def test_profiled_cost_fn_prefers_queue_on_hot_edge():
         key=lambda pair: pair[1],
     )
     assert best[0] == "queue"
+
+
+@pytest.mark.parametrize("backend", ["mpk-shared", "mpk-switched", "vm-rpc", "cheri"])
+def test_auto_tune_stops_doubling_at_the_knee(backend):
+    # Past batch 16 a doubling saves under 5% of a sync crossing: on
+    # mpk-shared 16 -> 32 takes 25.61 -> 24.40 ns against 38.5 ns.
+    sync = relative_crossing_cost(backend)
+    kind = f"queue:{backend}"
+    assert (
+        relative_crossing_cost(kind, batch=16)
+        - relative_crossing_cost(kind, batch=32)
+        < 0.05 * sync
+    )
+    assert auto_tune_queue_edges(synthetic_profile(), backend=backend) == {
+        "redis->kv": "batch:16"
+    }
+
+
+@pytest.mark.parametrize("backend", ["none", "direct"])
+def test_auto_tune_without_a_queue_variant_is_empty(backend):
+    assert auto_tune_queue_edges(synthetic_profile(), backend=backend) == {}
+
+
+def test_auto_tune_caps_batch_at_crossing_count():
+    # Reachable only below the knee: redis->alloc crosses 3 times.
+    for backend in ("mpk-switched", "vm-rpc"):
+        tuned = auto_tune_queue_edges(
+            synthetic_profile(), backend=backend, min_crossings=1
+        )
+        assert list(tuned.items()) == [
+            ("redis->kv", "batch:16"),
+            ("redis->alloc", "batch:2"),
+        ]
+    # On mpk-shared batch 2 costs more than a sync crossing, so the
+    # capped edge is dropped rather than queued.
+    assert relative_crossing_cost("queue:mpk-shared", batch=2) == pytest.approx(
+        42.45
+    )
+    assert relative_crossing_cost("mpk-shared") == pytest.approx(38.5)
+    assert auto_tune_queue_edges(
+        synthetic_profile(), backend="mpk-shared", min_crossings=1
+    ) == {"redis->kv": "batch:16"}
+
+
+def test_auto_tune_orders_by_saving_then_edge_name():
+    tied = auto_tune_queue_edges(
+        synthetic_profile(crossings=3), backend="mpk-switched", min_crossings=1
+    )
+    assert list(tied) == ["redis->alloc", "redis->kv"]
+    tuned = auto_tune_queue_edges(
+        synthetic_profile(), backend="vm-rpc", min_crossings=1
+    )
+    for policy in (*tied.values(), *tuned.values()):
+        batch, delay = parse_queue_policy(policy)
+        assert policy == f"batch:{batch}" and delay == 0
