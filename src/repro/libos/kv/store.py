@@ -21,16 +21,24 @@ keydir — so *every* flushed-acknowledged write is readable again and
 
 On-disk layout (sector-addressed through ``blk``)::
 
-    sector 0,1          dual manifest (crc32 | gen | count | slot ids);
-                        the valid manifest with the highest generation
-                        wins, writes alternate between the two sectors
+    sector 0,1          dual manifest (crc32 | gen | count | end | seq
+                        | slot ids); the valid manifest with the highest
+                        generation wins, writes alternate between the
+                        two sectors
     per slot i          2 + i*(SEG_SECTORS+HINT_SECTORS) ... data
                         sectors, then HINT_SECTORS of hint records
 
 Record framing: ``crc32(4) seq(8) klen(2) vlen(4) flags(1) key value``
 with the CRC covering everything after itself.  ``flags`` bit 0 marks
 a tombstone.  ``seq`` is a store-wide monotonic counter, so replay
-order is well-defined even across merged segments.
+order is well-defined even across merged segments.  Records may cross
+sector boundaries, but a header never starts in a sector's last
+``_HDR.size - 1`` bytes: writers zero-fill them, and the scanner skips
+them.  Slots are reused after a merge, so a slot can hold CRC-valid
+records of its previous life past its current data; the manifest's
+``end`` (the active slot's data end at commit) and ``seq`` (the highest
+seq written before it) fence them off: past ``end``, the scan accepts
+only records above ``seq``.
 
 The declared FlexOS metadata is conservative (like the filesystem's):
 unhardened C storage engines cannot bound their behaviour.  The
@@ -58,8 +66,8 @@ MAX_VALUE = 4096
 _HDR = struct.Struct(">IQHIB")
 #: Hint entry header: seq | offset | rec_len | flags | klen.
 _HINT_ENTRY = struct.Struct(">QIIBH")
-#: Manifest header: crc32 | gen | count.
-_MANIFEST = struct.Struct(">IQH")
+#: Manifest header: crc32 | gen | count | active end | seq fence.
+_MANIFEST = struct.Struct(">IQHIQ")
 
 _TOMBSTONE = 0x01
 #: Padding record (fills a sector's tail at a flush barrier; never
@@ -96,6 +104,18 @@ _CRC = struct.Struct(">I")
 def _encode_record(key: bytes, value: bytes, seq: int, flags: int) -> bytes:
     body = _HDR_BODY.pack(seq, len(key), len(value), flags) + key + value
     return _CRC.pack(zlib.crc32(body)) + body
+
+
+def _header_gap(offset: int) -> int:
+    """Zero bytes a writer skips before a record header at ``offset``.
+
+    None, unless fewer than a header's bytes are left in the sector: the
+    scanner reads those as zero-fill and resumes at the next sector, so
+    no header may start there.  A header that straddles the boundary
+    can begin with zero bytes, so the rule lives in the writers.
+    """
+    room = SECTOR_SIZE - offset % SECTOR_SIZE
+    return room if room < _HDR.size else 0
 
 
 class KVStoreLibrary(MicroLibrary):
@@ -250,13 +270,23 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         self._blk.call("blk_read", sector, buf)
         return self.machine.load(buf, SECTOR_SIZE)
 
-    def _read_span(self, base: int, start: int, length: int) -> bytes:
-        """Read ``length`` bytes at byte ``start`` of a sector region."""
+    def _read_span(
+        self, base: int, start: int, length: int, sectors: dict | None = None
+    ) -> bytes:
+        """Read ``length`` bytes at byte ``start`` of a sector region.
+
+        ``sectors`` memoizes sector → bytes across calls: a sector it
+        holds is not read from the device again, and every sector read
+        joins it.  Without one, each sector of the span is read once.
+        """
+        if sectors is None:
+            sectors = {}
         first, first_off = divmod(start, SECTOR_SIZE)
-        last = (start + length - 1) // SECTOR_SIZE
-        data = b"".join(
-            self._read_sector(base + index) for index in range(first, last + 1)
-        )
+        span = range(base + first, base + (start + length - 1) // SECTOR_SIZE + 1)
+        for sector in span:
+            if sector not in sectors:
+                sectors[sector] = self._read_sector(sector)
+        data = b"".join(sectors[sector] for sector in span)
         return data[first_off : first_off + length]
 
     # --- manifest -----------------------------------------------------------
@@ -264,17 +294,19 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
     def _commit_manifest(self) -> None:
         """Write the next-generation manifest to the alternate sector."""
         self._gen += 1
-        body = struct.pack(">QH", self._gen, len(self._slots)) + b"".join(
-            struct.pack(">H", slot) for slot in self._slots
-        )
+        body = struct.pack(
+            ">QHIQ", self._gen, len(self._slots), self._append_offset, self._seq
+        ) + b"".join(struct.pack(">H", slot) for slot in self._slots)
         payload = struct.pack(">I", zlib.crc32(body)) + body
         self._write_sector(self._gen % 2, payload)
 
-    def _load_manifest(self) -> tuple[int, list[int]] | None:
-        best: tuple[int, list[int]] | None = None
+    def _load_manifest(self) -> tuple[int, list[int], int, int] | None:
+        """``(gen, slots, active end, seq fence)`` of the newest valid
+        manifest; None on a fresh medium."""
+        best: tuple[int, list[int], int, int] | None = None
         for sector in (0, 1):
             raw = self._read_sector(sector)
-            crc, gen, count = _MANIFEST.unpack_from(raw, 0)
+            crc, gen, count, end, fence = _MANIFEST.unpack_from(raw, 0)
             if gen == 0 or count > self.NUM_SLOTS:
                 continue
             body_len = _MANIFEST.size - 4 + count * 2
@@ -288,7 +320,7 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             if not slots or any(s >= self.NUM_SLOTS for s in slots):
                 continue
             if best is None or gen > best[0]:
-                best = (gen, slots)
+                best = (gen, slots, end, fence)
         return best
 
     # --- recovery ------------------------------------------------------------
@@ -308,11 +340,9 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         self._tail = bytearray()
         torn = 0
         records = 0
-        manifest = self._load_manifest()
-        if manifest is None:
-            self._gen, self._slots = 0, [0]
-        else:
-            self._gen, self._slots = manifest
+        self._gen, self._slots, fence_end, fence_seq = (
+            self._load_manifest() or (0, [0], 0, 0)
+        )
         injector = self.machine.injector
         for index, slot in enumerate(self._slots):
             if injector is not None:
@@ -329,7 +359,9 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                     cpu.bump("kv.hint_misses")
             end_offset = self._seg_bytes
             if entries is None:
-                entries, slot_torn, end_offset = self._scan_slot(slot)
+                entries, slot_torn, end_offset = self._scan_slot(
+                    slot, (fence_end, fence_seq) if is_active else None
+                )
                 torn += slot_torn
             self._slot_records[slot] = entries
             for key, seq, offset, rec_len, flags in entries:
@@ -345,6 +377,9 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                     self._tail = bytearray(self._read_span(
                         self._slot_base(slot), end_offset - partial, partial
                     ))
+        # New records take seqs above the fence even when a merge dropped
+        # every record that reached it (a deleted key's).
+        self._seq = max(self._seq, fence_seq)
         self._durable_seq = self._seq
         self._unflushed = 0
         self._open = True
@@ -371,13 +406,21 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             "generation": self._gen,
         }
 
-    def _scan_slot(self, slot: int) -> tuple[list, int, int]:
+    def _scan_slot(
+        self, slot: int, fence: tuple[int, int] | None = None
+    ) -> tuple[list, int, int]:
         """Full scan of one segment; stops at clean end or first tear.
 
         Understands the append path's sector framing: pad records (and
         sub-header zero gaps at sector tails) are skipped so a scan can
         walk across flush-barrier padding to the true end of the log.
+
+        ``fence`` is the active slot's ``(data end, seq)`` from the
+        manifest: past the end, the first record that is neither a pad
+        nor above the seq belongs to the slot's previous life and ends
+        the log.
         """
+        fence_end, fence_seq = fence or (self._seg_bytes, 0)
         data = b"".join(
             self._read_sector(self._slot_base(slot) + index)
             for index in range(self.SEG_SECTORS)
@@ -388,7 +431,7 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         while offset + _HDR.size <= len(data):
             in_sector = offset % SECTOR_SIZE
             if SECTOR_SIZE - in_sector < _HDR.size:
-                # Too little room for a header: barrier zero-fill.
+                # Too little room for a header: zero-fill (_header_gap).
                 offset += SECTOR_SIZE - in_sector
                 continue
             header = data[offset : offset + _HDR.size]
@@ -403,6 +446,8 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                 torn += 1
                 break  # everything behind a torn record is unreachable
             if not flags & _PAD:
+                if offset >= fence_end and seq <= fence_seq:
+                    break  # the slot's previous life
                 key = data[offset + _HDR.size : offset + _HDR.size + klen]
                 entries.append((key, seq, offset, rec_len, flags))
             offset += rec_len
@@ -479,11 +524,14 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
     # --- append path ----------------------------------------------------------
 
     def _append(self, key: bytes, value: bytes, flags: int) -> int:
+        if _header_gap(self._append_offset):
+            self._zero_fill_sector()
+        if self._append_offset + _HDR.size + len(key) + len(value) > self._seg_bytes:
+            self._seal_active()
+        # Taken after any seal: above the seq its manifest fences.
         self._seq += 1
         seq = self._seq
         record = _encode_record(key, value, seq, flags)
-        if self._append_offset + len(record) > self._seg_bytes:
-            self._seal_active()
         offset = self._append_offset
         self._write_record_bytes(record)
         self._slot_records.setdefault(self._active, []).append(
@@ -543,11 +591,14 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             )
             self._write_record_bytes(pad)
         else:
-            # No room for a pad header: zero-fill; the scanner skips
-            # sub-header gaps at sector tails.
-            self._flush_tail()
-            self._append_offset += remainder
-            self._tail = bytearray()
+            self._zero_fill_sector()
+
+    def _zero_fill_sector(self) -> None:
+        """Write the tail sector zero-filled and move the append point to
+        the next sector (the scanner skips the zero gap)."""
+        self._flush_tail()
+        self._append_offset += SECTOR_SIZE - len(self._tail)
+        self._tail = bytearray()
 
     def _barrier(self) -> None:
         """Flush barrier: everything appended so far becomes durable."""
@@ -617,9 +668,13 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
 
     # --- record reads ---------------------------------------------------------
 
-    def _read_record(self, entry: _KeyDirEntry) -> tuple[bytes, bytes]:
+    def _read_record(
+        self, entry: _KeyDirEntry, sectors: dict | None = None
+    ) -> tuple[bytes, bytes]:
+        """``(record bytes, value)`` of the record ``entry`` names, after
+        its CRC and seq check; ``sectors`` as in :meth:`_read_span`."""
         raw = self._read_span(
-            self._slot_base(entry.slot), entry.offset, entry.rec_len
+            self._slot_base(entry.slot), entry.offset, entry.rec_len, sectors
         )
         if entry.slot == self._active and self._tail:
             # The record may extend into the in-memory tail (appended
@@ -633,14 +688,12 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                     lo - tail_start : hi - tail_start
                 ]
                 raw = bytes(patched)
-        crc, seq, klen, vlen, flags = _HDR.unpack_from(raw, 0)
+        crc, seq, klen, _, _ = _HDR.unpack_from(raw, 0)
         if zlib.crc32(raw[4:]) != crc or seq != entry.seq:
             raise RecordError(
                 f"kv: record at slot {entry.slot}+{entry.offset} corrupt"
             )
-        key = raw[_HDR.size : _HDR.size + klen]
-        value = raw[_HDR.size + klen : _HDR.size + klen + vlen]
-        return key, value
+        return raw, raw[_HDR.size + klen :]
 
     # --- compaction -----------------------------------------------------------
 
@@ -662,16 +715,21 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                 if not entry.tombstone
             ),
         )
-        # Pack live records into fresh segment images, in seq order.
+        # Pack live records into fresh segment images, in seq order,
+        # copying each checked record as it is.  A source sector is read
+        # once, when the first live record in it is.
         images: list[tuple[int, bytearray, list]] = []
+        image: bytearray | None = None
+        sectors: dict[int, bytes] = {}
         for seq, key, entry in live:
-            _, value = self._read_record(entry)
-            record = _encode_record(key, value, seq, entry.flags)
-            if not images or len(images[-1][1]) + len(record) > self._seg_bytes:
+            record, _ = self._read_record(entry, sectors)
+            if image is not None:
+                image.extend(bytes(_header_gap(len(image))))
+            if image is None or len(image) + len(record) > self._seg_bytes:
                 if len(images) >= len(free):
                     raise GateError("kv: live data exceeds free slots")
-                images.append((free[len(images)], bytearray(), []))
-            slot, image, entries = images[-1]
+                image, entries = bytearray(), []
+                images.append((free[len(images)], image, entries))
             entries.append((key, seq, len(image), len(record), entry.flags))
             image.extend(record)
         if not images:

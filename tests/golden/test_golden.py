@@ -31,6 +31,13 @@ Scenarios:
 - ``timers.<scheduler>`` — traced sleepers on every timer-wheel level,
   a busy yielding thread and an idle stretch, under the C and the
   verified scheduler;
+- ``kv.durable.<backend>`` — the benchmark's durable redis image, kv
+  flushed on every write, through several kv merges under SETs and
+  DELs over a small keyspace; then ``compact``, ``sync``, a reboot on
+  the same medium and ``recover``.  The result holds the replies, both
+  images' ``kv_stats()``, the recovery report, a digest of the
+  recovered key → value map, the keys it lost or resurrected against
+  a sequential model, and a sha256 of the medium's sectors;
 - ``campaign.<kind>`` — one seeded campaign per kind (containment,
   recovery, cluster) on the kind's default sites and backends, seed 0;
   the entry keeps the site × backend matrix verbatim and pins every
@@ -87,6 +94,7 @@ from tests.golden.worlds import (
     park_consumers,
     redis_config,
     run_cluster_load,
+    run_kv_durable,
     run_timers,
     run_trace,
     timer_image,
@@ -247,6 +255,44 @@ def _timers_scenario(scheduler: str):
     return run
 
 
+def _medium_digest(medium) -> str:
+    digest = hashlib.sha256()
+    for index in sorted(medium.sectors):
+        digest.update(index.to_bytes(4, "big") + medium.sectors[index])
+    return digest.hexdigest()
+
+
+def _kv_durable_scenario(backend: str):
+    def run():
+        world = run_kv_durable(backend)
+        images = world["images"]
+        recovered, model = world["recovered"], world["model"]
+        pairs = sorted(
+            [key.decode(), value.decode()] for key, value in recovered.items()
+        )
+        result = {
+            "replies": [reply.decode() for reply in world["replies"]],
+            "kv_stats": world["kv_stats"],
+            "recover": world["report"],
+            "recovered": _digest(pairs),
+            "lost": sorted(
+                key.decode() for key in model if recovered.get(key) != model[key]
+            ),
+            "resurrected": sorted(
+                key.decode() for key in recovered if key not in model
+            ),
+            "medium": _medium_digest(world["medium"]),
+        }
+        return {
+            "clock_ns": [image.clock_ns for image in images],
+            "result": result,
+            "snapshot": [image.machine.cpu.snapshot() for image in images],
+            "metrics": [image.machine.cpu.metrics.snapshot() for image in images],
+        }
+
+    return run
+
+
 def _campaign_scenario(kind: str):
     def run():
         result = run_campaign(kind, seed=0, **CAMPAIGNS[kind])
@@ -297,6 +343,8 @@ def scenarios() -> dict:
     )
     for scheduler in ("coop", "verified"):
         table[f"timers.{scheduler}"] = _timers_scenario(scheduler)
+    for backend in ("none", "mpk-switched"):
+        table[f"kv.durable.{backend}"] = _kv_durable_scenario(backend)
     for kind in CAMPAIGNS:
         table[f"campaign.{kind}"] = _campaign_scenario(kind)
     return table

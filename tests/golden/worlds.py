@@ -16,6 +16,9 @@
   attributing time to domains, or with a periodic sleeper per image.
 - The timer world: sleepers whose deadlines span every timer-wheel
   level, a busy yielding thread, and an idle stretch.
+- The durable redis world: the benchmark's durable redis image through
+  several kv merges, a final compaction and a reboot on the same
+  medium.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from __future__ import annotations
 import random
 
 from repro import BuildConfig, build_image
+from repro.apps import resp
+from repro.apps.workload import ClosedLoopSource, start_redis
 from repro.cluster.cluster import CLUSTER_LIBRARIES, RedisCluster
 from repro.gates import GateOptions, make_channel
+from repro.libos.blk.blkdev import DiskMedium
 from repro.libos.compartment import Compartment
 from repro.libos.library import Linker, MicroLibrary, export, export_blocking
 from repro.libos.sched.base import YIELD, IdleUntil, ThreadState
@@ -303,6 +309,99 @@ def fig3_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
         hardening=dict(hardening),
         queue_edges=dict(queue_edges or {}),
     )
+
+
+# --- durable redis through kv merges and a reboot -------------------------------
+
+#: The durable load: one SET of each of :data:`KV_KEYS` keys, then
+#: :data:`KV_REQUESTS` more over the first :data:`KV_HOT` of them (a
+#: DEL every 50th), then DELs of :data:`KV_DELETED`, never set again.
+#: Merges pack the cold keys several to a sector, so later merges find
+#: records that share a sector.
+KV_KEYS = 64
+KV_HOT = 16
+KV_REQUESTS = 540
+KV_DELETED = (2, 5, 9, 13, 21, 37, 53)
+
+
+def kv_durable_config(backend: str) -> BuildConfig:
+    """The benchmark's durable redis image (``redis-durable``)."""
+    return BuildConfig(
+        libraries=["libc", "netstack", "blk", "kv", "redis"],
+        compartments=[["netstack"], ["blk", "kv"], ["sched", "alloc", "libc", "redis"]],
+        backend=backend,
+    )
+
+
+def kv_durable_requests() -> tuple[list[bytes], dict[bytes, bytes]]:
+    """The durable load's RESP requests (64-byte values) and the key →
+    value map a sequential model ends with."""
+    requests = []
+    model: dict[bytes, bytes] = {}
+
+    def request(*args) -> None:
+        requests.append(resp.encode_command(*args))
+        if args[0] == b"DEL":
+            model.pop(args[1], None)
+        else:
+            model[args[1]] = args[2]
+
+    for index in range(KV_KEYS + KV_REQUESTS):
+        key = b"key:%03d" % (index % (KV_KEYS if index < KV_KEYS else KV_HOT))
+        if index % 50 == 49:
+            request(b"DEL", key)
+        else:
+            request(b"SET", key, (b"%05d:" % index) * 10 + b"abcd")
+    for index in KV_DELETED:
+        request(b"DEL", b"key:%03d" % index)
+    return requests, model
+
+
+class _ReplyLog(ClosedLoopSource):
+    """ClosedLoopSource that keeps every reply payload."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.replies: list[bytes] = []
+
+    def sink(self, frame: bytes) -> None:
+        super().sink(frame)
+        self.replies.append(self.last_response)
+
+
+def run_kv_durable(backend: str) -> dict:
+    """Durable redis, kv flushed on every write, through several merges;
+    then ``compact``, ``sync``, a reboot on the same medium and
+    ``recover``.  Returns both images, the replies, each image's
+    ``kv_stats()``, the recovery report, the recovered key → value map,
+    the model's map and the medium."""
+    medium = DiskMedium()
+    image = build_image(kv_durable_config(backend))
+    image.lib("blk").attach_medium(medium)
+    image.call("kv", "set_flush_policy", "every-write")
+    start_redis(image)
+    requests, model = kv_durable_requests()
+    source = _ReplyLog(image.lib("redis").PORT, requests, window=4)
+    netstack = image.lib("netstack")
+    netstack.nic.rx_source = source.source
+    netstack.nic.tx_sink = source.sink
+    image.run(until=lambda: source.done, max_switches=400 * len(requests))
+    image.call("kv", "compact")
+    image.call("kv", "sync")
+    rebooted = build_image(kv_durable_config(backend))
+    rebooted.lib("blk").attach_medium(medium)
+    report = rebooted.call("redis", "recover")
+    app = rebooted.lib("redis")
+    recovered = {key: app.value_of(key) for key in rebooted.call("kv", "kv_keys")}
+    return {
+        "images": [image, rebooted],
+        "replies": source.replies,
+        "kv_stats": [image.call("kv", "kv_stats"), rebooted.call("kv", "kv_stats")],
+        "report": report,
+        "recovered": recovered,
+        "model": model,
+        "medium": medium,
+    }
 
 
 # --- the replicated cluster -------------------------------------------------------

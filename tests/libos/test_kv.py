@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import BuildConfig, build_image
-from repro.libos.blk.blkdev import DiskMedium
+from repro.libos.blk.blkdev import SECTOR_SIZE, DiskMedium
 from repro.libos.kv.store import MAX_VALUE, KVStoreLibrary
 from repro.machine.faults import GateError
 
@@ -257,3 +257,102 @@ def test_kv_spec_metadata_is_complete():
     assert KVStoreLibrary.CAP_GRANTS["get"] == ((1, -MAX_VALUE),)
     calls = KVStoreLibrary.TRUE_BEHAVIOR["calls"]
     assert "blk::blk_flush" in calls and "alloc::malloc_shared" in calls
+
+
+# --- on-disk framing rules ---------------------------------------------------
+
+
+def test_straddling_records_survive_reboot(medium):
+    """A header never starts in a sector's last bytes, which the scanner
+    skips as zero-fill: records packed across sector boundaries, by a
+    batch policy and by a merge, all come back after a reboot."""
+    image = make_image(medium, policy="batch:16")
+    buf = image.call("alloc", "malloc_shared", MAX_VALUE)
+    expected = {}
+    # 42-byte records: the 13th would start 8 bytes before a boundary.
+    for index in range(40):
+        key, value = b"key%03d" % index, b"%017d" % index
+        put(image, buf, key, value)
+        expected[key] = value
+    image.call("kv", "sync")
+    rebooted = make_image(medium)
+    report = rebooted.call("kv", "recover")
+    assert report["torn_discarded"] == 0
+    buf = rebooted.call("alloc", "malloc_shared", MAX_VALUE)
+    assert {key: get(rebooted, buf, key) for key in expected} == expected
+
+    # 76-byte records packed by a merge: the 21st starts 16 bytes
+    # before a boundary.
+    for index in range(30):
+        key, value = b"bench%04d" % index, (b"%06d" % index) * 8
+        put(rebooted, buf, key, value)
+        expected[key] = value
+    rebooted.call("kv", "compact")
+    rebooted.call("kv", "sync")
+    again = make_image(medium)
+    report = again.call("kv", "recover")
+    assert report["torn_discarded"] == 0
+    assert report["live_keys"] == len(expected)
+    buf = again.call("alloc", "malloc_shared", MAX_VALUE)
+    assert {key: get(again, buf, key) for key in expected} == expected
+
+
+def test_recovery_ignores_a_reused_slots_previous_life(medium):
+    """A merge into a reused slot leaves that slot's old records, CRC
+    valid, past the merged data; recovery must neither read them back
+    (resurrecting deleted keys) nor append after them."""
+    image = make_image(medium, policy="every-write")
+    buf = image.call("alloc", "malloc_shared", MAX_VALUE)
+    expected = {}
+    for round_ in range(6):
+        for index in range(30):
+            key, value = b"k%02d" % index, b"v%d" % (round_ * 100 + index)
+            put(image, buf, key, value)
+            expected[key] = value
+    for index in range(15):
+        image.call("kv", "delete", b"k%02d" % index)
+        del expected[b"k%02d" % index]
+    image.call("kv", "compact")
+    image.call("kv", "sync")
+
+    rebooted = make_image(medium)
+    rebooted.call("kv", "recover")
+    assert rebooted.call("kv", "kv_keys") == sorted(expected)
+    buf = rebooted.call("alloc", "malloc_shared", MAX_VALUE)
+    put(rebooted, buf, b"after", b"reboot")
+    expected[b"after"] = b"reboot"
+
+    again = make_image(medium)
+    again.call("kv", "recover")
+    assert again.call("kv", "kv_keys") == sorted(expected)
+    buf = again.call("alloc", "malloc_shared", MAX_VALUE)
+    assert {key: get(again, buf, key) for key in expected} == expected
+
+
+def test_merge_reads_each_live_sector_once(medium):
+    """A second compaction finds several live records per sector (the
+    first one packed them) and reads each such sector exactly once."""
+    image = make_image(medium, policy="every-write")
+    buf = image.call("alloc", "malloc_shared", MAX_VALUE)
+    expected = {}
+    for index in range(60):
+        key, value = b"cold%03d" % index, (b"%04d" % index) * 16
+        put(image, buf, key, value)
+        expected[key] = value
+    image.call("kv", "compact")
+    for index in range(20):
+        key, value = b"hot%02d" % (index % 5), b"%03d" % index
+        put(image, buf, key, value)
+        expected[key] = value
+    kv = image.lib("kv")
+    live = set()
+    for key in expected:
+        entry = kv._keydir[key]
+        base = kv._slot_base(entry.slot)
+        first, last = entry.offset, entry.offset + entry.rec_len - 1
+        live.update(range(base + first // SECTOR_SIZE, base + last // SECTOR_SIZE + 1))
+    assert len(live) < len(expected)  # records share sectors
+    reads = image.call("blk", "blk_stats")["reads"]
+    image.call("kv", "compact")
+    assert image.call("blk", "blk_stats")["reads"] - reads == len(live)
+    assert {key: get(image, buf, key) for key in expected} == expected

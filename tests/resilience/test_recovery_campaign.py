@@ -38,6 +38,17 @@ def test_each_site_ends_in_recovered_state(site):
     assert cell["generations"] >= 1  # at least one power cycle happened
 
 
+@pytest.mark.parametrize("site", RECOVERY_SITES)
+def test_each_site_recovers_merged_records_across_sectors(site):
+    """At 120 SETs the cell's compaction packs records across sector
+    boundaries; recovery still brings every acknowledged write back."""
+    cell = run_recovery_cell(
+        "none", site, default_recovery_plan(site, seed=5), sets=120
+    )
+    assert cell["verdict"] == "recovered-state"
+    assert cell["lost_keys"] == [] and cell["torn_keys"] == []
+
+
 def test_recovery_works_behind_real_gates():
     cell = run_recovery_cell(
         "mpk-shared",
