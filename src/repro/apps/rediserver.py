@@ -24,18 +24,24 @@ Structure relevant to the paper's numbers:
   instrumentation (ASAN's malloc tax) is paid per request — the
   mechanism behind the global-vs-local allocator gap in Figure 4.
 
-Durability: when the image links the ``kv`` micro-library, every write
-command is journaled through the gate into the storage compartment
-before it is acknowledged (AOF-style).  SET/DEL journal the record
-as-is (the value travels straight from the shared request buffer);
-INCR/APPEND journal their **post-image as a SET record** staged through
-the response buffer, so recovery replays them like any other SET —
-an acknowledged INCR survives crash→recover exactly like an
-acknowledged SET.  :meth:`RedisServerApp.recover` replays the log into
-the in-memory store after a reboot; whether an acknowledged write
-survives a power failure then depends on the kv flush policy
-(``every-write`` is redis ``appendfsync always``; ``batch:N`` is
-``everysec``-style batching).
+Durability: when the image links the ``kv`` micro-library, the server
+commits each request buffer (the complete commands one ``recv``
+returned, one event-loop iteration) as one **commit group**, the way
+redis under ``appendfsync always`` pays one AOF write and one fsync per
+pipeline.  Commands execute in order; each write appends its journal
+entry to an AOF buffer in shared memory: a SET's value, a DEL's
+tombstone, an INCR/APPEND post-image (replayed like a SET, so an
+acknowledged INCR survives crash→recover exactly like an acknowledged
+SET).  Right after the buffer's last write, one ``kv.journal`` crossing
+appends the whole buffer under one flush barrier.  Replies from the
+group's first write through its last are held in the response buffer
+until that call returns; the others go out at once.  A group whose
+entries or held replies would overflow their buffer commits early, so
+no reply ever leaves before a barrier covers every write before it.
+:meth:`RedisServerApp.recover` replays the log into the in-memory store
+after a reboot; whether an acknowledged write survives a power failure
+then depends on the kv flush policy (``every-write`` is redis
+``appendfsync always``; ``batch:N`` is ``everysec``-style batching).
 
 Cluster hooks (host-side, installed by :mod:`repro.cluster`):
 
@@ -43,9 +49,10 @@ Cluster hooks (host-side, installed by :mod:`repro.cluster`):
   command for a slot this shard does not own (or no longer owns: a
   fenced ex-primary after failover) answers ``-MOVED <slot> <shard>``
   instead of executing, the redirect a smart client follows;
-- :attr:`replicator` mirrors the journaled write stream to a follower
-  shard over the fabric's vm-rpc-style storage channel, *before* the
-  ack — journal-before-ack extends to replicate-before-ack.
+- :attr:`replicator` mirrors each journaled group's AOF bytes to a
+  follower shard over the fabric's vm-rpc-style storage channel,
+  *before* the group's replies — journal-before-ack extends to
+  replicate-before-ack.
 """
 
 from __future__ import annotations
@@ -53,7 +60,12 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.apps import resp as resp_proto
-from repro.libos.kv.store import MAX_VALUE as KV_MAX_VALUE
+from repro.libos.kv.store import (
+    JOURNAL_DELETE,
+    JOURNAL_ENTRY,
+    MAX_JOURNAL as KV_MAX_JOURNAL,
+    MAX_VALUE as KV_MAX_VALUE,
+)
 from repro.libos.library import MicroLibrary, export
 from repro.machine.faults import GateError
 
@@ -78,6 +90,8 @@ class DumpTruncatedError(GateError):
 
 #: Commands that take a key (slot routing applies to these).
 _KEYED = frozenset(("set", "get", "del", "exists", "incr", "append"))
+#: Commands that may journal a write (they bound a commit group).
+_WRITES = frozenset(("set", "del", "incr", "append"))
 
 #: The argument-less command tuples and the constant replies, built once.
 _ERR_COMMAND = ("err",)
@@ -85,6 +99,34 @@ _PING_COMMAND = ("ping",)
 _OK = resp_proto.encode_simple(b"OK")
 _PONG = resp_proto.encode_simple(b"PONG")
 _ERR = resp_proto.encode_error(b"ERR")
+
+
+class _Connection:
+    """One connection's reply and journal buffers.
+
+    ``held`` lists the ``(offset, length)`` of replies that wait in the
+    response buffer, back to back from its start, for the commit of the
+    group they belong to; ``aof_len`` bytes of ``entries`` journal
+    entries wait in the AOF buffer (durable servers only).
+    """
+
+    __slots__ = ("sockfd", "resp_buf", "aof_buf", "aof_len", "entries", "held")
+
+    def __init__(self, sockfd: int, resp_buf: int, aof_buf: int) -> None:
+        self.sockfd = sockfd
+        self.resp_buf = resp_buf
+        self.aof_buf = aof_buf
+        self.aof_len = 0
+        self.entries = 0
+        self.held: list[tuple[int, int]] = []
+
+    @property
+    def reply_end(self) -> int:
+        """Offset of the response buffer's first free byte."""
+        if not self.held:
+            return 0
+        offset, length = self.held[-1]
+        return offset + length
 
 
 class RedisServerApp(MicroLibrary):
@@ -96,7 +138,7 @@ class RedisServerApp(MicroLibrary):
     [Call] netstack::listen, netstack::recv, netstack::send, \
 alloc::malloc, alloc::free, alloc::malloc_shared, alloc::free_shared, \
 vfs::open, vfs::read, vfs::write, vfs::close, \
-kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
+kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
     [API] redis_stats(); dbsize(); save(path); load(path); recover()
     """
     TRUE_BEHAVIOR = {
@@ -114,9 +156,8 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             "vfs::read",
             "vfs::write",
             "vfs::close",
-            "kv::put",
+            "kv::journal",
             "kv::get",
-            "kv::delete",
             "kv::sync",
             "kv::recover",
             "kv::kv_keys",
@@ -149,9 +190,9 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         #: Host-side cluster router: ``key -> None | (slot, owner)``;
         #: non-None means redirect (this shard does not own the slot).
         self._cluster_router = None
-        #: Host-side replication channel (``.put(key, bytes)`` /
-        #: ``.delete(key)``); mirrors the journaled write stream to a
-        #: follower shard before each ack.
+        #: Host-side replication channel (``.journal(bytes)``); mirrors
+        #: each commit group's journal entries to a follower shard
+        #: before the group's replies.
         self.replicator = None
 
     def on_boot(self) -> None:
@@ -196,14 +237,12 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             sockfd = self._net.call("listen", bind_port)
             req_buf = self._alloc.call("malloc_shared", self.BUF_SIZE)
             resp_buf = self._alloc.call("malloc_shared", self.BUF_SIZE)
+            aof_buf = 0
+            if self._kv is not None:
+                aof_buf = self._alloc.call("malloc_shared", KV_MAX_JOURNAL)
+            conn = _Connection(sockfd, resp_buf, aof_buf)
             self.running = True
             pending = 0
-            # Durable deployment over a batched (queue) kv channel:
-            # journal the whole request buffer's writes in one doorbell
-            # crossing and ack each only on its completion.  The
-            # deferred variant is a generator — it parks on the kv
-            # channel's completion queue instead of forcing the flush.
-            deferred = self._kv is not None and self._kv.supports_async
             while True:
                 count = yield from self._net.call_gen(
                     "recv", sockfd, req_buf + pending, self.BUF_SIZE - pending
@@ -212,18 +251,15 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
                     break
                 total = pending + count
                 raw = self.machine.load(req_buf, total)
-                if deferred:
-                    consumed = yield from self._process_deferred(
-                        raw, req_buf, resp_buf, sockfd
-                    )
-                else:
-                    consumed = self._process(raw, req_buf, resp_buf, sockfd)
+                consumed = self._process(raw, req_buf, conn)
                 if consumed < total:
                     # Shift the partial trailing command to the front.
                     self.machine.copy(req_buf, req_buf + consumed, total - consumed)
                 pending = total - consumed
             self._alloc.call("free_shared", req_buf)
             self._alloc.call("free_shared", resp_buf)
+            if aof_buf:
+                self._alloc.call("free_shared", aof_buf)
             self.running = False
 
         return body
@@ -284,192 +320,116 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             return _PING_COMMAND
         return _ERR_COMMAND
 
-    # --- synchronous execution --------------------------------------------
+    # --- execution and group commit ----------------------------------------
 
-    def _process(
-        self, raw: bytes, req_buf: int, resp_buf: int, sockfd: int
-    ) -> int:
-        """Execute every complete command in ``raw``; returns bytes consumed."""
+    def _process(self, raw: bytes, req_buf: int, conn: _Connection) -> int:
+        """Execute every complete command in ``raw``; returns bytes consumed.
+
+        On a durable server the commands from the buffer's first write
+        through its last form one commit group: their replies are held
+        until :meth:`_commit` has journaled the group's entries.
+        """
         commands, consumed = self._parse_commands(raw)
-        for command in commands:
-            reply_len = self._execute(command, req_buf, resp_buf)
-            self._send_reply(resp_buf, reply_len, sockfd)
+        first_write = last_write = -1
+        if self._kv is not None:
+            writes = [
+                index
+                for index, command in enumerate(commands)
+                if command[0] in _WRITES
+            ]
+            if writes:
+                first_write, last_write = writes[0], writes[-1]
+        for index, command in enumerate(commands):
+            reply_len = self._execute(command, req_buf, conn)
+            if first_write <= index <= last_write and reply_len <= self.BUF_SIZE:
+                conn.held.append((conn.reply_end, reply_len))
+            else:
+                # A reply too large to hold committed the group first.
+                self._send_reply(conn.resp_buf, reply_len, conn.sockfd)
+            if index == last_write:
+                self._commit(conn)
         return consumed
 
-    def _execute(self, command: tuple, req_buf: int, resp_buf: int) -> int:
+    def _commit(self, conn: _Connection) -> None:
+        """Journal the group's entries in one kv crossing (one flush
+        barrier), mirror them to the follower, then send the replies
+        held so far."""
+        if conn.entries:
+            self._kv.call("journal", conn.aof_buf, conn.aof_len)
+            if self.replicator is not None:
+                self.replicator.journal(
+                    self.machine.load(conn.aof_buf, conn.aof_len)
+                )
+            self.kv_writes += conn.entries
+            conn.aof_len = conn.entries = 0
+        for offset, length in conn.held:
+            self._send_reply(conn.resp_buf + offset, length, conn.sockfd)
+        conn.held.clear()
+
+    def _journal(
+        self,
+        conn: _Connection,
+        key: bytes,
+        value_addr: int = 0,
+        length: int = 0,
+        flags: int = 0,
+    ) -> None:
+        """Append one entry to the AOF buffer; a full buffer commits
+        the group so far first."""
+        header = JOURNAL_ENTRY.pack(flags, len(key), length) + key
+        if conn.aof_len + len(header) + length > KV_MAX_JOURNAL:
+            self._commit(conn)
+        entry = conn.aof_buf + conn.aof_len
+        self.machine.store(entry, header)
+        if length:
+            # The app copies the value into the AOF buffer itself, from
+            # the request buffer or its private heap.
+            self.machine.copy(entry + len(header), value_addr, length)
+        conn.aof_len += len(header) + length
+        conn.entries += 1
+
+    def _execute(self, command: tuple, req_buf: int, conn: _Connection) -> int:
         kind = command[0]
         if kind == "err":
-            return self._reply_error(resp_buf)
+            return self._reply_error(conn)
         if kind == "ping":
-            return self._store_reply(resp_buf, _PONG)
+            return self._store_reply(conn, _PONG)
         key = command[1]
         if kind in _KEYED:
             redirect = self._route(key)
             if redirect is not None:
-                return self._reply_moved(resp_buf, redirect)
+                return self._reply_moved(conn, redirect)
         if kind == "set":
             _, _, offset, length = command
-            self._do_set(key, req_buf + offset, length)
-            return self._store_reply(resp_buf, _OK)
+            self._do_set(key, req_buf + offset, length, conn)
+            return self._store_reply(conn, _OK)
         if kind == "get":
-            return self._do_get(key, resp_buf)
+            return self._do_get(key, conn)
         if kind == "del":
-            return self._do_del(key, resp_buf)
+            return self._do_del(key, conn)
         if kind == "exists":
-            return self._do_exists(key, resp_buf)
+            return self._do_exists(key, conn)
         if kind == "incr":
-            return self._do_incr(key, resp_buf)
+            return self._do_incr(key, conn)
         if kind == "append":
             _, _, offset, length = command
-            return self._do_append(key, req_buf + offset, length, resp_buf)
-        return self._reply_error(resp_buf)
+            return self._do_append(key, req_buf + offset, length, conn)
+        return self._reply_error(conn)
 
-    def _send_reply(self, resp_buf: int, reply_len: int, sockfd: int) -> None:
+    def _send_reply(self, reply_addr: int, reply_len: int, sockfd: int) -> None:
         # Per-request reply object, as redis allocates per command.
         reply_obj = self._alloc.call("malloc", self.REPLY_OBJ_SIZE)
         self._alloc.call("free", reply_obj)
-        self._net.call("send", sockfd, resp_buf, reply_len)
+        self._net.call("send", sockfd, reply_addr, reply_len)
         self.responses += 1
-
-    # --- deferred (batched-durability) execution --------------------------
-
-    def _process_deferred(
-        self, raw: bytes, req_buf: int, resp_buf: int, sockfd: int
-    ) -> Generator:
-        """Batched-durability variant of :meth:`_process` (a generator).
-
-        Phase 1 parses the buffer and *submits* every SET/DEL journal
-        record onto the kv queue channel without acknowledging anything.
-        Phase 2 waits for every journal completion — wake-driven: the
-        scheduler parks this thread on the channel's completion queue
-        until a flush delivers them (the channel's own batch/max-delay
-        policy, or a flush performed by any other thread, rings the
-        doorbell; a policy with no latency bound flushes on behalf of
-        the waiter).  Phase 3 applies commands in order, acking each
-        SET/DEL only if its journal completion came back clean —
-        journal-before-ack, amortised over the request buffer.  A
-        command whose journal op failed is answered ``-ERR`` and its
-        in-memory effect is skipped, so the store never runs ahead of
-        the journal.  INCR/APPEND post-images are journaled with a
-        synchronous call in phase 3 (their value exists only once
-        earlier staged commands have applied); the sync path flushes
-        any queued records first, so ordering holds.
-        """
-        commands, consumed = self._parse_commands(raw)
-        submitted = 0
-        staged: list[tuple] = []
-        for command in commands:
-            kind = command[0]
-            if kind in _KEYED:
-                redirect = self._route(command[1])
-                if redirect is not None:
-                    staged.append(("moved", redirect))
-                    continue
-            if kind == "set":
-                _, key, offset, length = command
-                ticket = None
-                if length <= KV_MAX_VALUE:
-                    ticket = self._kv.submit(
-                        "put", key, req_buf + offset, length
-                    )
-                    submitted += 1
-                staged.append(("set", ticket, key, req_buf + offset, length))
-            elif kind == "del":
-                # Journal unconditionally: whether the key exists can
-                # only be decided once earlier staged SETs have applied,
-                # and a tombstone for a missing key is harmless.
-                key = command[1]
-                ticket = self._kv.submit("delete", key)
-                submitted += 1
-                staged.append(("del", ticket, key))
-            else:
-                staged.append(command)
-        # Wake-driven completion delivery: block until every journal
-        # op submitted above has completed (one doorbell for the whole
-        # pipeline) instead of forcing the flush and polling.
-        if submitted:
-            completions = yield from self._kv.wait_completions(submitted)
-            done = {c.ticket: c for c in completions}
-        else:
-            done = {}
-        for entry in staged:
-            kind = entry[0]
-            if kind == "set":
-                _, ticket, key, value_addr, length = entry
-                completion = done.get(ticket)
-                if ticket is not None and (
-                    completion is None or not completion.ok
-                ):
-                    reply_len = self._reply_error(resp_buf)
-                else:
-                    if ticket is not None:
-                        self.kv_writes += 1
-                        self._replicate_put(key, value_addr, length)
-                    self._apply_set(key, value_addr, length)
-                    reply_len = self._store_reply(resp_buf, _OK)
-            elif kind == "del":
-                _, ticket, key = entry
-                completion = done.get(ticket)
-                if completion is None or not completion.ok:
-                    reply_len = self._reply_error(resp_buf)
-                else:
-                    self.kv_writes += 1
-                    self._replicate_delete(key)
-                    removed = self._drop_key(key)
-                    reply_len = self._reply_int(resp_buf, removed)
-            elif kind == "moved":
-                reply_len = self._reply_moved(resp_buf, entry[1])
-            else:
-                reply_len = self._execute(entry, req_buf, resp_buf)
-            self._send_reply(resp_buf, reply_len, sockfd)
-        return consumed
 
     # --- commands ---------------------------------------------------------------
 
-    def _replicate_put(self, key: bytes, value_addr: int, length: int) -> None:
-        """Mirror one journaled put to the follower (before the ack)."""
-        if self.replicator is not None:
-            data = self.machine.load(value_addr, length) if length else b""
-            self.replicator.put(key, data)
-
-    def _replicate_bytes(self, key: bytes, data: bytes) -> None:
-        if self.replicator is not None:
-            self.replicator.put(key, data)
-
-    def _replicate_delete(self, key: bytes) -> None:
-        if self.replicator is not None:
-            self.replicator.delete(key)
-
-    def _journal_post_image(self, key: bytes, data: bytes, resp_buf: int) -> None:
-        """Journal (and replicate) a write's post-image as a SET record.
-
-        The INCR/APPEND durability path: the computed value is staged
-        through the response buffer (shared memory the storage
-        compartment may read through the gate) and journaled before the
-        command is acknowledged, so recovery replays it like a SET.
-        """
-        if self._kv is None or len(data) > KV_MAX_VALUE:
-            return
-        if data:
-            self.machine.store(resp_buf, data)
-        self._kv.call("put", key, resp_buf, len(data))
-        self.kv_writes += 1
-        self._replicate_bytes(key, data)
-
-    def _do_set(self, key: bytes, value_addr: int, length: int) -> None:
+    def _do_set(
+        self, key: bytes, value_addr: int, length: int, conn: _Connection
+    ) -> None:
         if self._kv is not None and length <= KV_MAX_VALUE:
-            # AOF-style journal first: the value is still sitting in the
-            # shared request buffer, so the storage compartment can read
-            # it straight through the gate without another staging copy.
-            # Journal-before-apply means an acknowledged SET is at least
-            # as durable as the kv flush policy promises.
-            self._kv.call("put", key, value_addr, length)
-            self.kv_writes += 1
-            self._replicate_put(key, value_addr, length)
-        self._apply_set(key, value_addr, length)
-
-    def _apply_set(self, key: bytes, value_addr: int, length: int) -> None:
-        """In-memory half of SET: copy the value into the private heap."""
+            self._journal(conn, key, value_addr, length)
         old = self._store.pop(key, None)
         if old is not None:
             self._alloc.call("free", old[0])
@@ -481,45 +441,36 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         self._store[key] = (stored, length)
         self.sets += 1
 
-    def _do_get(self, key: bytes, resp_buf: int) -> int:
+    def _do_get(self, key: bytes, conn: _Connection) -> int:
         self.gets += 1
         entry = self._store.get(key)
         if entry is None:
             self.misses += 1
-            return self._store_reply(resp_buf, resp_proto.NULL_BULK)
+            return self._store_reply(conn, resp_proto.NULL_BULK)
         addr, length = entry
         # A bulk reply framed in place: the value is copied straight
         # from the private heap between its header and terminator.
         head = b"$%d\r\n" % length
-        self.machine.store(resp_buf, head)
-        if length:
-            self.machine.copy(resp_buf + len(head), addr, length)
         total = len(head) + length
-        self.machine.store(resp_buf + total, resp_proto.CRLF)
+        reply = self._reply_slot(conn, total + 2)
+        self.machine.store(reply, head)
+        if length:
+            self.machine.copy(reply + len(head), addr, length)
+        self.machine.store(reply + total, resp_proto.CRLF)
         return total + 2
 
-    def _drop_key(self, key: bytes) -> int:
-        """Remove a key from the in-memory store; 1 if it existed."""
-        entry = self._store.pop(key, None)
-        if entry is None:
-            return 0
-        self._alloc.call("free", entry[0])
-        return 1
-
-    def _do_del(self, key: bytes, resp_buf: int) -> int:
+    def _do_del(self, key: bytes, conn: _Connection) -> int:
         entry = self._store.pop(key, None)
         if entry is not None:
             if self._kv is not None:
-                self._kv.call("delete", key)
-                self.kv_writes += 1
-                self._replicate_delete(key)
+                self._journal(conn, key, flags=JOURNAL_DELETE)
             self._alloc.call("free", entry[0])
-        return self._reply_int(resp_buf, 1 if entry is not None else 0)
+        return self._reply_int(conn, 1 if entry is not None else 0)
 
-    def _do_exists(self, key: bytes, resp_buf: int) -> int:
-        return self._reply_int(resp_buf, 1 if key in self._store else 0)
+    def _do_exists(self, key: bytes, conn: _Connection) -> int:
+        return self._reply_int(conn, 1 if key in self._store else 0)
 
-    def _do_incr(self, key: bytes, resp_buf: int) -> int:
+    def _do_incr(self, key: bytes, conn: _Connection) -> int:
         entry = self._store.get(key)
         if entry is None:
             current = 0
@@ -529,21 +480,21 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
             try:
                 current = int(raw)
             except ValueError:
-                return self._reply_error(resp_buf)
+                return self._reply_error(conn)
         current += 1
         encoded = b"%d" % current
-        # Durability: journal the post-image before applying or acking,
-        # same contract as SET (an acked INCR survives crash→recover).
-        self._journal_post_image(key, encoded, resp_buf)
         stored = self._alloc.call("malloc", len(encoded))
         self.machine.store(stored, encoded)
         if entry is not None:
             self._alloc.call("free", entry[0])
         self._store[key] = (stored, len(encoded))
-        return self._reply_int(resp_buf, current)
+        if self._kv is not None:
+            # The post-image, replayed like a SET on recovery.
+            self._journal(conn, key, stored, len(encoded))
+        return self._reply_int(conn, current)
 
     def _do_append(
-        self, key: bytes, suffix_addr: int, suffix_len: int, resp_buf: int
+        self, key: bytes, suffix_addr: int, suffix_len: int, conn: _Connection
     ) -> int:
         entry = self._store.get(key)
         old_len = entry[1] if entry is not None else 0
@@ -556,38 +507,37 @@ kv::put, kv::get, kv::delete, kv::sync, kv::recover, kv::kv_keys
         if suffix_len:
             self.machine.copy(stored + old_len, suffix_addr, suffix_len)
         self._store[key] = (stored, total)
-        # Durability: journal the concatenated post-image as a SET
-        # record (staged via the response buffer) before the ack.
         if self._kv is not None and total <= KV_MAX_VALUE:
-            if total:
-                self.machine.copy(resp_buf, stored, total)
-            self._kv.call("put", key, resp_buf, total)
-            self.kv_writes += 1
-            if self.replicator is not None:
-                self._replicate_bytes(
-                    key, self.machine.load(stored, total) if total else b""
-                )
-        return self._reply_int(resp_buf, total)
+            # The concatenated post-image, replayed like a SET.
+            self._journal(conn, key, stored, total)
+        return self._reply_int(conn, total)
 
     # --- reply framing ----------------------------------------------------
 
-    def _store_reply(self, resp_buf: int, reply: bytes) -> int:
-        self.machine.store(resp_buf, reply)
+    def _reply_slot(self, conn: _Connection, length: int) -> int:
+        """Address for the next reply; a group whose held replies it
+        would overflow commits first."""
+        if conn.reply_end + length > self.BUF_SIZE:
+            self._commit(conn)
+        return conn.resp_buf + conn.reply_end
+
+    def _store_reply(self, conn: _Connection, reply: bytes) -> int:
+        self.machine.store(self._reply_slot(conn, len(reply)), reply)
         return len(reply)
 
-    def _reply_int(self, resp_buf: int, value: int) -> int:
-        return self._store_reply(resp_buf, resp_proto.encode_integer(value))
+    def _reply_int(self, conn: _Connection, value: int) -> int:
+        return self._store_reply(conn, resp_proto.encode_integer(value))
 
-    def _reply_error(self, resp_buf: int) -> int:
+    def _reply_error(self, conn: _Connection) -> int:
         self.errors += 1
-        return self._store_reply(resp_buf, _ERR)
+        return self._store_reply(conn, _ERR)
 
-    def _reply_moved(self, resp_buf: int, redirect: tuple) -> int:
+    def _reply_moved(self, conn: _Connection, redirect: tuple) -> int:
         slot, owner = redirect
         self.redirects += 1
         owner_bytes = owner.encode() if isinstance(owner, str) else owner
         reply = resp_proto.encode_error(b"MOVED %d %s" % (slot, owner_bytes))
-        return self._store_reply(resp_buf, reply)
+        return self._store_reply(conn, reply)
 
     # --- persistence (RDB-style dump over the vfs micro-library) ----------------------
 

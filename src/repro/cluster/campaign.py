@@ -64,18 +64,30 @@ EXPECTED = {
 }
 
 
-def _seeded_load(client: ClusterClient, seed: int, sets: int) -> None:
-    """Issue ``sets`` seeded SETs (keys spread across all shards)."""
+def _seeded_load(client: ClusterClient, seed: int, sets: int) -> list[bytes]:
+    """Issue ``sets`` seeded SETs (keys spread across all shards);
+    returns their keys."""
     rng = random.Random(seed)
+    keys = []
     for index in range(sets):
         key = b"key:%03d" % index
         value = b"v%03d-%08x" % (index, rng.getrandbits(32))
         client.set(key, value)
+        keys.append(key)
+    return keys
 
 
 def _victim_shard(cluster: RedisCluster, seed: int) -> str:
     shards = sorted(cluster.shards)
     return shards[seed % len(shards)]
+
+
+def _nth_doorbell(cluster, client, keys: list[bytes], victim: str, seed: int) -> int:
+    """A seeded replication doorbell the victim's primary is sure to
+    ring: one rings per commit group, and a group holds at most the
+    client's per-node window of the victim's SETs."""
+    records = sum(1 for key in keys if cluster.map.owner(key) == victim)
+    return 1 + seed % max(1, -(-records // client.window))
 
 
 def _audit_verdict(cluster, client, triggered: bool) -> tuple[str, dict]:
@@ -97,7 +109,7 @@ def run_cluster_cell(
     """One (backend × site × seed) cluster failure cell."""
     cluster = RedisCluster(shards=shards, backend=backend, replicate=True)
     client = ClusterClient(cluster)
-    _seeded_load(client, seed, sets)
+    keys = _seeded_load(client, seed, sets)
     victim = _victim_shard(cluster, seed)
     primary = cluster.shards[victim].primary
     injector = None
@@ -117,7 +129,7 @@ def run_cluster_cell(
         verdict, audit = _audit_verdict(cluster, client, triggered=True)
 
     elif site == "repl-crash-primary":
-        nth = 1 + seed % max(1, sets // len(shards) // 2)
+        nth = _nth_doorbell(cluster, client, keys, victim, seed)
         plan = InjectionPlan(seed).crash_repl_primary(nth=nth)
         injector = arm(primary.image, plan)
         try:
@@ -135,7 +147,8 @@ def run_cluster_cell(
     elif site == "repl-drop":
         # count stays within the channel's retry budget: the doorbell
         # is lost, backed off, and redelivered — never surfaced.
-        plan = InjectionPlan(seed).drop_repl_op(nth=1 + seed % 3, count=2)
+        nth = _nth_doorbell(cluster, client, keys, victim, seed)
+        plan = InjectionPlan(seed).drop_repl_op(nth=nth, count=2)
         injector = arm(primary.image, plan)
         client.drive()
         triggered = injector.fired > 0

@@ -1,29 +1,29 @@
 """Primary→follower replication of the journal-before-ack write stream.
 
-The rediserver journals every write into its kv compartment before
-acking (:mod:`repro.apps.rediserver`).  In a cluster, the same record
-is also pushed to a follower shard on another machine *before* the ack
-— so an acked write exists on two media, and failover can promote the
-follower without losing it.
+The rediserver journals each commit group into its kv compartment
+before sending the group's replies (:mod:`repro.apps.rediserver`).  In
+a cluster, the same journal bytes are also pushed to a follower shard
+on another machine *before* those replies — so an acked write exists on
+two media, and failover can promote the follower without losing it.
 
 The channel is modelled on the vm-rpc gate's notification discipline
 (:mod:`repro.gates.vm_rpc`), because that is what it is: a doorbell
 into a storage compartment that happens to live on a remote machine.
+One doorbell carries one commit group:
 
 - the **doorbell** charges the primary ``vm_notify_ns`` plus per-byte
   marshalling, and asks the fault injector for a delivery verdict
   (site ``repl-drop``); a dropped doorbell is retried after an
   exponentially backed-off ``vm_rpc_timeout_ns`` charge, and a
   :class:`ReplicationTimeout` surfaces once the retry budget is spent;
-- the record then rides a fabric :class:`~repro.cluster.fabric.Link`
+- the group then rides a fabric :class:`~repro.cluster.fabric.Link`
   (wire pacing + propagation latency) to the follower, whose clock is
   advanced to the arrival time; the follower pays dispatch plus a
-  staging copy and applies the record through its **own** kv gate
-  (``kv.put`` / ``kv.delete``), journaling it with the follower's
-  flush policy;
+  staging copy and applies every entry with one ``kv.journal`` call
+  through its **own** kv gate, under the follower's flush policy;
 - site ``repl-crash-primary`` fires *between* the follower's apply and
   the reply — the power-cut-between-doorbell-and-reply crash point:
-  the follower holds a record the primary never acked;
+  the follower holds records the primary never acked;
 - the reply rides the link back; the primary's clock advances to its
   arrival, and the whole round-trip is observed into the
   ``repl.lag_ns`` histogram (the replication-lag metric
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.libos.kv.store import JOURNAL_DELETE, JOURNAL_ENTRY, MAX_JOURNAL
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
@@ -62,31 +63,22 @@ class ReplicaChannel:
         self.applied = 0
         self.doorbells = 0
         self.retries = 0
-        #: Shared staging buffer on the follower for incoming values.
+        #: Shared staging buffer on the follower for incoming groups.
         self._staging: int | None = None
 
     # --- rediserver's replicator interface --------------------------------
 
-    def put(self, key: bytes, data: bytes) -> None:
-        self._replicate("put", key, data)
+    def journal(self, data: bytes) -> None:
+        """Mirror one commit group's journal entries to the follower.
 
-    def delete(self, key: bytes) -> None:
-        self._replicate("delete", key, b"")
-
-    # --- mechanics --------------------------------------------------------
-
-    def _staging_buf(self, size: int) -> int:
-        if self._staging is None:
-            self._staging = self.follower.image.call(
-                "alloc", "malloc_shared", 4096
-            )
-        return self._staging
-
-    def _replicate(self, op: str, key: bytes, data: bytes) -> None:
+        The rediserver's replicator interface: ``data`` is the AOF
+        buffer the primary just journaled, applied on the follower by
+        one ``kv.journal`` call before the primary's replies go out.
+        """
         primary_cpu = self.primary.image.machine.cpu
         cost = self.primary.image.machine.cost
         injector = self.primary.image.machine.injector
-        payload_bytes = 16 + len(key) + len(data)
+        payload_bytes = 16 + len(data)
 
         # Doorbell with vm-rpc retry discipline, charged to the primary
         # (this runs inside the primary's journal-before-ack path).
@@ -117,26 +109,19 @@ class ReplicaChannel:
         sent_ns = primary_cpu.clock_ns
         arrival = self.link.delay(sent_ns, payload_bytes)
 
-        # The follower cannot apply before the record arrives.
+        # The follower cannot apply before the group arrives.
         follower_cpu = self.follower.image.machine.cpu
         if arrival > follower_cpu.clock_ns:
             follower_cpu.charge(arrival - follower_cpu.clock_ns)
         follower_cpu.charge(cost.vm_notify_ns)  # dispatch on the follower
-        follower_cpu.bump("repl.applied")
-
-        if op == "put":
-            staging = self._staging_buf(len(data))
-            if data:
-                machine = self.follower.image.machine
-                kv_space = self.follower.image.compartment_of(
-                    "kv"
-                ).address_space
-                machine.dma_write(kv_space, staging, data)
-                follower_cpu.charge(len(data) * cost.vm_copy_byte_ns)
-            self.follower.image.call("kv", "put", key, staging, len(data))
-        else:
-            self.follower.image.call("kv", "delete", key)
-        self.applied += 1
+        staging = self._staging_buf()
+        machine = self.follower.image.machine
+        kv_space = self.follower.image.compartment_of("kv").address_space
+        machine.dma_write(kv_space, staging, data)
+        follower_cpu.charge(len(data) * cost.vm_copy_byte_ns)
+        applied = self.follower.image.call("kv", "journal", staging, len(data))
+        follower_cpu.bump("repl.applied", applied)
+        self.applied += applied
 
         # Crash point: primary power cut after the follower durably
         # applied but before the reply (and therefore before the
@@ -152,6 +137,21 @@ class ReplicaChannel:
         lag = primary_cpu.clock_ns - sent_ns
         metrics = self.primary.image.machine.obs.metrics
         metrics.histogram("repl.lag_ns").observe(lag)
+
+    def put(self, key: bytes, data: bytes) -> None:
+        """Replicate one put: a one-entry :meth:`journal`."""
+        self.journal(JOURNAL_ENTRY.pack(0, len(key), len(data)) + key + data)
+
+    def delete(self, key: bytes) -> None:
+        """Replicate one delete: a one-entry :meth:`journal`."""
+        self.journal(JOURNAL_ENTRY.pack(JOURNAL_DELETE, len(key), 0) + key)
+
+    def _staging_buf(self) -> int:
+        if self._staging is None:
+            self._staging = self.follower.image.call(
+                "alloc", "malloc_shared", MAX_JOURNAL
+            )
+        return self._staging
 
     def stats(self) -> dict:
         return {

@@ -36,9 +36,11 @@ sector boundaries, but a header never starts in a sector's last
 ``_HDR.size - 1`` bytes: writers zero-fill them, and the scanner skips
 them.  Slots are reused after a merge, so a slot can hold CRC-valid
 records of its previous life past its current data; the manifest's
-``end`` (the active slot's data end at commit) and ``seq`` (the highest
-seq written before it) fence them off: past ``end``, the scan accepts
-only records above ``seq``.
+``end`` (the active slot's data end at commit) and ``seq`` (no record
+written before the commit is above it) fence them off: past ``end``,
+the scan accepts only records above ``seq``.  Recovery commits a new
+fence past every seq an unflushed orphan behind a dropped sector can
+hold, so a later scan ignores such orphans too.
 
 The declared FlexOS metadata is conservative (like the filesystem's):
 unhardened C storage engines cannot bound their behaviour.  The
@@ -61,6 +63,10 @@ from repro.libos.blk.blkdev import SECTOR_SIZE
 #: Largest value accepted by :meth:`KVStoreLibrary.put` (one record
 #: must fit comfortably inside a segment).
 MAX_VALUE = 4096
+#: Largest key accepted by :meth:`KVStoreLibrary.put`.
+MAX_KEY = 1024
+#: Largest buffer accepted by :meth:`KVStoreLibrary.journal`.
+MAX_JOURNAL = 2 * MAX_VALUE
 
 #: Record header: crc32 | seq | klen | vlen | flags.
 _HDR = struct.Struct(">IQHIB")
@@ -73,6 +79,12 @@ _TOMBSTONE = 0x01
 #: Padding record (fills a sector's tail at a flush barrier; never
 #: enters the keydir).
 _PAD = 0x02
+
+#: One :meth:`KVStoreLibrary.journal` entry: flags | klen | vlen, then
+#: the key and the value.  The only flag is :data:`JOURNAL_DELETE`; a
+#: delete entry carries no value.
+JOURNAL_ENTRY = struct.Struct(">BHI")
+JOURNAL_DELETE = _TOMBSTONE
 
 
 class RecordError(MachineError):
@@ -106,6 +118,32 @@ def _encode_record(key: bytes, value: bytes, seq: int, flags: int) -> bytes:
     return _CRC.pack(zlib.crc32(body)) + body
 
 
+def _parse_journal(data: bytes) -> list[tuple[bytes, bytes, int]]:
+    """``(key, value, flags)`` of every entry in a journal buffer.
+
+    Raises :class:`GateError` unless ``data`` is exactly a sequence of
+    well-formed :data:`JOURNAL_ENTRY` entries.
+    """
+    entries = []
+    offset = 0
+    while offset < len(data):
+        if offset + JOURNAL_ENTRY.size > len(data):
+            raise GateError(f"kv: journal entry at {offset} truncated")
+        flags, klen, vlen = JOURNAL_ENTRY.unpack_from(data, offset)
+        start = offset + JOURNAL_ENTRY.size
+        offset = start + klen + vlen
+        if flags not in (0, JOURNAL_DELETE) or (flags and vlen):
+            raise GateError(f"kv: bad journal entry flags {flags:#x}")
+        if not 1 <= klen <= MAX_KEY:
+            raise GateError(f"kv: key must be 1..{MAX_KEY} bytes")
+        if vlen > MAX_VALUE:
+            raise GateError(f"kv: value length {vlen} out of range")
+        if offset > len(data):
+            raise GateError(f"kv: journal entry at {start} truncated")
+        entries.append((data[start : start + klen], data[start + klen : offset], flags))
+    return entries
+
+
 def _header_gap(offset: int) -> int:
     """Zero bytes a writer skips before a record header at ``offset``.
 
@@ -125,11 +163,12 @@ class KVStoreLibrary(MicroLibrary):
     SPEC = """
     [Memory access] Read(*); Write(*)
     [Call] *
-    [API] put(key, buf, n); get(key, buf); delete(key); sync(); \
-compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
+    [API] put(key, buf, n); get(key, buf); delete(key); journal(buf, n); \
+sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
     [Requires] *(Read,Own), *(Write,Shared), *(Call, put), *(Call, get), \
-*(Call, delete), *(Call, sync), *(Call, compact), *(Call, recover), \
-*(Call, set_flush_policy), *(Call, kv_keys), *(Call, kv_stats)
+*(Call, delete), *(Call, journal), *(Call, sync), *(Call, compact), \
+*(Call, recover), *(Call, set_flush_policy), *(Call, kv_keys), \
+*(Call, kv_stats)
     """
     TRUE_BEHAVIOR = {
         "writes": ["Own", "Shared"],
@@ -152,9 +191,19 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                 f"value length must be in [0, {MAX_VALUE}]",
             ),
         ],
+        "journal": [
+            (
+                lambda args: 0 < args[1] <= MAX_JOURNAL,
+                f"journal length must be in [1, {MAX_JOURNAL}]",
+            ),
+        ],
     }
-    POINTER_PARAMS = {"put": (1,), "get": (1,)}
-    CAP_GRANTS = {"put": ((1, 2),), "get": ((1, -MAX_VALUE),)}
+    POINTER_PARAMS = {"put": (1,), "get": (1,), "journal": (0,)}
+    CAP_GRANTS = {
+        "put": ((1, 2),),
+        "get": ((1, -MAX_VALUE),),
+        "journal": ((0, 1),),
+    }
 
     #: Segment slots on the medium (manifest lists the live subset).
     NUM_SLOTS = 8
@@ -358,9 +407,10 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                     self.hint_misses += 1
                     cpu.bump("kv.hint_misses")
             end_offset = self._seg_bytes
+            sectors: dict[int, bytes] = {}
             if entries is None:
                 entries, slot_torn, end_offset = self._scan_slot(
-                    slot, (fence_end, fence_seq) if is_active else None
+                    slot, (fence_end, fence_seq) if is_active else None, sectors
                 )
                 torn += slot_torn
             self._slot_records[slot] = entries
@@ -375,11 +425,16 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
                 partial = end_offset % SECTOR_SIZE
                 if partial:
                     self._tail = bytearray(self._read_span(
-                        self._slot_base(slot), end_offset - partial, partial
+                        self._slot_base(slot), end_offset - partial, partial,
+                        sectors,
                     ))
-        # New records take seqs above the fence even when a merge dropped
-        # every record that reached it (a deleted key's).
-        self._seq = max(self._seq, fence_seq)
+        # A crash can drop a sector yet persist a later one, leaving
+        # CRC-valid orphans past the recovered end: unflushed records
+        # whose seqs, all above the fence, are bounded by the slot's
+        # record capacity.  New records take seqs above that bound, and
+        # the manifest committed below makes it the fence, so no later
+        # scan reads an orphan back or lets one outrank a new record.
+        self._seq = max(self._seq, fence_seq + self._seg_bytes // (_HDR.size + 1))
         self._durable_seq = self._seq
         self._unflushed = 0
         self._open = True
@@ -391,6 +446,9 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             # garbage, so the slot is sealed as-is — without rewriting
             # any data sector — and a fresh slot becomes active.
             self._seal_recovered_slot()
+        else:
+            self._commit_manifest()
+            self._blk_flush()
         self.torn_discarded += torn
         self.recoveries += 1
         elapsed = cpu.clock_ns - started
@@ -407,13 +465,16 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         }
 
     def _scan_slot(
-        self, slot: int, fence: tuple[int, int] | None = None
+        self, slot: int, fence: tuple[int, int] | None, sectors: dict
     ) -> tuple[list, int, int]:
-        """Full scan of one segment; stops at clean end or first tear.
+        """Walk one segment's log; stops at clean end or first tear.
 
-        Understands the append path's sector framing: pad records (and
-        sub-header zero gaps at sector tails) are skipped so a scan can
-        walk across flush-barrier padding to the true end of the log.
+        Reads a sector only when the walk reaches it, so a scan costs
+        the log's sectors, not the slot's; ``sectors`` memoizes them as
+        in :meth:`_read_span`.  Understands the append path's sector
+        framing: pad records (and sub-header zero gaps at sector tails)
+        are skipped so a scan can walk across flush-barrier padding to
+        the true end of the log.
 
         ``fence`` is the active slot's ``(data end, seq)`` from the
         manifest: past the end, the first record that is neither a pad
@@ -421,34 +482,32 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         the log.
         """
         fence_end, fence_seq = fence or (self._seg_bytes, 0)
-        data = b"".join(
-            self._read_sector(self._slot_base(slot) + index)
-            for index in range(self.SEG_SECTORS)
-        )
+        base = self._slot_base(slot)
         entries = []
         torn = 0
         offset = 0
-        while offset + _HDR.size <= len(data):
+        while offset + _HDR.size <= self._seg_bytes:
             in_sector = offset % SECTOR_SIZE
             if SECTOR_SIZE - in_sector < _HDR.size:
                 # Too little room for a header: zero-fill (_header_gap).
                 offset += SECTOR_SIZE - in_sector
                 continue
-            header = data[offset : offset + _HDR.size]
+            header = self._read_span(base, offset, _HDR.size, sectors)
             if header == b"\x00" * _HDR.size:
                 break  # clean end of log
             crc, seq, klen, vlen, flags = _HDR.unpack(header)
             rec_len = _HDR.size + klen + vlen
-            if offset + rec_len > len(data):
+            if offset + rec_len > self._seg_bytes:
                 torn += 1
                 break
-            if zlib.crc32(data[offset + 4 : offset + rec_len]) != crc:
+            record = self._read_span(base, offset, rec_len, sectors)
+            if zlib.crc32(record[4:]) != crc:
                 torn += 1
                 break  # everything behind a torn record is unreachable
             if not flags & _PAD:
                 if offset >= fence_end and seq <= fence_seq:
                     break  # the slot's previous life
-                key = data[offset + _HDR.size : offset + _HDR.size + klen]
+                key = record[_HDR.size : _HDR.size + klen]
                 entries.append((key, seq, offset, rec_len, flags))
             offset += rec_len
         return entries, torn, offset
@@ -607,8 +666,8 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         self._durable_seq = self._seq
         self._unflushed = 0
 
-    def _after_write(self) -> None:
-        self._unflushed += 1
+    def _after_write(self, records: int = 1) -> None:
+        self._unflushed += records
         if self._unflushed >= self._batch:
             self._barrier()
 
@@ -794,8 +853,8 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         """
         if not 0 <= value_len <= MAX_VALUE:
             raise GateError(f"kv: value length {value_len} out of range")
-        if not key or len(key) > 1024:
-            raise GateError("kv: key must be 1..1024 bytes")
+        if not 1 <= len(key) <= MAX_KEY:
+            raise GateError(f"kv: key must be 1..{MAX_KEY} bytes")
         self._ensure_open()
         value = (
             self.machine.load(value_addr, value_len) if value_len else b""
@@ -829,6 +888,30 @@ compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         self.deletes += 1
         self._after_write()
         return existed
+
+    @export
+    def journal(self, buf_addr: int, n: int) -> int:
+        """Append every entry of a journal buffer; returns their count.
+
+        The ``n`` bytes at ``buf_addr`` are :data:`JOURNAL_ENTRY`-framed
+        puts and deletes, appended in buffer order.  They are untrusted
+        input: every entry is checked before the first is appended, so
+        a malformed buffer raises :class:`GateError` having appended
+        nothing.  The flush policy applies once per call: with
+        ``every-write`` the call returns after one barrier that covers
+        every entry.
+        """
+        if not 0 < n <= MAX_JOURNAL:
+            raise GateError(f"kv: journal length {n} out of range")
+        entries = _parse_journal(self.machine.load(buf_addr, n))
+        self._ensure_open()
+        for key, value, flags in entries:
+            self._append(key, value, flags)
+        deletes = sum(1 for _, _, flags in entries if flags)
+        self.deletes += deletes
+        self.puts += len(entries) - deletes
+        self._after_write(len(entries))
+        return len(entries)
 
     @export
     def sync(self) -> int:

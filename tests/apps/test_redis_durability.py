@@ -196,3 +196,39 @@ def test_load_clean_dump_still_roundtrips():
     )
     assert image.call("redis", "load", "/dump") == 2
     assert image.lib("redis").value_of(b"b") == b"22"
+
+
+# --- journal order: a post-image never outranks a later write ---------------
+
+
+@pytest.mark.parametrize("queue_edges", [{}, {"redis->kv": "batch:4"}],
+                         ids=["sync", "queued"])
+@pytest.mark.parametrize("first", [cmd(b"INCR", b"k"), cmd(b"APPEND", b"k", b"xy")],
+                         ids=["incr", "append"])
+def test_pipelined_post_image_then_set_recovers_the_set(queue_edges, first):
+    """``INCR k`` (or ``APPEND k xy``) and ``SET k final`` pipelined in
+    one request buffer: recovery must give ``final``, the value memory
+    holds, on every kv channel kind."""
+    medium = DiskMedium()
+    image = build_image(
+        BuildConfig(
+            libraries=["libc", "netstack", "blk", "kv", "redis"],
+            compartments=[
+                ["netstack"],
+                ["blk", "kv"],
+                ["sched", "alloc", "libc", "redis"],
+            ],
+            backend="mpk-shared",
+            queue_edges=queue_edges,
+        )
+    )
+    image.lib("blk").attach_medium(medium)
+    start_redis(image)
+    run_redis_phase(image, [first, cmd(b"SET", b"k", b"final")], window=4)
+    assert image.call("redis", "redis_stats")["errors"] == 0
+    assert image.lib("redis").value_of(b"k") == b"final"
+    image.call("kv", "sync")
+
+    rebooted = build_durable(medium, "mpk-shared")
+    rebooted.call("redis", "recover")
+    assert rebooted.lib("redis").value_of(b"k") == b"final"

@@ -166,3 +166,16 @@ def test_repl_drop_exhausting_retry_budget_surfaces_timeout():
     injector.detach()
     # The write was never acked, so losing it is not an acked loss.
     assert client.acked == {}
+
+
+@pytest.mark.parametrize("site", ["repl-crash-primary", "repl-drop"])
+@pytest.mark.parametrize(
+    "sets, shards, seeds",
+    [(24, ("s0", "s1", "s2"), range(6)), (12, ("s0", "s1"), range(4))],
+)
+def test_replication_sites_trigger_on_every_seed(site, sets, shards, seeds):
+    """A doorbell carries a commit group, not one record: the seeded
+    doorbell a cell arms must be one its victim's primary rings."""
+    for seed in seeds:
+        cell = run_cluster_cell("none", site, seed, sets=sets, shards=shards)
+        assert cell["verdict"] == "no-acked-write-lost", seed

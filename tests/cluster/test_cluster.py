@@ -72,9 +72,23 @@ def test_replication_applies_journal_records_on_the_follower():
         follower_keys = shard.follower.image.call("kv", "kv_keys")
         assert set(own_keys) <= set(follower_keys)
         assert primary_app.sets == len(own_keys)
+    # One doorbell, and one lag sample, per commit group: the client's
+    # pipelined SETs share groups.
     lag = cluster.replication_lag()
-    assert lag["samples"] == 16
+    doorbells = sum(shard.channel.doorbells for shard in cluster.shards.values())
+    assert lag["samples"] == doorbells < 16
     assert lag["mean_ns"] > 0
+
+
+def test_single_record_replication_is_a_one_entry_journal():
+    cluster = RedisCluster(shards=("s0",), replicate=True)
+    channel = cluster.shards["s0"].channel
+    follower = channel.follower.image
+    channel.put(b"solo", b"value")
+    assert follower.call("kv", "kv_keys") == [b"solo"]
+    channel.delete(b"solo")
+    assert follower.call("kv", "kv_keys") == []
+    assert channel.stats()["applied"] == channel.doorbells == 2
 
 
 def test_replication_lag_includes_link_round_trip():

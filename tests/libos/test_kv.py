@@ -356,3 +356,34 @@ def test_merge_reads_each_live_sector_once(medium):
     image.call("kv", "compact")
     assert image.call("blk", "blk_stats")["reads"] - reads == len(live)
     assert {key: get(image, buf, key) for key in expected} == expected
+
+
+def test_recovery_fences_off_orphans_behind_a_dropped_sector(medium):
+    """A crash that drops one sector but persists a later one leaves a
+    CRC-valid orphan past the recovered end; a write acknowledged after
+    recovery must outrank it on every later reboot."""
+    image = make_image(medium, policy="batch:1000")
+    buf = image.call("alloc", "malloc_shared", MAX_VALUE)
+    # One 512-byte record per sector: key + value + 19-byte header.
+    value = lambda digit: digit * (SECTOR_SIZE - 20)
+    put(image, buf, b"A", value(b"1"))
+    image.call("kv", "sync")
+    put(image, buf, b"B", value(b"2"))
+    put(image, buf, b"A", value(b"3"))
+    blk = image.lib("blk")
+    assert blk._dirty == [3, 4]
+    medium.write(4, blk.cache_payload(4))  # the crash persists only sector 4
+
+    recovered = make_image(medium)
+    recovered.call("kv", "recover")
+    buf = recovered.call("alloc", "malloc_shared", MAX_VALUE)
+    assert get(recovered, buf, b"A") == value(b"1")
+    recovered.call("kv", "set_flush_policy", "every-write")
+    put(recovered, buf, b"A", value(b"4"))  # acknowledged
+
+    for _ in range(2):
+        rebooted = make_image(medium)
+        rebooted.call("kv", "recover")
+        buf = rebooted.call("alloc", "malloc_shared", MAX_VALUE)
+        assert get(rebooted, buf, b"A") == value(b"4")
+        assert rebooted.call("kv", "kv_keys") == [b"A"]
