@@ -14,6 +14,8 @@ at line rate for large buffers.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import BuildConfig, build_image
@@ -64,8 +66,12 @@ CONFIGS = {
 }
 
 
-def sweep(config: BuildConfig) -> dict[int, float]:
-    image = build_image(config)
+@functools.cache
+def sweep(label: str) -> dict[int, float]:
+    """Throughput per recv buffer size of one configuration, measured
+    once per module run: the simulation is deterministic, so the rows
+    and the shape claims share one sweep."""
+    image = build_image(CONFIGS[label])
     series = {}
     for size in BUFFER_SIZES:
         total = max(1 << 19, 4 * size)
@@ -75,7 +81,7 @@ def sweep(config: BuildConfig) -> dict[int, float]:
 
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_fig3_iperf_throughput(report, label):
-    series = sweep(CONFIGS[label])
+    series = sweep(label)
     cells = "  ".join(f"{size}:{mbps:8.0f}" for size, mbps in series.items())
     report.row("Fig3 iperf throughput (Mb/s)", f"{label:15s} {cells}")
     report.value("fig3", label, series)
@@ -85,12 +91,12 @@ def test_fig3_iperf_throughput(report, label):
 
 def test_fig3_shape_claims(report):
     """The paper's qualitative claims about Figure 3."""
-    baseline = sweep(CONFIGS["KVM Baseline"])
-    mpk_shared = sweep(CONFIGS["MPK-Sha. (KVM)"])
-    mpk_switched = sweep(CONFIGS["MPK-Sw. (KVM)"])
-    sh = sweep(CONFIGS["SH (KVM)"])
-    vm = sweep(CONFIGS["VM RPC (Xen)"])
-    xen_baseline = sweep(CONFIGS["Xen Baseline"])
+    baseline = sweep("KVM Baseline")
+    mpk_shared = sweep("MPK-Sha. (KVM)")
+    mpk_switched = sweep("MPK-Sw. (KVM)")
+    sh = sweep("SH (KVM)")
+    vm = sweep("VM RPC (Xen)")
+    xen_baseline = sweep("Xen Baseline")
 
     # "With SH and MPK, for small buffers there is a non negligible
     # slowdown (2x to 3x)."  Note: the SH curve here hardens only the

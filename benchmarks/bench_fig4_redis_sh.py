@@ -12,6 +12,8 @@ verified scheduler's overhead over the C one stays below ~6%.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import BuildConfig, build_image
@@ -41,13 +43,16 @@ CONFIGS = {
 }
 
 
-def measure(overrides: dict, payload: int, op: str) -> float:
+@functools.cache
+def measure(label: str, payload: int, op: str) -> float:
+    """Mreq/s of one configuration, payload and op, measured once per
+    module run (the simulation is deterministic)."""
     image = build_image(
         BuildConfig(
             libraries=LIBRARIES,
             compartments=COMPARTMENTS,
             backend="none",
-            **overrides,
+            **CONFIGS[label],
         )
     )
     start_redis(image)
@@ -77,7 +82,7 @@ def measure(overrides: dict, payload: int, op: str) -> float:
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_fig4_redis_sh(report, label):
     series = {
-        f"{op} {payload}B": measure(CONFIGS[label], payload, op)
+        f"{op} {payload}B": measure(label, payload, op)
         for payload in PAYLOADS
         for op in ("SET", "GET")
     }
@@ -90,19 +95,19 @@ def test_fig4_shape_claims(report):
     """Allocator-placement and verified-scheduler claims."""
     keys = [f"{op} {p}B" for p in PAYLOADS for op in ("SET", "GET")]
     base = {
-        k: measure(CONFIGS["No SH"], int(k.split()[1][:-1]), k.split()[0])
+        k: measure("No SH", int(k.split()[1][:-1]), k.split()[0])
         for k in keys
     }
     global_alloc = {
-        k: measure(CONFIGS["SH global alloc"], int(k.split()[1][:-1]), k.split()[0])
+        k: measure("SH global alloc", int(k.split()[1][:-1]), k.split()[0])
         for k in keys
     }
     local_alloc = {
-        k: measure(CONFIGS["SH local alloc"], int(k.split()[1][:-1]), k.split()[0])
+        k: measure("SH local alloc", int(k.split()[1][:-1]), k.split()[0])
         for k in keys
     }
     verified = {
-        k: measure(CONFIGS["Verified Sched"], int(k.split()[1][:-1]), k.split()[0])
+        k: measure("Verified Sched", int(k.split()[1][:-1]), k.split()[0])
         for k in keys
     }
 

@@ -7,6 +7,8 @@ for each gate flavour of Figure 2's menu.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import BuildConfig, build_image
@@ -18,8 +20,10 @@ CALLS = 2000
 BACKENDS = ["none", "cheri", "mpk-shared", "mpk-switched", "vm-rpc"]
 
 
+@functools.cache
 def null_call_cost(backend: str, clear_registers: bool = True) -> float:
-    """Average simulated cost of mq.q_len (a near-empty export)."""
+    """Average simulated cost of mq.q_len (a near-empty export),
+    measured once per module run (the simulation is deterministic)."""
     image = build_image(
         BuildConfig(
             libraries=LIBRARIES,

@@ -14,6 +14,8 @@ see EXPERIMENTS.md for the measured deviation and its cause).
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import BuildConfig, build_image
@@ -36,7 +38,10 @@ BUFFER_SIZE = 128
 TOTAL_BYTES = 1 << 19
 
 
-def measure(hardened: list[str]) -> float:
+@functools.cache
+def measure(*hardened: str) -> float:
+    """Throughput with ``hardened`` libraries under SH, measured once
+    per module run (the simulation is deterministic)."""
     config = BuildConfig(
         libraries=LIBRARIES,
         compartments=COMPARTMENTS,
@@ -47,16 +52,12 @@ def measure(hardened: list[str]) -> float:
     return run_iperf(image, BUFFER_SIZE, TOTAL_BYTES).throughput_mbps
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    return measure([])
-
-
 @pytest.mark.parametrize("component", list(COMPONENTS))
-def test_table1_sh_placement(report, baseline, component):
+def test_table1_sh_placement(report, component):
+    baseline = measure()
     libs = COMPONENTS[component]
     others = [lib for lib in ALL_LIBS if lib not in libs]
-    only, all_but = measure(libs), measure(others)
+    only, all_but = measure(*libs), measure(*others)
     report.row(
         "Table1 iperf SH placement",
         f"{component:20s} SH-all-but-C: {all_but:7.0f} Mb/s "
@@ -70,8 +71,8 @@ def test_table1_sh_placement(report, baseline, component):
     )
 
 
-def test_table1_whole_system(report, baseline):
-    everything = measure(ALL_LIBS)
+def test_table1_whole_system(report):
+    baseline, everything = measure(), measure(*ALL_LIBS)
     report.row(
         "Table1 iperf SH placement",
         f"{'Entire system':20s} baseline: {baseline:7.0f} Mb/s   "
@@ -86,10 +87,11 @@ def test_table1_whole_system(report, baseline):
     assert baseline / everything > 2.0
 
 
-def test_table1_shape_claims(report, baseline):
+def test_table1_shape_claims(report):
     """Ordering claims: libc dominates, scheduler is ~free."""
+    baseline = measure()
     slowdowns = {
-        component: baseline / measure(libs)
+        component: baseline / measure(*libs)
         for component, libs in COMPONENTS.items()
     }
     # "The performance impact strongly depends on the component

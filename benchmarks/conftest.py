@@ -37,17 +37,16 @@ class Report:
     def value(self, experiment: str, key: str, value) -> None:
         _RAW.setdefault(experiment, {})[key] = value
 
-    def metrics(self, experiment: str, key: str, image) -> None:
-        """Attach an image's full metrics snapshot to the raw results.
+    def metrics(self, experiment: str, key: str, snapshot: dict) -> None:
+        """Attach an image's full metrics snapshot
+        (``Image.metrics_snapshot()``) to the raw results.
 
         Gives results.json the per-configuration crossing counts and
         histograms alongside the headline numbers, so regressions can
         be traced to a specific gate edge rather than just a slower
         total.
         """
-        _RAW.setdefault(experiment, {})[f"{key}:metrics"] = (
-            image.metrics_snapshot()
-        )
+        _RAW.setdefault(experiment, {})[f"{key}:metrics"] = snapshot
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,12 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
     PORT = 6379
     #: Request/response staging buffer sizes.
     BUF_SIZE = 4096
+    #: Largest value a SET can carry (the parser's bulk bound) and so
+    #: the largest value APPEND may build, as redis bounds strings by
+    #: ``proto-max-bulk-len``.  Every stored value therefore journals
+    #: (kv takes up to 4 KiB) and every GET reply fits the response
+    #: buffer.
+    MAX_VALUE = BUF_SIZE - 64
     #: Size of the per-request reply object (redis robj analogue).
     REPLY_OBJ_SIZE = 64
 
@@ -287,9 +293,7 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
         limit = len(raw)
         while pos < limit:
             try:
-                parsed = resp_proto.parse_array(
-                    raw, pos, max_bulk=self.BUF_SIZE - 64
-                )
+                parsed = resp_proto.parse_array(raw, pos, max_bulk=self.MAX_VALUE)
             except resp_proto.RespError:
                 commands.append(_ERR_COMMAND)
                 pos = limit
@@ -341,10 +345,9 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
                 first_write, last_write = writes[0], writes[-1]
         for index, command in enumerate(commands):
             reply_len = self._execute(command, req_buf, conn)
-            if first_write <= index <= last_write and reply_len <= self.BUF_SIZE:
+            if first_write <= index <= last_write:
                 conn.held.append((conn.reply_end, reply_len))
             else:
-                # A reply too large to hold committed the group first.
                 self._send_reply(conn.resp_buf, reply_len, conn.sockfd)
             if index == last_write:
                 self._commit(conn)
@@ -428,7 +431,7 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
     def _do_set(
         self, key: bytes, value_addr: int, length: int, conn: _Connection
     ) -> None:
-        if self._kv is not None and length <= KV_MAX_VALUE:
+        if self._kv is not None:
             self._journal(conn, key, value_addr, length)
         old = self._store.pop(key, None)
         if old is not None:
@@ -499,6 +502,10 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
         entry = self._store.get(key)
         old_len = entry[1] if entry is not None else 0
         total = old_len + suffix_len
+        if total > self.MAX_VALUE:
+            # Past the largest value a SET can carry: refused, the
+            # value unchanged.
+            return self._reply_error(conn)
         stored = self._alloc.call("malloc", max(1, total))
         if entry is not None:
             if old_len:
@@ -507,7 +514,7 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
         if suffix_len:
             self.machine.copy(stored + old_len, suffix_addr, suffix_len)
         self._store[key] = (stored, total)
-        if self._kv is not None and total <= KV_MAX_VALUE:
+        if self._kv is not None:
             # The concatenated post-image, replayed like a SET.
             self._journal(conn, key, stored, total)
         return self._reply_int(conn, total)

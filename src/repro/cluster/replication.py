@@ -40,7 +40,8 @@ from repro.machine.faults import GateError
 if TYPE_CHECKING:
     from repro.cluster.fabric import Link, Node
 
-#: Doorbell retry budget (mirrors GateOptions.rpc_max_retries).
+#: Doorbell resends before a replication timeout (the vm-rpc gate's
+#: own budget, ``repro.gates.vm_rpc.RPC_MAX_RETRIES``, is 3).
 MAX_RETRIES = 4
 #: Exponential backoff factor between retries.
 BACKOFF = 2.0

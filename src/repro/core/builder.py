@@ -273,7 +273,7 @@ def build_image(config: BuildConfig) -> Image:
     machine.group_heaps = GroupSharedHeaps(
         machine, compartments=compartments, shared_ranges=shared_ranges
     )
-    queue_policies = {
+    queue_batches = {
         edge: parse_queue_policy(policy)
         for edge, policy in config.queue_edges.items()
     }
@@ -289,17 +289,14 @@ def build_image(config: BuildConfig) -> Image:
             # keeps one run loop but makes its operations VM-local.
             kind = "direct"
         edge_options = options
-        queue_policy = queue_policies.get(f"{caller.NAME}->{service}")
-        if queue_policy is not None and kind != "direct":
+        batch = queue_batches.get(f"{caller.NAME}->{service}")
+        if batch is not None and kind != "direct":
             # Batched submission/completion rings over the backend
             # gate: one doorbell crossing per batch instead of one per
             # call.  Same-compartment edges stay direct — there is no
             # crossing to amortise.
-            batch, delay_ns = queue_policy
             kind = f"queue:{kind}"
-            edge_options = dataclasses.replace(
-                options, queue_batch=batch, queue_max_delay_ns=delay_ns
-            )
+            edge_options = dataclasses.replace(options, queue_batch=batch)
         channel = make_channel(
             kind, machine, caller, target, options=edge_options
         )

@@ -22,37 +22,23 @@ SCHEDULERS = ("coop", "verified")
 #: Valid compartment failure policies (see repro.libos.compartment).
 FAILURE_POLICIES = ("propagate", "isolate", "restart-with-backoff")
 
-def parse_queue_policy(policy: str) -> tuple[int, float]:
-    """Parse a queue-edge flush policy: ``"batch:N[,delay:NS]"``.
+def parse_queue_policy(policy: str) -> int:
+    """Parse a queue-edge flush policy ``"batch:N"``; returns ``N``.
 
-    Returns ``(batch, max_delay_ns)``; ``delay`` defaults to 0 (flush
-    on batch/explicit/sync boundaries only).  Raises
-    :class:`BuildError` on malformed policies so config files fail at
-    validation, not at link time.
+    Raises :class:`BuildError` on malformed policies so config files
+    fail at validation, not at link time.
     """
-    batch: int | None = None
-    delay = 0.0
-    for part in policy.split(","):
-        part = part.strip()
-        key, _, value = part.partition(":")
-        try:
-            if key == "batch":
-                batch = int(value)
-            elif key == "delay":
-                delay = float(value)
-            else:
-                raise ValueError(key)
-        except ValueError:
-            raise BuildError(
-                f"malformed queue policy {policy!r}; expected "
-                f"'batch:N[,delay:NS]'"
-            ) from None
-    if batch is None or batch < 1 or delay < 0:
+    key, _, value = policy.strip().partition(":")
+    try:
+        batch = int(value)
+    except ValueError:
+        batch = 0
+    if key != "batch" or batch < 1:
         raise BuildError(
-            f"malformed queue policy {policy!r}; expected 'batch:N[,delay:NS]' "
-            f"with batch >= 1 and delay >= 0"
+            f"malformed queue policy {policy!r}; expected 'batch:N' "
+            f"with N >= 1"
         )
-    return batch, delay
+    return batch
 
 
 #: MPK protection key reserved for the shared-data domain.
@@ -84,7 +70,6 @@ class BuildConfig:
         scheduler: ``coop`` (C scheduler) or ``verified`` (contract-
             checked, the paper's Dafny scheduler).
         clear_registers: scrub registers at MPK gate crossings.
-        rx_batch: packets the network rx thread processes per quantum.
         failure_policy: what happens when a fault escapes a
             compartment — ``propagate`` (raw fault, whole-image crash,
             the default), ``isolate`` (translate to
@@ -109,10 +94,9 @@ class BuildConfig:
     shared_heap_size: int = 8 * 1024 * 1024
     phys_bytes: int = 128 * 1024 * 1024
     cost: CostModel | None = None
-    rx_batch: int | None = None
     failure_policy: str = "propagate"
     #: Cross-compartment edges to serve through batched queue channels
-    #: (``"caller->callee"`` → ``"batch:N[,delay:NS]"``).  Each listed
+    #: (``"caller->callee"`` → ``"batch:N"``).  Each listed
     #: edge gets an async submission/completion ring pair over the
     #: image backend (kind ``queue:<backend>``); unlisted edges stay
     #: synchronous.  Same-compartment edges cannot be queued.
@@ -140,7 +124,6 @@ class BuildConfig:
             "heap_size": self.heap_size,
             "shared_heap_size": self.shared_heap_size,
             "phys_bytes": self.phys_bytes,
-            "rx_batch": self.rx_batch,
             "failure_policy": self.failure_policy,
             "queue_edges": dict(self.queue_edges),
             "name": self.name,

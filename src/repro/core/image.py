@@ -103,7 +103,7 @@ class Image:
     def start_network(self) -> Thread:
         """Spawn the network driver thread."""
         netstack = self.lib("netstack")
-        body = netstack.make_rx_loop(self.config.rx_batch)
+        body = netstack.make_rx_loop()
         return self.spawn("netstack-rx", body, netstack)
 
     def spawn(
@@ -215,26 +215,3 @@ class Image:
     def crossing_matrix(self) -> dict[str, dict[str, int]]:
         """caller → callee → crossing counts from the metrics registry."""
         return self.machine.obs.metrics.crossing_matrix()
-
-    def crossing_report(self) -> list[tuple[str, str, str, int]]:
-        """Per-edge channel usage: (caller, callee, kind, crossings).
-
-        This is how you see *where* isolation cost comes from — e.g.
-        the paper's Fig. 5 diagnosis that semaphore traffic into LibC
-        dominates — without instrumenting anything: every channel
-        counts its own invocations.  Sorted busiest-first; unused edges
-        are omitted.
-        """
-        from repro.gates.guard import GuardedChannel
-
-        rows = []
-        for (caller, callee), channel in self.linker._channels.items():
-            # Unwrap guards only: a queue channel is the edge's real
-            # kind ("queue:mpk-shared"), its crossings the doorbells.
-            while isinstance(channel, GuardedChannel):
-                channel = channel.inner
-            crossings = getattr(channel, "crossings", 0)
-            if crossings:
-                rows.append((caller, callee, channel.KIND, crossings))
-        rows.sort(key=lambda row: -row[3])
-        return rows

@@ -42,7 +42,6 @@ import textwrap
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from repro.libos.sched.base import WaitFlush
 from repro.machine.cpu import Context
 from repro.machine.faults import (
     CONTAINABLE_FAULTS,
@@ -63,8 +62,6 @@ class GateOptions:
     #: Clear scratch registers on domain switches (prevents data leaks
     #: through registers at a small per-crossing cost).
     clear_registers: bool = True
-    #: Bytes charged for copying one argument/return value.
-    word_bytes: int = 8
     #: Wrap boundary channels in API guards (paper §5 precondition +
     #: pointer checks).  Applied by :func:`make_channel`; guards are
     #: never generated for same-compartment direct channels.
@@ -73,23 +70,17 @@ class GateOptions:
     #: besides the caller's own memory (the shared heap); consulted by
     #: the API guards.
     shared_ranges: tuple[tuple[int, int], ...] = ()
-    #: VM-RPC only: notifications sent before the gate gives up on a
-    #: lossy event channel and raises ``RPCTimeout``.
-    rpc_max_retries: int = 3
-    #: VM-RPC only: multiplier on the timeout charged per retry
-    #: (exponential backoff).
-    rpc_backoff_factor: float = 2.0
     #: Queue channels only: submission/completion ring capacity
     #: (entries).  A full ring forces a flush.
     queue_depth: int = 64
     #: Queue channels only: auto-flush (ring the doorbell) once this
     #: many submissions are pending.
     queue_batch: int = 8
-    #: Queue channels only: flush-latency bound — the oldest pending
-    #: submission is never delayed past this many simulated ns (0
-    #: disables the deadline; flushes happen on batch/explicit/sync
-    #: boundaries only).
-    queue_max_delay_ns: float = 0.0
+
+
+#: Bytes charged for copying one argument or return value across a
+#: boundary that copies (the switched-stack and VM-RPC crossings).
+WORD_BYTES = 8
 
 
 #: Set while :func:`repro.gates.registry.make_channel` constructs a
@@ -379,8 +370,8 @@ class Channel:
     """Interface every inter-library channel implements.
 
     Sync surface: :meth:`invoke` / :meth:`invoke_gen`.  Async surface:
-    :meth:`submit` / :meth:`poll` / :meth:`flush` / :meth:`close` plus
-    the :meth:`capabilities` query.  The async defaults here degrade to
+    :meth:`submit` / :meth:`poll` / :meth:`flush` plus the
+    :meth:`capabilities` query.  The async defaults here degrade to
     one crossing per operation (``submit`` invokes immediately and the
     completion is ready at once), so callers written against the async
     surface never branch on channel kind — a queue channel just makes
@@ -456,33 +447,13 @@ class Channel:
         """Completions available to :meth:`poll` right now."""
         return len(self._completed)
 
-    def flush_deadline_ns(self) -> float | None:
-        """Simulated deadline of the oldest pending submission, if any."""
-        return None
-
-    def flush_if_due(self) -> int:
-        """Flush when the max-delay deadline has passed; ops flushed."""
-        deadline = self.flush_deadline_ns()
-        if deadline is not None and self.machine.cpu.clock_ns >= deadline:
-            return self.flush()
-        return 0
-
-    def bind_scheduler(self, scheduler) -> None:
-        """Attach the scheduler that delivers completion wakeups."""
-
-    def close(self) -> None:
-        """Flush pending work and release channel resources."""
-        self.flush()
-
     def wait_completions(self, min_count: int = 1) -> Generator:
-        """Blocking helper: drive with ``yield from`` in a thread body.
+        """Flush until ``min_count`` completions are ready, then drain
+        and return them; drive with ``yield from``.
 
-        Suspends (via the :class:`~repro.libos.sched.base.WaitFlush`
-        directive) until ``min_count`` completions are available, then
-        drains and returns them.  On sync channels completions are
-        ready at submit time, so this returns without suspending; on a
-        queue channel with a max-delay policy the scheduler parks the
-        thread with an ``IdleUntil``-style timer at the flush deadline.
+        Never suspends: on sync channels completions are ready at
+        submit time, and a queue channel flushes on the waiter's
+        behalf.
         """
         while self.completions_ready < min_count:
             if not self.pending:
@@ -490,15 +461,9 @@ class Channel:
                     f"waiting for {min_count} completion(s) but only "
                     f"{self.completions_ready} submitted and none pending"
                 )
-            if self.flush_deadline_ns() is None:
-                # No latency bound to wait out: flush on behalf of the
-                # waiter instead of parking forever.
-                self.flush()
-                continue
-            self.machine.cpu.bump("queue.wait_parks")
-            yield WaitFlush(self)
-            self.flush_if_due()
+            self.flush()
         return self.poll(min_count)
+        yield  # pragma: no cover - returned above; a generator for ``yield from``
 
     def drain(self) -> list["Completion"]:
         """Flush pending submissions and drain *every* completion.

@@ -155,9 +155,6 @@ class GuardedChannel(Channel):
     def flush(self) -> int:
         return self.inner.flush()
 
-    def wait_completions(self, min_count: int = 1) -> Generator:
-        return self.inner.wait_completions(min_count)
-
     @property
     def pending(self) -> int:
         return self.inner.pending
@@ -165,22 +162,6 @@ class GuardedChannel(Channel):
     @property
     def completions_ready(self) -> int:
         return self.inner.completions_ready
-
-    @property
-    def completion_waitq(self):
-        return self.inner.completion_waitq
-
-    def flush_deadline_ns(self) -> float | None:
-        return self.inner.flush_deadline_ns()
-
-    def flush_if_due(self) -> int:
-        return self.inner.flush_if_due()
-
-    def bind_scheduler(self, scheduler) -> None:
-        self.inner.bind_scheduler(scheduler)
-
-    def close(self) -> None:
-        self.inner.close()
 
     @property
     def crossings(self) -> int:

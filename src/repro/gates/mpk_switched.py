@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gates.base import GateOptions
+from repro.gates.base import WORD_BYTES, GateOptions
 from repro.gates.mpk_shared import MPKSharedStackGate
 
 if TYPE_CHECKING:
@@ -58,14 +58,13 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         # Charge sums keep the association order (a + b) + c of the
         # original per-call arithmetic; the golden corpus pins the floats.
         cost = self.machine.cost
-        word_bytes = self.options.word_bytes
         return {
             **super()._bindings(),
             "copy_hist": self._copy_hist,
-            "word_bytes": word_bytes,
+            "word_bytes": WORD_BYTES,
             "mem_byte_ns": cost.mem_byte_ns,
             "ss_base_ns": cost.stack_switch_ns + cost.mem_op_ns,
             "ss_exit_ns": (
-                cost.stack_switch_ns + cost.mem_op_ns + word_bytes * cost.mem_byte_ns * 2
+                cost.stack_switch_ns + cost.mem_op_ns + WORD_BYTES * cost.mem_byte_ns * 2
             ),
         }

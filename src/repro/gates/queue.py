@@ -13,14 +13,12 @@ without crossing at all.
 
 :class:`QueueChannel` wraps *any* boundary backend (``mpk-shared``,
 ``mpk-switched``, ``vm-rpc``, ``cheri``) — batching is orthogonal to
-the isolation mechanism, exactly like guards and hardening.  Flush
-policies bound the added latency:
+the isolation mechanism, exactly like guards and hardening.  A pending
+submission goes through on the first of:
 
 - **batch** (``queue_batch``): auto-flush once this many submissions
   are pending;
-- **max delay** (``queue_max_delay_ns``): the oldest submission is
-  never delayed past this bound — a waiter parks on a scheduler timer
-  at the deadline (:class:`~repro.libos.sched.base.WaitFlush`);
+- **explicit flush**: ``flush``/``drain``/``wait_completions``;
 - **ring capacity** (``queue_depth``): a full ring forces a flush;
 - **program order**: a *sync* ``invoke``/``invoke_gen`` on the same
   channel flushes first, so queued operations are never overtaken by a
@@ -44,7 +42,6 @@ from repro.gates.base import (
     GateOptions,
     _require_factory,
 )
-from repro.libos.sched.base import WaitQueue
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
@@ -87,12 +84,6 @@ class QueueChannel(Channel):
             inner.caller_lib.NAME, inner.callee_lib.NAME, self.KIND
         )
         self._pending: list[tuple[int, str, tuple]] = []
-        self._oldest_ns: float | None = None
-        self._sched = None
-        self._closed = False
-        self.completion_waitq = WaitQueue(
-            f"cq:{inner.caller_lib.NAME}->{inner.callee_lib.NAME}"
-        )
         self._metrics = machine.cpu.metrics
         self._batch_hist = self._metrics.histogram("queue.batch_size")
         self._depth_hist = self._metrics.histogram("queue.ring_depth")
@@ -111,13 +102,13 @@ class QueueChannel(Channel):
                     f"{lib.NAME} has no compartment"
                 )
             members.append(lib.compartment)
-        self._heap = heaps.get(members)
+        allocator = heaps.get(members).allocator
         depth = self.options.queue_depth
         if depth < 1:
             raise GateError("queue_depth must be at least 1")
         self._depth = depth
-        self._sq_base = self._heap.allocator.malloc(depth * self.SQE_BYTES)
-        self._cq_base = self._heap.allocator.malloc(depth * self.CQE_BYTES)
+        self._sq_base = allocator.malloc(depth * self.SQE_BYTES)
+        self._cq_base = allocator.malloc(depth * self.CQE_BYTES)
         self._sq_tail = 0
         self._cq_tail = 0
         self._cq_head = 0
@@ -162,8 +153,6 @@ class QueueChannel(Channel):
             self._descriptor(ticket, fn, self.SQE_BYTES),
         )
         self._sq_tail += 1
-        if not self._pending:
-            self._oldest_ns = self.machine.cpu.clock_ns
         self._pending.append((ticket, fn, args))
         cpu = self.machine.cpu
         cpu.bump("queue.submitted")
@@ -178,7 +167,6 @@ class QueueChannel(Channel):
             return 0
         ops = self._pending
         self._pending = []
-        self._oldest_ns = None
         # The callee's ring walk: one SQE load per drained submission.
         head = self._sq_tail - len(ops)
         for offset in range(len(ops)):
@@ -190,7 +178,6 @@ class QueueChannel(Channel):
             # fault): nothing executed, so the batch stays pending and
             # a retry is legitimate.
             self._pending = ops + self._pending
-            self._oldest_ns = self.machine.cpu.clock_ns
             raise
         for completion in completions:
             self.machine.store(
@@ -203,11 +190,6 @@ class QueueChannel(Channel):
         cpu.bump("queue.doorbells")
         cpu.bump("queue.completions", len(completions))
         self._batch_hist.observe(len(ops))
-        if self._sched is not None and len(self.completion_waitq):
-            # Doorbell as a wake source: completion waiters resume via
-            # the scheduler instead of polling the ring.
-            woken = self._sched.wake_all(self.completion_waitq)
-            cpu.bump("queue.wakes", woken)
         return len(ops)
 
     def poll(self, max_items: int | None = None) -> list[Completion]:
@@ -222,23 +204,6 @@ class QueueChannel(Channel):
     @property
     def pending(self) -> int:
         return len(self._pending)
-
-    def flush_deadline_ns(self) -> float | None:
-        if self._oldest_ns is None or self.options.queue_max_delay_ns <= 0:
-            return None
-        return self._oldest_ns + self.options.queue_max_delay_ns
-
-    def bind_scheduler(self, scheduler) -> None:
-        self._sched = scheduler
-
-    def close(self) -> None:
-        """Flush outstanding work and return the rings to the heap."""
-        if self._closed:
-            return
-        self.flush()
-        self._closed = True
-        self._heap.allocator.free(self._sq_base)
-        self._heap.allocator.free(self._cq_base)
 
     # --- sync surface: flush-before, so program order holds -------------------
 

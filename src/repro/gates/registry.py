@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
-from repro.gates.base import _FACTORY, Gate, GateOptions
+from repro.gates.base import _FACTORY, WORD_BYTES, Gate, GateOptions
 from repro.gates.cheri import CHERIGate
 from repro.gates.funccall import DirectChannel, ProfileChannel
 from repro.gates.mpk_shared import MPKSharedStackGate
@@ -43,14 +43,11 @@ GATE_KINDS: dict[str, type[Gate]] = {
 }
 
 #: Options every backend honours.
-_COMMON_OPTIONS = frozenset(
-    {"clear_registers", "word_bytes", "api_guards", "shared_ranges"}
-)
-#: Backend-specific options; anything not listed for a kind (nor
-#: common) is rejected when set to a non-default value.
+_COMMON_OPTIONS = frozenset({"clear_registers", "api_guards", "shared_ranges"})
+#: Kind-specific options; anything not listed for a kind (nor common)
+#: is rejected when set to a non-default value.
 _KIND_OPTIONS: dict[str, frozenset[str]] = {
-    VMRPCGate.KIND: frozenset({"rpc_max_retries", "rpc_backoff_factor"}),
-    "queue": frozenset({"queue_depth", "queue_batch", "queue_max_delay_ns"}),
+    "queue": frozenset({"queue_depth", "queue_batch"}),
 }
 
 _OPTION_FIELDS = {field.name: field for field in dataclasses.fields(GateOptions)}
@@ -61,9 +58,6 @@ def _applicable_options(kind: str) -> frozenset[str]:
     names = set(_COMMON_OPTIONS)
     if kind.startswith("queue:"):
         names |= _KIND_OPTIONS["queue"]
-        names |= _KIND_OPTIONS.get(kind.split(":", 1)[1], frozenset())
-    else:
-        names |= _KIND_OPTIONS.get(kind, frozenset())
     return frozenset(names)
 
 
@@ -105,12 +99,7 @@ def _coerce_options(kind: str, options) -> GateOptions:
     return options
 
 
-def relative_crossing_cost(
-    kind: str,
-    cost=None,
-    word_bytes: int = 8,
-    batch: int = 1,
-) -> float:
+def relative_crossing_cost(kind: str, cost=None, batch: int = 1) -> float:
     """Estimated round-trip nanoseconds of one crossing through ``kind``.
 
     A static stand-in for what the gates actually charge at runtime
@@ -134,7 +123,7 @@ def relative_crossing_cost(
         cost = CostModel()
     if kind.startswith("queue:"):
         inner = kind.split(":", 1)[1]
-        inner_cost = relative_crossing_cost(inner, cost, word_bytes)
+        inner_cost = relative_crossing_cost(inner, cost)
         if inner in ("none", DirectChannel.KIND):
             raise GateError(
                 f"queue channels wrap boundary backends; {inner!r} "
@@ -149,7 +138,7 @@ def relative_crossing_cost(
     if kind == MPKSharedStackGate.KIND:
         return base + cost.gate_dispatch_ns + 2 * cost.wrpkru_ns
     if kind == MPKSwitchedStackGate.KIND:
-        copy_ns = cost.mem_op_ns + word_bytes * cost.mem_byte_ns * 2
+        copy_ns = cost.mem_op_ns + WORD_BYTES * cost.mem_byte_ns * 2
         return (
             base
             + cost.gate_dispatch_ns
@@ -159,7 +148,7 @@ def relative_crossing_cost(
     if kind == CHERIGate.KIND:
         return base + 2 * cost.cheri_crossing_ns + cost.cheri_grant_ns
     if kind == VMRPCGate.KIND:
-        return base + 2 * (cost.vm_notify_ns + word_bytes * cost.vm_copy_byte_ns)
+        return base + 2 * (cost.vm_notify_ns + WORD_BYTES * cost.vm_copy_byte_ns)
     raise GateError(
         f"unknown gate kind {kind!r}; known: "
         f"{sorted(GATE_KINDS) + ['none']} plus queue:<kind> variants"

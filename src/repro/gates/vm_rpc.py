@@ -13,7 +13,7 @@ the caller's private pages.
 The notification line is where transient faults live: a dropped
 event-channel signal would hang a naive RPC layer forever.  This gate
 therefore resends after a watchdog timeout with exponential backoff
-(``GateOptions.rpc_max_retries`` / ``rpc_backoff_factor``,
+(:data:`RPC_MAX_RETRIES`, :data:`RPC_BACKOFF_FACTOR`,
 ``CostModel.vm_rpc_timeout_ns``) and discards duplicated signals by
 sequence number — transient losses degrade into latency instead of
 crashing the image; sustained loss surfaces as a typed
@@ -24,12 +24,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gates.base import Gate, GateOptions
+from repro.gates.base import WORD_BYTES, Gate, GateOptions
 from repro.machine.faults import GateError, RPCTimeout
 
 if TYPE_CHECKING:
     from repro.libos.library import MicroLibrary
     from repro.machine.machine import Machine
+
+#: Resends of a lost notification before the gate gives up on a lossy
+#: event channel and raises ``RPCTimeout``.
+RPC_MAX_RETRIES = 3
+#: Multiplier on the watchdog timeout charged per resend (exponential
+#: backoff).
+RPC_BACKOFF_FACTOR = 2.0
 
 
 class VMRPCGate(Gate):
@@ -72,7 +79,7 @@ class VMRPCGate(Gate):
         return f"rpc:{self.callee_lib.NAME}.{fn}"
 
     def _bindings(self) -> dict:
-        return {**super()._bindings(), "word_bytes": self.options.word_bytes}
+        return {**super()._bindings(), "word_bytes": WORD_BYTES}
 
     def _notify(self, payload_bytes: int) -> None:
         """Send one notification, resending on loss until delivered.
@@ -102,7 +109,7 @@ class VMRPCGate(Gate):
             if verdict != "dropped":
                 return
             # Lost in flight: wait out the watchdog, back off, resend.
-            if attempts > self.options.rpc_max_retries:
+            if attempts > RPC_MAX_RETRIES:
                 cpu.bump("vm_rpc_timeouts")
                 raise RPCTimeout(
                     f"{self.caller_lib.NAME}->{self.callee_lib.NAME}", attempts
@@ -110,6 +117,5 @@ class VMRPCGate(Gate):
             self.retries += 1
             cpu.bump("vm_rpc_retries")
             cpu.charge(
-                cost.vm_rpc_timeout_ns
-                * self.options.rpc_backoff_factor ** (attempts - 1)
+                cost.vm_rpc_timeout_ns * RPC_BACKOFF_FACTOR ** (attempts - 1)
             )

@@ -176,10 +176,6 @@ class Stub:
         """Flush + drain all completions, raising the first deferred error."""
         return self._channel.drain()
 
-    def wait_completions(self, min_count: int = 1) -> Generator:
-        """Blocking completion wait; drive with ``yield from``."""
-        return self._channel.wait_completions(min_count)
-
     @property
     def pending(self) -> int:
         """Submissions not yet executed (0 on sync channels)."""

@@ -407,15 +407,13 @@ send(fd, buf, size); close(fd); rx_process(budget); stop(); net_stats()
                 )
         return processed
 
-    def make_rx_loop(self, budget: int | None = None):
+    def make_rx_loop(self):
         """Body factory for the driver thread (spawned by the image)."""
-        quantum = budget if budget is not None else self.RX_BUDGET
-        # A zero budget never polls, so there is no poll to replay.
-        idle = IdlePoll(self._replay_empty_poll) if quantum > 0 else YIELD
+        idle = IdlePoll(self._replay_empty_poll)
 
         def body() -> Generator:
             while not self._stopped:
-                processed = self.rx_process(quantum)
+                processed = self.rx_process()
                 if processed == 0:
                     # Nothing to do.  If the NIC knows exactly when the
                     # wire delivers the next packet, sleep until then —

@@ -8,8 +8,7 @@ suspends by yielding a *directive*:
 - :class:`Block` — sleep on a wait queue until woken;
 - :class:`IdleUntil` — sleep until a known deadline;
 - :class:`IdlePoll` — a yield after an empty device poll, whose
-  repeats the scheduler may replay without resuming the thread;
-- :class:`WaitFlush` — park until a queue channel delivers.
+  repeats the scheduler may replay without resuming the thread.
 
 The run loop (in the scheduler micro-library) consumes directives.  A
 suspended thread's whole protection-context stack is saved in its
@@ -54,24 +53,6 @@ class Block:
     """Directive: park the current thread on ``waitq`` until woken."""
 
     waitq: "WaitQueue"
-
-
-@dataclasses.dataclass
-class WaitFlush:
-    """Directive: park until ``channel`` delivers async completions.
-
-    Yielded (via ``Channel.wait_completions``) by a thread awaiting
-    queue-channel completions.  The scheduler parks the thread on the
-    channel's completion wait queue and — when the channel has a
-    max-delay flush policy — arms an internal timer at the flush
-    deadline, reusing the :class:`IdleUntil` timer parking: once
-    nothing else is runnable, the tickless-idle branch jumps the clock
-    straight to the deadline, the timer fires, and the woken thread
-    flushes the ring itself.  A flush performed by any other thread
-    wakes the completion queue early.
-    """
-
-    channel: object
 
 
 @dataclasses.dataclass

@@ -20,7 +20,6 @@ from repro.libos.sched.base import (
     IdleUntil,
     Thread,
     ThreadState,
-    WaitFlush,
     WaitQueue,
     Yield,
 )
@@ -85,7 +84,6 @@ thread_join(tid)
             Block: self._on_block,
             IdleUntil: self._on_idle_until,
             IdlePoll: self._on_idle_poll,
-            WaitFlush: self._on_wait_flush,
         }
         #: Rounds replayed instead of resuming an idle poller (host-side
         #: telemetry, kept out of the metrics registry).
@@ -560,31 +558,6 @@ thread_join(tid)
             thread.idle_waitq.park(thread)
             self._timer_seq += 1
             self._timers.schedule(deadline, self._timer_seq, thread.idle_waitq)
-
-    def _on_wait_flush(self, thread: Thread, directive, cpu) -> None:
-        channel = directive.channel
-        # First wait binds the scheduler so flushes performed by
-        # other threads can wake the completion queue early.
-        channel.bind_scheduler(self)
-        if channel.completions_ready or not channel.pending:
-            # Nothing to sleep for (completions ready, or the
-            # wait raced with a flush): stay runnable.
-            thread.state = ThreadState.READY
-            self.run_queue.append(thread)
-        else:
-            self.charge(self.machine.cost.waitq_op_ns)
-            waitq = channel.completion_waitq
-            thread.state = ThreadState.BLOCKED
-            thread.waitq = waitq
-            waitq.park(thread)
-            deadline = channel.flush_deadline_ns()
-            if deadline is not None:
-                # IdleUntil-style timer parking at the flush
-                # deadline; the woken thread flushes the ring.
-                self._timer_seq += 1
-                self._timers.schedule(
-                    max(deadline, cpu.clock_ns), self._timer_seq, waitq
-                )
 
     def _reap_failed(self, thread: Thread, failure: CompartmentFailure) -> None:
         """Retire a thread killed by a contained compartment failure."""

@@ -60,7 +60,6 @@ def machine_telemetry(images) -> dict:
         "sched_rounds": 0,
         "idle_replays": 0,
     }
-    delivery = {"wakes": 0.0, "polls": 0.0, "wait_parks": 0.0}
     for image in images:
         stats = image.machine.fastpath_stats()
         total["machines"] += 1
@@ -73,16 +72,8 @@ def machine_telemetry(images) -> dict:
         total["wheel_cascades"] += scheduler.timer_cascades
         total["sched_rounds"] += scheduler.total_switches
         total["idle_replays"] += scheduler.idle_replays
-        counters = image.machine.cpu.metrics.counters
-        delivery["wakes"] += counters.get("queue.wakes", 0.0)
-        delivery["polls"] += counters.get("queue.polls", 0.0)
-        delivery["wait_parks"] += counters.get("queue.wait_parks", 0.0)
     lookups = total["tlb_hits"] + total["tlb_misses"]
     total["tlb_hit_rate"] = total["tlb_hits"] / lookups if lookups else 0.0
-    delivery["wake_poll_ratio"] = (
-        delivery["wakes"] / delivery["polls"] if delivery["polls"] else 0.0
-    )
-    total["completion_delivery"] = delivery
     return total
 
 
@@ -131,10 +122,7 @@ def collect(
     return {
         "layout": image.layout(),
         "workload": {"summary": summary, **numbers},
-        "crossings": [
-            {"caller": caller, "callee": callee, "kind": kind, "crossings": count}
-            for caller, callee, kind, count in image.crossing_report()
-        ],
+        "crossings": image.machine.cpu.metrics.edges_report(),
         "crossing_matrix": image.crossing_matrix(),
         "time_by_compartment_ns": dict(image.machine.cpu.domain_time_ns),
         "memory": image.memory_report(),
@@ -346,14 +334,6 @@ def render_text(
                 f"  idle polls: {machine['idle_replays']} of "
                 f"{machine['sched_rounds']} scheduler rounds replayed"
             )
-        delivery = machine.get("completion_delivery")
-        if delivery and (delivery["wakes"] or delivery["polls"]):
-            lines.append(
-                f"  completion delivery: {delivery['wakes']:.0f} wakes / "
-                f"{delivery['polls']:.0f} polls "
-                f"(ratio {delivery['wake_poll_ratio']:.2f}), "
-                f"{delivery['wait_parks']:.0f} parks"
-            )
 
     if data.get("trace_file"):
         lines += ["", f"trace written to {data['trace_file']}"]
@@ -463,9 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also summarize simulator telemetry (software-TLB "
         "hit/miss/shootdown counts, gates, crossings and observer "
         "refreshes, timer-wheel sweeps per scheduler round and "
-        "cascades, replayed idle "
-        "polls, wake-vs-poll completion delivery — host-side "
-        "telemetry, never part of the simulated metrics)",
+        "cascades, replayed idle polls — host-side telemetry, never "
+        "part of the simulated metrics)",
     )
     args = parser.parse_args(argv)
     _check_output_dir(parser, "--trace", args.trace)

@@ -11,6 +11,7 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import ClosedLoopSource, start_redis
+from repro.apps.resp import encode_bulk
 from repro.apps.resp import encode_command as cmd
 from repro.apps.workload import run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
@@ -129,12 +130,12 @@ def test_power_cut_in_the_group_barrier_sends_none_of_its_replies():
 
 
 def test_full_journal_buffer_commits_early():
-    """Three ~4 KB APPEND post-images overflow the AOF buffer: the
-    first two commit under one barrier before the third is journaled,
-    and no reply leaves before the barrier that covers it."""
+    """Three ~2.8 KB APPEND post-images overflow the 8 KiB AOF buffer:
+    the first two commit under one barrier before the third is
+    journaled, and no reply leaves before the barrier that covers it."""
     medium = DiskMedium()
     image = durable_image(medium)
-    chunk = b"z" * 1300
+    chunk = b"z" * 900
     preload(
         image,
         [cmd(b"SET", b"big", chunk), cmd(b"APPEND", b"big", chunk),
@@ -143,9 +144,9 @@ def test_full_journal_buffer_commits_early():
     suffix = b"s" * 50
     replies = pipeline(image, [cmd(b"APPEND", b"big", suffix)] * 3)
     assert replies == [
-        (b":3950\r\n", 2, 2),
-        (b":4000\r\n", 2, 2),
-        (b":4050\r\n", 3, 3),
+        (b":2750\r\n", 2, 2),
+        (b":2800\r\n", 2, 2),
+        (b":2850\r\n", 3, 3),
     ]
 
     rebooted = build_image(image.config)
@@ -174,18 +175,26 @@ def test_full_response_buffer_commits_early():
     ]
 
 
-def test_reply_larger_than_the_response_buffer_leaves_after_a_commit():
-    """A GET reply too large for the response buffer, between two
-    writes: the group so far commits and the reply leaves at once,
-    whole, before the next write's entry can reuse memory under it."""
-    image = durable_image(DiskMedium())
+def test_append_past_the_largest_settable_value_is_refused():
+    """An APPEND whose result a SET could not carry answers -ERR and
+    leaves the value as it was, so every stored value journals and
+    every GET reply fits the response buffer."""
+    medium = DiskMedium()
+    image = durable_image(medium)
+    app = image.lib("redis")
     chunk = b"z" * 1400
-    preload(image, [cmd(b"SET", b"big", chunk)] + [cmd(b"APPEND", b"big", chunk)] * 3)
-    replies = pipeline(
-        image,
-        [cmd(b"SET", b"a", b"1"), cmd(b"GET", b"big"), cmd(b"SET", b"b", b"2")],
-        frames=6,  # the 5,611-byte reply takes four
-    )
-    big = b"$5600\r\n" + chunk * 4 + b"\r\n"
-    assert b"".join(reply for reply, _, _ in replies) == b"+OK\r\n" + big + b"+OK\r\n"
-    assert [durable for _, _, durable in replies] == [1, 1, 1, 1, 1, 2]
+    preload(image, [cmd(b"SET", b"big", chunk)])
+    replies = pipeline(image, [cmd(b"APPEND", b"big", chunk)] * 3)
+    assert replies == [
+        (b":2800\r\n", 1, 1),
+        (b"-ERR\r\n", 1, 1),
+        (b"-ERR\r\n", 1, 1),
+    ]
+    assert app.value_of(b"big") == chunk * 2
+    # The longest value a SET carries still has a GET reply that fits.
+    assert len(encode_bulk(b"v" * app.MAX_VALUE)) <= app.BUF_SIZE
+
+    rebooted = build_image(image.config)
+    rebooted.lib("blk").attach_medium(medium)
+    rebooted.call("redis", "recover")
+    assert rebooted.lib("redis").value_of(b"big") == chunk * 2

@@ -372,14 +372,3 @@ def test_a_source_installed_by_assignment_never_replays():
     world.run(max_switches=20)
     assert world.scheduler.idle_replays == 0
     assert world.real_polls(0, 20) == 20
-
-
-def test_a_zero_budget_rx_loop_never_replays():
-    """A loop that never polls has no poll to replay, even on an idle
-    wire."""
-    image = build_image(BuildConfig(libraries=["libc", "netstack"], rx_batch=0))
-    Fabric().add_node("n0", image, PORT)
-    # A poll from outside the loop leaves the wire idle.
-    assert image.lib("netstack").nic.rx_poll() is None
-    image.run(max_switches=20)
-    assert image.scheduler.idle_replays == 0

@@ -85,7 +85,6 @@ def test_machine_telemetry_single_machine_keeps_report_shape():
         "wheel_sweeps",
         "wheel_cascades",
         "sched_rounds",
-        "completion_delivery",
     ):
         assert key in stats
 

@@ -152,13 +152,11 @@ def test_config_roundtrip_covers_every_field():
         backend="vm-rpc",
         api_guards=True,
         clear_registers=False,
-        rx_batch=7,
         failure_policy="restart-with-backoff",
         name="full-roundtrip",
     )
     rebuilt = BuildConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert rebuilt.to_dict() == config.to_dict()
-    assert rebuilt.rx_batch == 7
     assert rebuilt.api_guards is True
     assert rebuilt.clear_registers is False
     assert rebuilt.failure_policy == "restart-with-backoff"

@@ -118,23 +118,6 @@ def test_zero_depth_rejected():
         make_queue(GateOptions(queue_depth=0))
 
 
-def test_max_delay_deadline():
-    machine, _, channel = make_queue(
-        GateOptions(queue_batch=1000, queue_max_delay_ns=500.0)
-    )
-    assert channel.flush_deadline_ns() is None
-    submitted_at = machine.cpu.clock_ns
-    channel.submit("record", 1)
-    deadline = channel.flush_deadline_ns()
-    # The SQE append itself charges a little time first, so the
-    # deadline is 500ns past the append, at or after submit entry.
-    assert deadline is not None and deadline >= submitted_at + 500.0
-    assert channel.flush_if_due() == 0  # deadline not reached
-    machine.cpu.charge(deadline - machine.cpu.clock_ns + 1.0)
-    assert channel.flush_if_due() == 1
-    assert channel.flush_deadline_ns() is None
-
-
 def test_sync_invoke_flushes_first():
     """Program order: sync calls never overtake queued submissions."""
     _, recorder, channel = make_queue(GateOptions(queue_batch=1000))
@@ -143,14 +126,6 @@ def test_sync_invoke_flushes_first():
     assert channel.invoke("total", ()) == 42  # queued ops ran first
     assert recorder.seen == [10, 32]
     assert channel.crossings == 2  # one doorbell + one sync call
-
-
-def test_close_flushes_and_is_idempotent():
-    _, recorder, channel = make_queue(GateOptions(queue_batch=1000))
-    channel.submit("record", 7)
-    channel.close()
-    channel.close()
-    assert recorder.seen == [7]
 
 
 # --- crash-mid-batch ---------------------------------------------------------
@@ -243,14 +218,6 @@ def test_inapplicable_option_rejected():
             recorder,
             options=GateOptions(queue_batch=4),
         )
-    with pytest.raises(GateError, match="rpc_max_retries"):
-        make_channel(
-            "queue:mpk-shared",
-            machine,
-            client,
-            recorder,
-            options=GateOptions(rpc_max_retries=9),
-        )
 
 
 def test_queue_options_applicable_on_queue_kinds():
@@ -286,9 +253,16 @@ def test_queue_of_non_boundary_cost_rejected():
 
 
 def test_parse_queue_policy():
-    assert parse_queue_policy("batch:8") == (8, 0.0)
-    assert parse_queue_policy("batch:4,delay:1000") == (4, 1000.0)
-    for bad in ("", "batch:x", "batch:0", "delay:5", "batch:2,delay:-1"):
+    assert parse_queue_policy("batch:8") == 8
+    for bad in (
+        "",
+        "batch:x",
+        "batch:0",
+        "delay:5",
+        "batch:2,delay:-1",
+        "batch:4,delay:1000",
+        "batch:8,delay:2000",
+    ):
         with pytest.raises(BuildError):
             parse_queue_policy(bad)
 
@@ -364,8 +338,8 @@ def test_durable_redis_over_queued_journal():
     assert counters["queue.doorbells"] < counters["queue.submitted"] + 1
     # The compound kind shows up in the crossing report.
     kinds = {
-        (caller, callee): kind
-        for caller, callee, kind, _ in image.crossing_report()
+        (row["caller"], row["callee"]): row["kind"]
+        for row in image.machine.cpu.metrics.edges_report()
     }
     assert kinds[("redis", "kv")] == "queue:mpk-shared"
     assert kinds[("kv", "blk")] == "queue:mpk-shared"
@@ -511,5 +485,4 @@ def test_auto_tune_orders_by_saving_then_edge_name():
         synthetic_profile(), backend="vm-rpc", min_crossings=1
     )
     for policy in (*tied.values(), *tuned.values()):
-        batch, delay = parse_queue_policy(policy)
-        assert policy == f"batch:{batch}" and delay == 0
+        assert policy == f"batch:{parse_queue_policy(policy)}"

@@ -1,4 +1,8 @@
-"""Per-edge crossing accounting: the diagnosis tool behind Fig. 5."""
+"""Per-edge crossing accounting: the diagnosis tool behind Fig. 5.
+
+Every compiled crossing counts itself on its edge in the metrics
+registry; ``edges_report`` lists the used edges busiest first.
+"""
 
 import pytest
 
@@ -21,6 +25,14 @@ def image():
     )
 
 
+def edges(image) -> list[tuple[str, str, str, int]]:
+    """(caller, callee, kind, crossings) of every used edge."""
+    return [
+        (row["caller"], row["callee"], row["kind"], row["crossings"])
+        for row in image.machine.cpu.metrics.edges_report()
+    ]
+
+
 def test_report_empty_before_traffic():
     image = build_image(
         BuildConfig(
@@ -32,7 +44,7 @@ def test_report_empty_before_traffic():
     # Boot makes a few calls (stub resolution is lazy, sem creation at
     # listen time only), so the report may be empty or tiny — but never
     # contains unused edges.
-    for _, _, _, crossings in image.crossing_report():
+    for _, _, _, crossings in edges(image):
         assert crossings > 0
 
 
@@ -45,22 +57,22 @@ def test_report_identifies_hot_edges(image):
     run_redis_phase(
         image, make_get_payloads(100, 16), window=4, expect_prefix=b"$"
     )
-    report = image.crossing_report()
-    assert report == sorted(report, key=lambda row: -row[3])
-    edges = {(caller, callee): (kind, n) for caller, callee, kind, n in report}
+    report = edges(image)
+    assert report == sorted(report, key=lambda row: (-row[3], *row[:3]))
+    used = {(caller, callee): (kind, n) for caller, callee, kind, n in report}
     # The Fig. 5 chain is visible: netstack signals through LibC, LibC
     # wakes through the scheduler, redis drives the netstack.
-    assert ("netstack", "libc") in edges
-    assert ("libc", "sched") in edges
-    assert ("redis", "netstack") in edges
+    assert ("netstack", "libc") in used
+    assert ("libc", "sched") in used
+    assert ("redis", "netstack") in used
     # Cross-compartment edges carry the MPK gate kind; intra ones don't.
-    kind, _ = edges[("netstack", "libc")]
+    kind, _ = used[("netstack", "libc")]
     assert kind == "mpk-shared"
-    if ("redis", "libc") in edges:
-        assert edges[("redis", "libc")][0] == "direct"
+    if ("redis", "libc") in used:
+        assert used[("redis", "libc")][0] == "direct"
     # Semaphore signalling dominates: the netstack→libc edge sees at
     # least one crossing per request packet.
-    assert edges[("netstack", "libc")][1] >= 132
+    assert used[("netstack", "libc")][1] >= 132
 
 
 def test_report_unwraps_guards():
@@ -75,6 +87,6 @@ def test_report_unwraps_guards():
     from repro.apps import run_iperf
 
     run_iperf(image, 1024, 1 << 16)
-    kinds = {kind for _, _, kind, _ in image.crossing_report()}
+    kinds = {kind for _, _, kind, _ in edges(image)}
     assert "mpk-shared" in kinds
     assert "guarded" not in kinds  # report shows the underlying gate

@@ -157,9 +157,15 @@ def test_gate_crossings_feed_registry_edges():
     matrix = image.crossing_matrix()
     assert matrix["iperf"]["netstack"] > 0
     # The registry's totals agree with the gates' own counters.
-    for caller, callee, kind, crossings in image.crossing_report():
-        edge = image.machine.cpu.metrics.edge(caller, callee, kind)
-        assert edge.crossings == crossings
+    gates = {
+        (gate.caller_lib.NAME, gate.callee_lib.NAME, gate.KIND): gate.crossings
+        for gate in image.machine.gates
+        if gate.crossings
+    }
+    assert gates == {
+        (row["caller"], row["callee"], row["kind"]): row["crossings"]
+        for row in image.machine.cpu.metrics.edges_report()
+    }
     # gate_crossings counts only real boundary crossings; mpk edges
     # also land in the backend-specific counter.
     stats = image.machine.cpu.metrics.counters

@@ -45,9 +45,9 @@ def test_trace_covers_every_boundary_edge(traced_run):
         if event.get("cat") == "gate" and event["ph"] in ("B", "X")
     }
     boundary_edges = [
-        (caller, callee)
-        for caller, callee, kind, _ in traced_run.crossing_report()
-        if kind != "direct"
+        (row["caller"], row["callee"])
+        for row in traced_run.machine.cpu.metrics.edges_report()
+        if row["kind"] != "direct"
     ]
     assert boundary_edges, "isolated config must have boundary edges"
     for caller, callee in boundary_edges:
@@ -188,7 +188,9 @@ def test_killed_thread_gate_spans_closed_by_gate(tmp_path):
     )
     # The crossing counter agrees with the number of gate spans begun.
     crossings = sum(
-        count for _, _, kind, count in image.crossing_report() if kind != "direct"
+        row["crossings"]
+        for row in image.machine.cpu.metrics.edges_report()
+        if row["kind"] != "direct"
     )
     gate_slices = sum(
         1
