@@ -26,6 +26,7 @@ no simulated result bit.
 from __future__ import annotations
 
 from repro.apps import run_named_workload, workload_params
+from repro.core.autobench import config_for_deployment
 from repro.core.builder import build_image, library_defs
 from repro.core.config import BuildConfig
 from repro.core.explorer import (
@@ -39,18 +40,7 @@ from repro.obs import capture_profile
 
 def _measure(deployment, libraries, workload, params, backend) -> dict:
     """Re-run the profiled workload on a pick, under repro.obs."""
-    groups = deployment.compartments
-    config = BuildConfig(
-        libraries=libraries,
-        compartments=groups,
-        backend=backend if len(groups) > 1 else "none",
-        hardening={
-            lib: techniques
-            for lib, techniques in deployment.choices.items()
-            if techniques
-        },
-    )
-    image = build_image(config)
+    image = build_image(config_for_deployment(deployment, libraries, backend))
     with capture_profile(image, workload, params) as capture:
         _, numbers = run_named_workload(image, workload, params)
     return {

@@ -88,6 +88,15 @@ class DumpTruncatedError(GateError):
         )
 
 
+class DumpRecordTooLongError(GateError):
+    """A dump record holds a key or value longer than a SET can carry.
+
+    ``load`` refuses it before reading the key or value: the staging
+    buffer could not hold it, and a stored value's GET reply would not
+    fit the response buffer.
+    """
+
+
 #: Commands that take a key (slot routing applies to these).
 _KEYED = frozenset(("set", "get", "del", "exists", "incr", "append"))
 #: Commands that may journal a write (they bound a commit group).
@@ -598,9 +607,11 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
         """Restore the store from a dump; returns the record count.
 
         A dump that ends cleanly between records is a normal EOF; one
-        that ends *inside* a record raises :class:`DumpTruncatedError`
-        (and the store keeps the records restored so far — callers
-        decide whether a partial restore is acceptable).
+        that ends *inside* a record raises :class:`DumpTruncatedError`,
+        and a record whose key or value exceeds :attr:`MAX_VALUE` raises
+        :class:`DumpRecordTooLongError` (either way the store keeps the
+        records restored so far — callers decide whether a partial
+        restore is acceptable).
         """
         from repro.libos.fs.ramfs import O_RDONLY
 
@@ -618,26 +629,31 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
                         "record header", expected=2, got=got
                     )
                 key_len = int.from_bytes(self.machine.load(staging, 2), "big")
+                if key_len > self.MAX_VALUE:
+                    raise DumpRecordTooLongError(
+                        f"dump key of {key_len} bytes, over MAX_VALUE "
+                        f"({self.MAX_VALUE})"
+                    )
                 raw = self._read_exact(
                     vfs, fd, staging, key_len + 4, "key + value length"
                 )
                 key = raw[:key_len]
                 value_len = int.from_bytes(raw[key_len:], "big")
+                if value_len > self.MAX_VALUE:
+                    raise DumpRecordTooLongError(
+                        f"dump value of {key!r} is {value_len} bytes, "
+                        f"over MAX_VALUE ({self.MAX_VALUE})"
+                    )
                 stored = self._alloc.call("malloc", max(1, value_len))
-                remaining = value_len
-                copied = 0
-                try:
-                    while remaining > 0:
-                        chunk = min(remaining, self.BUF_SIZE)
+                if value_len:
+                    try:
                         self._read_exact(
-                            vfs, fd, staging, chunk, f"value of {key!r}"
+                            vfs, fd, staging, value_len, f"value of {key!r}"
                         )
-                        self.machine.copy(stored + copied, staging, chunk)
-                        copied += chunk
-                        remaining -= chunk
-                except DumpTruncatedError:
-                    self._alloc.call("free", stored)
-                    raise
+                    except DumpTruncatedError:
+                        self._alloc.call("free", stored)
+                        raise
+                    self.machine.copy(stored, staging, value_len)
                 old = self._store.pop(key, None)
                 if old is not None:
                     self._alloc.call("free", old[0])

@@ -26,8 +26,8 @@ One doorbell carries one commit group:
   the follower holds records the primary never acked;
 - the reply rides the link back; the primary's clock advances to its
   arrival, and the whole round-trip is observed into the
-  ``repl.lag_ns`` histogram (the replication-lag metric
-  ``tools/report.py --cluster`` renders).
+  ``repl.lag_ns`` histogram (the replication lag a cluster campaign
+  cell reports).
 """
 
 from __future__ import annotations

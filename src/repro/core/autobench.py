@@ -37,24 +37,21 @@ if TYPE_CHECKING:
     from repro.core.hardening import Deployment
 
 
-def build_for_deployment(
+def config_for_deployment(
     deployment: "Deployment",
     libraries: list[str],
     backend: str = "mpk-shared",
     **config_overrides,
-):
-    """Materialise a deployment into a bootable image.
+) -> BuildConfig:
+    """The build config of a deployment.
 
     The deployment's coloring becomes the compartment grouping and its
     SH choices become the hardening map.  ``backend`` applies when the
     deployment has more than one compartment; a single-compartment
     deployment needs no isolation hardware.
     """
-    from repro.core.builder import build_image
-
-    exploration_metrics().inc("explore.builds")
     groups = deployment.compartments
-    config = BuildConfig(
+    return BuildConfig(
         libraries=libraries,
         compartments=groups,
         backend=backend if len(groups) > 1 else "none",
@@ -65,7 +62,22 @@ def build_for_deployment(
         },
         **config_overrides,
     )
-    return build_image(config)
+
+
+def build_for_deployment(
+    deployment: "Deployment",
+    libraries: list[str],
+    backend: str = "mpk-shared",
+    **config_overrides,
+):
+    """Materialise a deployment into a bootable image
+    (:func:`config_for_deployment`)."""
+    from repro.core.builder import build_image
+
+    exploration_metrics().inc("explore.builds")
+    return build_image(
+        config_for_deployment(deployment, libraries, backend, **config_overrides)
+    )
 
 
 def simulated_perf_fn(

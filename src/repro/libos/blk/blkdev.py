@@ -147,9 +147,6 @@ blk_flush(); blk_stats()
         self._cache: dict[int, int] = {}
         #: Dirty sectors in write-completion order (flush order).
         self._dirty: list[int] = []
-        self.reads = 0
-        self.writes = 0
-        self.flushes = 0
 
     def on_boot(self) -> None:
         self._alloc = self.stub("alloc")
@@ -209,7 +206,6 @@ blk_flush(); blk_stats()
             self.machine.copy(buf_addr, cached, SECTOR_SIZE)
         else:
             self.machine.store(buf_addr, medium.read(sector))
-        self.reads += 1
         self.machine.cpu.bump("blk.reads")
         return SECTOR_SIZE
 
@@ -226,7 +222,6 @@ blk_flush(); blk_stats()
         if sector in self._dirty:
             self._dirty.remove(sector)
         self._dirty.append(sector)
-        self.writes += 1
         self.machine.cpu.bump("blk.writes")
         return SECTOR_SIZE
 
@@ -253,7 +248,6 @@ blk_flush(); blk_stats()
             medium.write(sector, self.machine.load(self._cache[sector], SECTOR_SIZE))
             self._dirty.pop(0)
             flushed += 1
-        self.flushes += 1
         self.machine.cpu.bump("blk.flushes")
         self.machine.cpu.bump("blk.flushed_sectors", flushed)
         return flushed
@@ -262,10 +256,11 @@ blk_flush(); blk_stats()
     def blk_stats(self) -> dict:
         """Operation counters + cache state."""
         medium = self._medium()
+        counter = self.machine.cpu.metrics.counter
         return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "flushes": self.flushes,
+            "reads": int(counter("blk.reads")),
+            "writes": int(counter("blk.writes")),
+            "flushes": int(counter("blk.flushes")),
             "cached": len(self._cache),
             "dirty": len(self._dirty),
             "medium_writes": medium.writes,

@@ -245,11 +245,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         self.puts = 0
         self.gets = 0
         self.deletes = 0
-        self.compactions = 0
-        self.recoveries = 0
-        self.torn_discarded = 0
-        self.hint_hits = 0
-        self.hint_misses = 0
 
     def on_boot(self) -> None:
         self._blk = self.stub("blk")
@@ -401,10 +396,8 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             if not is_active:
                 entries = self._read_hint(slot)
                 if entries is not None:
-                    self.hint_hits += 1
                     cpu.bump("kv.hint_hits")
                 else:
-                    self.hint_misses += 1
                     cpu.bump("kv.hint_misses")
             end_offset = self._seg_bytes
             sectors: dict[int, bytes] = {}
@@ -449,8 +442,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         else:
             self._commit_manifest()
             self._blk_flush()
-        self.torn_discarded += torn
-        self.recoveries += 1
         elapsed = cpu.clock_ns - started
         cpu.bump("kv.recoveries")
         cpu.bump("kv.torn_records_discarded", torn)
@@ -833,7 +824,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         for slot, entries in new_records.items():
             for key, seq, offset, rec_len, flags in entries:
                 self._apply(key, _KeyDirEntry(slot, offset, rec_len, seq, flags))
-        self.compactions += 1
         self.machine.cpu.bump("kv.compactions")
         return {
             "live_records": len(live),
@@ -963,15 +953,16 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
     @export
     def kv_stats(self) -> dict:
         """Operation counters + store geometry."""
+        counter = self.machine.cpu.metrics.counter
         return {
             "puts": self.puts,
             "gets": self.gets,
             "deletes": self.deletes,
-            "compactions": self.compactions,
-            "recoveries": self.recoveries,
-            "torn_records_discarded": self.torn_discarded,
-            "hint_hits": self.hint_hits,
-            "hint_misses": self.hint_misses,
+            "compactions": int(counter("kv.compactions")),
+            "recoveries": int(counter("kv.recoveries")),
+            "torn_records_discarded": int(counter("kv.torn_records_discarded")),
+            "hint_hits": int(counter("kv.hint_hits")),
+            "hint_misses": int(counter("kv.hint_misses")),
             "live_keys": sum(
                 1 for entry in self._keydir.values() if not entry.tombstone
             ),

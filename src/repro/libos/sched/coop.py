@@ -71,7 +71,6 @@ thread_join(tid)
         self.run_queue: deque[Thread] = deque()
         self.threads: dict[int, Thread] = {}
         self._next_tid = 1
-        self.total_switches = 0
         #: Pending timers, kept in a hierarchical timer wheel: O(1)
         #: arming, bounded sweeps on advance, exact heap fire order.
         self._timers = TimerWheel()
@@ -345,7 +344,6 @@ thread_join(tid)
                 charge(crossing_ns)
                 cpu.bump("sched_domain_crossings", 2)
             switches += 1
-            self.total_switches += 1
             thread.switches += 1
             thread.state = _RUNNING
             counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
@@ -490,7 +488,6 @@ thread_join(tid)
                     charge(crossing_ns)
                     cpu.bump("sched_domain_crossings", 2)
                 switches += 1
-                self.total_switches += 1
                 thread.switches += 1
                 counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
                 if tracer._enabled:

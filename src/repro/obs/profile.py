@@ -21,8 +21,7 @@ This module defines the artifact that crosses that loop:
 
 Consumers: :func:`repro.core.explorer.profiled_cost_fn` turns a profile
 into a measured cost estimator; ``tools/profile.py`` is the CLI
-(capture / recommend / diff); ``tools/report.py --profile`` saves one
-alongside a report.
+(capture / recommend / diff).
 
 Determinism: every dict in the artifact is emitted in sorted order and
 the edge list uses :meth:`MetricsRegistry.edges_report` ordering, so

@@ -56,6 +56,11 @@ CLI (used by the CI smoke steps)::
         --seed 11 --check blk-torn-write
     python -m repro.resilience.campaign --kind cluster --sets 24 \\
         --seed 9 --check primary-kill --json -
+
+It prints the site × backend matrix and each backend's containment
+rate (:func:`render_campaign`).  ``--json`` adds the full result; each
+cluster cell carries its shards' slots, keys, responses and replication
+stats, the replication lag and the client's stats.
 """
 
 from __future__ import annotations
@@ -611,6 +616,34 @@ def run_campaign(
     return CampaignResult(kind, seed, schedules, cells)
 
 
+def render_campaign(result: CampaignResult) -> str:
+    """The site × backend matrix and each backend's containment rate."""
+    heading = f"== {result.kind} campaign, seed {result.seed} (site x backend) =="
+    if not result.cells:
+        return f"{heading}\n  no cells"
+    matrix = result.matrix()
+    backends = result.backends()
+    verdicts = [verdict for row in matrix.values() for verdict in row.values()]
+    width = 2 + max(map(len, [*backends, *verdicts]))
+    site_width = 2 + max(map(len, matrix))
+    lines = [
+        heading,
+        " " * (2 + site_width)
+        + "".join(f"{backend:>{width}s}" for backend in backends),
+    ]
+    for site, row in matrix.items():
+        cells = "".join(f"{row.get(b, '-'):>{width}s}" for b in backends)
+        lines.append(f"  {site:{site_width}s}{cells}")
+    lines.append(
+        "  containment rate: "
+        + "  ".join(
+            f"{backend}={result.containment_rate(backend):.0%}"
+            for backend in backends
+        )
+    )
+    return "\n".join(lines)
+
+
 def _names(text: str | None) -> tuple[str, ...] | None:
     if text is None:
         return None
@@ -679,9 +712,7 @@ def main(argv=None) -> int:
         seed=args.seed,
         **options,
     )
-    for site, row in result.matrix().items():
-        for backend, verdict in row.items():
-            print(f"{site:20s} x {backend:13s} -> {verdict}")
+    print(render_campaign(result))
     if args.json:
         payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         if args.json == "-":

@@ -8,7 +8,11 @@
   validation report (paper §5).
 - ``python -m repro.tools.report [--config cfg.json] --workload redis``
   — build an image, drive a workload, and report gate crossings,
-  per-compartment time, and memory usage.
+  per-compartment time, and memory usage of that one run.
+- ``python -m repro.tools.profile {capture,recommend,diff}`` — capture
+  a measured workload profile and feed it back into the explorer.
+
+Campaigns have their own CLI, ``python -m repro.resilience.campaign``.
 """
 
 from repro.tools.inspect import describe_config, format_conflicts, format_specs

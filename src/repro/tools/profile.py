@@ -35,6 +35,7 @@ import json
 import pathlib
 import sys
 
+from repro.core.autobench import config_for_deployment
 from repro.core.builder import build_image, library_defs
 from repro.core.config import BuildConfig
 from repro.core.explorer import (
@@ -107,16 +108,10 @@ def _deployment_payload(
     queue_edges: dict[str, str] | None = None,
 ) -> dict:
     """A pick as JSON: describable and directly buildable."""
-    groups = deployment.compartments
-    config = BuildConfig(
-        libraries=profile.libraries,
-        compartments=groups,
-        backend=backend if len(groups) > 1 else "none",
-        hardening={
-            lib: techniques
-            for lib, techniques in deployment.choices.items()
-            if techniques
-        },
+    config = config_for_deployment(
+        deployment,
+        profile.libraries,
+        backend,
         queue_edges=dict(queue_edges or {}),
     )
     return {
@@ -205,7 +200,7 @@ def cmd_recommend(args) -> int:
 
 
 def _measure_pick(
-    deployment: Deployment, profile: WorkloadProfile, backend: str, args
+    deployment: Deployment, profile: WorkloadProfile, backend: str
 ) -> dict:
     """Re-run the profiled workload on a pick; measured numbers.
 
@@ -216,18 +211,9 @@ def _measure_pick(
     """
     from repro.apps import run_named_workload
 
-    groups = deployment.compartments
-    config = BuildConfig(
-        libraries=profile.libraries,
-        compartments=groups,
-        backend=backend if len(groups) > 1 else "none",
-        hardening={
-            lib: techniques
-            for lib, techniques in deployment.choices.items()
-            if techniques
-        },
+    image = build_image(
+        config_for_deployment(deployment, profile.libraries, backend)
     )
-    image = build_image(config)
     with capture_profile(
         image, profile.workload, profile.params, seed=profile.seed
     ) as capture:
@@ -262,13 +248,11 @@ def cmd_diff(args) -> int:
         print("no deployment satisfies the requirements", file=sys.stderr)
         return 1
 
-    static_measured = _measure_pick(static_pick, profile, backend, args)
+    static_measured = _measure_pick(static_pick, profile, backend)
     if profiled_pick.key() == static_pick.key():
         profiled_measured = dict(static_measured)
     else:
-        profiled_measured = _measure_pick(
-            profiled_pick, profile, backend, args
-        )
+        profiled_measured = _measure_pick(profiled_pick, profile, backend)
     delta_ns = (
         static_measured["elapsed_ns"] - profiled_measured["elapsed_ns"]
     )

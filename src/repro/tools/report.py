@@ -14,19 +14,13 @@ JSON of the run (open it in ``chrome://tracing`` or Perfetto);
 ``--json`` emits the whole report machine-readable — including the
 caller→callee crossing matrix and the full metrics snapshot — so
 benchmarks and CI can diff reports instead of scraping text.
-``--profile FILE`` captures a schema-versioned
-:class:`repro.obs.WorkloadProfile` of the run — the measured artifact
-``tools/profile.py recommend`` feeds back into the explorer.
-``--resilience``, ``--recovery`` and ``--cluster`` each also run one
-seeded campaign (:mod:`repro.resilience.campaign`) on its kind's
-default sites and backends and print its site × backend verdict
-matrix: containment of compartment faults, durable redis state after
-crash + reboot, and acked writes across cluster failover.
-``--cluster`` also reports a small sharded, replicated redis
-cluster's slot balance and replication lag (see :mod:`repro.cluster`).
 ``--queue`` summarizes queue-channel
 activity — submissions, doorbells per op, batch-size and ring-depth
 distributions — for configs with ``queue_edges``.
+
+The report covers only the image it builds and runs.  Campaigns have
+their own CLI (``python -m repro.resilience.campaign``), and so do
+workload profiles (``python -m repro.tools.profile capture``).
 """
 
 from __future__ import annotations
@@ -35,9 +29,10 @@ import argparse
 import json
 import pathlib
 
+from repro.apps import run_named_workload
 from repro.core.builder import build_image
 from repro.core.config import BuildConfig
-from repro.obs import exploration_metrics, write_chrome_trace
+from repro.obs import write_chrome_trace
 
 
 def machine_telemetry(images) -> dict:
@@ -68,54 +63,25 @@ def machine_telemetry(images) -> dict:
         for key in ("plans", "plan_hits", "plan_refreshes"):
             total["gateplan"][key] += stats["gateplan"][key]
         scheduler = image.scheduler
+        switches = image.machine.cpu.metrics.counter("ctx_switches")
         total["wheel_sweeps"] += scheduler.timer_sweeps
         total["wheel_cascades"] += scheduler.timer_cascades
-        total["sched_rounds"] += scheduler.total_switches
+        total["sched_rounds"] += int(switches)
         total["idle_replays"] += scheduler.idle_replays
     lookups = total["tlb_hits"] + total["tlb_misses"]
     total["tlb_hit_rate"] = total["tlb_hits"] / lookups if lookups else 0.0
     return total
 
 
-def run_workload(image, workload: str) -> tuple[str, dict]:
-    """Drive the named workload; returns (one-line summary, raw numbers).
-
-    Thin wrapper over :func:`repro.apps.run_named_workload` (the single
-    workload registry shared with ``tools/profile.py``).
-    """
-    from repro.apps import run_named_workload
-
-    return run_named_workload(image, workload)
-
-
 def collect(
-    config: BuildConfig,
-    workload: str,
-    trace_path: str | None = None,
-    profile_path: str | None = None,
+    config: BuildConfig, workload: str, trace_path: str | None = None
 ) -> dict:
-    """Build, run, and gather the full report as structured data.
-
-    ``profile_path`` additionally captures a
-    :class:`repro.obs.WorkloadProfile` of the run (crossing deltas,
-    gate latencies, cpu/alloc shares) and persists it there — the
-    artifact ``tools/profile.py recommend`` feeds back into the
-    explorer.
-    """
+    """Build, run, and gather the full report as structured data."""
     image = build_image(config)
     image.machine.cpu.attribute_time = True
     if trace_path:
         image.enable_tracing()
-    if profile_path:
-        from repro.obs import capture_profile
-
-        with capture_profile(image, workload) as capture:
-            summary, numbers = run_workload(image, workload)
-        profile = capture.profile
-        profile.save(profile_path)
-    else:
-        profile = None
-        summary, numbers = run_workload(image, workload)
+    summary, numbers = run_named_workload(image, workload)
     if trace_path:
         write_chrome_trace(image.machine.obs.tracer, trace_path)
     telemetry = machine_telemetry([image])
@@ -127,79 +93,11 @@ def collect(
         "time_by_compartment_ns": dict(image.machine.cpu.domain_time_ns),
         "memory": image.memory_report(),
         "metrics": image.metrics_snapshot(),
-        # Host-side exploration-pipeline statistics (perf-cache and
-        # coloring-memo hit rates, image-build counts, query timings).
-        # All zeros unless this process also ran the explorer, but the
-        # key is always present so CI can diff report shapes.
-        "exploration": exploration_metrics().snapshot(),
         # Host-side simulator telemetry (software TLB, gate crossings).
         # Always collected; the text renderer shows it under --machine.
         "machine": telemetry,
         "trace_file": str(trace_path) if trace_path else None,
-        "profile_file": str(profile_path) if profile_path else None,
-        "profile_hash": profile.profile_hash() if profile else None,
     }
-
-
-#: Report section (and its CLI flag) -> (campaign kind, matrix heading).
-CAMPAIGN_SECTIONS = {
-    "resilience": ("containment", "Containment matrix"),
-    "recovery": ("recovery", "Recovery verdicts"),
-    "cluster": ("cluster", "Cluster verdicts"),
-}
-
-
-def collect_campaign(kind: str, **kwargs) -> dict:
-    """One campaign's result: :func:`~repro.resilience.campaign.run_campaign`
-    of ``kind`` with ``kwargs``."""
-    from repro.resilience.campaign import run_campaign
-
-    return run_campaign(kind, **kwargs).to_dict()
-
-
-def collect_cluster(sets: int = 18) -> dict:
-    """A live three-shard replicated cluster after ``sets`` SETs.
-
-    Slot balance, replication lag and per-machine fast-path telemetry
-    aggregated with :func:`machine_telemetry`.
-    """
-    from repro.cluster.client import ClusterClient
-    from repro.cluster.cluster import RedisCluster
-
-    cluster = RedisCluster(shards=("s0", "s1", "s2"), replicate=True)
-    client = ClusterClient(cluster)
-    for index in range(sets):
-        client.set(b"key:%03d" % index, b"v%03d" % index * 4)
-    client.drive()
-    return {
-        "slots": cluster.map.counts(),
-        "epoch": cluster.map.epoch,
-        "shards": cluster.shard_report(),
-        "client": client.stats(),
-        "replication_lag": cluster.replication_lag(),
-        "machine": machine_telemetry(cluster.images()),
-    }
-
-
-def render_campaign(heading: str, campaign: dict) -> list[str]:
-    """A campaign's site × backend matrix and containment rates."""
-    matrix = campaign["matrix"]
-    rates = campaign["containment_rate"]
-    backends = sorted(rates)
-    verdicts = [verdict for row in matrix.values() for verdict in row.values()]
-    width = 2 + max(map(len, [*backends, *verdicts]))
-    site_width = 2 + max(map(len, matrix))
-    header = "".join(f"{backend:>{width}s}" for backend in backends)
-    lines = ["", f"== {heading} (site x backend) =="]
-    lines.append(" " * (2 + site_width) + header)
-    for site, row in sorted(matrix.items()):
-        cells = "".join(f"{row.get(b, '-'):>{width}s}" for b in backends)
-        lines.append(f"  {site:{site_width}s}{cells}")
-    lines.append(
-        "  containment rate: "
-        + "  ".join(f"{backend}={rates[backend]:.0%}" for backend in backends)
-    )
-    return lines
 
 
 def render_text(
@@ -234,32 +132,6 @@ def render_text(
             f"heap in use {row['heap_in_use']:>8d} B "
             f"({row['heap_live_blocks']} blocks)"
         )
-    snapshot = data.get("cluster", {}).get("snapshot")
-    if snapshot:
-        lines += ["", "== Cluster (sharded, replicated redis) =="]
-        slots = "  ".join(
-            f"{shard}={count}"
-            for shard, count in sorted(snapshot["slots"].items())
-        )
-        lines.append(f"  slot balance: {slots} (epoch {snapshot['epoch']})")
-        for row in snapshot["shards"]:
-            repl = row.get("replication") or {}
-            lines.append(
-                f"  {row['shard']}: serving {row['serving']}, "
-                f"{row['keys']} keys, {row['responses']} responses, "
-                f"repl applied {repl.get('applied', 0)} "
-                f"(retries {repl.get('retries', 0)})"
-            )
-        lag = snapshot["replication_lag"]
-        if lag["samples"]:
-            lines.append(
-                f"  replication lag: mean {lag['mean_ns'] / 1e3:.1f} us, "
-                f"max {lag['max_ns'] / 1e3:.1f} us "
-                f"({lag['samples']} samples)"
-            )
-    for section, (_, heading) in CAMPAIGN_SECTIONS.items():
-        if data.get(section):
-            lines += render_campaign(heading, data[section])
 
     if show_queue:
         metrics = data.get("metrics", {})
@@ -337,12 +209,6 @@ def render_text(
 
     if data.get("trace_file"):
         lines += ["", f"trace written to {data['trace_file']}"]
-    if data.get("profile_file"):
-        lines += [
-            "",
-            f"profile {data['profile_hash']} written to "
-            f"{data['profile_file']}",
-        ]
     return "\n".join(lines)
 
 
@@ -351,13 +217,6 @@ def report(
 ) -> str:
     """Build, run, and render the full text report."""
     return render_text(collect(config, workload, trace_path))
-
-
-def _check_output_dir(parser, flag: str, path: str | None) -> None:
-    """Fail before the run, not after: the simulation can take a while
-    and the artifact would be lost."""
-    if path and not pathlib.Path(path).resolve().parent.is_dir():
-        parser.error(f"{flag}: directory of {path!r} does not exist")
 
 
 def config_from_args(args) -> BuildConfig:
@@ -395,41 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         help="record a Chrome trace-event JSON of the run to FILE",
     )
     parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="capture a WorkloadProfile of the run (measured crossing "
-        "counts, gate latencies, cpu/alloc shares) to FILE — the "
-        "artifact tools/profile.py feeds back into the explorer",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the report as machine-readable JSON instead of text",
-    )
-    parser.add_argument(
-        "--resilience",
-        action="store_true",
-        help="also run a seeded fault-injection campaign and report the "
-        "site x backend containment matrix",
-    )
-    parser.add_argument(
-        "--resilience-seed", type=int, default=0, metavar="N"
-    )
-    parser.add_argument(
-        "--resilience-schedules", type=int, default=1, metavar="K"
-    )
-    parser.add_argument(
-        "--recovery",
-        action="store_true",
-        help="also run a storage recovery campaign (power failures at "
-        "the blk/kv sites) and report the recovery verdict matrix",
-    )
-    parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="also run a small sharded/replicated cluster plus its "
-        "failure campaign and report slot balance, replication lag, "
-        "and the site x backend verdict matrix",
     )
     parser.add_argument(
         "--queue",
@@ -447,18 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         "part of the simulated metrics)",
     )
     args = parser.parse_args(argv)
-    _check_output_dir(parser, "--trace", args.trace)
-    _check_output_dir(parser, "--profile", args.profile)
-    data = collect(
-        config_from_args(args), args.workload, args.trace, args.profile
-    )
-    for section, (kind, _) in CAMPAIGN_SECTIONS.items():
-        if getattr(args, section):
-            data[section] = collect_campaign(
-                kind, seed=args.resilience_seed, schedules=args.resilience_schedules
-            )
-    if args.cluster:
-        data["cluster"]["snapshot"] = collect_cluster()
+    if args.trace and not pathlib.Path(args.trace).resolve().parent.is_dir():
+        # Fail before the run, not after: the trace would be lost.
+        parser.error(f"--trace: directory of {args.trace!r} does not exist")
+    data = collect(config_from_args(args), args.workload, args.trace)
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:

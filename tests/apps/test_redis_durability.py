@@ -5,9 +5,9 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
-from repro.apps.rediserver import DumpTruncatedError
-from repro.apps.resp import encode_command as cmd
-from repro.apps.workload import run_redis_phase
+from repro.apps.rediserver import DumpRecordTooLongError, DumpTruncatedError
+from repro.apps.resp import encode_bulk, encode_command as cmd
+from repro.apps.workload import ClosedLoopSource, run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
 
 
@@ -186,6 +186,45 @@ def test_load_truncated_value_raises_typed_error():
     # appeared with garbage bytes from the stale staging buffer).
     assert image.lib("redis").value_of(b"key") is None
     assert image.call("redis", "dbsize") == 0
+
+
+def test_load_refuses_a_value_longer_than_a_set_can_carry():
+    image = _vfs_image()
+    app = start_redis(image)
+    _write_file(
+        image, "/dump", _record(b"ok", b"fine") + _record(b"big", b"x" * 5000)
+    )
+    with pytest.raises(DumpRecordTooLongError, match="5000 bytes"):
+        image.call("redis", "load", "/dump")
+    # Refused before its value was read: no key, and the record before
+    # it stays restored.
+    assert app.value_of(b"big") is None
+    assert image.call("redis", "dbsize") == 1
+    # A key a SET could not carry either would not fit the staging buffer.
+    _write_file(image, "/dump", _record(b"k" * 5000, b"v"))
+    with pytest.raises(DumpRecordTooLongError, match="key of 5000 bytes"):
+        image.call("redis", "load", "/dump")
+    assert image.call("redis", "dbsize") == 1
+
+    value = (bytes(range(256)) * 16)[: app.MAX_VALUE]
+    _write_file(image, "/dump", _record(b"max", value))
+    assert image.call("redis", "load", "/dump") == 1
+    # Its GET reply goes out whole and fits the response buffer.
+    reply = encode_bulk(value)
+    assert len(reply) <= app.BUF_SIZE
+    netstack = image.lib("netstack")
+    source = ClosedLoopSource(app.PORT, [cmd(b"GET", b"max")])
+    frames = []
+    netstack.nic.rx_source = source.source
+    netstack.nic.tx_sink = lambda frame: (
+        source.sink(frame),
+        frames.append(source.last_response),
+    )
+    image.run(
+        until=lambda: sum(map(len, frames)) >= len(reply),
+        max_switches=100_000,
+    )
+    assert b"".join(frames) == reply
 
 
 def test_load_clean_dump_still_roundtrips():

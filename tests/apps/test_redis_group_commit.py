@@ -71,7 +71,7 @@ def pipeline(image, payloads, frames=None):
 def test_replies_around_the_writes_leave_on_their_side_of_the_barrier():
     image = durable_image(DiskMedium())
     preload(image, [cmd(b"SET", b"a", b"1")])
-    flushes = image.lib("blk").flushes
+    flushes = image.lib("blk").blk_stats()["flushes"]
     replies = pipeline(
         image,
         [
@@ -98,7 +98,7 @@ def test_replies_around_the_writes_leave_on_their_side_of_the_barrier():
         (three, 2, 2),
     ]
     # One barrier for the group.
-    assert image.lib("blk").flushes == flushes + 1
+    assert image.lib("blk").blk_stats()["flushes"] == flushes + 1
     assert image.call("redis", "redis_stats")["kv_writes"] == 3
 
 

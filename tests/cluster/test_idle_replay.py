@@ -98,7 +98,7 @@ class World:
             self.cpu.clock_ns,
             self.cpu.snapshot(),
             self.cpu.metrics.snapshot(),
-            self.scheduler.total_switches,
+            self.cpu.metrics.counter("ctx_switches"),
             self.nic.rx_packets,
         )
 

@@ -623,5 +623,6 @@ def run_timers(image) -> list:
 
     image.spawn("busy", busy, time_lib)
     image.run()
-    log("run", (scheduler.total_switches, scheduler.pending_timers))
+    switches = int(image.machine.cpu.metrics.counter("ctx_switches"))
+    log("run", (switches, scheduler.pending_timers))
     return events

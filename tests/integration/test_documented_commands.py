@@ -1,0 +1,97 @@
+"""Every ``python -m repro.…`` command the docs show still parses.
+
+Commands come from fenced code blocks (continuation lines joined,
+shell redirections dropped) and from one-line inline code spans that
+carry arguments.  Placeholders such as ``{a,b}`` or ``…`` and bare
+module mentions are skipped.  Each command's ``main(argv)`` runs only
+as far as ``argparse`` accepting its arguments, so a flag deleted from
+a CLI but left in a doc fails here without running a simulation.
+"""
+
+import argparse
+import importlib
+import pathlib
+import re
+import shlex
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+COMMAND = re.compile(r"python3? -m (repro\.\S+)(.*)")
+PLACEHOLDER = re.compile(r"[{}\[\]<…]")
+SHELL_OPERATORS = (">", "2>", "|", "&", ";")
+
+
+def _snippets(text: str):
+    """Each fenced command line (continuations joined) and inline span."""
+    prose = []
+    fenced = False
+    joined = ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            prose.append(line)
+        elif line.endswith("\\"):
+            joined += line[:-1] + " "
+        else:
+            yield joined + line
+            joined = ""
+    for span in re.findall(r"`([^`]*)`", "\n".join(prose)):
+        if "\n" not in span:
+            yield span
+
+
+def _commands():
+    for name in DOCS:
+        for snippet in _snippets((ROOT / name).read_text()):
+            match = COMMAND.search(snippet)
+            if match is None:
+                continue
+            module, rest = match.groups()
+            argv = []
+            for token in shlex.split(rest, comments=True):
+                if token.startswith(SHELL_OPERATORS):
+                    break
+                argv.append(token)
+            if argv and not PLACEHOLDER.search(" ".join([module, *argv])):
+                cli = module.rsplit(".", 1)[1]
+                doc = pathlib.Path(name).stem
+                yield pytest.param(
+                    module, argv, id=f"{doc}: {cli} {shlex.join(argv)}"
+                )
+
+
+COMMANDS = list(_commands())
+
+
+class _Parsed(Exception):
+    """Raised as soon as ``argparse`` has accepted a command line."""
+
+
+def test_commands_of_every_cli_are_found():
+    assert {param.values[0] for param in COMMANDS} >= {
+        "repro.tools.report",
+        "repro.tools.profile",
+        "repro.resilience.campaign",
+    }
+
+
+@pytest.mark.parametrize("module, argv", COMMANDS)
+def test_parses(module, argv, monkeypatch):
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_then_stop(self, args=None, namespace=None):
+        parse_args(self, args, namespace)
+        raise _Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_then_stop)
+    main = importlib.import_module(module).main
+    try:
+        main(argv)
+    except _Parsed:
+        return
+    except SystemExit as exc:
+        pytest.fail(f"python -m {module} {shlex.join(argv)}: exit {exc.code}")
+    pytest.fail(f"python -m {module} returned without parsing its arguments")

@@ -93,10 +93,11 @@ def test_blk_info_and_stats(image, medium, buf):
     put(image, buf, sector_payload(b"s"))
     image.call("blk", "blk_write", 0, buf)
     stats = image.call("blk", "blk_stats")
-    assert stats["writes"] == 1 and stats["dirty"] == 1
+    assert stats["writes"] == 1 and stats["dirty"] == 1 and stats["flushes"] == 0
     image.call("blk", "blk_flush")
     stats = image.call("blk", "blk_stats")
     assert stats["dirty"] == 0 and stats["medium_writes"] == 1
+    assert stats["flushes"] == 1 and isinstance(stats["flushes"], int)
 
 
 def test_ops_charge_simulated_time(image, buf):

@@ -280,7 +280,7 @@ def test_switch_statistics(image):
     thread = spawn(image, "t", body)
     image.run()
     assert thread.switches == 5
-    assert image.scheduler.total_switches == 5
+    assert image.machine.cpu.metrics.counter("ctx_switches") == 5
 
 
 def test_thread_context_isolation_across_switches():

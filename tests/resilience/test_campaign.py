@@ -7,6 +7,32 @@ import pytest
 from repro.resilience import run_campaign
 from repro.resilience.campaign import default_plan, main, run_cell
 
+#: Kind -> a small campaign of it, as engine options and as CLI flags.
+SMALL_CAMPAIGNS = {
+    "containment": (
+        {"backends": ("none", "vm-rpc"), "sites": ("wild-write", "vm-drop")},
+        ["--backends", "none,vm-rpc", "--sites", "wild-write,vm-drop"],
+    ),
+    "recovery": (
+        {"backends": ("none",), "sites": ("blk-torn-write",), "sets": 8},
+        ["--backends", "none", "--sites", "blk-torn-write", "--sets", "8"],
+    ),
+    "cluster": (
+        {
+            "backends": ("none",),
+            "sites": ("primary-kill", "stale-read"),
+            "sets": 12,
+            "shards": ("s0", "s1"),
+        },
+        [
+            "--backends", "none",
+            "--sites", "primary-kill,stale-read",
+            "--sets", "12",
+            "--shards", "2",
+        ],
+    ),
+}
+
 
 def test_default_plans_cover_every_site():
     for site in ("gate-crash", "wild-write", "alloc-exhaustion",
@@ -119,7 +145,41 @@ def test_cli_check_contained_fails_for_none_backend(capsys):
 
 def test_cli_check_fails_when_campaign_has_no_cells(capsys):
     assert main(["--sites", "", "--check", "wild-write"]) == 1
-    assert "campaign produced no cells" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "== containment campaign, seed 0 (site x backend) ==",
+        "  no cells",
+    ]
+    assert "campaign produced no cells" in err
+
+
+def _rendered_campaign(text: str) -> tuple[str, dict, str]:
+    """The heading, matrix and containment-rate line of the CLI's view."""
+    heading, header, *rows, rates = text.splitlines()
+    backends = header.split()
+    matrix = {}
+    for line in rows:
+        site, *verdicts = line.split()
+        matrix[site] = dict(zip(backends, verdicts))
+    return heading, matrix, rates
+
+
+def test_cli_renders_the_engines_matrix_and_containment_rates(capsys):
+    for kind, (options, flags) in SMALL_CAMPAIGNS.items():
+        assert main(["--kind", kind, "--seed", "3", *flags]) == 0
+        heading, matrix, rates = _rendered_campaign(capsys.readouterr().out)
+        engine = run_campaign(kind, seed=3, **options)
+        assert heading == f"== {kind} campaign, seed 3 (site x backend) =="
+        assert matrix == engine.matrix()
+        assert rates == "  containment rate: " + "  ".join(
+            f"{backend}={engine.containment_rate(backend):.0%}"
+            for backend in engine.backends()
+        )
+        if kind == "containment":
+            assert matrix["wild-write"] == {
+                "none": "propagated",
+                "vm-rpc": "recovered",
+            }
 
 
 def test_cli_rejects_options_of_another_kind(capsys):
