@@ -15,9 +15,16 @@ Scenarios:
 - ``image.<app>.<profile>.<observers>`` — redis and the Fig. 3 iperf
   image on eight isolation profiles, run untraced, traced, and with
   per-edge latency recording;
+- ``image.<app>.<profile>.reads`` — the same worlds with both snapshots
+  and a counter read after every fifth load, from inside crossings
+  (``reads-attributed`` also reads ``domain_time_ns``); the entry pins
+  a sha256 of every read;
 - ``profile.redis.<backend>`` — ``capture_profile`` around a redis run;
 - ``parked.<backend>.<tracer>`` — two consumers parked in one
   ``libc->mq`` gate, with the tracer off or switched on mid-park;
+- ``parked.<backend>.killed`` — the same two consumers, read while
+  parked, one then killed inside the crossing and read again, the
+  other fed;
 - ``cluster.<backend>.<variant>`` — the replicated three-shard cluster
   under its seeded client load (stale route, failover, shard join),
   every machine untraced, traced, or attributing time to domains
@@ -134,7 +141,7 @@ CAMPAIGNS = {
 }
 
 #: Parts an entry keeps verbatim; it pins the others by sha256.
-PLAIN = ("clock_ns", "matrix")
+PLAIN = ("clock_ns", "matrix", "reads")
 
 
 def _parts(machine, result) -> dict:
@@ -150,9 +157,22 @@ def _parts(machine, result) -> dict:
     }
 
 
-def _digest(value) -> str:
+def _canonical(value) -> bytes:
     blob = json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return blob.encode()
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(_canonical(value)).hexdigest()
+
+
+def _reads(cpu, attribute: bool = False) -> list:
+    """What an observer reads mid-run: both snapshots and one counter
+    (and, when attributing, ``domain_time_ns``)."""
+    read = [cpu.metrics.snapshot(), cpu.snapshot(), cpu.metrics.counter("loads")]
+    if attribute:
+        read.append(dict(cpu.domain_time_ns))
+    return read
 
 
 def _entry(parts: dict) -> dict:
@@ -192,6 +212,19 @@ def _image_scenario(app: str, profile: str, observers: str):
     return run
 
 
+def _reads_scenario(app: str, profile: str, attribute: bool):
+    def run():
+        (clock, numbers, snapshot, domain_time), reads = _run_image(
+            app, profile, observe=True, attribute=attribute
+        )
+        parts = {"clock_ns": clock, "result": numbers, "snapshot": snapshot}
+        if attribute:
+            parts["domain_time"] = domain_time
+        return {**parts, "reads": reads}
+
+    return run
+
+
 def _profile_scenario(backend: str):
     def run():
         image = build_image(
@@ -214,6 +247,23 @@ def _parked_scenario(backend: str, trace_mid_park: bool):
         feed(image, qid, 2)
         stacks = [len(thread.ctx_stack) for thread in threads]
         return _parts(image.machine, [sorted(returned), stacks])
+
+    return run
+
+
+def _parked_kill_scenario(backend: str):
+    def run():
+        image = mq_image(backend)
+        cpu = image.machine.cpu
+        qid = image.call("mq", "q_new", 2)
+        threads, returned, _ = park_consumers(image, qid, 2)
+        reads = [_reads(cpu)]
+        image.scheduler.kill_thread(threads[0])
+        reads.append(_reads(cpu))
+        feed(image, qid, 1)
+        stacks = [len(thread.ctx_stack) for thread in threads]
+        parts = _parts(image.machine, [sorted(returned), stacks])
+        return {**parts, "reads": _digest(reads)}
 
     return run
 
@@ -320,6 +370,12 @@ def scenarios() -> dict:
             for observers in ("untraced", "traced", "latency"):
                 name = f"image.{app}.{profile}.{observers}"
                 table[name] = _image_scenario(app, profile, observers)
+            table[f"image.{app}.{profile}.reads"] = _reads_scenario(
+                app, profile, False
+            )
+    table["image.redis.mpk-switched.reads-attributed"] = _reads_scenario(
+        "redis", "mpk-switched", True
+    )
     for backend in BACKENDS:
         table[f"profile.redis.{backend}"] = _profile_scenario(backend)
     for backend in BACKENDS:
@@ -328,6 +384,7 @@ def scenarios() -> dict:
                 "traced-mid-park" if trace_mid_park else "untraced"
             )
             table[name] = _parked_scenario(backend, trace_mid_park)
+        table[f"parked.{backend}.killed"] = _parked_kill_scenario(backend)
     for backend in ("none", "mpk-shared"):
         table[f"cluster.{backend}.untraced"] = _cluster_scenario(backend)
         table[f"cluster.{backend}.traced"] = _cluster_scenario(
@@ -373,11 +430,13 @@ def test_scenario_matches_corpus(name):
 def _run_image(app: str, profile: str, observe: bool, attribute: bool = False):
     """Run one image world; when ``observe``, read the counters, both
     snapshots (and, when attributing, ``domain_time_ns``) after every
-    fifth load.  Returns what the run ends with."""
+    fifth load.  Returns what the run ends with, and a sha256 of every
+    mid-run read (None when not observing)."""
     image, params = _image_world(app, profile)
     machine = image.machine
     cpu = machine.cpu
     cpu.attribute_time = attribute
+    reads = hashlib.sha256() if observe else None
     if observe:
         load = machine.load
         loads = 0
@@ -387,16 +446,13 @@ def _run_image(app: str, profile: str, observe: bool, attribute: bool = False):
             data = load(vaddr, size)
             loads += 1
             if loads % 5 == 0:
-                cpu.metrics.snapshot()
-                cpu.snapshot()
-                cpu.metrics.counter("loads")
-                if attribute:
-                    dict(cpu.domain_time_ns)
+                reads.update(_canonical(_reads(cpu, attribute)))
             return data
 
         machine.load = observed_load
     _, numbers = run_named_workload(image, app, params)
-    return cpu.clock_ns, numbers, cpu.snapshot(), cpu.domain_time_ns
+    ended = cpu.clock_ns, numbers, cpu.snapshot(), cpu.domain_time_ns
+    return ended, reads.hexdigest() if observe else None
 
 
 @pytest.mark.parametrize(
@@ -407,8 +463,8 @@ def _run_image(app: str, profile: str, observe: bool, attribute: bool = False):
 def test_reading_counters_never_moves_the_clock(app, profile, attribute):
     """Observing is invisible to the simulation: reads mid-run leave
     the clock, the workload numbers and the final snapshot bit-identical."""
-    unobserved = _run_image(app, profile, observe=False, attribute=attribute)
-    observed = _run_image(app, profile, observe=True, attribute=attribute)
+    unobserved, _ = _run_image(app, profile, observe=False, attribute=attribute)
+    observed, _ = _run_image(app, profile, observe=True, attribute=attribute)
     assert repr(observed) == repr(unobserved)
 
 
