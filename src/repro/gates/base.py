@@ -337,6 +337,9 @@ def _factory(cls: type, kind: str, names: tuple[str, ...]) -> Callable:
     lines = source.splitlines(True)
     linecache.cache[filename] = (len(source), None, lines, filename)
     namespace = {
+        # The crossings' ``__module__``: a profiler charges their time
+        # to the gate's package, not to whoever called them.
+        "__name__": cls.__module__,
         "CONTAINABLE_FAULTS": CONTAINABLE_FAULTS,
         "Completion": Completion,
         "Context": Context,
@@ -491,24 +494,26 @@ class Channel:
 class Gate(Channel):
     """Common behaviour for every gate-backed channel implementation.
 
-    Crossing accounting is unified here: every invocation increments
-    the channel's own ``crossings``, its caller→callee edge in the
-    metrics registry, the shared ``gate_crossings`` counter (for every
-    compartment-boundary channel, regardless of backend) and the
-    backend's own counter — so counts agree across backends instead of
-    each gate bumping an ad-hoc subset.
+    Crossing accounting is unified here: a crossing increments one int,
+    the gate's own ``crossings``, and an MPK exit increments
+    ``exits``.  The gate is a counter source of the metrics registry
+    (:meth:`derive_counters`): reading the counters derives from those
+    two ints every name the backend declares (``ENTRY_COUNTERS``,
+    ``EXIT_COUNTERS``) — ``gate_crossings`` for every compartment
+    boundary, the backend's own count, WRPKRUs and stack switches —
+    and the caller→callee edge sums the crossings of its gates.
 
     **Compiled crossings.**  When an export is first crossed, its gate
     compiles one callable for it — a plain function, or a generator
     function for a blocking export — from the crossing templates in
     this module and its backend's ``ENTER``/``EXIT`` source fragments,
-    with the handler, callee compartment, context label, cost
-    constants, counter table and metrics edge bound as closure cells;
+    with the handler, callee compartment, context label and cost
+    constants bound as closure cells;
     the first batch compiles the gate's one batch crossing.
     ``invoke`` and ``invoke_gen`` are one dict probe plus a call.  The
     compiled body runs, in one frame and in this order: prologue (call
     charge, call monitors, failed-callee fail-fast or revival, crossing
-    counters), observers sampled once at entry, enter, handler, exit,
+    count), observers sampled once at entry, enter, handler, exit,
     observers closed.  What may change between crossings — the
     compartment's PKRU, failure state and profile, the context pool,
     the injector, the observers, time attribution — is read through
@@ -520,9 +525,12 @@ class Gate(Channel):
     #: count toward ``gate_crossings``, get trace spans, and act as
     #: containment boundaries for the fault model.
     IS_BOUNDARY = True
-    #: Backend-specific counter bumped alongside the unified ones
-    #: ("mpk_crossings", "vm_rpcs", ...); empty string disables it.
-    EXTRA_COUNTER = ""
+    #: The counters this backend's crossings feed: each entry adds one
+    #: to every name in ``ENTRY_COUNTERS``, each exit counted in the
+    #: ``EXIT`` fragment (``gate.exits += 1``) one to every name in
+    #: ``EXIT_COUNTERS``.  Derived on read, never written per crossing.
+    ENTRY_COUNTERS: tuple[str, ...] = ("gate_crossings",)
+    EXIT_COUNTERS: tuple[str, ...] = ()
     #: The backend's domain switch into the callee and back, as source
     #: the compiled crossings inline (see the macros above).  Fragments
     #: see the names ``_bindings`` returns, the crossing's ``entry``,
@@ -549,15 +557,18 @@ class Gate(Channel):
         self.callee_lib = callee_lib
         self.callee_comp: "Compartment | None" = callee_lib.compartment
         self.options = options if options is not None else GateOptions()
+        #: Crossings entered (the COUNT macro) and, for backends whose
+        #: ``EXIT`` counts them, exits.
         self.crossings = 0
+        self.exits = 0
         self._metrics = machine.cpu.metrics
-        self._edge = self._metrics.edge(
-            caller_lib.NAME, callee_lib.NAME, self.KIND
-        )
+        self._metrics.add_source(self)
         self._tracer = machine.obs.tracer
         self._obs = machine.obs
         self._caller_name = caller_lib.NAME
         self._callee_name = callee_lib.NAME
+        self._edge = None
+        self._attach_edge(self.KIND)
         blocking = callee_lib.blocking_exports
         self._plan = {
             fn: _PlanEntry(fn, handler, fn in blocking, self._plan_ctx_label(fn))
@@ -581,6 +592,29 @@ class Gate(Channel):
         self._ctx_pool = None
         machine.gates.append(self)
 
+    # --- accounting ---------------------------------------------------------------
+
+    def _attach_edge(self, kind: str) -> None:
+        """Sum this gate's crossings into its caller→callee edge of ``kind``."""
+        if self._edge is not None:
+            self._edge.gates.remove(self)
+        self._edge = self._metrics.edge(self._caller_name, self._callee_name, kind)
+        self._edge.gates.append(self)
+
+    def derive_counters(self, view: dict[str, float]) -> None:
+        """Add the names this gate's entries and exits feed to a
+        registry read view."""
+        for count, names in (
+            (self.crossings, self.ENTRY_COUNTERS),
+            (self.exits, self.EXIT_COUNTERS),
+        ):
+            if count:
+                for name in names:
+                    view[name] = view.get(name, 0.0) + count
+
+    def zero_counters(self) -> None:
+        self.crossings = self.exits = 0
+
     # --- compilation ----------------------------------------------------------
 
     def _plan_ctx_label(self, fn: str) -> str:
@@ -597,13 +631,8 @@ class Gate(Channel):
                 "if comp is not None and comp.failed:",
                 "    gate._check_available(comp, cpu)",
             ]
-        lines += ["gate.crossings += 1", "edge.crossings += 1"]
-        names = ["gate_crossings"] if cls.IS_BOUNDARY else []
-        if cls.EXTRA_COUNTER:
-            names.append(cls.EXTRA_COUNTER)
-        for name in names:
-            lines.append(f'counters["{name}"] = counters.get("{name}", 0.0) + 1.0')
         lines += [
+            "gate.crossings += 1",
             "if gate._obs_epoch != obs.epoch:",
             "    gate._refresh()",
         ]
@@ -622,8 +651,6 @@ class Gate(Channel):
             "cpu": machine.cpu,
             "obs": self._obs,
             "tracer": self._tracer,
-            "counters": self._metrics.counters,
-            "edge": self._edge,
             "comp": self.callee_comp,
             "caller_name": self._caller_name,
             "callee_name": self._callee_name,

@@ -32,7 +32,7 @@ class CHERIGate(Gate):
     """Capability invocation with per-call pointer delegation."""
 
     KIND = "cheri"
-    EXTRA_COUNTER = "cheri_crossings"
+    ENTRY_COUNTERS = ("gate_crossings", "cheri_crossings")
 
     # The callee context carries a capability set derived from the
     # compartment's, plus the call's delegations; popping it revokes
@@ -93,7 +93,7 @@ class CHERIGate(Gate):
     def _grant(self, specs, args: tuple, capabilities, cpu) -> None:
         """Charge and install one call's delegations."""
         grant_ns = self._grant_ns
-        counters = self._metrics.counters
+        counters = self._metrics.table
         nargs = len(args)
         for pointer_index, size_spec in specs:
             if pointer_index >= nargs:

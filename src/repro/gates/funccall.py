@@ -25,7 +25,7 @@ class DirectChannel(Gate):
     #: Not a compartment boundary: counts as a direct call, never as a
     #: gate crossing.
     IS_BOUNDARY = False
-    EXTRA_COUNTER = "direct_calls"
+    ENTRY_COUNTERS = ("direct_calls",)
     EXIT = "CHARGE(ret_ns)"
 
 
@@ -42,7 +42,7 @@ class ProfileChannel(Gate):
     #: A compartment boundary (just without a hardware switch): counts
     #: toward ``gate_crossings`` like every other backend, keeping the
     #: historical ``direct_calls`` counter for its call cost class.
-    EXTRA_COUNTER = "direct_calls"
+    ENTRY_COUNTERS = ("gate_crossings", "direct_calls")
 
     ENTER = """
         pkru = comp.pkru_value

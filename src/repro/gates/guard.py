@@ -73,7 +73,7 @@ class GuardedChannel(Channel):
         for fn in fns:
             self._compiled_checks[fn] = self._compile_checks(fn)
         self._contract_ns = machine.cost.contract_check_ns
-        self._counters = machine.cpu.metrics.counters
+        self._counters = machine.cpu.metrics.table
 
     def _compile_checks(self, fn: str) -> tuple:
         callee = self.callee_lib

@@ -18,11 +18,15 @@ class MPKSharedStackGate(Gate):
     """Domain switch via PKRU write; stacks stay in a shared domain."""
 
     KIND = "mpk-shared"
-    EXTRA_COUNTER = "mpk_crossings"
+    # One WRPKRU on the way in and one on the way out: ``wrpkru`` is
+    # the entries plus the exits the EXIT fragment counts, so a thread
+    # parked or killed inside the callee has issued only the first.
+    ENTRY_COUNTERS = ("gate_crossings", "mpk_crossings", "wrpkru")
+    EXIT_COUNTERS = ("wrpkru",)
 
-    # Each WRPKRU charges, counts and traces exactly like
-    # ``CPU.wrpkru``; the gate holds the token by construction, so the
-    # token identity check is elided.
+    # Each WRPKRU charges and traces exactly like ``CPU.wrpkru``, and
+    # counts through the declarations above; the gate holds the token
+    # by construction, so the token identity check is elided.
 
     ENTER = """
         CHARGE(switch_ns)
@@ -33,7 +37,6 @@ class MPKSharedStackGate(Gate):
         capabilities = comp.capabilities
         PUSH_POOLED
         CHARGE(wrpkru_ns)
-        counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
         if tracer._enabled:
             tracer.instant("wrpkru", "mpk", value=comp.pkru_value)
         ctx.pkru = comp.pkru_value
@@ -44,7 +47,7 @@ class MPKSharedStackGate(Gate):
         # WRPKRU back to the caller's domain value (which the caller's
         # context already holds, so nothing to assign).
         CHARGE(wrpkru_ns)
-        counters["wrpkru"] = counters.get("wrpkru", 0.0) + 1.0
+        gate.exits += 1
         if tracer._enabled:
             tracer.instant("wrpkru", "mpk", value=cpu._contexts[-1].pkru)
         CHARGE(exit_ns)

@@ -25,6 +25,9 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
     """MPK gate with per-compartment stacks and parameter copying."""
 
     KIND = "mpk-switched"
+    # A stack switch each way, alongside the shared-stack gate's WRPKRUs.
+    ENTRY_COUNTERS = MPKSharedStackGate.ENTRY_COUNTERS + ("stack_switches",)
+    EXIT_COUNTERS = MPKSharedStackGate.EXIT_COUNTERS + ("stack_switches",)
 
     # Stack switch plus copying each parameter word to the target
     # compartment's stack (read caller stack, write callee); on the way
@@ -34,12 +37,10 @@ class MPKSwitchedStackGate(MPKSharedStackGate):
         arg_bytes = max(1, len(args)) * word_bytes
         copy_hist.observe(arg_bytes)
         CHARGE(ss_base_ns + arg_bytes * mem_byte_ns * 2)
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
     """ + MPKSharedStackGate.ENTER
 
     EXIT = """
         CHARGE(ss_exit_ns)
-        counters["stack_switches"] = counters.get("stack_switches", 0.0) + 1.0
     """ + MPKSharedStackGate.EXIT
 
     def __init__(

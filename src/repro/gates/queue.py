@@ -80,9 +80,7 @@ class QueueChannel(Channel):
         # doorbell crossings are attributed to the queue variant.
         self.caller_lib = inner.caller_lib
         self.callee_lib = inner.callee_lib
-        inner._edge = machine.cpu.metrics.edge(
-            inner.caller_lib.NAME, inner.callee_lib.NAME, self.KIND
-        )
+        inner._attach_edge(self.KIND)
         self._pending: list[tuple[int, str, tuple]] = []
         self._metrics = machine.cpu.metrics
         self._batch_hist = self._metrics.histogram("queue.batch_size")

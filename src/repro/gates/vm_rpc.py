@@ -43,7 +43,7 @@ class VMRPCGate(Gate):
     """Synchronous RPC between per-compartment VMs."""
 
     KIND = "vm-rpc"
-    EXTRA_COUNTER = "vm_rpcs"
+    ENTRY_COUNTERS = ("gate_crossings", "vm_rpcs")
 
     # One notification carries the call's argument words; the return
     # notification carries one word back.

@@ -87,6 +87,11 @@ thread_join(tid)
         #: Rounds replayed instead of resuming an idle poller (host-side
         #: telemetry, kept out of the metrics registry).
         self.idle_replays = 0
+        #: Context switches and the one-way domain crossings they made,
+        #: counted by the run loop; the registry reads them as
+        #: ``ctx_switches`` and ``sched_domain_crossings``.
+        self.ctx_switches = 0
+        self.domain_crossings = 0
         #: Threads reaped after a contained compartment failure:
         #: (thread name, CompartmentFailure) in death order.
         self.thread_failures: list[tuple[str, CompartmentFailure]] = []
@@ -97,6 +102,23 @@ thread_join(tid)
         #: threads) and exits into the next thread's domain — two
         #: crossings whenever the thread lives in another compartment.
         self.domain_crossing_ns: float = 0.0
+
+    # --- counter source ---------------------------------------------------------
+
+    def on_install(self) -> None:
+        self.machine.cpu.metrics.add_source(self)
+
+    def derive_counters(self, view: dict[str, float]) -> None:
+        """Add the switch counts to a registry read view."""
+        if self.ctx_switches:
+            view["ctx_switches"] = view.get("ctx_switches", 0.0) + self.ctx_switches
+        if self.domain_crossings:
+            view["sched_domain_crossings"] = (
+                view.get("sched_domain_crossings", 0.0) + self.domain_crossings
+            )
+
+    def zero_counters(self) -> None:
+        self.ctx_switches = self.domain_crossings = 0
 
     # --- thread management (host-side + exported) -------------------------------
 
@@ -268,7 +290,6 @@ thread_join(tid)
         """
         cpu = self.machine.cpu
         charge = cpu.charge
-        counters = cpu.metrics.counters
         quantum_ns = cpu.metrics.histogram("sched.quantum_ns").values
         tracer = self.machine.obs.tracer
         timers = self._timers
@@ -342,11 +363,11 @@ thread_join(tid)
             home = thread.home_compartment
             if crossing_ns and home is not None and home is not own:
                 charge(crossing_ns)
-                cpu.bump("sched_domain_crossings", 2)
+                self.domain_crossings += 2
             switches += 1
             thread.switches += 1
             thread.state = _RUNNING
-            counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
+            self.ctx_switches += 1
             quantum_start = cpu.clock_ns
             # Route trace events to the running thread's own track so
             # spans it leaves open across a suspension nest correctly.
@@ -437,7 +458,6 @@ thread_join(tid)
         machine = self.machine
         cpu = machine.cpu
         charge = cpu.charge
-        counters = cpu.metrics.counters
         quantum_ns = cpu.metrics.histogram("sched.quantum_ns").values
         tracer = machine.obs.tracer
         timers = self._timers
@@ -486,10 +506,10 @@ thread_join(tid)
                 charge(switch_ns)
                 if crossing_ns:
                     charge(crossing_ns)
-                    cpu.bump("sched_domain_crossings", 2)
+                    self.domain_crossings += 2
                 switches += 1
                 thread.switches += 1
-                counters["ctx_switches"] = counters.get("ctx_switches", 0.0) + 1.0
+                self.ctx_switches += 1
                 if tracer._enabled:
                     tracer.set_track(thread.tid, thread.name)
                 if cpu.attribute_time:

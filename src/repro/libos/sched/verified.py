@@ -29,6 +29,7 @@ class VerifiedScheduler(CoopScheduler):
         self._contracts: ContractKit | None = None
 
     def on_install(self) -> None:
+        super().on_install()
         self._contracts = ContractKit(self.machine, "verified-scheduler")
 
     @property

@@ -204,12 +204,8 @@ class CPU:
         """Increment a named statistics counter (via the registry)."""
         self.metrics.inc(counter, amount)
 
-    def reset_stats(self) -> None:
-        """Clear all counters (the clock is left untouched)."""
-        self.metrics.counters.clear()
-
     def snapshot(self) -> dict[str, float]:
         """Copy of the counters plus the current clock."""
-        snap = dict(self.metrics.counters)
+        snap = self.metrics.counters
         snap["clock_ns"] = self._clock_ns
         return snap

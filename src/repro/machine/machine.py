@@ -68,9 +68,14 @@ class Machine:
         #: Observability: span tracer (disabled by default) + metrics
         #: registry (shared with the CPU).  See :mod:`repro.obs`.
         self.obs = Observability(self.cpu)
-        # The registry's counter table, which load/store bump inline
-        # (it is only ever cleared in place, never replaced).
-        self._counters = self.cpu.metrics.counters
+        #: Checked accesses, counted where they happen; the registry
+        #: reads them as ``loads``, ``load_bytes``, ``stores`` and
+        #: ``store_bytes`` (:meth:`derive_counters`).
+        self.loads = 0
+        self.load_bytes = 0
+        self.stores = 0
+        self.store_bytes = 0
+        self.cpu.metrics.add_source(self)
         self.spaces: dict[str, AddressSpace] = {}
         self.vm_domains: dict[str, VMDomain] = {}
         self._shared_windows = SharedWindowAllocator(self.phys)
@@ -157,14 +162,13 @@ class Machine:
         context = contexts[-1]
         profile = context.profile
         cost = cpu.cost
-        # CPU.charge and two counter bumps, inline.
+        # CPU.charge inline, then the access counts.
         ns = (cost.mem_op_ns + size * cost.mem_byte_ns) * profile.load_factor
         cpu._clock_ns += ns
         if cpu.attribute_time:
             cpu._attribute(ns)
-        counters = self._counters
-        counters["loads"] = counters.get("loads", 0.0) + 1.0
-        counters["load_bytes"] = counters.get("load_bytes", 0.0) + size
+        self.loads += 1
+        self.load_bytes += size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "load", vaddr, size)
@@ -244,9 +248,8 @@ class Machine:
         cpu._clock_ns += ns
         if cpu.attribute_time:
             cpu._attribute(ns)
-        counters = self._counters
-        counters["stores"] = counters.get("stores", 0.0) + 1.0
-        counters["store_bytes"] = counters.get("store_bytes", 0.0) + size
+        self.stores += 1
+        self.store_bytes += size
         if profile.monitors:
             for monitor in profile.monitors:
                 monitor(self, "store", vaddr, size)
@@ -366,6 +369,21 @@ class Machine:
         if len(chunks) == 1:
             return bytes(chunks[0])
         return b"".join(chunks)
+
+    # --- counter source ------------------------------------------------------
+
+    def derive_counters(self, view: dict[str, float]) -> None:
+        """Add the access counts to a registry read view.  A byte count
+        is present with its access count, even after zero-length ones."""
+        if self.loads:
+            view["loads"] = view.get("loads", 0.0) + self.loads
+            view["load_bytes"] = view.get("load_bytes", 0.0) + self.load_bytes
+        if self.stores:
+            view["stores"] = view.get("stores", 0.0) + self.stores
+            view["store_bytes"] = view.get("store_bytes", 0.0) + self.store_bytes
+
+    def zero_counters(self) -> None:
+        self.loads = self.load_bytes = self.stores = self.store_bytes = 0
 
     # --- host-side telemetry ---------------------------------------------
 

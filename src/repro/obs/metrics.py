@@ -2,12 +2,18 @@
 
 One registry per simulated CPU.  It subsumes the ad-hoc statistics the
 reproduction grew organically — the CPU's counters are the registry's
-counter table (``cpu.bump`` writes through :meth:`MetricsRegistry.inc`),
-and every gate's per-edge crossing count lives in an
-:class:`EdgeStats` keyed by the caller→callee edge — so the crossing
-heat-matrix the paper's Fig. 5 diagnosis needs falls out of
-:meth:`MetricsRegistry.crossing_matrix` without any extra
+counters (``cpu.bump`` writes the stored table through
+:meth:`MetricsRegistry.inc`), and every gate's per-edge crossing count
+is read through an :class:`EdgeStats` keyed by the caller→callee edge —
+so the crossing heat-matrix the paper's Fig. 5 diagnosis needs falls
+out of :meth:`MetricsRegistry.crossing_matrix` without any extra
 instrumentation.
+
+The hot paths count each event once, in an int of the object where it
+happens: a gate's entries and exits, the machine's loads and stores,
+the scheduler's switches.  Those objects are the registry's *sources*;
+every counter name they feed is derived from their ints when the
+counters are read (DESIGN §6c rule 2).
 
 Histograms record simulated-time (or size) observations and summarise
 them with the same nearest-rank percentiles the benchmark suite uses.
@@ -77,22 +83,43 @@ class Histogram:
         }
 
 
-@dataclasses.dataclass
 class EdgeStats:
-    """Per caller→callee channel accounting (one per linked edge)."""
+    """Per caller→callee channel accounting (one per linked edge).
 
-    caller: str
-    callee: str
-    kind: str
-    crossings: int = 0
+    Each gate on the edge counts its own crossings, and ``crossings``
+    sums them when read.  Two gates share an edge when one library
+    calls two replicas of a callee over the same backend.  Assigning
+    ``crossings`` records the edge's total directly, as a registry
+    without gates behind its edges does.
+    """
+
+    __slots__ = ("caller", "callee", "kind", "gates", "_recorded")
+
+    def __init__(self, caller: str, callee: str, kind: str) -> None:
+        self.caller = caller
+        self.callee = callee
+        self.kind = kind
+        #: The gates whose crossings the edge sums.
+        self.gates: list = []
+        self._recorded = 0
+
+    @property
+    def crossings(self) -> int:
+        return self._recorded + sum(gate.crossings for gate in self.gates)
+
+    @crossings.setter
+    def crossings(self, value: int) -> None:
+        self._recorded = value - sum(gate.crossings for gate in self.gates)
 
 
 class MetricsRegistry:
     """All metrics of one simulated machine, behind one API.
 
-    - :attr:`counters` is a plain dict, only ever cleared in place, so
-      the machine's loads and stores and the compiled gate crossings
-      bind it once and bump it inline;
+    - :attr:`table` stores the counters that events bump by name
+      (``cpu.bump``, and the CHERI grants and guard checks inline); it
+      is only ever cleared in place, so writers may bind it;
+    - :attr:`counters` is the read view: the table plus every name
+      derived from the sources' own counts (:meth:`add_source`);
     - gauges and histograms are created on first use;
     - edges are registered by gates at link time and keyed by
       ``(caller, callee, kind)`` so replicated channels of different
@@ -100,7 +127,10 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self.counters: dict[str, float] = {}
+        #: The stored counter table (see the class docstring).
+        self.table: dict[str, float] = {}
+        #: Objects that count their own events (see :meth:`add_source`).
+        self._sources: list = []
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
@@ -131,7 +161,30 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         """Increment a named counter (the ``cpu.bump`` write path)."""
-        self.counters[name] = self.counters.get(name, 0.0) + amount
+        table = self.table
+        table[name] = table.get(name, 0.0) + amount
+
+    def add_source(self, source) -> None:
+        """Derive counters from ``source``'s own counts on every read.
+
+        A source counts its events in int attributes of its own, where
+        they happen.  ``source.derive_counters(view)`` adds to ``view``
+        each name those counts feed, and only once its event has
+        happened, so a name is present exactly when a bumped table
+        would hold it; ``source.zero_counters()`` serves :meth:`reset`.
+        """
+        self._sources.append(source)
+
+    @property
+    def counters(self) -> dict[str, float]:
+        """Every counter: the stored table plus the derived names.
+
+        A fresh dict on each read; nothing writes through it.
+        """
+        view = dict(self.table)
+        for source in self._sources:
+            source.derive_counters(view)
+        return view
 
     def counter(self, name: str) -> float:
         """Current value of a counter (0 when never bumped)."""
@@ -232,7 +285,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-ready copy of everything the registry holds."""
         return {
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.summary() for name, h in sorted(self._histograms.items())
@@ -242,12 +295,15 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Clear every metric (edges keep their identity, zeroed)."""
-        self.counters.clear()
+        """Clear every metric, the sources' counts included (edges keep
+        their identity, zeroed)."""
+        self.table.clear()
+        for source in self._sources:
+            source.zero_counters()
         self._gauges.clear()
         self._histograms.clear()
         for edge in self._edges.values():
-            edge.crossings = 0
+            edge._recorded = 0
 
 
 #: Process-wide registry for the design-space exploration pipeline.

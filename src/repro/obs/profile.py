@@ -294,7 +294,7 @@ class ProfileCapture:
         self._baseline = {
             "clock_ns": cpu.clock_ns,
             "edges": metrics.edge_counts(),
-            "counters": dict(metrics.counters),
+            "counters": metrics.counters,
             "cpu_time_ns": dict(cpu.domain_time_ns),
             "alloc": self._alloc_totals(),
             "latency_counts": self._latency_counts(),

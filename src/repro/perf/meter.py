@@ -135,7 +135,7 @@ class Meter:
 
     def __enter__(self) -> "Meter":
         self._start_ns = self.machine.cpu.clock_ns
-        self._start_stats = dict(self.machine.cpu.metrics.counters)
+        self._start_stats = self.machine.cpu.metrics.counters
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -60,7 +60,9 @@ CLI (used by the CI smoke steps)::
 It prints the site × backend matrix and each backend's containment
 rate (:func:`render_campaign`).  ``--json`` adds the full result; each
 cluster cell carries its shards' slots, keys, responses and replication
-stats, the replication lag and the client's stats.
+stats, the replication lag and the client's stats.  With ``--json -``
+the result is all that goes to stdout, so it pipes into a JSON reader;
+the matrix goes to stderr.
 """
 
 from __future__ import annotations
@@ -712,7 +714,7 @@ def main(argv=None) -> int:
         seed=args.seed,
         **options,
     )
-    print(render_campaign(result))
+    print(render_campaign(result), file=sys.stderr if args.json == "-" else None)
     if args.json:
         payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         if args.json == "-":

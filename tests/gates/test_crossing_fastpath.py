@@ -67,6 +67,38 @@ def test_blocking_exports_identical_on_both_paths(backend):
     assert errors[0] == errors[1]
 
 
+def test_compiled_crossings_belong_to_the_gates_package():
+    """Every compiled crossing — plain, blocking, batch, on every
+    backend — carries its gate's module, so a sampling profiler charges
+    crossing time to the gates and not to the caller.  None reaches a
+    counter table: a crossing counts itself in its gate's ints."""
+    crossings = []
+    for backend in BACKENDS:
+        _, machine = run_trace(backend, 1, observe=False)
+        for gate in machine.gates:
+            crossings += [*gate._calls.values(), *gate._gen_calls.values()]
+            if gate._batch_call is not None:
+                crossings.append(gate._batch_call)
+    machine, service, caller = make_world("mpk-shared")
+    for kind in ("direct", "profile"):
+        channel = make_channel(kind, machine, caller, service)
+        enter_caller(machine, caller)
+        channel.invoke("echo", ())
+        crossings.append(channel._calls["echo"])
+    for fn in crossings:
+        code = fn.__code__
+        assert not {"counters", "table", "metrics"} & {
+            *code.co_freevars, *code.co_names
+        }
+    assert {fn.__module__ for fn in crossings} == {
+        "repro.gates.funccall",
+        "repro.gates.mpk_shared",
+        "repro.gates.mpk_switched",
+        "repro.gates.vm_rpc",
+        "repro.gates.cheri",
+    }
+
+
 def test_plan_refreshes_on_observability_epoch_bump():
     machine, service, caller = make_world("mpk-shared")
     channel = make_channel("mpk-shared", machine, caller, service)

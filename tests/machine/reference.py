@@ -37,7 +37,13 @@ def _check(context, vaddr: int, entry, op: str) -> None:
 
 
 class ReferenceMachine(Machine):
-    """A :class:`Machine` that walks the page table on every access."""
+    """A :class:`Machine` that walks the page table on every access.
+
+    It counts accesses through ``cpu.bump``, into the registry's stored
+    table, and never in the machine's own counts, so the counters the
+    registry derives from those are checked against an independent
+    count.
+    """
 
     def _charge(self, op: str, vaddr: int, size: int):
         cpu = self.cpu

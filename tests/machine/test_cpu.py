@@ -51,7 +51,7 @@ def test_counters_and_snapshot():
     assert snap["loads"] == 2
     assert snap["bytes"] == 64
     assert "clock_ns" in snap
-    cpu.reset_stats()
+    cpu.metrics.reset()
     assert cpu.metrics.counters == {}
 
 

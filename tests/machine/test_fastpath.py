@@ -178,9 +178,14 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
             f"divergence at op {index} {op!r}: "
             f"fast={fast_result!r} slow={slow_result!r}"
         )
-    # Every simulated observable is bit-identical.
+    # Every simulated observable is bit-identical.  The two count
+    # accesses independently: the machine in its own ints, which the
+    # registry derives ``loads`` and the byte counts from on read, the
+    # reference through ``cpu.bump`` into the registry's table.
     assert fast.cpu.clock_ns == slow.cpu.clock_ns
     assert fast.cpu.snapshot() == slow.cpu.snapshot()
+    assert "loads" not in fast.cpu.metrics.table
+    assert slow.loads == slow.stores == 0
     assert fast.phys.view == slow.phys.view
     assert fast.phys.frames_allocated == slow.phys.frames_allocated
     return fast, slow

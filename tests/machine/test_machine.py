@@ -111,6 +111,26 @@ def test_access_charges_clock_and_counters(booted):
     assert machine.cpu.metrics.counters["store_bytes"] == 100
 
 
+def test_counters_are_present_exactly_when_their_event_happened(booted):
+    """Derived counters appear as a bumped table's would: a zero-length
+    load makes ``load_bytes`` present at 0, and one sealed WRPKRU makes
+    ``wrpkru`` present with no gate behind it."""
+    machine, space = booted
+    cpu = machine.cpu
+    vaddr = space.map_new(PAGE_SIZE)
+    assert cpu.metrics.counters == {}
+    assert machine.load(vaddr, 0) == b""
+    assert cpu.metrics.counters == {"loads": 1.0, "load_bytes": 0.0}
+    cpu.wrpkru(cpu.current.pkru, token=cpu.gate_token())
+    assert cpu.snapshot() == {
+        "loads": 1.0,
+        "load_bytes": 0.0,
+        "wrpkru": 1.0,
+        "clock_ns": cpu.clock_ns,
+    }
+    assert all(type(value) is float for value in cpu.snapshot().values())
+
+
 def test_access_without_context_raises_before_charging(machine):
     space = machine.new_address_space("main")
     vaddr = space.map_new(PAGE_SIZE)

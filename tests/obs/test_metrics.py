@@ -198,3 +198,95 @@ def test_profile_backend_counts_boundary_crossings():
     )
     run_iperf(flat, 1024, 1 << 16)
     assert flat.machine.cpu.metrics.counters.get("gate_crossings", 0) == 0
+
+
+def test_gates_sharing_an_edge_sum_on_it():
+    """Two gates of one caller→callee edge — the replicated ``alloc``
+    calling into one library over one backend — each count their own
+    crossings, and every edge view reports the sum."""
+    from tests.golden.worlds import kv_durable_config
+
+    image = build_image(kv_durable_config("mpk-switched"))
+    cpu = image.machine.cpu
+    metrics = cpu.metrics
+    edge = metrics.edge("alloc", "sched", "mpk-switched")
+    first, second = edge.gates
+    assert first.caller_lib is not second.caller_lib
+    for gate, times in ((first, 2), (second, 3)):
+        cpu.push_context(gate.caller_lib.compartment.make_context("test"))
+        for _ in range(times):
+            gate.invoke("yield_", ())
+        cpu.pop_context()
+    assert (first.crossings, second.crossings, edge.crossings) == (2, 3, 5)
+    assert metrics.edge_counts()[("alloc", "sched", "mpk-switched")] == 5
+    assert metrics.crossing_matrix()["alloc"]["sched"] == 5
+    assert {
+        "caller": "alloc", "callee": "sched", "kind": "mpk-switched",
+        "crossings": 5,
+    } in metrics.edges_report()
+    assert metrics.counters["gate_crossings"] == 5
+
+
+def _switched_iperf():
+    from tests.golden.worlds import fig3_config
+
+    return build_image(fig3_config("mpk-switched", {}))
+
+
+def test_reset_zeroes_every_derived_counter():
+    """``reset`` clears the table and every source's own counts: the
+    machine's accesses, the scheduler's switches and the gates'
+    entries and exits, edges included."""
+    from repro.apps import run_iperf
+
+    image = _switched_iperf()
+    run_iperf(image, 256, 1 << 14)
+    machine = image.machine
+    metrics = machine.cpu.metrics
+    derived = {
+        "loads", "load_bytes", "stores", "store_bytes", "ctx_switches",
+        "sched_domain_crossings", "gate_crossings", "mpk_crossings",
+        "wrpkru", "stack_switches",
+    }
+    assert derived <= set(metrics.counters)
+    metrics.reset()
+    assert metrics.counters == {}
+    assert machine.cpu.snapshot() == {"clock_ns": machine.cpu.clock_ns}
+    assert set(metrics.edge_counts().values()) == {0}
+    assert metrics.edges_report() == [] and metrics.crossing_matrix() == {}
+    run_iperf(image, 256, 1 << 14)
+    assert derived <= set(metrics.counters)
+
+
+def test_thread_killed_mid_crossing_leaves_its_entry_counted():
+    """A thread killed while parked in an mpk-switched ``recv`` issued
+    the first WRPKRU and stack switch of each crossing it was parked
+    in — ``recv`` and the libc wait inside it — and never the second."""
+    from repro.gates.mpk_shared import MPKSharedStackGate
+    from repro.libos.sched.base import ThreadState
+
+    image = _switched_iperf()
+    app = image.lib("iperf")
+    thread = image.spawn(
+        "iperf", app.make_server(app.next_port(), 256, 1 << 14), app
+    )
+    image.run(max_switches=20)
+    assert thread.state is ThreadState.BLOCKED
+    # Each crossing the thread is parked in pushed one context.
+    parked_in = len(thread.ctx_stack) - 1
+    image.scheduler.kill_thread(thread)
+    open_gates = [
+        (gate.caller_lib.NAME, gate.callee_lib.NAME, gate.crossings - gate.exits)
+        for gate in image.machine.gates
+        if isinstance(gate, MPKSharedStackGate) and gate.crossings != gate.exits
+    ]
+    assert sorted(open_gates) == [("iperf", "netstack", 1), ("netstack", "libc", 1)]
+    assert parked_in == 2
+    counters = image.machine.cpu.metrics.counters
+    completed = counters["gate_crossings"] - parked_in
+    assert completed > 0
+    assert (
+        counters["wrpkru"]
+        == counters["stack_switches"]
+        == 2 * completed + parked_in
+    )

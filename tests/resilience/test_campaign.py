@@ -182,6 +182,18 @@ def test_cli_renders_the_engines_matrix_and_containment_rates(capsys):
             }
 
 
+def test_cli_json_to_stdout_is_only_json(capsys):
+    """``--json -`` pipes into a JSON reader: the matrix goes to stderr."""
+    for kind, (options, flags) in SMALL_CAMPAIGNS.items():
+        assert main(["--kind", kind, "--seed", "3", *flags, "--json", "-"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["kind"] == kind
+        heading, matrix, _ = _rendered_campaign(err)
+        assert heading == f"== {kind} campaign, seed 3 (site x backend) =="
+        assert matrix == payload["matrix"]
+
+
 def test_cli_rejects_options_of_another_kind(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--kind", "containment", "--sets", "12"])
