@@ -14,6 +14,15 @@ and counts the redirect.  Failover handling mirrors an at-least-once
 retry policy: when a node dies, its outstanding requests are aborted
 back onto the pending queue in issue order (``SET`` is idempotent per
 key, so replays are safe; an acked value is never rolled back).
+
+Dispatch keeps one FIFO queue per owning shard.  Every request carries
+a FIFO position: issues count up, and MOVED chases and abort replays,
+which go to the front, count down.  :meth:`ClusterClient.pump` routes
+each request once, when it first sees it, and again only when the
+shard map's epoch moves; it then takes the heads of the queues whose
+serving node has window room and delivers them in position order.
+That is the order a scan of one whole FIFO would deliver them in, at
+O(shards + dispatched) per pump instead of O(backlog).
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ class Request:
     attempts: int = 0
     #: Owner override from a MOVED redirect (chased before the map).
     forced_shard: str | None = None
+    #: FIFO position: what orders the owner queues and the deliveries.
+    position: int = 0
 
 
 class ClusterClient:
@@ -47,7 +58,17 @@ class ClusterClient:
     def __init__(self, cluster, window: int = DEFAULT_WINDOW) -> None:
         self.cluster = cluster
         self.window = window
+        #: Requests not routed yet, in FIFO position order: front
+        #: inserts (MOVED chases, abort replays) ahead of issues.
         self.pending: collections.deque[Request] = collections.deque()
+        #: Routed, undispatched requests per owning shard name, each
+        #: queue in FIFO position order.
+        self._queues: dict[str, collections.deque[Request]] = {}
+        #: The shard map epoch the queues were routed under.
+        self._routed_epoch = cluster.map.epoch
+        #: Next positions at the back and (counting down) the front.
+        self._back = 0
+        self._front = 0
         #: FIFO of outstanding requests per node name (RESP replies come
         #: back in request order on a connection).
         self.outstanding: dict[str, collections.deque[Request]] = {}
@@ -65,9 +86,9 @@ class ClusterClient:
         self.stale_reads = 0
         #: Stale replies by key (campaign reporting).
         self.stale_keys: list[bytes] = []
-        #: Routing token ``(cluster.epoch, map.epoch)`` of the last scan
-        #: of :attr:`pending`, which left every request in it parked.
-        #: ``None`` once an enqueue or an opened window invalidates it.
+        #: Routing token ``(cluster.epoch, map.epoch)`` of the last
+        #: pump, which left every queued request parked.  ``None`` once
+        #: an enqueue or an opened window invalidates it.
         self._parked_at: tuple[int, int] | None = None
         cluster.attach_client(self)
 
@@ -75,7 +96,17 @@ class ClusterClient:
 
     def _issue(self, request: Request) -> None:
         self.issued += 1
+        request.position = self._back
+        self._back += 1
         self.pending.append(request)
+        self._parked_at = None
+
+    def _requeue(self, requests) -> None:
+        """Re-enqueue ``requests`` ahead of everything, in their order."""
+        for request in reversed(requests):
+            self._front -= 1
+            request.position = self._front
+            self.pending.appendleft(request)
         self._parked_at = None
 
     def set(self, key: bytes, value: bytes) -> None:
@@ -95,22 +126,46 @@ class ClusterClient:
     def done(self) -> bool:
         return self.completed >= self.issued
 
-    def _node_for(self, request: Request):
+    def _owner_queue(self, request: Request) -> collections.deque[Request]:
         shard = request.forced_shard or self.cluster.map.owner(request.key)
-        if shard not in self.cluster.shards:
-            return None
-        node = self.cluster.serving_node(shard)
-        return node if node.alive else None
+        queue = self._queues.get(shard)
+        if queue is None:
+            queue = self._queues[shard] = collections.deque()
+        return queue
+
+    def _route(self) -> None:
+        """Move :attr:`pending` onto the owner queues, keeping each
+        queue in position order; if the map moved since the queues were
+        routed, first re-route every queued request, in position order."""
+        epoch = self.cluster.map.epoch
+        if self._routed_epoch != epoch:
+            self._routed_epoch = epoch
+            queued = sorted(
+                (request for queue in self._queues.values() for request in queue),
+                key=lambda request: request.position,
+            )
+            self._queues = {}
+            for request in queued:
+                self._owner_queue(request).append(request)
+        pending = self.pending
+        # A front insert precedes every request queued before it, and an
+        # issue follows them all: the front inserts lead ``pending``.
+        front = []
+        while pending and pending[0].position < 0:
+            front.append(pending.popleft())
+        for request in reversed(front):
+            self._owner_queue(request).appendleft(request)
+        while pending:
+            request = pending.popleft()
+            self._owner_queue(request).append(request)
 
     def pump(self) -> int:
-        """Dispatch pending requests into open windows; returns count.
+        """Dispatch queued requests into open windows; returns count.
 
         Called on every scheduler switch of every node (via
-        :meth:`drive`'s ``until``).  A scan walks the whole FIFO and
-        leaves every request it cannot dispatch parked: its owner is
-        dead or missing, or its node's window is full.  Until one of
-        these events, a rescan would park the same requests again, so
-        ``pump`` returns 0 without one:
+        :meth:`drive`'s ``until``).  Until one of these events, every
+        queued request stays parked (its owner is dead or missing, or
+        its node's window is full), so ``pump`` returns 0 without one:
 
         - a request is enqueued or re-enqueued (``set``/``get``/
           ``delete``, a MOVED chase, an :meth:`abort_node` replay);
@@ -119,8 +174,13 @@ class ClusterClient:
         - the routing token ``(cluster.epoch, map.epoch)`` changes,
           which every kill, promotion and shard join does.
 
-        Every delivery thus happens at the same call, in the same order,
-        as with a rescan on every call.
+        After one, ``pump`` routes the requests it has not seen (and
+        every queued one again if the map moved), then takes, from each
+        queue whose shard is there and whose serving node is alive, as
+        many heads as that node's window has room for, and delivers them
+        in position order.  So every delivery happens at the same call,
+        to the same node, in the same global order as a scan of one FIFO
+        of every undispatched request on every call would make it.
         """
         cluster = self.cluster
         parked = self._parked_at
@@ -131,35 +191,34 @@ class ClusterClient:
         ):
             return 0
         self._parked_at = (cluster.epoch, cluster.map.epoch)
-        dispatched = 0
-        blocked: list[Request] = []
+        self._route()
+        ready = []
+        shards = cluster.shards
         outstanding = self.outstanding
-        while self.pending:
-            request = self.pending.popleft()
-            node = self._node_for(request)
-            if node is None:
-                # Owner dead or missing (mid-failover): park it.
-                blocked.append(request)
-                continue
-            queue = outstanding.get(node.name)
-            if queue is None:
-                queue = outstanding[node.name] = collections.deque()
-            if len(queue) >= self.window:
-                blocked.append(request)
-                continue
+        for name, queue in self._queues.items():
+            shard = shards.get(name)
+            if not queue or shard is None or not shard.serving.alive:
+                continue  # owner missing or dead (mid-failover): it waits
+            node = shard.serving
+            sent = outstanding.get(node.name)
+            if sent is None:
+                sent = outstanding[node.name] = collections.deque()
+            for _ in range(min(self.window - len(sent), len(queue))):
+                ready.append((queue.popleft(), node, sent))
+        ready.sort(key=lambda entry: entry[0].position)
+        for request, node, sent in ready:
             request.attempts += 1
-            queue.append(request)
+            sent.append(request)
             node.deliver(request.payload)
-            dispatched += 1
-        self.pending.extend(blocked)
-        return dispatched
+        return len(ready)
 
     def drive(self, max_rounds: int = 200_000) -> None:
         """Pump until every issued request completed."""
 
         def advanced() -> bool:
             self.pump()
-            return self.done
+            # ``done``, inlined: this runs on every scheduler round.
+            return self.completed >= self.issued
 
         self.cluster.fabric.run(until=advanced, max_rounds=max_rounds)
 
@@ -195,8 +254,7 @@ class ClusterClient:
                 request.forced_shard = (
                     parts[2].decode() if len(parts) >= 3 else None
                 )
-                self.pending.appendleft(request)
-                self._parked_at = None
+                self._requeue((request,))
                 return
             self.errors += 1
             self.completed += 1
@@ -235,7 +293,7 @@ class ClusterClient:
         for request in queue:
             request.forced_shard = None  # re-route via the new map
         self.retried += len(queue)
-        self.pending.extendleft(reversed(queue))
+        self._requeue(queue)
         return len(queue)
 
     # --- reporting --------------------------------------------------------

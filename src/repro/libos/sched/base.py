@@ -198,8 +198,6 @@ class Thread:
         #: Home stack region (one per compartment under switched gates).
         self.stack_base = stack_base
         self.stack_size = stack_size
-        #: Number of times this thread was scheduled in.
-        self.switches = 0
         #: Threads blocked in thread_join on this thread.
         self.exit_waitq = WaitQueue(f"exit:{tid}")
         #: Set when the thread died of a contained compartment failure

@@ -365,7 +365,6 @@ thread_join(tid)
                 charge(crossing_ns)
                 self.domain_crossings += 2
             switches += 1
-            thread.switches += 1
             thread.state = _RUNNING
             self.ctx_switches += 1
             quantum_start = cpu.clock_ns
@@ -508,7 +507,6 @@ thread_join(tid)
                     charge(crossing_ns)
                     self.domain_crossings += 2
                 switches += 1
-                thread.switches += 1
                 self.ctx_switches += 1
                 if tracer._enabled:
                     tracer.set_track(thread.tid, thread.name)

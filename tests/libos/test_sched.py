@@ -277,9 +277,8 @@ def test_switch_statistics(image):
         for _ in range(4):
             yield YIELD
 
-    thread = spawn(image, "t", body)
+    spawn(image, "t", body)
     image.run()
-    assert thread.switches == 5
     assert image.machine.cpu.metrics.counter("ctx_switches") == 5
 
 
