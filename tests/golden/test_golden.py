@@ -48,7 +48,16 @@ Scenarios:
 - ``campaign.<kind>`` — one seeded campaign per kind (containment,
   recovery, cluster) on the kind's default sites and backends, seed 0;
   the entry keeps the site × backend matrix verbatim and pins every
-  cell, with its verdict read into a fixed position.
+  cell, with its verdict read into a fixed position;
+- ``explorer.<libs>.<variants>`` — the design-space explorer on a
+  library set that its callers explore, with the default SH variants or
+  with ``alternatives``: every deployment's description in enumeration
+  order with its analytic cost (default and ``vm-rpc``), strategy 1 at
+  two budgets, strategy 2 per requirement and the most portable pick;
+- ``explorer.profiled.<backend>`` — from the ``profile.redis.<backend>``
+  capture, the profile-guided pick for ``no-wild-writes`` and the
+  auto-tuned queue edges.  Both explorer kinds keep their answers
+  verbatim.
 
 Regenerate after an intended change to simulated behaviour with::
 
@@ -85,7 +94,14 @@ import pytest
 from repro import BuildConfig, build_image
 from repro.apps import run_named_workload
 from repro.cluster.client import ClusterClient
-from repro.cluster.cluster import RedisCluster
+from repro.cluster.cluster import CLUSTER_LIBRARIES, RedisCluster
+from repro.core.builder import library_defs
+from repro.core.explorer import (
+    Explorer,
+    auto_tune_queue_edges,
+    crossing_cost_fn,
+    profiled_cost_fn,
+)
 from repro.obs import capture_profile, chrome_trace
 from repro.resilience.campaign import run_campaign
 from tests.golden.worlds import (
@@ -140,8 +156,18 @@ CAMPAIGNS = {
     "cluster": {"schedules": 2, "sets": 24},
 }
 
+#: Library sets the explorer's callers explore: the portability tests,
+#: the bench pipeline, CI's profile smoke and ``redis_tradeoffs.py``,
+#: and ``select_shard_profile``.
+EXPLORED = (
+    ["libc", "netstack", "iperf"],
+    ["libc", "netstack", "vfs", "iperf"],
+    ["libc", "netstack", "redis"],
+    list(CLUSTER_LIBRARIES),
+)
+
 #: Parts an entry keeps verbatim; it pins the others by sha256.
-PLAIN = ("clock_ns", "matrix", "reads")
+PLAIN = ("clock_ns", "matrix", "reads", "explorer")
 
 
 def _parts(machine, result) -> dict:
@@ -233,6 +259,61 @@ def _profile_scenario(backend: str):
         with capture_profile(image, "redis", REDIS_PROFILE_PARAMS) as cap:
             _, numbers = run_named_workload(image, "redis", REDIS_PROFILE_PARAMS)
         return _parts(image.machine, [numbers, cap.profile.to_dict()])
+
+    return run
+
+
+def _describe(deployment) -> str | None:
+    return deployment.describe() if deployment is not None else None
+
+
+def _explorer_scenario(libraries: list[str], alternatives: bool):
+    def run():
+        defs = library_defs(BuildConfig(libraries=libraries))
+        explorer = Explorer(defs, alternatives)
+        analytic = crossing_cost_fn(defs)
+        vm_rpc = crossing_cost_fn(defs, backend="vm-rpc")
+        deployments = explorer.deployments
+        costs = sorted(analytic(deployment) for deployment in deployments)
+        requirements = ["no-wild-writes", "isolated:netstack"]
+        if "redis" in libraries:
+            requirements.append("write-protected:redis")
+        portable = explorer.most_portable(["no-wild-writes"])
+        answers = {
+            "deployments": [
+                [deployment.describe(), analytic(deployment), vm_rpc(deployment)]
+                for deployment in deployments
+            ],
+            "max_security_within_budget": [
+                [budget, _describe(explorer.max_security_within_budget(budget))]
+                for budget in (1e9, costs[len(costs) // 2])
+            ],
+            "best_performance_meeting": [
+                [requirement, _describe(explorer.best_performance_meeting([requirement]))]
+                for requirement in requirements
+            ],
+            "most_portable": [portable[0].describe(), portable[1]],
+        }
+        return {"explorer": answers}
+
+    return run
+
+
+def _profiled_explorer_scenario(backend: str):
+    def run():
+        libraries = ["libc", "netstack", "redis"]
+        image = build_image(BuildConfig(libraries=libraries, backend=backend))
+        with capture_profile(image, "redis", REDIS_PROFILE_PARAMS) as cap:
+            run_named_workload(image, "redis", REDIS_PROFILE_PARAMS)
+        profile = cap.profile
+        cost = profiled_cost_fn(profile)
+        explorer = Explorer(library_defs(BuildConfig(libraries=libraries)))
+        pick = explorer.best_performance_meeting(["no-wild-writes"], perf_fn=cost)
+        answers = {
+            "pick": [pick.describe(), cost(pick)],
+            "auto_tune_queue_edges": auto_tune_queue_edges(profile),
+        }
+        return {"explorer": answers}
 
     return run
 
@@ -404,6 +485,14 @@ def scenarios() -> dict:
         table[f"kv.durable.{backend}"] = _kv_durable_scenario(backend)
     for kind in CAMPAIGNS:
         table[f"campaign.{kind}"] = _campaign_scenario(kind)
+    for libraries in EXPLORED:
+        for alternatives in (False, True):
+            name = f"explorer.{','.join(libraries)}." + (
+                "alternatives" if alternatives else "default"
+            )
+            table[name] = _explorer_scenario(libraries, alternatives)
+    for backend in BACKENDS:
+        table[f"explorer.profiled.{backend}"] = _profiled_explorer_scenario(backend)
     return table
 
 
