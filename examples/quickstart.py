@@ -17,8 +17,8 @@ Run:  python examples/quickstart.py
 from repro import BuildConfig, build_image
 from repro.core import (
     can_share,
-    enumerate_deployments,
     explain_conflict,
+    iter_deployments,
     parse_spec,
 )
 from repro.core.hardening import LibraryDef
@@ -73,7 +73,7 @@ libdefs = [
         },
     ),
 ]
-for deployment in enumerate_deployments(libdefs):
+for deployment in iter_deployments(libdefs):
     print(
         f"  {deployment.num_compartments} compartment(s):",
         deployment.describe(),

@@ -36,14 +36,14 @@ from repro.core.explorer import (
     DEVICE_PROFILES,
     Explorer,
     backend_for_device,
-    estimate_crossing_cost,
+    crossing_cost_fn,
     requirement_satisfied,
     security_score,
 )
 from repro.core.hardening import (
     Deployment,
     LibraryDef,
-    enumerate_deployments,
+    iter_deployments,
     sh_variants,
     transform_spec,
 )
@@ -83,11 +83,11 @@ __all__ = [
     "can_share",
     "color_classes",
     "conflict_graph",
+    "crossing_cost_fn",
     "dsatur_coloring",
-    "enumerate_deployments",
-    "estimate_crossing_cost",
     "exact_coloring",
     "explain_conflict",
+    "iter_deployments",
     "library_defs",
     "minimum_coloring",
     "parse_spec",

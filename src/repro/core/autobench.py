@@ -2,7 +2,7 @@
 
 The paper's exploration strategies need a performance number per
 candidate deployment.  The analytic estimator
-(:func:`repro.core.explorer.estimate_crossing_cost`) is cheap but
+(:func:`repro.core.explorer.crossing_cost_fn`) is cheap but
 unit-free; this module provides the accurate alternative: **build the
 candidate image and run a representative workload in it**, returning
 simulated nanoseconds per request (lower is better).  Expensive by

@@ -137,11 +137,11 @@ def exact_coloring(
 
 
 def minimum_coloring(
-    nodes: list[str], edges: Iterable[frozenset[str]], exact_limit: int = 24
+    nodes: list[str], edges: Iterable[frozenset[str]]
 ) -> dict[str, int]:
-    """Best-effort minimum coloring (exact below ``exact_limit`` nodes)."""
+    """Best-effort minimum coloring (exact up to 24 nodes)."""
     edges = list(edges)
-    if len(nodes) <= exact_limit:
+    if len(nodes) <= 24:
         return exact_coloring(nodes, edges)
     return dsatur_coloring(nodes, edges)
 
@@ -157,8 +157,7 @@ class ColoringCache:
     memoized path is bit-identical to calling the solver directly.
     """
 
-    def __init__(self, exact_limit: int = 24) -> None:
-        self.exact_limit = exact_limit
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._memo: dict[
@@ -177,7 +176,7 @@ class ColoringCache:
         if cached is None:
             self.misses += 1
             cached = self._memo[signature] = minimum_coloring(
-                nodes, signature[1], exact_limit=self.exact_limit
+                nodes, signature[1]
             )
         else:
             self.hits += 1

@@ -152,19 +152,15 @@ class CompatibilityMatrix:
     def __init__(self, variant_specs: dict[str, list[LibrarySpec]]) -> None:
         if not all(variant_specs.values()):
             raise ValueError("every library needs at least one variant spec")
-        self.names: list[str] = list(variant_specs)
-        self.variant_specs = {
-            name: list(specs) for name, specs in variant_specs.items()
-        }
         self.pairs_checked = 0
         # (name_a, name_b) → variant_a → variant_b → conflict?, stored
-        # once per unordered pair in ``self.names`` order.  A pair whose
-        # table is all-False is dropped entirely: most library pairs
-        # never conflict, and ``edges_for`` skips them for free.
+        # once per unordered pair in ``variant_specs`` order.  A pair
+        # whose table is all-False is dropped entirely: most library
+        # pairs never conflict, and ``edges_for`` skips them for free.
         self._tables: dict[tuple[str, str], list[list[bool]]] = {}
         self._pair_edges: dict[tuple[str, str], frozenset[str]] = {}
         for (a, specs_a), (b, specs_b) in itertools.combinations(
-            self.variant_specs.items(), 2
+            variant_specs.items(), 2
         ):
             table = [
                 [not can_share(spec_a, spec_b) for spec_b in specs_b]
@@ -174,16 +170,6 @@ class CompatibilityMatrix:
             if any(any(row) for row in table):
                 self._tables[(a, b)] = table
                 self._pair_edges[(a, b)] = frozenset({a, b})
-
-    def conflicts(self, a: str, i: int, b: str, j: int) -> bool:
-        """Do variant ``i`` of ``a`` and variant ``j`` of ``b`` conflict?"""
-        table = self._tables.get((a, b))
-        if table is not None:
-            return table[i][j]
-        table = self._tables.get((b, a))
-        if table is not None:
-            return table[j][i]
-        return False
 
     def edges_for(self, selection: dict[str, int]) -> set[frozenset[str]]:
         """Conflict edges of one variant selection (name → variant index).
@@ -196,10 +182,3 @@ class CompatibilityMatrix:
             if table[selection[a]][selection[b]]:
                 edges.add(self._pair_edges[(a, b)])
         return edges
-
-    def conflict_graph(
-        self, selection: dict[str, int]
-    ) -> tuple[list[str], set[frozenset[str]]]:
-        """(nodes, edges) for a selection — same contract as
-        :func:`conflict_graph` on the selected specs."""
-        return list(self.names), self.edges_for(selection)

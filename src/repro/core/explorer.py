@@ -10,7 +10,7 @@ The two strategies the paper sketches:
    that yields the best performance" —
    :meth:`Explorer.best_performance_meeting`.
 
-Performance can be estimated analytically (:func:`estimate_crossing_cost`,
+Performance can be estimated analytically (:func:`crossing_cost_fn`,
 cheap, good for ranking) or measured by actually building and running
 the image (pass a simulation-backed ``perf_fn``; the benchmarks do
 this).
@@ -19,16 +19,11 @@ this).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.coloring import ColoringCache
 from repro.core.errors import CompatibilityError
-from repro.core.hardening import (
-    Deployment,
-    LibraryDef,
-    iter_deployments,
-    sh_variants,
-)
+from repro.core.hardening import Deployment, LibraryDef, iter_deployments
 from repro.obs.metrics import exploration_metrics
 from repro.perf.meter import left_sum
 
@@ -49,19 +44,17 @@ SH_WEIGHTS = {
 }
 
 
-def estimate_crossing_cost(
-    deployment: Deployment,
-    libdefs: list[LibraryDef],
-    crossing_weight: float = 1.0,
-    sh_weight: float = 1.0,
-    backend: str | None = None,
-) -> float:
+def crossing_cost_fn(
+    libdefs: list[LibraryDef], backend: str | None = None
+) -> Callable[[Deployment], float]:
     """Analytic cost: boundary call-graph edges + SH instrumentation.
 
-    Counts the (static) call-graph edges that end up crossing a
-    compartment boundary — each such edge becomes a gate at runtime —
-    plus a weight for every hardened library.  Unit-free: useful for
-    ranking candidate deployments, not for absolute predictions.
+    The returned function counts the (static) call-graph edges that end
+    up crossing a compartment boundary — each such edge becomes a gate
+    at runtime — plus a weight for every hardened library.  Unit-free:
+    useful for ranking candidate deployments, not for absolute
+    predictions.  The per-library callee lists and the backend weight
+    are resolved once, when the function is made.
 
     ``backend`` optionally scales the crossing term by the gate
     registry's relative per-crossing cost (normalised to ``mpk-shared``
@@ -70,30 +63,12 @@ def estimate_crossing_cost(
     to SH instrumentation than an MPK one.  The default (no backend)
     keeps the historical unit weight.
     """
-    return crossing_cost_fn(libdefs, crossing_weight, sh_weight, backend)(
-        deployment
-    )
-
-
-def crossing_cost_fn(
-    libdefs: list[LibraryDef],
-    crossing_weight: float = 1.0,
-    sh_weight: float = 1.0,
-    backend: str | None = None,
-) -> Callable[[Deployment], float]:
-    """:func:`estimate_crossing_cost` pre-bound to one library set.
-
-    Resolves the per-library callee lists and the backend weight once,
-    so evaluating tens of thousands of enumeration candidates doesn't
-    rebuild them per call.  Same numbers as the plain function.
-    """
+    weight = 1.0
     if backend is not None:
         from repro.gates.registry import relative_crossing_cost
 
-        crossing_weight = crossing_weight * (
-            relative_crossing_cost(backend)
-            / relative_crossing_cost("mpk-shared")
-        )
+        mpk_shared = relative_crossing_cost("mpk-shared")
+        weight = relative_crossing_cost(backend) / mpk_shared
     callees_by_name = {
         libdef.name: tuple(
             target.split("::", 1)[0]
@@ -114,7 +89,7 @@ def crossing_cost_fn(
             for techniques in deployment.choices.values()
             for technique in techniques
         )
-        return crossing_weight * crossings + sh_weight * sh_cost
+        return weight * crossings + sh_cost
 
     return cost
 
@@ -142,78 +117,25 @@ SH_TIME_FRACTIONS = {
 SH_TIME_FRACTION_DEFAULT = 0.10
 
 
-def queue_recommendations(
-    profile: "WorkloadProfile",
-    backend: str | None = None,
-    batch: int = 8,
-    min_crossings: int = 64,
-) -> dict[str, dict[str, float]]:
-    """Edges worth converting to queue channels, from a measured profile.
-
-    For every measured caller→callee edge with at least
-    ``min_crossings`` crossings, compares the backend's synchronous
-    per-crossing cost against the amortised cost of a ``queue:<backend>``
-    channel at the given batch size
-    (:func:`repro.gates.registry.relative_crossing_cost`).  Returns the
-    edges where batching wins, keyed ``"caller->callee"`` (the exact
-    form :attr:`repro.core.config.BuildConfig.queue_edges` takes),
-    largest projected saving first.  Empty when the backend has no
-    queue variant (``direct``/``none``: nothing to amortise).
-    """
-    from repro.gates.registry import relative_crossing_cost
-
-    effective_backend = backend if backend is not None else profile.backend
-    if effective_backend in ("none", "direct"):
-        return {}
-    sync_ns = relative_crossing_cost(effective_backend)
-    queued_ns = relative_crossing_cost(
-        f"queue:{effective_backend}", batch=batch
-    )
-    if queued_ns >= sync_ns:
-        return {}
-    rows = []
-    for caller, callee, count in profile.edge_items():
-        if count < min_crossings:
-            continue
-        saved = count * (sync_ns - queued_ns)
-        rows.append(
-            (
-                f"{caller}->{callee}",
-                {
-                    "crossings": float(count),
-                    "sync_ns": sync_ns,
-                    "queued_ns": queued_ns,
-                    "saved_ns": saved,
-                },
-            )
-        )
-    rows.sort(key=lambda row: -row[1]["saved_ns"])
-    return dict(rows)
-
-
 def auto_tune_queue_edges(
-    profile: "WorkloadProfile",
-    backend: str | None = None,
-    queue_depth: int = 64,
-    min_crossings: int = 64,
-    marginal_fraction: float = 0.05,
+    profile: "WorkloadProfile", backend: str | None = None
 ) -> dict[str, str]:
-    """Pick per-edge queue batch sizes from a measured profile.
+    """Edges worth converting to queue channels, and their batch sizes,
+    from a measured profile.
 
-    The missing half of :func:`queue_recommendations`: that function
-    says *which* edges to batch at a fixed batch size; this one also
-    says *how deep*.  For each hot measured edge (at least
-    ``min_crossings`` crossings in the window) it walks doubling batch
-    candidates 2, 4, ... up to ``queue_depth`` and stops as soon as the
-    next doubling would shave less than ``marginal_fraction`` of the
-    backend's synchronous crossing cost off the amortised
-    per-operation cost — past that knee, deeper batching buys latency
-    exposure (a fuller ring between doorbells) without meaningful
-    amortisation.  An edge's batch is additionally capped at its
-    measured crossing count: a ring deeper than the traffic never
-    fills.
+    Every measured caller→callee edge with at least 64 crossings in the
+    window is a candidate.  The batch walks doubling sizes 2, 4, ... up
+    to the 64-deep ring and stops as soon as the next doubling would
+    shave less than 5% of the backend's synchronous crossing cost off
+    the amortised per-operation cost
+    (:func:`repro.gates.registry.relative_crossing_cost`) — past that
+    knee, deeper batching buys latency exposure (a fuller ring between
+    doorbells) without meaningful amortisation.  The curve depends only
+    on the backend, so every edge gets the same batch, and an edge that
+    crosses 64 times or more always fills it.
 
-    Returns ``{"caller->callee": "batch:N"}`` — exactly the form
+    Returns ``{"caller->callee": "batch:N"}``, largest projected saving
+    first (ties by edge name) — exactly the form
     :attr:`repro.core.config.BuildConfig.queue_edges` takes, so the
     result can be dropped into a config verbatim.  Empty when the
     backend has no queue variant or batching never beats the
@@ -230,39 +152,27 @@ def auto_tune_queue_edges(
     def per_op_ns(batch: int) -> float:
         return relative_crossing_cost(kind, batch=batch)
 
-    # The amortisation curve depends only on the backend, so the knee
-    # is found once; per-edge caps are applied below.
-    knee = 2
-    while knee * 2 <= max(2, queue_depth):
-        if per_op_ns(knee) - per_op_ns(knee * 2) < marginal_fraction * sync_ns:
-            break
-        knee *= 2
-    rows = []
-    for caller, callee, count in profile.edge_items():
-        if count < min_crossings:
-            continue
-        batch = knee
-        while batch > 2 and batch > count:
-            batch //= 2
-        queued_ns = per_op_ns(batch)
-        if queued_ns >= sync_ns:
-            continue
-        rows.append((count * (sync_ns - queued_ns), f"{caller}->{callee}", batch))
-    rows.sort(key=lambda row: (-row[0], row[1]))
-    return {edge: f"batch:{batch}" for _, edge, batch in rows}
+    batch = 2
+    while batch < 64 and (
+        per_op_ns(batch) - per_op_ns(batch * 2) >= 0.05 * sync_ns
+    ):
+        batch *= 2
+    if per_op_ns(batch) >= sync_ns:
+        return {}
+    rows = sorted(
+        (-count, f"{caller}->{callee}")
+        for caller, callee, count in profile.edge_items()
+        if count >= 64
+    )
+    return {edge: f"batch:{batch}" for _, edge in rows}
 
 
 def profiled_cost_fn(
-    profile: "WorkloadProfile",
-    backend: str | None = None,
-    crossing_weight: float = 1.0,
-    sh_weight: float = 1.0,
-    queue_edges: Iterable[str | tuple[str, str]] | None = None,
-    queue_batch: int = 8,
+    profile: "WorkloadProfile", backend: str | None = None
 ) -> Callable[[Deployment], float]:
     """Measured-workload cost estimator: profile in, ``perf_fn`` out.
 
-    Replaces :func:`estimate_crossing_cost`'s static call-graph edge
+    Replaces :func:`crossing_cost_fn`'s static call-graph edge
     count with what the workload actually did: each measured
     caller→callee crossing that lands on a compartment boundary in the
     candidate coloring is charged the backend's per-crossing cost
@@ -279,14 +189,6 @@ def profiled_cost_fn(
     naming libraries absent from a candidate's coloring contribute
     nothing (they cannot cross a boundary that no longer exists).
 
-    ``queue_edges`` — ``"caller->callee"`` strings (or pairs), the same
-    form as :attr:`repro.core.config.BuildConfig.queue_edges` — marks
-    edges carried by a queue channel: their boundary crossings are
-    charged the amortised ``queue:<backend>`` cost at ``queue_batch``
-    instead of the synchronous cost, so the explorer can trade sync
-    against batched crossings per edge (see
-    :func:`queue_recommendations` for deriving the set from a profile).
-
     The returned callable carries ``profile_hash`` and ``estimator``
     attributes so caching layers can key scores by estimator identity
     (see :func:`repro.core.perfcache.candidate_key`).
@@ -295,19 +197,6 @@ def profiled_cost_fn(
 
     effective_backend = backend if backend is not None else profile.backend
     crossing_ns = relative_crossing_cost(effective_backend)
-    queued: set[tuple[str, str]] = set()
-    if queue_edges and effective_backend not in ("none", "direct"):
-        for edge in queue_edges:
-            if isinstance(edge, str):
-                caller, _, callee = edge.partition("->")
-                queued.add((caller, callee))
-            else:
-                queued.add((edge[0], edge[1]))
-    queue_ns = (
-        relative_crossing_cost(f"queue:{effective_backend}", batch=queue_batch)
-        if queued
-        else 0.0
-    )
     pairs = [
         ((caller, callee), count)
         for caller, callee, count in profile.edge_items()
@@ -317,7 +206,6 @@ def profiled_cost_fn(
     def cost(deployment: Deployment) -> float:
         coloring = deployment.coloring
         boundary_crossings = 0
-        queued_crossings = 0
         for (caller, callee), count in pairs:
             caller_color = coloring.get(caller)
             callee_color = coloring.get(callee)
@@ -326,10 +214,7 @@ def profiled_cost_fn(
                 and callee_color is not None
                 and caller_color != callee_color
             ):
-                if (caller, callee) in queued:
-                    queued_crossings += count
-                else:
-                    boundary_crossings += count
+                boundary_crossings += count
         sh_ns = left_sum(
             lib_time.get(name, 0.0)
             * left_sum(
@@ -338,17 +223,10 @@ def profiled_cost_fn(
             )
             for name, techniques in deployment.choices.items()
         )
-        return (
-            crossing_weight
-            * (boundary_crossings * crossing_ns + queued_crossings * queue_ns)
-            + sh_weight * sh_ns
-        )
+        return boundary_crossings * crossing_ns + sh_ns
 
     cost.profile_hash = profile.profile_hash()
     cost.estimator = f"profiled:{cost.profile_hash}:{effective_backend}"
-    if queued:
-        edge_tags = ",".join(sorted(f"{a}->{b}" for a, b in queued))
-        cost.estimator += f":queue[{edge_tags}]@{queue_batch}"
     return cost
 
 
@@ -452,17 +330,10 @@ def backend_for_device(
 class Explorer:
     """Enumerates and ranks feasible deployments for a library set.
 
-    Enumeration is **lazy**: candidates stream out of
-    :func:`repro.core.hardening.iter_deployments` (pairwise variant
-    matrix + coloring memo) and are materialized incrementally, so a
-    strategy query that short-circuits never pays for the tail of the
-    variant product.  Materialized candidates are kept, so repeated
-    queries never re-enumerate.
-
-    ``prune_dominated=True`` applies the cost-dominance filter from
-    :func:`iter_deployments` to the whole exploration — correct for
-    cost-minimizing queries, *not* for ``max_security_within_budget``
-    (see the pruning note there).
+    The deployments come from :func:`repro.core.hardening.iter_deployments`
+    (pairwise variant matrix + coloring memo).  They are enumerated once,
+    on first use, and kept: every strategy scans the whole list, in
+    enumeration order, and the first optimum wins a tie.
 
     Per-phase host timings and cache statistics land in the shared
     :func:`repro.obs.exploration_metrics` registry
@@ -474,73 +345,41 @@ class Explorer:
         libdefs: list[LibraryDef],
         alternatives: bool = False,
         isolate: tuple[str, ...] = (),
-        prune_dominated: bool = False,
     ) -> None:
         self.libdefs = libdefs
-        self._alternatives = alternatives
         self._stats: dict = {}
         self.coloring_cache = ColoringCache()
         self._source = iter_deployments(
             libdefs,
             alternatives,
             isolate=isolate,
-            prune_dominated=prune_dominated,
             coloring_cache=self.coloring_cache,
             stats=self._stats,
         )
-        self._materialized: list[Deployment] = []
-        self._exhausted = False
+        self._deployments: list[Deployment] | None = None
         self._default_perf: Callable[[Deployment], float] | None = None
-
-    def _iter(self) -> Iterator[Deployment]:
-        """Reentrant lazy iteration over all deployments."""
-        metrics = exploration_metrics()
-        index = 0
-        while True:
-            while index < len(self._materialized):
-                yield self._materialized[index]
-                index += 1
-            if self._exhausted:
-                return
-            started = time.perf_counter_ns()
-            try:
-                deployment = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                deployment = None
-            metrics.inc(
-                "explore.enumerate_host_ns", time.perf_counter_ns() - started
-            )
-            if deployment is not None:
-                self._materialized.append(deployment)
 
     @property
     def deployments(self) -> list[Deployment]:
         """Every feasible deployment (SH combination × coloring)."""
-        return list(self._iter())
+        if self._deployments is None:
+            started = time.perf_counter_ns()
+            self._deployments = list(self._source)
+            exploration_metrics().inc(
+                "explore.enumerate_host_ns", time.perf_counter_ns() - started
+            )
+        return self._deployments
 
     def exploration_stats(self) -> dict:
-        """Matrix/memo/pruning counters for the enumeration so far."""
-        return {
-            **self._stats,
-            "materialized": len(self._materialized),
-            "exhausted": self._exhausted,
-            "coloring_memo_size": len(self.coloring_cache),
-        }
+        """Matrix and coloring-memo counters of the enumeration, once it
+        has run."""
+        return {**self._stats, "coloring_memo_size": len(self.coloring_cache)}
 
     def default_perf(self, deployment: Deployment) -> float:
         """The analytic cost estimator bound to this library set."""
         if self._default_perf is None:
             self._default_perf = crossing_cost_fn(self.libdefs)
         return self._default_perf(deployment)
-
-    def _security_upper_bound(self) -> float:
-        """No deployment of this library set can score higher."""
-        max_techniques = sum(
-            max(len(variant) for variant in sh_variants(libdef, self._alternatives))
-            for libdef in self.libdefs
-        )
-        return 5.0 * (len(self.libdefs) - 1) + 2.0 * max_techniques
 
     def _timed_query(self, name: str):
         """Context manager charging query host-time to the obs registry."""
@@ -564,45 +403,30 @@ class Explorer:
         budget: float,
         perf_fn: Callable[[Deployment], float] | None = None,
     ) -> Deployment | None:
-        """Strategy 1: the safest deployment whose cost fits the budget.
-
-        Streams over the lazy enumeration and stops early when a
-        candidate within budget reaches the library set's security
-        upper bound — the rest of the product cannot beat it.
-        """
+        """Strategy 1: the safest deployment whose cost fits the budget."""
         perf = perf_fn if perf_fn is not None else self.default_perf
-        bound = self._security_upper_bound()
         best: Deployment | None = None
         best_score = float("-inf")
         with self._timed_query("max_security_within_budget"):
-            for deployment in self._iter():
+            for deployment in self.deployments:
                 if perf(deployment) > budget:
                     continue
                 score = security_score(deployment)
                 if score > best_score:
                     best, best_score = deployment, score
-                    if best_score >= bound:
-                        break
         return best
 
     def best_performance_meeting(
         self,
         requirements: list[str],
         perf_fn: Callable[[Deployment], float] | None = None,
-        stop_at: float | None = None,
     ) -> Deployment | None:
-        """Strategy 2: the cheapest deployment meeting all requirements.
-
-        ``stop_at`` optionally short-circuits the scan: the first
-        compliant candidate at or below that cost is returned
-        immediately (useful when any deployment under a known floor —
-        e.g. zero boundary crossings — is good enough).
-        """
+        """Strategy 2: the cheapest deployment meeting all requirements."""
         perf = perf_fn if perf_fn is not None else self.default_perf
         best: Deployment | None = None
         best_cost = float("inf")
         with self._timed_query("best_performance_meeting"):
-            for deployment in self._iter():
+            for deployment in self.deployments:
                 if not all(
                     requirement_satisfied(deployment, requirement, self.libdefs)
                     for requirement in requirements
@@ -611,10 +435,7 @@ class Explorer:
                 cost = perf(deployment)
                 if cost < best_cost:
                     best, best_cost = deployment, cost
-                    if stop_at is not None and best_cost <= stop_at:
-                        break
         return best
-
     def most_portable(
         self,
         requirements: list[str],
@@ -636,7 +457,7 @@ class Explorer:
         best: tuple[Deployment, dict[str, str]] | None = None
         best_key: tuple[int, float] | None = None
         with self._timed_query("most_portable"):
-            for deployment in self._iter():
+            for deployment in self.deployments:
                 if not all(
                     requirement_satisfied(deployment, requirement, self.libdefs)
                     for requirement in requirements

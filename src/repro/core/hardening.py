@@ -15,7 +15,7 @@ the SH technique is enabled."
 "The result of this step will be a list of libraries that have two
 versions: one with SH, and one without.  We then iterate through all
 combinations of such library versions and run the graph coloring
-algorithm" — :func:`enumerate_deployments`.
+algorithm" — :func:`iter_deployments`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from repro.core.compatibility import CompatibilityMatrix, conflict_graph
-from repro.core.coloring import ColoringCache, color_classes, minimum_coloring
+from repro.core.compatibility import CompatibilityMatrix
+from repro.core.coloring import ColoringCache, color_classes
 from repro.core.errors import SpecError
 from repro.core.metadata import LibrarySpec, Region
 
@@ -268,37 +268,36 @@ def iter_deployments(
     libdefs: list[LibraryDef],
     alternatives: bool = False,
     isolate: tuple[str, ...] = (),
-    prune_dominated: bool = False,
     coloring_cache: ColoringCache | None = None,
     stats: dict | None = None,
 ):
-    """Lazily yield all SH-variant combinations, each minimally colored.
+    """Yield all SH-variant combinations, each minimally colored.
 
-    The fast path behind :func:`enumerate_deployments`: the pairwise
-    compatibility matrix is computed once over all library *variants*
-    (each ``can_share`` depends only on the two specs), each distinct
-    conflict-graph signature is colored once (``coloring_cache``), and
-    deployments stream out so strategy queries can short-circuit
-    without materializing the full variant product.  Yields the exact
-    deployments the eager path produces, in the same order.
+    "This will result in as many colorings as there are possible
+    combinations of libraries."  Deployments come out in the variant
+    product's order, ``()`` (unhardened) first for every library.
 
-    ``prune_dominated=True`` additionally skips any deployment whose
-    effective specs are identical to an earlier-yielded one with a
-    pointwise subset of its SH techniques: the extra techniques changed
-    no spec, so the layout, requirement satisfaction, and conflict
-    structure are identical while every cost model charges at least as
-    much.  Valid for cost-minimizing queries; **not** for security
-    maximization (``security_score`` rewards technique count).
+    ``isolate`` names libraries the user wants in their own
+    compartments regardless of metadata compatibility — the paper's
+    "set of predefined compartments (e.g. isolate the application and
+    the network stack from everything else)".  Implemented as extra
+    conflict edges, so the coloring still minimises everything else.
 
-    ``stats``, when given, is filled with matrix/memo/pruning counters.
+    The pairwise compatibility matrix is computed once over all library
+    *variants* (each ``can_share`` depends only on the two specs), and
+    each distinct conflict-graph signature is colored once
+    (``coloring_cache``).  ``tests/core/reference.py`` keeps the
+    per-combination pipeline (a fresh conflict graph and coloring per
+    combination) that this must match deployment for deployment.
+
+    ``stats``, when given, is filled with matrix and memo counters.
     """
     _validate_isolate(libdefs, isolate)
     names = [libdef.name for libdef in libdefs]
     if len(set(names)) != len(names):
         raise SpecError("duplicate library names in libdef list")
     return _iter_deployments(
-        libdefs, names, alternatives, isolate, prune_dominated,
-        coloring_cache, stats,
+        libdefs, names, alternatives, isolate, coloring_cache, stats
     )
 
 
@@ -307,7 +306,6 @@ def _iter_deployments(
     names: list[str],
     alternatives: bool,
     isolate: tuple[str, ...],
-    prune_dominated: bool,
     coloring_cache: ColoringCache | None,
     stats: dict | None,
 ):
@@ -327,12 +325,6 @@ def _iter_deployments(
     if stats is not None:
         stats["pairs_checked"] = matrix.pairs_checked
         stats["combos"] = 0
-        stats["pruned"] = 0
-    # spec tuple → technique choices already yielded with those specs,
-    # for dominance pruning.  Variant lists start with ``()`` so a
-    # dominating (subset) combination always precedes the dominated one
-    # in product order.
-    yielded_for_specs: dict[tuple, list[tuple]] = {}
     index_ranges = [range(len(options)) for options in option_lists]
     for indices in itertools.product(*index_ranges):
         choices = {
@@ -343,23 +335,6 @@ def _iter_deployments(
             name: variant_specs[name][index]
             for name, index in zip(names, indices)
         }
-        if prune_dominated:
-            spec_signature = tuple(specs[name] for name in names)
-            seen = yielded_for_specs.setdefault(spec_signature, [])
-            technique_sets = tuple(
-                frozenset(choices[name]) for name in names
-            )
-            if any(
-                all(
-                    earlier_set <= current_set
-                    for earlier_set, current_set in zip(earlier, technique_sets)
-                )
-                for earlier in seen
-            ):
-                if stats is not None:
-                    stats["pruned"] += 1
-                continue
-            seen.append(technique_sets)
         edges = matrix.edges_for(dict(zip(names, indices)))
         if extra_edges:
             edges |= extra_edges
@@ -369,52 +344,3 @@ def _iter_deployments(
             stats["coloring_hits"] = cache.hits
             stats["coloring_misses"] = cache.misses
         yield Deployment(choices=choices, specs=specs, coloring=coloring)
-
-
-def enumerate_deployments(
-    libdefs: list[LibraryDef],
-    alternatives: bool = False,
-    isolate: tuple[str, ...] = (),
-    eager: bool = False,
-) -> list[Deployment]:
-    """All SH-variant combinations, each minimally colored.
-
-    "This will result in as many colorings as there are possible
-    combinations of libraries."
-
-    ``isolate`` names libraries the user wants in their own
-    compartments regardless of metadata compatibility — the paper's
-    "set of predefined compartments (e.g. isolate the application and
-    the network stack from everything else)".  Implemented as extra
-    conflict edges, so the coloring still minimises everything else.
-
-    By default this materializes :func:`iter_deployments` (pairwise
-    matrix + coloring memo).  ``eager=True`` runs the original
-    per-combination pipeline — a full ``conflict_graph`` and a fresh
-    ``minimum_coloring`` per combo — kept as the reference
-    implementation the fast path is benchmarked and property-tested
-    against.
-    """
-    if not eager:
-        return list(iter_deployments(libdefs, alternatives, isolate=isolate))
-    _validate_isolate(libdefs, isolate)
-    option_lists = [sh_variants(libdef, alternatives) for libdef in libdefs]
-    deployments = []
-    for combo in itertools.product(*option_lists):
-        choices = {
-            libdef.name: techs for libdef, techs in zip(libdefs, combo)
-        }
-        specs = {
-            libdef.name: transform_spec(libdef, techs)
-            for libdef, techs in zip(libdefs, combo)
-        }
-        nodes, edges = conflict_graph(list(specs.values()))
-        for name in isolate:
-            for other in nodes:
-                if other != name:
-                    edges.add(frozenset({name, other}))
-        coloring = minimum_coloring(nodes, edges)
-        deployments.append(
-            Deployment(choices=choices, specs=specs, coloring=coloring)
-        )
-    return deployments

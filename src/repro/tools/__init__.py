@@ -14,8 +14,3 @@
 
 Campaigns have their own CLI, ``python -m repro.resilience.campaign``.
 """
-
-from repro.tools.inspect import describe_config, format_conflicts, format_specs
-from repro.tools.report import report as run_report
-
-__all__ = ["describe_config", "format_conflicts", "format_specs", "run_report"]

@@ -12,7 +12,7 @@ import argparse
 from repro.core.builder import library_defs
 from repro.core.compatibility import conflict_graph, explain_conflict
 from repro.core.config import BuildConfig
-from repro.core.explorer import Explorer, estimate_crossing_cost, security_score
+from repro.core.explorer import Explorer, crossing_cost_fn, security_score
 from repro.core.hardening import transform_spec
 
 
@@ -53,11 +53,11 @@ def describe_config(config: BuildConfig) -> str:
         "",
         "== Enumerated deployments (SH variants x coloring) ==",
     ]
+    cost = crossing_cost_fn(defs)
     for deployment in explorer.deployments:
-        cost = estimate_crossing_cost(deployment, defs)
         sections.append(
             f"  [{deployment.num_compartments} compartment(s), "
-            f"analytic cost {cost:.1f}, security "
+            f"analytic cost {cost(deployment):.1f}, security "
             f"{security_score(deployment):.1f}] {deployment.describe()}"
         )
     if config.hardening:

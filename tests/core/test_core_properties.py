@@ -9,7 +9,7 @@ from repro.core.compatibility import can_share, conflict_graph, violations
 from repro.core.coloring import minimum_coloring, verify_coloring
 from repro.core.hardening import (
     LibraryDef,
-    enumerate_deployments,
+    iter_deployments,
     transform_spec,
 )
 from repro.core.metadata import LibrarySpec, Region, Requires
@@ -185,7 +185,7 @@ def test_fully_hardened_deployment_minimizes_compartments(unsafe_count):
             ),
         )
     )
-    deployments = enumerate_deployments(libdefs)
+    deployments = list(iter_deployments(libdefs))
     fully = min(
         deployments, key=lambda d: sum(len(t) for t in d.choices.values())
     )

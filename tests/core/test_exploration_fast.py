@@ -1,11 +1,13 @@
-"""The exploration fast path: matrix, coloring memo, lazy enumeration.
+"""The exploration fast path: variant matrix and coloring memo.
 
-Property-style tests (seeded random instances) pinning the fast
-pipeline to its reference implementations:
+Property-style tests (seeded random instances, the bench's synthetic
+sets and the library sets the explorer's callers explore) pinning the
+fast pipeline to its reference implementations:
 
 - the variant compatibility matrix reproduces ``conflict_graph``;
-- lazy (and pruned) enumeration yields the same deployments as the
-  eager per-combination path;
+- ``iter_deployments`` yields the same deployments, in the same order,
+  as the per-combination pipeline in ``tests/core/reference.py``, and
+  both explorer strategies pick what that pipeline's list picks;
 - the coloring memo is bit-identical to calling the solver;
 - ``exact_coloring`` matches DSATUR's color count whenever DSATUR is
   provably optimal (count == clique lower bound);
@@ -26,17 +28,22 @@ from repro.core.coloring import (
     _max_clique_lower_bound,
     _adjacency,
 )
+import repro.apps  # noqa: F401  (registers the app libraries)
+from benchmarks.bench_explorer import synthetic_libdefs
+from repro.cluster.cluster import CLUSTER_LIBRARIES
+from repro.core.builder import LIBRARY_TYPES, library_defs
 from repro.core.compatibility import CompatibilityMatrix, conflict_graph
-from repro.core.explorer import Explorer, estimate_crossing_cost
+from repro.core.config import BuildConfig
+from repro.core.explorer import Explorer, crossing_cost_fn
 from repro.core.hardening import (
     Deployment,
     LibraryDef,
-    enumerate_deployments,
     iter_deployments,
     transform_spec,
     sh_variants,
 )
 from repro.core.metadata import LibrarySpec, Region, Requires
+from tests.core.reference import eager_deployments, reference_picks
 
 
 def random_spec(rng: random.Random, name: str) -> LibrarySpec:
@@ -81,6 +88,31 @@ def random_libdef(rng: random.Random, name: str) -> LibraryDef:
     return LibraryDef(name=name, spec=spec, true_behavior=behavior)
 
 
+def assert_matches_reference(libdefs, alternatives, isolate=()) -> None:
+    """``iter_deployments`` and both strategies, against the reference
+    pipeline: the same deployments in the same order, and the same
+    picks at an unbounded and at the median analytic budget."""
+    eager = eager_deployments(libdefs, alternatives, isolate)
+    fast = list(iter_deployments(libdefs, alternatives, isolate=isolate))
+    assert fast == eager  # same deployments, same order, bit-identical
+    assert [d.key() for d in fast] == [d.key() for d in eager]
+    explorer = Explorer(libdefs, alternatives, isolate=isolate)
+    costs = sorted(map(crossing_cost_fn(libdefs), eager))
+    for budget in (1e9, costs[len(costs) // 2]):
+        expected = reference_picks(eager, libdefs, budget)
+        got = {
+            "max_security_within_budget": explorer.max_security_within_budget(
+                budget
+            ),
+            "best_performance_meeting": explorer.best_performance_meeting(
+                ["no-wild-writes"]
+            ),
+        }
+        assert {name: pick and pick.key() for name, pick in got.items()} == {
+            name: pick and pick.key() for name, pick in expected.items()
+        }
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_matrix_matches_conflict_graph(seed):
     """Every selection's edges from the matrix == a fresh conflict_graph."""
@@ -100,14 +132,7 @@ def test_matrix_matches_conflict_graph(seed):
         selected = [
             variant_specs[name][index] for name, index in selection.items()
         ]
-        nodes, edges = conflict_graph(selected)
-        matrix_nodes, matrix_edges = matrix.conflict_graph(selection)
-        assert matrix_nodes == nodes
-        assert matrix_edges == edges
-        for (a, i), (b, j) in itertools.combinations(selection.items(), 2):
-            assert matrix.conflicts(a, i, b, j) == (
-                frozenset({a, b}) in edges
-            )
+        assert matrix.edges_for(selection) == conflict_graph(selected)[1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -115,35 +140,51 @@ def test_matrix_matches_conflict_graph(seed):
 def test_lazy_enumeration_matches_eager(seed, alternatives):
     rng = random.Random(seed)
     libdefs = [random_libdef(rng, f"lib{i}") for i in range(4)]
-    eager = enumerate_deployments(libdefs, alternatives, eager=True)
-    fast = list(iter_deployments(libdefs, alternatives))
-    assert fast == eager  # same deployments, same order, bit-identical
-    assert [d.key() for d in fast] == [d.key() for d in eager]
+    assert_matches_reference(libdefs, alternatives)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_pruned_enumeration_preserves_cheapest(seed):
-    """Pruning drops only cost-dominated candidates: the same deployment
-    set by key survives for every spec signature's cheapest member, and
-    the analytic minimum is unchanged."""
-    rng = random.Random(seed)
-    libdefs = [random_libdef(rng, f"lib{i}") for i in range(4)]
-    full = list(iter_deployments(libdefs, alternatives=True))
-    pruned = list(iter_deployments(libdefs, alternatives=True, prune_dominated=True))
-    full_keys = {d.key() for d in full}
-    assert {d.key() for d in pruned} <= full_keys
-    assert min(
-        estimate_crossing_cost(d, libdefs) for d in pruned
-    ) == min(estimate_crossing_cost(d, libdefs) for d in full)
+@pytest.mark.parametrize("alternatives", [False, True])
+@pytest.mark.parametrize("count", [4, 6])
+def test_synthetic_sets_match_reference(count, alternatives):
+    assert_matches_reference(synthetic_libdefs(count), alternatives)
+
+
+@pytest.mark.parametrize("alternatives", [False, True])
+@pytest.mark.parametrize(
+    "libraries",
+    [
+        ["libc", "netstack", "iperf"],
+        ["libc", "netstack", "vfs", "iperf"],
+        ["libc", "netstack", "redis"],
+        CLUSTER_LIBRARIES,
+    ],
+    ids=",".join,
+)
+def test_library_sets_match_reference(libraries, alternatives):
+    defs = library_defs(BuildConfig(libraries=list(libraries)))
+    assert_matches_reference(defs, alternatives)
+
+
+def test_no_registered_library_has_a_dominated_variant():
+    """No SH variant of a registered library leaves the spec of a variant
+    with a subset of its techniques unchanged, so no deployment is ever
+    cost-dominated by another with the same effective specs."""
+    defs = library_defs(BuildConfig(libraries=sorted(LIBRARY_TYPES)))
+    assert len(defs) == 12
+    for libdef in defs:
+        variants = sh_variants(libdef, alternatives=True)
+        for fewer, more in itertools.permutations(variants, 2):
+            if set(fewer) <= set(more):
+                assert transform_spec(libdef, fewer) != transform_spec(
+                    libdef, more
+                ), (libdef.name, fewer, more)
 
 
 def test_isolate_edges_preserved_on_fast_path():
     rng = random.Random(42)
     libdefs = [random_libdef(rng, f"lib{i}") for i in range(4)]
-    eager = enumerate_deployments(libdefs, isolate=("lib2",), eager=True)
-    fast = enumerate_deployments(libdefs, isolate=("lib2",))
-    assert fast == eager
-    for deployment in fast:
+    assert_matches_reference(libdefs, False, isolate=("lib2",))
+    for deployment in iter_deployments(libdefs, isolate=("lib2",)):
         alone = [
             name
             for name, color in deployment.coloring.items()
@@ -247,56 +288,23 @@ def test_estimator_backend_weights_rank_consistently():
         },
         coloring={"a": 0, "b": 1},
     )
-    default = estimate_crossing_cost(split, libdefs)
-    mpk = estimate_crossing_cost(split, libdefs, backend="mpk-shared")
-    vm = estimate_crossing_cost(split, libdefs, backend="vm-rpc")
-    cheri = estimate_crossing_cost(split, libdefs, backend="cheri")
+    default = crossing_cost_fn(libdefs)(split)
+    mpk = crossing_cost_fn(libdefs, backend="mpk-shared")(split)
+    vm = crossing_cost_fn(libdefs, backend="vm-rpc")(split)
+    cheri = crossing_cost_fn(libdefs, backend="cheri")(split)
     assert default == mpk  # mpk-shared is the normalisation point
     assert vm > mpk > cheri
     with pytest.raises(Exception):
-        estimate_crossing_cost(split, libdefs, backend="quantum")
-
-
-def test_explorer_streams_lazily():
-    """Strategy queries must not force the whole variant product."""
-    rng = random.Random(7)
-    libdefs = [random_libdef(rng, f"lib{i}") for i in range(6)]
-    explorer = Explorer(libdefs, alternatives=True)
-    # stop_at=0 with a free perf fn returns on the first compliant
-    # candidate; the product must not be exhausted afterwards.
-    found = explorer.best_performance_meeting(
-        [], perf_fn=lambda d: 0.0, stop_at=0.0
-    )
-    assert found is not None
-    stats = explorer.exploration_stats()
-    total = 1
-    for libdef in libdefs:
-        total *= len(sh_variants(libdef, alternatives=True))
-    assert stats["materialized"] < total
-    assert not stats["exhausted"]
-    # Full materialization still works afterwards and is stable.
-    assert len(explorer.deployments) == total
-    assert explorer.exploration_stats()["exhausted"]
+        crossing_cost_fn(libdefs, backend="quantum")
 
 
 def test_explorer_strategies_match_eager_reference():
     rng = random.Random(11)
     libdefs = [random_libdef(rng, f"lib{i}") for i in range(4)]
-    eager = enumerate_deployments(libdefs, alternatives=True, eager=True)
+    expected = reference_picks(eager_deployments(libdefs, True), libdefs)
     explorer = Explorer(libdefs, alternatives=True)
-
-    from repro.core.explorer import requirement_satisfied, security_score
-
-    perf = lambda d: estimate_crossing_cost(d, libdefs)  # noqa: E731
-    within = [d for d in eager if perf(d) <= 1e9]
-    expected_security = max(within, key=security_score)
     got_security = explorer.max_security_within_budget(budget=1e9)
-    assert got_security.key() == expected_security.key()
-
-    compliant = [
-        d for d in eager if requirement_satisfied(d, "no-wild-writes", libdefs)
-    ]
-    if compliant:
-        expected_best = min(compliant, key=perf)
+    assert got_security.key() == expected["max_security_within_budget"].key()
+    if expected["best_performance_meeting"] is not None:
         got_best = explorer.best_performance_meeting(["no-wild-writes"])
-        assert got_best.key() == expected_best.key()
+        assert got_best.key() == expected["best_performance_meeting"].key()

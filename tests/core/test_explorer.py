@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.errors import CompatibilityError
 from repro.core.explorer import (
+    SH_WEIGHTS,
     Explorer,
-    estimate_crossing_cost,
+    crossing_cost_fn,
     requirement_satisfied,
     security_score,
 )
-from repro.core.hardening import LibraryDef, enumerate_deployments
+from repro.core.hardening import LibraryDef, iter_deployments
 from repro.core.spec_parser import parse_spec
 
 SCHED = LibraryDef(
@@ -75,13 +76,18 @@ def test_security_score_prefers_separation_and_sh(explorer):
 
 
 def test_crossing_estimator_counts_boundary_edges():
-    deployments = enumerate_deployments(LIBS)
+    deployments = list(iter_deployments(LIBS))
+    cost = crossing_cost_fn(LIBS)
     for deployment in deployments:
-        cost = estimate_crossing_cost(deployment, LIBS)
-        assert cost >= 0
-    # A deployment with everything co-located has zero crossings.
+        assert cost(deployment) >= 0
+    # A deployment with everything co-located has zero crossings, so it
+    # costs only its hardening.
     merged = next(d for d in deployments if d.num_compartments == 1)
-    assert estimate_crossing_cost(merged, LIBS, sh_weight=0) == 0
+    assert cost(merged) == sum(
+        SH_WEIGHTS[technique]
+        for techniques in merged.choices.values()
+        for technique in techniques
+    )
 
 
 def test_max_security_within_budget(explorer):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.hardening import (
     TRANSFORMATIONS,
     LibraryDef,
-    enumerate_deployments,
+    iter_deployments,
     sh_variants,
     transform_spec,
 )
@@ -112,7 +112,7 @@ def test_sh_variants_for_bounded_and_opaque():
 def test_enumerate_deployments_paper_example():
     """Scheduler + unsafe C lib: the SH version shares a compartment,
     the original requires a separate one (paper §2)."""
-    deployments = enumerate_deployments([SCHED, UNSAFE])
+    deployments = list(iter_deployments([SCHED, UNSAFE]))
     assert len(deployments) == 2  # one per unsafe-lib version
     by_choice = {d.choices["unsafe"]: d for d in deployments}
     plain = by_choice[()]
@@ -124,7 +124,7 @@ def test_enumerate_deployments_paper_example():
 
 
 def test_deployment_introspection():
-    deployments = enumerate_deployments([SCHED, UNSAFE])
+    deployments = list(iter_deployments([SCHED, UNSAFE]))
     hardened = next(d for d in deployments if d.choices["unsafe"])
     assert hardened.hardened_libraries() == ["unsafe"]
     assert hardened.compartments == [["sched", "unsafe"]]
@@ -134,7 +134,7 @@ def test_deployment_introspection():
 
 def test_enumeration_size_scales_with_hardenable_libs():
     libs = [SCHED, UNSAFE, OPAQUE]
-    deployments = enumerate_deployments(libs)
+    deployments = list(iter_deployments(libs))
     # Only `unsafe` has two versions; sched and opaque have one each.
     assert len(deployments) == 2
 

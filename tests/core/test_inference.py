@@ -123,7 +123,7 @@ def test_attach_is_idempotent(profiled):
 
 def test_inferred_facts_feed_the_explorer(profiled):
     """End-to-end §5 workflow: trace → facts → deployment enumeration."""
-    from repro.core.hardening import LibraryDef, enumerate_deployments
+    from repro.core.hardening import LibraryDef, iter_deployments
     from repro.core.spec_parser import parse_spec
 
     image, recorder = profiled
@@ -137,7 +137,7 @@ def test_inferred_facts_feed_the_explorer(profiled):
                 true_behavior=recorder.observed(name).behavior_facts(),
             )
         )
-    deployments = enumerate_deployments(libdefs)
+    deployments = list(iter_deployments(libdefs))
     assert len(deployments) >= 2
     # With traced facts, a fully-hardened combination exists in which
     # everything may share one compartment (no Requires among these).

@@ -13,11 +13,12 @@ from repro.core.builder import library_defs
 from repro.core.coloring import ColoringCache
 from repro.core.compatibility import can_share, violations
 from repro.core.config import BuildConfig
-from repro.core.hardening import enumerate_deployments, iter_deployments
+from repro.core.hardening import iter_deployments
 from repro.core.perfcache import candidate_key
 from repro.core.spec_parser import parse_spec
 from repro.libos.blk.blkdev import BlockDeviceLibrary
 from repro.libos.kv.store import KVStoreLibrary
+from tests.core.reference import eager_deployments
 
 BLK = parse_spec("blk", BlockDeviceLibrary.SPEC)
 KV = parse_spec("kv", KVStoreLibrary.SPEC)
@@ -113,7 +114,7 @@ def test_iter_deployments_covers_storage_set():
     defs = _storage_defs()
     stats = {}
     lazy = list(iter_deployments(defs, stats=stats))
-    eager = enumerate_deployments(defs)
+    eager = eager_deployments(defs)
     assert len(lazy) > 0
     assert [d.key() for d in lazy] == [d.key() for d in eager]
     # kv's Requires forces *unmodified* blk out of its compartment;

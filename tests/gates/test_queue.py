@@ -4,10 +4,8 @@ The conformance matrix (``test_channel_protocol.py``) asserts that
 queue channels honour the generic Channel contract; this file covers
 what is *specific* to them — the io_uring-style ring mechanics, the
 flush policies, group-scoped ring memory, the builder/config wiring,
-and the explorer's sync-vs-batched trade-off.
+and the explorer's choice of queued edges and batch sizes.
 """
-
-import types
 
 import pytest
 
@@ -17,11 +15,7 @@ from repro.apps.resp import encode_command
 from repro.apps.workload import run_redis_phase
 from repro.core.config import parse_queue_policy
 from repro.core.errors import BuildError
-from repro.core.explorer import (
-    auto_tune_queue_edges,
-    profiled_cost_fn,
-    queue_recommendations,
-)
+from repro.core.explorer import auto_tune_queue_edges
 from repro.gates import GateOptions, QueueChannel, make_channel
 from repro.gates.registry import relative_crossing_cost
 from repro.libos.compartment import Compartment
@@ -372,10 +366,10 @@ def test_batch_one_matches_sync_semantics():
     )
 
 
-# --- explorer: sync vs batched per edge --------------------------------------
+# --- explorer: which edges to queue, how deep ---------------------------------
 
 
-def synthetic_profile(crossings=10_000):
+def synthetic_profile(crossings=10_000, alloc_crossings=3):
     return WorkloadProfile(
         workload="synthetic",
         params={},
@@ -395,7 +389,7 @@ def synthetic_profile(crossings=10_000):
                 "caller": "redis",
                 "callee": "alloc",
                 "kind": "mpk-shared",
-                "crossings": 3,
+                "crossings": alloc_crossings,
             },
         ],
         gate_latency_ns={},
@@ -403,35 +397,6 @@ def synthetic_profile(crossings=10_000):
         alloc_bytes={},
         counters={},
     )
-
-
-def test_queue_recommendations_flags_hot_edges():
-    recs = queue_recommendations(synthetic_profile(), batch=8)
-    assert "redis->kv" in recs
-    assert recs["redis->kv"]["saved_ns"] > 0
-    assert recs["redis->kv"]["queued_ns"] < recs["redis->kv"]["sync_ns"]
-    assert "redis->alloc" not in recs  # under min_crossings
-    assert queue_recommendations(synthetic_profile(), backend="direct") == {}
-
-
-def test_profiled_cost_fn_prefers_queue_on_hot_edge():
-    profile = synthetic_profile()
-    deployment = types.SimpleNamespace(
-        coloring={"redis": 0, "kv": 1}, choices={}
-    )
-    sync_cost = profiled_cost_fn(profile)(deployment)
-    queued_fn = profiled_cost_fn(
-        profile, queue_edges=["redis->kv"], queue_batch=8
-    )
-    assert queued_fn(deployment) < sync_cost
-    assert "queue[redis->kv]@8" in queued_fn.estimator
-    # An explorer choosing by cost therefore selects the queue variant
-    # for the hot-crossing profile.
-    best = min(
-        [("sync", sync_cost), ("queue", queued_fn(deployment))],
-        key=lambda pair: pair[1],
-    )
-    assert best[0] == "queue"
 
 
 @pytest.mark.parametrize("backend", ["mpk-shared", "mpk-switched", "vm-rpc", "cheri"])
@@ -455,34 +420,19 @@ def test_auto_tune_without_a_queue_variant_is_empty(backend):
     assert auto_tune_queue_edges(synthetic_profile(), backend=backend) == {}
 
 
-def test_auto_tune_caps_batch_at_crossing_count():
-    # Reachable only below the knee: redis->alloc crosses 3 times.
-    for backend in ("mpk-switched", "vm-rpc"):
-        tuned = auto_tune_queue_edges(
-            synthetic_profile(), backend=backend, min_crossings=1
-        )
-        assert list(tuned.items()) == [
-            ("redis->kv", "batch:16"),
-            ("redis->alloc", "batch:2"),
-        ]
-    # On mpk-shared batch 2 costs more than a sync crossing, so the
-    # capped edge is dropped rather than queued.
-    assert relative_crossing_cost("queue:mpk-shared", batch=2) == pytest.approx(
-        42.45
-    )
-    assert relative_crossing_cost("mpk-shared") == pytest.approx(38.5)
-    assert auto_tune_queue_edges(
-        synthetic_profile(), backend="mpk-shared", min_crossings=1
-    ) == {"redis->kv": "batch:16"}
-
-
 def test_auto_tune_orders_by_saving_then_edge_name():
     tied = auto_tune_queue_edges(
-        synthetic_profile(crossings=3), backend="mpk-switched", min_crossings=1
+        synthetic_profile(crossings=64, alloc_crossings=64),
+        backend="mpk-switched",
     )
     assert list(tied) == ["redis->alloc", "redis->kv"]
     tuned = auto_tune_queue_edges(
-        synthetic_profile(), backend="vm-rpc", min_crossings=1
+        synthetic_profile(alloc_crossings=64), backend="vm-rpc"
     )
+    assert list(tuned) == ["redis->kv", "redis->alloc"]
     for policy in (*tied.values(), *tuned.values()):
         assert policy == f"batch:{parse_queue_policy(policy)}"
+    # Under 64 measured crossings an edge is not worth a queue.
+    assert list(
+        auto_tune_queue_edges(synthetic_profile(alloc_crossings=63), backend="vm-rpc")
+    ) == ["redis->kv"]

@@ -6,13 +6,17 @@ carry arguments.  Placeholders such as ``{a,b}`` or ``…`` and bare
 module mentions are skipped.  Each command's ``main(argv)`` runs only
 as far as ``argparse`` accepting its arguments, so a flag deleted from
 a CLI but left in a doc fails here without running a simulation.
+Each CLI also runs as ``python -m`` with runpy's warnings made errors.
 """
 
 import argparse
 import importlib
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +99,28 @@ def test_parses(module, argv, monkeypatch):
     except SystemExit as exc:
         pytest.fail(f"python -m {module} {shlex.join(argv)}: exit {exc.code}")
     pytest.fail(f"python -m {module} returned without parsing its arguments")
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.tools.inspect",
+        "repro.tools.report",
+        "repro.tools.profile",
+        "repro.tools.infer",
+        "repro.resilience.campaign",
+    ],
+)
+def test_cli_runs_as_a_module_without_warnings(module):
+    """A package ``__init__`` that imports the CLI module before runpy
+    executes it makes ``python -m`` warn on every run."""
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        timeout=120,
+    )
+    assert (completed.returncode, completed.stderr) == (0, "")

@@ -1,8 +1,7 @@
 """Smoke tests: the bundled examples stay runnable.
 
-Only the two fastest examples run here (the full set is exercised
-manually / in CI-style runs); each must exit cleanly and print its
-landmark lines.
+Every example runs here; each must exit cleanly and print its landmark
+lines.
 """
 
 import pathlib
@@ -44,6 +43,25 @@ def test_durable_redis_example():
     assert "journaled 3 writes" in out
     assert "every flushed write survived" in out
     assert "verdict=recovered-state" in out
+
+
+def test_iperf_exploration_example():
+    out = run_example("iperf_exploration.py")
+    assert "Shapes to notice (paper Fig. 3)" in out
+
+
+def test_redis_tradeoffs_example():
+    out = run_example("redis_tradeoffs.py")
+    assert (
+        "chosen deployment: compartment 0: alloc, libc[asan+cfi], "
+        "netstack[asan+cfi], redis, sched" in out
+    )
+    assert "max security within analytic budget 10.0:" in out
+
+
+def test_boundary_mechanisms_example():
+    out = run_example("boundary_mechanisms.py")
+    assert "confused deputy rejected" in out
 
 
 def test_all_examples_exist_and_have_docstrings():
