@@ -50,7 +50,7 @@ def eager_deployments(libdefs, alternatives=False, isolate=()) -> list:
     return deployments
 
 
-def reference_picks(deployments, libdefs, budget=1e9) -> dict:
+def reference_picks(deployments, libdefs, budget) -> dict:
     """Strategy 1 within ``budget`` and strategy 2 for ``no-wild-writes``
     under the analytic cost; ``max``/``min`` return the first optimum."""
     perf = crossing_cost_fn(libdefs)
