@@ -73,18 +73,11 @@ def select_shard_profile(
     deployment meeting ``requirements`` (backend downgraded to "none"
     when the pick is a single compartment, as elsewhere in the repo).
     """
-    from repro.core.explorer import Explorer
+    from repro.core.explorer import Explorer, isolation_hints
 
     libs = list(libraries or CLUSTER_LIBRARIES)
     defs = library_defs(BuildConfig(libraries=libs))
-    # ``isolated:<lib>`` requirements double as enumeration hints, or
-    # the explorer would never visit a partition that satisfies them.
-    isolate = tuple(
-        req.split(":", 1)[1]
-        for req in requirements
-        if req.startswith("isolated:")
-    )
-    explorer = Explorer(defs, isolate=isolate)
+    explorer = Explorer(defs, isolate=isolation_hints(requirements))
     pick = explorer.best_performance_meeting(list(requirements))
     if pick is None:
         raise ValueError(

@@ -293,6 +293,20 @@ def requirement_satisfied(
     raise CompatibilityError(f"unknown requirement kind {kind!r}")
 
 
+def isolation_hints(requirements: list[str]) -> tuple[str, ...]:
+    """The libraries that ``isolated:<lib>`` requirements name.
+
+    They are the :class:`Explorer`'s ``isolate`` hints for those
+    requirements: the coloring merges every compatible pair, so without
+    them the explorer never visits a partition that satisfies one.
+    """
+    return tuple(
+        requirement.split(":", 1)[1]
+        for requirement in requirements
+        if requirement.startswith("isolated:")
+    )
+
+
 #: Device classes and the isolation backends their hardware supports
 #: (paper §2: deployments should be able to "run on the largest number
 #: of devices (based on the availability of hardware-based

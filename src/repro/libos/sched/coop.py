@@ -40,13 +40,6 @@ _RUNNING = ThreadState.RUNNING
 _DONE = ThreadState.DONE
 
 
-#: Replay outcomes that hand the current round back to :meth:`run`:
-#: run the rest of it for real (its timer wheel swept), or go on to the
-#: next round (the injector killed the thread).
-_SWEPT = object()
-_NEXT_ROUND = object()
-
-
 class CoopScheduler(MicroLibrary):
     """Cooperative round-robin scheduler micro-library."""
 
@@ -281,12 +274,14 @@ thread_join(tid)
         A round with nothing due costs O(1) host work: everything a
         round touches is bound once per call, an empty timer wheel
         only moves its cursor, and each tracer hook sits behind one
-        ``_enabled`` test.  After a round that ends in
-        :class:`IdlePoll`, while that thread is the only runnable one,
-        the following rounds go through :meth:`_replay_idle_polls`
-        first.  That loop repeats this round's bookkeeping, so a change
-        to one must be made to the other; the twin-node tests in
-        ``tests/cluster/test_idle_replay.py`` compare them bit for bit.
+        ``_enabled`` test.  When the previous round's thread yielded
+        :class:`IdlePoll` and this round switches to it again with
+        nothing else runnable, the round replays the thread's next poll
+        instead of resuming it whenever ``replay`` vouches that the poll
+        comes back empty: the sweep, checks, charges and counts before
+        it are the round's own, so only the resumption is skipped.
+        Observed runs (tracer or time attribution on) never replay, so
+        a replayed round needs no trace events or attributed charges.
         """
         cpu = self.machine.cpu
         charge = cpu.charge
@@ -304,70 +299,75 @@ thread_join(tid)
         crossing_ns = 2 * self.domain_crossing_ns
         own = self.compartment
         switches = 0
-        # The IdlePoll the last round's thread yielded, if any.
-        idle = None
+        # The IdlePoll the last round's thread yielded, and that thread.
+        idle = poller = None
         while run_queue or timers:
             if until is not None and until():
                 break
             if max_switches is not None and switches >= max_switches:
                 break
-            if idle is not None and len(run_queue) == 1 and run_queue[0] is thread:
-                thread, switches = self._replay_idle_polls(
-                    thread, idle.replay, until, max_switches, switches
-                )
-                if thread is None:
+            # Wake every live timer whose deadline has passed; timers
+            # whose sleepers are gone are dropped without a wake.
+            for entry in collect(cpu._clock_ns):
+                self.wake_all(entry.waitq)
+            if not run_queue:
+                # Idle: nothing runnable until the next timer — advance
+                # the clock to its deadline (the tickless-idle path).
+                # Only *live* deadlines count: a timer whose waiters
+                # are all gone must not pull the clock forward.
+                deadline = timers.next_live_deadline()
+                if deadline is None:
                     break
-            else:
-                # Wake every live timer whose deadline has passed;
-                # timers whose sleepers are gone are dropped without a
-                # wake.
-                for entry in collect(cpu.clock_ns):
-                    self.wake_all(entry.waitq)
-                thread = _SWEPT
-            idle = None
-            if thread is _NEXT_ROUND:
+                if deadline > cpu._clock_ns:
+                    charge(deadline - cpu._clock_ns)
+                    if cpu._clock_ns < deadline:
+                        # Float rounding can leave clock + (deadline -
+                        # clock) short of the deadline; the timer would
+                        # then never come due.
+                        raise GateError(
+                            f"idle advance left the clock at "
+                            f"{cpu._clock_ns!r} ns, short of the next "
+                            f"timer deadline {deadline!r} ns"
+                        )
                 continue
-            if thread is _SWEPT:
-                if not run_queue:
-                    # Idle: nothing runnable until the next timer —
-                    # advance the clock to its deadline (the
-                    # tickless-idle path).  Only *live* deadlines count:
-                    # a timer whose waiters are all gone must not pull
-                    # the clock forward.
-                    deadline = timers.next_live_deadline()
-                    if deadline is None:
-                        break
-                    if deadline > cpu.clock_ns:
-                        charge(deadline - cpu.clock_ns)
-                        if cpu.clock_ns < deadline:
-                            # Float rounding can leave clock + (deadline
-                            # - clock) short of the deadline; the timer
-                            # would then never come due.
-                            raise GateError(
-                                f"idle advance left the clock at "
-                                f"{cpu.clock_ns!r} ns, short of the next "
-                                f"timer deadline {deadline!r} ns"
-                            )
-                    continue
-                thread = run_queue.popleft()
-                injector = self.machine.injector
-                if injector is not None and injector.should_kill(thread):
-                    # Resilience harness: the thread dies before running
-                    # (site "sched-kill" — a scheduler-visible thread
-                    # death, e.g. a stack blowout detected on switch-in).
-                    self.kill_thread(thread)
-                    continue
-                if check_switch is not None:
-                    check_switch(thread)
+            thread = run_queue.popleft()
+            injector = self.machine.injector
+            if injector is not None and injector.should_kill(thread):
+                # Resilience harness: the thread dies before running
+                # (site "sched-kill" — a scheduler-visible thread
+                # death, e.g. a stack blowout detected on switch-in).
+                self.kill_thread(thread)
+                idle = None
+                continue
+            if check_switch is not None:
+                check_switch(thread)
             charge(switch_ns)
             home = thread.home_compartment
             if crossing_ns and home is not None and home is not own:
                 charge(crossing_ns)
                 self.domain_crossings += 2
             switches += 1
-            thread.state = _RUNNING
             self.ctx_switches += 1
-            quantum_start = cpu.clock_ns
+            quantum_start = cpu._clock_ns
+            if idle is not None:
+                if (
+                    thread is poller
+                    and not run_queue
+                    and not tracer._enabled
+                    and not cpu.attribute_time
+                ):
+                    poll_ns = idle.replay(quantum_start)
+                    if poll_ns is not None:
+                        # The poll at this clock would come back empty
+                        # and end in the same IdlePoll: charge it and
+                        # re-queue the thread, still READY.
+                        charge(poll_ns)
+                        quantum_ns.append(cpu._clock_ns - quantum_start)
+                        run_queue.append(thread)
+                        self.idle_replays += 1
+                        continue
+                idle = None
+            thread.state = _RUNNING
             # Route trace events to the running thread's own track so
             # spans it leaves open across a suspension nest correctly.
             if tracer._enabled:
@@ -395,14 +395,14 @@ thread_join(tid)
                     raise
                 directive = None
                 failure = CompartmentFailure(comp.name, cause=exc)
-                comp.mark_failed(cpu.clock_ns, failure)
+                comp.mark_failed(cpu._clock_ns, failure)
                 cpu.bump("resilience.contained")
                 self._reap_failed(thread, failure)
             finally:
                 thread.ctx_stack = cpu.swap_context_stack(saved)
                 if tracer._enabled:
                     tracer.set_track(HOST_TRACK)
-            quantum_ns.append(cpu.clock_ns - quantum_start)
+            quantum_ns.append(cpu._clock_ns - quantum_start)
             if tracer._enabled:
                 tracer.complete(
                     thread.name,
@@ -421,123 +421,8 @@ thread_join(tid)
                     f"{directive!r}"
                 )
             idle = handler(thread, directive, cpu)
+            poller = thread
         return switches
-
-    def _replay_idle_polls(self, thread, replay, until, max_switches, switches):
-        """Replay ``thread``'s empty polls while nothing else can run.
-
-        Entered by :meth:`run` in the round after ``thread`` yielded
-        :class:`IdlePoll`, once that round's ``until()`` and
-        ``max_switches`` checks passed and if ``thread`` is the only
-        runnable thread.  While it stays so and ``replay(now)`` vouches
-        that its poll at the clock ``now`` it would run at comes back
-        empty again, a round is the real one without resuming the
-        thread: the timer sweep, the injector's ``should_kill`` and the
-        switch contract run as before, then the same ``ctx_switch_ns``,
-        domain-crossing and poll charges land in the same order and
-        contexts, with the same counters, quantum sample and trace
-        events, and the next round's ``until()`` runs exactly once.
-        The float additions are the real round's, so the clock is
-        bit-identical.
-
-        Each round starts with the timer sweep, as the real one does,
-        so a round that wakes a sleeper or finds the thread no longer
-        alone is handed back right after its sweep:
-        it must not sweep again, because each wake charges
-        ``waitq_op_ns`` and a second sweep would also wake a timer due
-        those few ns later, one round early.
-
-        Returns ``(thread, switches)``, where ``thread`` is None when
-        ``until()`` or ``max_switches`` ended the run, ``_NEXT_ROUND``
-        when the injector killed the thread, ``_SWEPT`` when the
-        current round must run for real from just after its sweep, or
-        the dequeued, checked thread whose round must run for real from
-        the context switch on.
-        """
-        machine = self.machine
-        cpu = machine.cpu
-        charge = cpu.charge
-        quantum_ns = cpu.metrics.histogram("sched.quantum_ns").values
-        tracer = machine.obs.tracer
-        timers = self._timers
-        collect = timers.collect
-        run_queue = self.run_queue
-        check_switch = self._check_switch
-        switch_ns = cpu.cost.ctx_switch_ns
-        crossing_ns = 2 * self.domain_crossing_ns
-        home = thread.home_compartment
-        if not (crossing_ns and home is not None and home is not self.compartment):
-            crossing_ns = 0.0
-        replayed = 0
-        try:
-            while True:
-                clock = cpu.clock_ns
-                due = collect(clock)
-                if (
-                    due
-                    or len(run_queue) != 1
-                    or run_queue[0] is not thread
-                ):
-                    for entry in due:
-                        self.wake_all(entry.waitq)
-                    return _SWEPT, switches
-                injector = machine.injector
-                # The injector and the switch contract see the thread
-                # dequeued, as in the real round; with neither, the
-                # dequeue and re-queue of the only thread cancel out.
-                watched = injector is not None or check_switch is not None
-                if watched:
-                    run_queue.popleft()
-                    if injector is not None and injector.should_kill(thread):
-                        self.kill_thread(thread)
-                        return _NEXT_ROUND, switches
-                    if check_switch is not None:
-                        check_switch(thread)
-                    clock = cpu.clock_ns
-                now = clock + switch_ns
-                if crossing_ns:
-                    now += crossing_ns
-                poll_ns = replay(now)
-                if poll_ns is None:
-                    if not watched:
-                        run_queue.popleft()
-                    return thread, switches
-                charge(switch_ns)
-                if crossing_ns:
-                    charge(crossing_ns)
-                    self.domain_crossings += 2
-                switches += 1
-                self.ctx_switches += 1
-                if tracer._enabled:
-                    tracer.set_track(thread.tid, thread.name)
-                if cpu.attribute_time:
-                    # The poll's time belongs to the thread's domain.
-                    saved = cpu.swap_context_stack(thread.ctx_stack)
-                    charge(poll_ns)
-                    thread.ctx_stack = cpu.swap_context_stack(saved)
-                else:
-                    charge(poll_ns)
-                # The clock is now exactly now + poll_ns.
-                quantum_ns.append((now + poll_ns) - now)
-                if tracer._enabled:
-                    tracer.set_track(HOST_TRACK)
-                    tracer.complete(
-                        thread.name,
-                        "sched",
-                        now,
-                        track=SCHED_TRACK,
-                        tid=thread.tid,
-                        state=_RUNNING.name,
-                    )
-                if watched:
-                    run_queue.append(thread)
-                replayed += 1
-                if until is not None and until():
-                    return None, switches
-                if max_switches is not None and switches >= max_switches:
-                    return None, switches
-        finally:
-            self.idle_replays += replayed
 
     # --- directive handlers ------------------------------------------------------
 
@@ -552,7 +437,7 @@ thread_join(tid)
 
     def _on_idle_poll(self, thread: Thread, directive, cpu) -> IdlePoll:
         # A yield; handing the directive back lets the run loop replay
-        # the thread's next polls (see _replay_idle_polls).
+        # the thread's next polls (see run).
         self._on_yield(thread, directive, cpu)
         return directive
 

@@ -85,8 +85,8 @@ class VerifiedScheduler(CoopScheduler):
         # The verified switch re-establishes the scheduler invariants
         # before transferring control: eight clauses at
         # ``contract_check_ns`` each on top of the base switch, giving
-        # the paper's 218.6 ns.  Replayed idle rounds run them too
-        # (CoopScheduler._replay_idle_polls), dequeued as here.
+        # the paper's 218.6 ns.  A replayed idle round runs them too:
+        # CoopScheduler.run replays only after this check.
         kit = self.contracts
         kit.check(thread.state is ThreadState.READY, "switch pre: thread READY")
         kit.check(thread.waitq is None, "switch pre: thread not parked")

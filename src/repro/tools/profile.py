@@ -42,6 +42,7 @@ from repro.core.explorer import (
     Explorer,
     auto_tune_queue_edges,
     crossing_cost_fn,
+    isolation_hints,
     profiled_cost_fn,
     requirement_satisfied,
 )
@@ -96,7 +97,7 @@ def _explorer_for(profile: WorkloadProfile, args) -> tuple[Explorer, list]:
     explorer = Explorer(
         defs,
         alternatives=args.alternatives,
-        isolate=tuple(args.isolate),
+        isolate=tuple(args.isolate) + isolation_hints(args.require),
     )
     return explorer, defs
 

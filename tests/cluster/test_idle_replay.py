@@ -2,15 +2,16 @@
 
 A fabric node whose inbox holds nothing due spends its rounds in empty
 rx polls.  After the first such round, while the rx thread is the only
-runnable one, the scheduler replays the polls
-(:meth:`CoopScheduler._replay_idle_polls`) instead of resuming the
-thread.  Each test drives one stretch to one of its boundaries and
-checks, from the clock and the NIC counters that ``until()`` sees at
-the top of every round, the round and clock at which the stretch
-ended: a round that ran for real called ``NIC.rx_poll``, a replayed
-one did not.  Every scenario also runs on a twin node whose scheduler
-dispatches ``IdlePoll`` as a plain yield, so every round of it runs
-for real: both must agree on every round, bit for bit.
+runnable one, each round of ``CoopScheduler.run`` that switches to it
+replays its poll instead of resuming it, unless the run is observed
+(tracer or time attribution on).  Each test drives one stretch to one
+of its boundaries and checks, from the clock and the NIC counters that
+``until()`` sees at the top of every round, the round and clock at
+which the stretch ended: a round that ran for real called
+``NIC.rx_poll``, a replayed one did not.  Every scenario also runs on a
+twin node whose scheduler dispatches ``IdlePoll`` as a plain yield, so
+every round of it runs for real: both must agree on every round, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro import BuildConfig, build_image
 from repro.cluster.client import ClusterClient
 from repro.cluster.cluster import RedisCluster
 from repro.cluster.fabric import Fabric
-from repro.libos.sched.base import IdlePoll, IdleUntil
+from repro.libos.sched.base import YIELD, IdlePoll, IdleUntil
 from repro.libos.sched.coop import CoopScheduler
 from repro.resilience.injector import FaultInjector
 from repro.resilience.plan import InjectionPlan
@@ -313,37 +314,71 @@ def test_stretch_ends_when_the_injector_kills_the_poller():
     assert world.scheduler.idle_replays == 10
 
 
-def test_verified_traced_attributed_rounds_replay_bit_identically():
-    """The switch contract, trace events and per-domain time of
-    replayed rounds are those of real ones."""
+def test_a_round_whose_thread_is_killed_ends_the_stretch():
+    def scenario(world):
+        def visitor():
+            while True:
+                yield YIELD
 
-    def world(replay):
-        image = build_image(
-            BuildConfig(
-                libraries=["libc", "netstack"],
-                backend="mpk-shared",
-                scheduler="verified",
-            )
+        world.image.spawn("visitor", visitor, world.netstack)
+        plan = InjectionPlan().kill_thread("visitor", nth=1)
+        world.injector = FaultInjector(plan).attach(world.image)
+        world.run(max_switches=20)
+
+    world = both(scenario)
+    # Round 0 polls with the visitor queued, round 1 kills the visitor
+    # before it runs (no switch), and round 2, the first with the rx
+    # thread alone, polls for real: the round before it ended in no
+    # IdlePoll.  Rounds 3..20 replay.
+    assert [event.site for event in world.injector.events] == ["sched-kill"]
+    assert len(world.tops) == 22
+    assert world.real_polls(0, 1) == 1
+    assert world.real_polls(2, 3) == 1
+    assert world.real_polls(3, 21) == 0
+    assert world.scheduler.idle_replays == 18
+
+
+def verified_world(replay: bool, observed: bool):
+    """A verified-scheduler mpk-shared node run for 300 rounds around
+    one delivery; returns the image and its simulated state."""
+    image = build_image(
+        BuildConfig(
+            libraries=["libc", "netstack"],
+            backend="mpk-shared",
+            scheduler="verified",
         )
-        node = Fabric().add_node("n0", image, PORT)
-        if not replay:
-            never_replay(image)
-        image.machine.cpu.attribute_time = True
+    )
+    node = Fabric().add_node("n0", image, PORT)
+    if not replay:
+        never_replay(image)
+    cpu = image.machine.cpu
+    if observed:
+        cpu.attribute_time = True
         image.enable_tracing()
-        node.deliver(PAYLOAD, sent_at_ns=5_000.0)
-        image.run(max_switches=300)
-        cpu = image.machine.cpu
-        return image, (
-            cpu.clock_ns,
-            cpu.snapshot(),
-            cpu.metrics.snapshot(),
-            dict(cpu.domain_time_ns),
-            image.machine.obs.tracer.events,
-        )
+    node.deliver(PAYLOAD, sent_at_ns=5_000.0)
+    image.run(max_switches=300)
+    state = (cpu.clock_ns, cpu.snapshot(), cpu.metrics.snapshot())
+    if observed:
+        state += (dict(cpu.domain_time_ns), image.machine.obs.tracer.events)
+    return image, state
 
-    replayed, expected = world(True)
-    plain, observed = world(False)
+
+def test_verified_rounds_replay_bit_identically():
+    """Replayed rounds run the verified switch contract and the domain
+    crossings of real ones."""
+    replayed, expected = verified_world(replay=True, observed=False)
+    plain, observed = verified_world(replay=False, observed=False)
     assert replayed.scheduler.idle_replays > 200
+    assert plain.scheduler.idle_replays == 0
+    assert expected == observed
+
+
+def test_traced_attributed_rounds_never_replay():
+    """With the tracer and time attribution on, every round resumes its
+    thread: the trace events and per-domain time are the real ones."""
+    replayed, expected = verified_world(replay=True, observed=True)
+    plain, observed = verified_world(replay=False, observed=True)
+    assert replayed.scheduler.idle_replays == 0
     assert plain.scheduler.idle_replays == 0
     assert expected == observed
 

@@ -7,6 +7,7 @@ from repro.core.explorer import (
     SH_WEIGHTS,
     Explorer,
     crossing_cost_fn,
+    isolation_hints,
     requirement_satisfied,
     security_score,
 )
@@ -57,22 +58,16 @@ def test_enumeration_covers_all_combinations(explorer):
 
 
 def test_security_score_prefers_separation_and_sh(explorer):
-    deployments = explorer.deployments
-    fully_hardened = next(
-        d
-        for d in deployments
-        if d.choices["netstack"] and d.choices["libc"]
-    )
-    nothing = next(
-        d
-        for d in deployments
-        if not d.choices["netstack"] and not d.choices["libc"]
-    )
-    assert security_score(fully_hardened) > security_score(nothing) - 10
-    # Unhardened wild-writers sharing a compartment are penalised.
-    sizes = {}
-    for deployment in deployments:
-        assert isinstance(security_score(deployment), float)
+    # In enumeration order: both wild writers unhardened and sharing a
+    # compartment (two compartments, one penalty each); libc hardened
+    # (4 for its two techniques, 5 for the second compartment);
+    # netstack hardened, likewise; both hardened in one compartment.
+    assert [security_score(d) for d in explorer.deployments] == [
+        -3.0,
+        9.0,
+        9.0,
+        8.0,
+    ]
 
 
 def test_crossing_estimator_counts_boundary_edges():
@@ -145,15 +140,23 @@ def test_unknown_requirement_rejected(explorer):
 
 
 def test_impossible_requirements_return_none(explorer):
-    # sched conflicts with unhardened netstack+libc; requiring
-    # *everything* isolated alone plus nothing else is satisfiable, so
-    # craft an impossible one instead: write-protection inside a merged
-    # compartment can fail across all deployments only with a stricter
-    # vocabulary — use a budget contradiction instead.
-    result = explorer.best_performance_meeting(
-        ["no-wild-writes"], perf_fn=lambda d: 0.0
+    # Only the deployment with both wild writers unhardened keeps sched
+    # alone, and those writers share a compartment.
+    requirements = ["isolated:sched", "no-wild-writes"]
+    assert not any(
+        all(requirement_satisfied(d, r, LIBS) for r in requirements)
+        for d in explorer.deployments
     )
-    assert result is not None
+    assert explorer.best_performance_meeting(requirements) is None
+
+
+def test_isolation_hints_reach_isolated_partitions():
+    requirements = ["isolated:sched", "no-wild-writes"]
+    assert isolation_hints(requirements) == ("sched",)
+    hinted = Explorer(LIBS, isolate=isolation_hints(requirements))
+    best = hinted.best_performance_meeting(requirements)
+    assert best is not None
+    assert all(requirement_satisfied(best, r, LIBS) for r in requirements)
 
 
 def test_custom_perf_fn_used(explorer):

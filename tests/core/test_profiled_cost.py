@@ -204,8 +204,13 @@ class TestProfileCli:
         summary, _ = run_named_workload(image, "redis")
         assert "redis" in summary
 
-    def test_recommend_unsatisfiable(self, tmp_path, capsys):
+    def test_recommend_unsatisfiable(self, tmp_path, capsys, monkeypatch):
+        # Every requirement set over the registered libraries is met by
+        # some deployment, so the explorer is made to find none.
         out = self._capture(tmp_path)
+        monkeypatch.setattr(
+            Explorer, "best_performance_meeting", lambda *args, **kw: None
+        )
         rc = profile_main(
             [
                 "recommend",
@@ -217,6 +222,34 @@ class TestProfileCli:
         )
         assert rc == 1
         assert "no deployment" in capsys.readouterr().err
+
+    def test_isolated_requirements_are_met(self, tmp_path, capsys):
+        """``isolated:<lib>`` doubles as an enumeration hint, as
+        ``--isolate`` does, in both commands."""
+        out = self._capture(tmp_path)
+        rec_out, diff_out = tmp_path / "rec.json", tmp_path / "diff.json"
+        for command, path in (("recommend", rec_out), ("diff", diff_out)):
+            rc = profile_main(
+                [
+                    command,
+                    "--profile",
+                    str(out),
+                    "--require",
+                    "isolated:netstack",
+                    "-o",
+                    str(path),
+                ]
+            )
+            assert rc == 0
+        capsys.readouterr()
+        diff = json.loads(diff_out.read_text())
+        picks = [
+            json.loads(rec_out.read_text())["recommendation"],
+            diff["static"],
+            diff["profiled"],
+        ]
+        for pick in picks:
+            assert ["netstack"] in pick["config"]["compartments"]
 
     def test_diff_reports_measured_delta(self, tmp_path, capsys):
         out = self._capture(tmp_path)
