@@ -4,8 +4,9 @@ Not a figure from the paper, but the measurement behind the durable
 storage subsystem's design choices:
 
 - **throughput vs flush policy x backend** — simulated cost of one
-  ``kv.put`` under ``every-write`` (a flush barrier per mutation) and
-  ``batch:16`` (amortized barriers), across the gate menu.  Batching
+  put, a one-entry ``kv.journal`` call, under ``every-write`` (a flush
+  barrier per mutation) and ``batch:16`` (amortized barriers), across
+  the gate menu.  Batching
   should recover most of the flush cost regardless of the isolation
   backend; the backends should separate by their per-crossing cost.
 - **recovery time vs log size, before/after compaction** — replaying a
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from repro import BuildConfig, build_image
 from repro.libos.blk.blkdev import DiskMedium
+from repro.libos.kv.store import JOURNAL_ENTRY
 
 BACKENDS = ("none", "mpk-shared", "mpk-switched", "cheri")
 POLICIES = ("every-write", "batch:16")
@@ -40,14 +42,19 @@ def _build(medium: DiskMedium, backend: str):
     return image
 
 
+def _put_entry(key: bytes, index: int) -> bytes:
+    """A one-entry journal putting a 48-byte value under ``key``."""
+    value = (b"%06d" % index) * 8
+    return JOURNAL_ENTRY.pack(0, len(key), len(value)) + key + value
+
+
 def _fill(image, buf, count: int):
     """``count`` puts cycling over ``LIVE_KEYS`` distinct keys."""
     space = image.compartments[0].address_space
     for index in range(count):
-        value = (b"%06d" % index) * 8  # 48 bytes
-        image.machine.dma_write(space, buf, value)
-        image.call("kv", "put", b"bench%04d" % (index % LIVE_KEYS), buf,
-                   len(value))
+        entry = _put_entry(b"bench%04d" % (index % LIVE_KEYS), index)
+        image.machine.dma_write(space, buf, entry)
+        image.call("kv", "journal", buf, len(entry))
 
 
 def throughput_cell(backend: str, policy: str) -> dict:
@@ -68,9 +75,9 @@ def throughput_cell(backend: str, policy: str) -> dict:
     try:
         start = image.clock_ns
         for index in range(WRITES):
-            value = (b"%06d" % index) * 8  # 48 bytes
-            image.machine.dma_write(space, buf, value)
-            stub.call("put", b"bench%04d" % (index % 32), buf, len(value))
+            entry = _put_entry(b"bench%04d" % (index % 32), index)
+            image.machine.dma_write(space, buf, entry)
+            stub.call("journal", buf, len(entry))
         elapsed = image.clock_ns - start
     finally:
         image.machine.cpu.pop_context()

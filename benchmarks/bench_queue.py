@@ -6,8 +6,8 @@ per batch amortises the per-crossing tax of isolation without changing
 what the operations do.
 
 - **kv.put**: an application compartment journals puts into the storage
-  compartment, sync (one crossing per put) vs queued at batch 8, across
-  isolation backends.
+  compartment, each a one-entry ``kv.journal`` call, sync (one crossing
+  per put) vs queued at batch 8, across isolation backends.
 - **netstack send**: multi-segment socket sends, where the network
   stack copies each MSS-sized payload chunk through LibC — sync (one
   crossing per segment) vs a queued ``netstack->libc`` edge (one
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from repro import BuildConfig, build_image
 from repro.gates.registry import relative_crossing_cost
+from repro.libos.kv.store import JOURNAL_ENTRY
 from repro.libos.net.packet import MSS
 
 KV_BACKENDS = ("mpk-shared", "mpk-switched", "vm-rpc")
@@ -61,7 +62,7 @@ def kv_cell(backend: str, batch: int | None) -> dict:
     stub = libc.stub("kv")
     channel = stub._channel
     # One staging buffer per in-flight submission: a queued put reads
-    # its value at flush time, so the writer must not reuse a buffer
+    # its entry at flush time, so the writer must not reuse a buffer
     # before the batch drains (same hazard the kv store's own write
     # ring solves).
     ring = max(1, batch or 1)
@@ -75,13 +76,14 @@ def kv_cell(backend: str, batch: int | None) -> dict:
         start = image.clock_ns
         for index in range(PUTS):
             value = (b"%06d" % index) * 8  # 48 bytes
-            buf = bufs[index % ring]
-            machine.dma_write(space, buf, value)
             key = b"bench%04d" % (index % 32)
+            entry = JOURNAL_ENTRY.pack(0, len(key), len(value)) + key + value
+            buf = bufs[index % ring]
+            machine.dma_write(space, buf, entry)
             if batch:
-                stub.submit("put", key, buf, len(value))
+                stub.submit("journal", buf, len(entry))
             else:
-                stub.call("put", key, buf, len(value))
+                stub.call("journal", buf, len(entry))
         if batch:
             stub.flush()
             failed = [c for c in stub.poll() if not c.ok]

@@ -28,7 +28,7 @@ class HttpdApp(MicroLibrary):
     SPEC = """
     [Memory access] Read(Own,Shared); Write(Own,Shared)
     [Call] netstack::listen, netstack::recv, netstack::send, \
-vfs::open, vfs::read, vfs::close, vfs::stat, \
+vfs::open, vfs::read, vfs::close, vfs::fstat, \
 alloc::malloc_shared, alloc::free_shared
     [API] httpd_stats()
     """
@@ -42,7 +42,7 @@ alloc::malloc_shared, alloc::free_shared
             "vfs::open",
             "vfs::read",
             "vfs::close",
-            "vfs::stat",
+            "vfs::fstat",
             "alloc::malloc_shared",
             "alloc::free_shared",
         ],

@@ -70,33 +70,6 @@ from repro.libos.library import MicroLibrary, export
 from repro.machine.faults import GateError
 
 
-class DumpTruncatedError(GateError):
-    """A dump file ended mid-record during ``load``.
-
-    The pre-fix behaviour silently accepted short ``vfs.read`` returns
-    mid-record and rebuilt a corrupt store from whatever bytes happened
-    to be in the staging buffer; now a truncated or torn dump is a
-    typed, observable failure.
-    """
-
-    def __init__(self, context: str, expected: int, got: int) -> None:
-        self.context = context
-        self.expected = expected
-        self.got = got
-        super().__init__(
-            f"dump truncated in {context}: wanted {expected} bytes, got {got}"
-        )
-
-
-class DumpRecordTooLongError(GateError):
-    """A dump record holds a key or value longer than a SET can carry.
-
-    ``load`` refuses it before reading the key or value: the staging
-    buffer could not hold it, and a stored value's GET reply would not
-    fit the response buffer.
-    """
-
-
 #: Commands that take a key (slot routing applies to these).
 _KEYED = frozenset(("set", "get", "del", "exists", "incr", "append"))
 #: Commands that may journal a write (they bound a commit group).
@@ -146,9 +119,8 @@ class RedisServerApp(MicroLibrary):
     [Memory access] Read(Own,Shared); Write(Own,Shared)
     [Call] netstack::listen, netstack::recv, netstack::send, \
 alloc::malloc, alloc::free, alloc::malloc_shared, alloc::free_shared, \
-vfs::open, vfs::read, vfs::write, vfs::close, \
-kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
-    [API] redis_stats(); dbsize(); save(path); load(path); recover()
+kv::journal, kv::get, kv::recover, kv::kv_keys
+    [API] redis_stats(); dbsize(); recover()
     """
     TRUE_BEHAVIOR = {
         "writes": ["Own", "Shared"],
@@ -161,13 +133,8 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
             "alloc::free",
             "alloc::malloc_shared",
             "alloc::free_shared",
-            "vfs::open",
-            "vfs::read",
-            "vfs::write",
-            "vfs::close",
             "kv::journal",
             "kv::get",
-            "kv::sync",
             "kv::recover",
             "kv::kv_keys",
         ],
@@ -554,115 +521,6 @@ kv::journal, kv::get, kv::sync, kv::recover, kv::kv_keys
         owner_bytes = owner.encode() if isinstance(owner, str) else owner
         reply = resp_proto.encode_error(b"MOVED %d %s" % (slot, owner_bytes))
         return self._store_reply(conn, reply)
-
-    # --- persistence (RDB-style dump over the vfs micro-library) ----------------------
-
-    @export
-    def save(self, path: str) -> int:
-        """Dump the whole store to a file; returns the record count.
-
-        Record format: ``klen(2B) key vlen(4B) value``, staged through
-        a shared buffer because the filesystem compartment copies via
-        LibC (the same shared-data annotation rule as socket I/O).
-        """
-        from repro.libos.fs.ramfs import O_CREAT, O_TRUNC, O_WRONLY
-
-        vfs = self.stub("vfs")
-        staging = self._alloc.call("malloc_shared", self.BUF_SIZE)
-        fd = vfs.call("open", path, O_WRONLY | O_CREAT | O_TRUNC)
-        records = 0
-        try:
-            for key, (addr, length) in sorted(self._store.items()):
-                header = (
-                    len(key).to_bytes(2, "big")
-                    + key
-                    + length.to_bytes(4, "big")
-                )
-                self.machine.store(staging, header)
-                if length:
-                    # App copies its private value into the shared
-                    # staging area itself (confused-deputy rule).
-                    self.machine.copy(staging + len(header), addr, length)
-                vfs.call("write", fd, staging, len(header) + length)
-                records += 1
-        finally:
-            vfs.call("close", fd)
-            self._alloc.call("free_shared", staging)
-        return records
-
-    def _read_exact(self, vfs, fd: int, staging: int, count: int, context: str) -> bytes:
-        """Read exactly ``count`` bytes or raise :class:`DumpTruncatedError`.
-
-        ``vfs.read`` legitimately returns short at EOF; *mid-record*
-        that means the dump was truncated or torn, and silently using
-        the stale staging-buffer bytes would rebuild a corrupt store.
-        """
-        got = vfs.call("read", fd, staging, count)
-        if got != count:
-            raise DumpTruncatedError(context, expected=count, got=got)
-        return self.machine.load(staging, count)
-
-    @export
-    def load(self, path: str) -> int:
-        """Restore the store from a dump; returns the record count.
-
-        A dump that ends cleanly between records is a normal EOF; one
-        that ends *inside* a record raises :class:`DumpTruncatedError`,
-        and a record whose key or value exceeds :attr:`MAX_VALUE` raises
-        :class:`DumpRecordTooLongError` (either way the store keeps the
-        records restored so far — callers decide whether a partial
-        restore is acceptable).
-        """
-        from repro.libos.fs.ramfs import O_RDONLY
-
-        vfs = self.stub("vfs")
-        staging = self._alloc.call("malloc_shared", self.BUF_SIZE)
-        fd = vfs.call("open", path, O_RDONLY)
-        records = 0
-        try:
-            while True:
-                got = vfs.call("read", fd, staging, 2)
-                if got == 0:
-                    break  # clean EOF on a record boundary
-                if got != 2:
-                    raise DumpTruncatedError(
-                        "record header", expected=2, got=got
-                    )
-                key_len = int.from_bytes(self.machine.load(staging, 2), "big")
-                if key_len > self.MAX_VALUE:
-                    raise DumpRecordTooLongError(
-                        f"dump key of {key_len} bytes, over MAX_VALUE "
-                        f"({self.MAX_VALUE})"
-                    )
-                raw = self._read_exact(
-                    vfs, fd, staging, key_len + 4, "key + value length"
-                )
-                key = raw[:key_len]
-                value_len = int.from_bytes(raw[key_len:], "big")
-                if value_len > self.MAX_VALUE:
-                    raise DumpRecordTooLongError(
-                        f"dump value of {key!r} is {value_len} bytes, "
-                        f"over MAX_VALUE ({self.MAX_VALUE})"
-                    )
-                stored = self._alloc.call("malloc", max(1, value_len))
-                if value_len:
-                    try:
-                        self._read_exact(
-                            vfs, fd, staging, value_len, f"value of {key!r}"
-                        )
-                    except DumpTruncatedError:
-                        self._alloc.call("free", stored)
-                        raise
-                    self.machine.copy(stored, staging, value_len)
-                old = self._store.pop(key, None)
-                if old is not None:
-                    self._alloc.call("free", old[0])
-                self._store[key] = (stored, value_len)
-                records += 1
-        finally:
-            vfs.call("close", fd)
-            self._alloc.call("free_shared", staging)
-        return records
 
     # --- durability (AOF-style journal via the kv micro-library) -----------------------
 

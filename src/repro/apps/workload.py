@@ -211,6 +211,40 @@ def make_get_payloads(count: int, keyspace: int) -> list[bytes]:
     ]
 
 
+#: The durable redis load (the golden corpus's ``kv.durable`` world and
+#: ``tools/infer``): one SET of each of :data:`KV_KEYS` keys, then
+#: :data:`KV_REQUESTS` more over the first :data:`KV_HOT` of them (a
+#: DEL every 50th), then DELs of :data:`KV_DELETED`, never set again.
+KV_KEYS = 64
+KV_HOT = 16
+KV_REQUESTS = 540
+KV_DELETED = (2, 5, 9, 13, 21, 37, 53)
+
+
+def kv_durable_requests() -> tuple[list[bytes], dict[bytes, bytes]]:
+    """The durable load's RESP requests (64-byte values) and the key →
+    value map a sequential model ends with."""
+    requests = []
+    model: dict[bytes, bytes] = {}
+
+    def request(*args) -> None:
+        requests.append(resp.encode_command(*args))
+        if args[0] == b"DEL":
+            model.pop(args[1], None)
+        else:
+            model[args[1]] = args[2]
+
+    for index in range(KV_KEYS + KV_REQUESTS):
+        key = b"key:%03d" % (index % (KV_KEYS if index < KV_KEYS else KV_HOT))
+        if index % 50 == 49:
+            request(b"DEL", key)
+        else:
+            request(b"SET", key, (b"%05d:" % index) * 10 + b"abcd")
+    for index in KV_DELETED:
+        request(b"DEL", b"key:%03d" % index)
+    return requests, model
+
+
 def run_closed_loop(
     image: "Image",
     port: int,

@@ -18,7 +18,10 @@ access and cross-library call, and emit:
 Inferred metadata is a lower bound (a trace only shows what the
 workload exercised), so the report treats "observed ⊄ declared" as an
 error and "declared broader than observed" as potential
-over-approximation worth reviewing.
+over-approximation worth reviewing.  The tier-1 conformance test runs
+every world family in a profiling image, under the loads of
+:mod:`repro.tools.infer`, and also fails on a concrete declared call
+that no family makes.
 """
 
 from __future__ import annotations

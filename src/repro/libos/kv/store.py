@@ -60,10 +60,10 @@ from repro.machine.faults import GateError, MachineError
 
 from repro.libos.blk.blkdev import SECTOR_SIZE
 
-#: Largest value accepted by :meth:`KVStoreLibrary.put` (one record
-#: must fit comfortably inside a segment).
+#: Largest value a journal entry may carry (one record must fit
+#: comfortably inside a segment).
 MAX_VALUE = 4096
-#: Largest key accepted by :meth:`KVStoreLibrary.put`.
+#: Largest key a journal entry may carry.
 MAX_KEY = 1024
 #: Largest buffer accepted by :meth:`KVStoreLibrary.journal`.
 MAX_JOURNAL = 2 * MAX_VALUE
@@ -163,12 +163,11 @@ class KVStoreLibrary(MicroLibrary):
     SPEC = """
     [Memory access] Read(*); Write(*)
     [Call] *
-    [API] put(key, buf, n); get(key, buf); delete(key); journal(buf, n); \
-sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
-    [Requires] *(Read,Own), *(Write,Shared), *(Call, put), *(Call, get), \
-*(Call, delete), *(Call, journal), *(Call, sync), *(Call, compact), \
-*(Call, recover), *(Call, set_flush_policy), *(Call, kv_keys), \
-*(Call, kv_stats)
+    [API] get(key, buf); journal(buf, n); sync(); compact(); recover(); \
+set_flush_policy(policy); kv_keys(); kv_stats()
+    [Requires] *(Read,Own), *(Write,Shared), *(Call, get), \
+*(Call, journal), *(Call, sync), *(Call, compact), *(Call, recover), \
+*(Call, set_flush_policy), *(Call, kv_keys), *(Call, kv_stats)
     """
     TRUE_BEHAVIOR = {
         "writes": ["Own", "Shared"],
@@ -185,12 +184,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         ],
     }
     API_CONTRACTS = {
-        "put": [
-            (
-                lambda args: 0 <= args[2] <= MAX_VALUE,
-                f"value length must be in [0, {MAX_VALUE}]",
-            ),
-        ],
         "journal": [
             (
                 lambda args: 0 < args[1] <= MAX_JOURNAL,
@@ -198,9 +191,8 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
             ),
         ],
     }
-    POINTER_PARAMS = {"put": (1,), "get": (1,), "journal": (0,)}
+    POINTER_PARAMS = {"get": (1,), "journal": (0,)}
     CAP_GRANTS = {
-        "put": ((1, 2),),
         "get": ((1, -MAX_VALUE),),
         "journal": ((0, 1),),
     }
@@ -573,7 +565,7 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
 
     # --- append path ----------------------------------------------------------
 
-    def _append(self, key: bytes, value: bytes, flags: int) -> int:
+    def _append(self, key: bytes, value: bytes, flags: int) -> None:
         if _header_gap(self._append_offset):
             self._zero_fill_sector()
         if self._append_offset + _HDR.size + len(key) + len(value) > self._seg_bytes:
@@ -589,7 +581,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         )
         self._apply(key, _KeyDirEntry(self._active, offset, len(record), seq, flags))
         self.machine.cpu.bump("kv.appends")
-        return seq
 
     def _write_record_bytes(self, record: bytes) -> None:
         """Append raw record bytes at the active slot's tail.
@@ -834,27 +825,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
     # --- exports --------------------------------------------------------------
 
     @export
-    def put(self, key: bytes, value_addr: int, value_len: int) -> int:
-        """Append key=value; returns the record's sequence number.
-
-        Durable per the flush policy: with ``every-write`` the call
-        returns only after a flush barrier, so a returned seq IS the
-        durability acknowledgement.
-        """
-        if not 0 <= value_len <= MAX_VALUE:
-            raise GateError(f"kv: value length {value_len} out of range")
-        if not 1 <= len(key) <= MAX_KEY:
-            raise GateError(f"kv: key must be 1..{MAX_KEY} bytes")
-        self._ensure_open()
-        value = (
-            self.machine.load(value_addr, value_len) if value_len else b""
-        )
-        seq = self._append(bytes(key), value, 0)
-        self.puts += 1
-        self._after_write()
-        return seq
-
-    @export
     def get(self, key: bytes, buf_addr: int) -> int:
         """Copy the latest value into the caller's buffer; -1 on miss."""
         self._ensure_open()
@@ -866,18 +836,6 @@ sync(); compact(); recover(); set_flush_policy(policy); kv_keys(); kv_stats()
         if value:
             self.machine.store(buf_addr, value)
         return len(value)
-
-    @export
-    def delete(self, key: bytes) -> int:
-        """Append a tombstone; returns 1 if the key existed."""
-        self._ensure_open()
-        key = bytes(key)
-        entry = self._keydir.get(key)
-        existed = int(entry is not None and not entry.tombstone)
-        self._append(key, b"", _TOMBSTONE)
-        self.deletes += 1
-        self._after_write()
-        return existed
 
     @export
     def journal(self, buf_addr: int, n: int) -> int:

@@ -46,7 +46,7 @@ class CoopScheduler(MicroLibrary):
     NAME = "sched"
     SPEC = """
     [Memory access] Read(Own,Shared); Write(Own,Shared)
-    [Call] alloc::malloc, alloc::free
+    [Call]
     [API] thread_add(thread); thread_rm(tid); yield_(); wake_one(waitq); \
 wake_all(waitq); block_notify(waitq); timer_register(deadline, waitq); \
 thread_join(tid)

@@ -1,13 +1,12 @@
-"""Durable redis: AOF-style journaling into the kv compartment, plus the
-truncated-dump regression for ``load``."""
+"""Durable redis: AOF-style journaling into the kv compartment, and
+recovery from that journal after a reboot."""
 
 import pytest
 
 from repro import BuildConfig, build_image
 from repro.apps import start_redis
-from repro.apps.rediserver import DumpRecordTooLongError, DumpTruncatedError
-from repro.apps.resp import encode_bulk, encode_command as cmd
-from repro.apps.workload import ClosedLoopSource, run_redis_phase
+from repro.apps.resp import encode_command as cmd
+from repro.apps.workload import run_redis_phase
 from repro.libos.blk.blkdev import DiskMedium
 
 
@@ -120,121 +119,6 @@ def test_recovered_store_serves_gets():
         [cmd(b"GET", b"served")],
         expect_prefix=b"$12\r\nafter-reboot\r\n",
     )
-
-
-# --- satellite regression: truncated dumps must not corrupt the restore ------
-
-
-def _vfs_image():
-    return build_image(
-        BuildConfig(
-            libraries=["libc", "netstack", "vfs", "redis"],
-            compartments=[
-                ["netstack"],
-                ["vfs"],
-                ["sched", "alloc", "libc", "redis"],
-            ],
-            backend="none",
-        )
-    )
-
-
-def _write_file(image, path, content):
-    from repro.libos.fs.ramfs import O_CREAT, O_TRUNC, O_WRONLY
-
-    staging = image.call("alloc", "malloc_shared", max(64, len(content)))
-    space = image.compartment_of("vfs").address_space
-    image.machine.dma_write(space, staging, content)
-    fd = image.call("vfs", "open", path, O_WRONLY | O_CREAT | O_TRUNC)
-    image.call("vfs", "write", fd, staging, len(content))
-    image.call("vfs", "close", fd)
-
-
-def _record(key, value):
-    return len(key).to_bytes(2, "big") + key + len(value).to_bytes(4, "big") + value
-
-
-def test_load_truncated_header_raises_typed_error():
-    image = _vfs_image()
-    start_redis(image)
-    # One good record, then a lone header byte.
-    _write_file(image, "/dump", _record(b"ok", b"fine") + b"\x00")
-    with pytest.raises(DumpTruncatedError, match="record header"):
-        image.call("redis", "load", "/dump")
-    # The record before the truncation point was restored.
-    assert image.lib("redis").value_of(b"ok") == b"fine"
-
-
-def test_load_truncated_key_raises_typed_error():
-    image = _vfs_image()
-    start_redis(image)
-    # klen says 5 but only 2 key bytes follow.
-    _write_file(image, "/dump", (5).to_bytes(2, "big") + b"ab")
-    with pytest.raises(DumpTruncatedError, match="key"):
-        image.call("redis", "load", "/dump")
-    assert image.call("redis", "dbsize") == 0
-
-
-def test_load_truncated_value_raises_typed_error():
-    image = _vfs_image()
-    start_redis(image)
-    record = _record(b"key", b"full-value")
-    _write_file(image, "/dump", record[:-4])  # cut 4 value bytes
-    with pytest.raises(DumpTruncatedError, match="value"):
-        image.call("redis", "load", "/dump")
-    # The half-read record must NOT appear in the store (pre-fix it
-    # appeared with garbage bytes from the stale staging buffer).
-    assert image.lib("redis").value_of(b"key") is None
-    assert image.call("redis", "dbsize") == 0
-
-
-def test_load_refuses_a_value_longer_than_a_set_can_carry():
-    image = _vfs_image()
-    app = start_redis(image)
-    _write_file(
-        image, "/dump", _record(b"ok", b"fine") + _record(b"big", b"x" * 5000)
-    )
-    with pytest.raises(DumpRecordTooLongError, match="5000 bytes"):
-        image.call("redis", "load", "/dump")
-    # Refused before its value was read: no key, and the record before
-    # it stays restored.
-    assert app.value_of(b"big") is None
-    assert image.call("redis", "dbsize") == 1
-    # A key a SET could not carry either would not fit the staging buffer.
-    _write_file(image, "/dump", _record(b"k" * 5000, b"v"))
-    with pytest.raises(DumpRecordTooLongError, match="key of 5000 bytes"):
-        image.call("redis", "load", "/dump")
-    assert image.call("redis", "dbsize") == 1
-
-    value = (bytes(range(256)) * 16)[: app.MAX_VALUE]
-    _write_file(image, "/dump", _record(b"max", value))
-    assert image.call("redis", "load", "/dump") == 1
-    # Its GET reply goes out whole and fits the response buffer.
-    reply = encode_bulk(value)
-    assert len(reply) <= app.BUF_SIZE
-    netstack = image.lib("netstack")
-    source = ClosedLoopSource(app.PORT, [cmd(b"GET", b"max")])
-    frames = []
-    netstack.nic.rx_source = source.source
-    netstack.nic.tx_sink = lambda frame: (
-        source.sink(frame),
-        frames.append(source.last_response),
-    )
-    image.run(
-        until=lambda: sum(map(len, frames)) >= len(reply),
-        max_switches=100_000,
-    )
-    assert b"".join(frames) == reply
-
-
-def test_load_clean_dump_still_roundtrips():
-    image = _vfs_image()
-    start_redis(image)
-    _write_file(
-        image, "/dump", _record(b"a", b"1") + _record(b"b", b"22")
-    )
-    assert image.call("redis", "load", "/dump") == 2
-    assert image.lib("redis").value_of(b"b") == b"22"
 
 
 # --- journal order: a post-image never outranks a later write ---------------

@@ -142,3 +142,64 @@ def test_inferred_facts_feed_the_explorer(profiled):
     # With traced facts, a fully-hardened combination exists in which
     # everything may share one compartment (no Requires among these).
     assert min(d.num_compartments for d in deployments) == 1
+
+
+# --- declared metadata against every world family -----------------------------
+
+#: One profiling image per world family, each driven through the
+#: inference CLI's own load (``tools/infer._exercise``).  The cluster's
+#: shard image links the durable family's libraries; its follower
+#: applies journals through a host-side ``image.call``, which is not a
+#: declared call, so the cluster adds no family of its own.
+FAMILIES = {
+    "fig3-iperf": ["libc", "netstack", "iperf"],
+    "volatile-redis": ["libc", "netstack", "redis"],
+    "durable-redis": ["libc", "netstack", "blk", "kv", "redis"],
+    "httpd": ["libc", "netstack", "vfs", "httpd"],
+    "time": ["libc", "time"],
+    "mq": ["libc", "mq"],
+}
+
+#: ``(library, "callee::fn")`` → why the declared call stays although
+#: no family makes it.
+UNREACHED_CALLS: dict[tuple[str, str], str] = {}
+
+
+@pytest.fixture(scope="module")
+def families():
+    from repro.tools.infer import _exercise
+
+    runs = {}
+    for family, libraries in FAMILIES.items():
+        image, recorder = profiling_image(libraries)
+        _exercise(image)
+        runs[family] = (image, recorder)
+    return runs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_declared_metadata_matches_every_world(families, family):
+    """No library's declared spec is narrower than what its family
+    does, and each concrete ``[Call]`` entry is made by some family."""
+    from repro.core.spec_parser import parse_spec
+
+    image, recorder = families[family]
+    made: dict[str, set[str]] = {}
+    for _, other in families.values():
+        for name, observation in other.observations.items():
+            made.setdefault(name, set()).update(observation.calls)
+    for name in image.config.all_libraries():
+        errors = [
+            str(finding)
+            for finding in recorder.validate_declared(name)
+            if finding.severity == "error"
+        ]
+        assert errors == [], family
+        declared = parse_spec(name, image.lib(name).SPEC).calls
+        unreached = {
+            call
+            for call in declared or ()
+            if call not in made.get(name, set())
+            and (name, call) not in UNREACHED_CALLS
+        }
+        assert unreached == set(), name

@@ -46,7 +46,7 @@ def test_kv_spec_roundtrips_through_describe():
 
 
 def test_kv_spec_content():
-    assert "put" in KV.api and "recover" in KV.api
+    assert "journal" in KV.api and "recover" in KV.api
     assert KV.requires is not None
     # Every exported entry point is an allowed inbound call target.
     assert set(KV.api) <= KV.requires.calls
@@ -82,7 +82,7 @@ def test_bounded_caller_can_share_with_kv():
         "client",
         """
         [Memory access] Read(Own,Shared); Write(Shared)
-        [Call] kv::put, kv::get, kv::sync
+        [Call] kv::journal, kv::get, kv::sync
         """,
     )
     assert can_share(client, KV)

@@ -74,3 +74,18 @@ def test_infer_cli(capsys):
 def test_infer_fallback_workload_semaphores():
     text = report(["libc"])
     assert "sched::block_notify" in text or "sched::wake_one" in text
+
+
+def test_infer_report_exercises_httpd_and_time():
+    """httpd serves GETs (each makes a ``vfs::fstat`` call) and time
+    arms scheduler timers, instead of a semaphore ping-pong."""
+    httpd = report(["libc", "netstack", "vfs", "httpd"]).split("== httpd")[1]
+    assert "vfs::fstat" in httpd
+    assert "declared metadata consistent with the trace" in httpd
+    assert "sched::timer_register" in report(["libc", "time"])
+
+
+def test_infer_report_names_an_unexercised_library():
+    vfs = report(["libc", "vfs"]).split("== vfs")[1]
+    assert "the workload did not exercise this library" in vfs
+    assert "consistent" not in vfs

@@ -26,8 +26,7 @@ from __future__ import annotations
 import random
 
 from repro import BuildConfig, build_image
-from repro.apps import resp
-from repro.apps.workload import ClosedLoopSource, start_redis
+from repro.apps.workload import ClosedLoopSource, kv_durable_requests, start_redis
 from repro.cluster.cluster import CLUSTER_LIBRARIES, RedisCluster
 from repro.gates import GateOptions, make_channel
 from repro.libos.blk.blkdev import DiskMedium
@@ -313,16 +312,6 @@ def fig3_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
 
 # --- durable redis through kv merges and a reboot -------------------------------
 
-#: The durable load: one SET of each of :data:`KV_KEYS` keys, then
-#: :data:`KV_REQUESTS` more over the first :data:`KV_HOT` of them (a
-#: DEL every 50th), then DELs of :data:`KV_DELETED`, never set again.
-#: Merges pack the cold keys several to a sector, so later merges find
-#: records that share a sector.
-KV_KEYS = 64
-KV_HOT = 16
-KV_REQUESTS = 540
-KV_DELETED = (2, 5, 9, 13, 21, 37, 53)
-
 
 def kv_durable_config(backend: str) -> BuildConfig:
     """The benchmark's durable redis image (``redis-durable``)."""
@@ -331,30 +320,6 @@ def kv_durable_config(backend: str) -> BuildConfig:
         compartments=[["netstack"], ["blk", "kv"], ["sched", "alloc", "libc", "redis"]],
         backend=backend,
     )
-
-
-def kv_durable_requests() -> tuple[list[bytes], dict[bytes, bytes]]:
-    """The durable load's RESP requests (64-byte values) and the key →
-    value map a sequential model ends with."""
-    requests = []
-    model: dict[bytes, bytes] = {}
-
-    def request(*args) -> None:
-        requests.append(resp.encode_command(*args))
-        if args[0] == b"DEL":
-            model.pop(args[1], None)
-        else:
-            model[args[1]] = args[2]
-
-    for index in range(KV_KEYS + KV_REQUESTS):
-        key = b"key:%03d" % (index % (KV_KEYS if index < KV_KEYS else KV_HOT))
-        if index % 50 == 49:
-            request(b"DEL", key)
-        else:
-            request(b"SET", key, (b"%05d:" % index) * 10 + b"abcd")
-    for index in KV_DELETED:
-        request(b"DEL", b"key:%03d" % index)
-    return requests, model
 
 
 class _ReplyLog(ClosedLoopSource):

@@ -1,4 +1,5 @@
-"""Every ``python -m repro.…`` command the docs show still parses.
+"""Every ``python -m repro.…`` command the docs show still parses, and
+every test they cite exists.
 
 Commands come from fenced code blocks (continuation lines joined,
 shell redirections dropped) and from one-line inline code spans that
@@ -23,6 +24,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 COMMAND = re.compile(r"python3? -m (repro\.\S+)(.*)")
+#: Docs whose ``test_…`` names must resolve.  ROADMAP.md and CHANGES.md
+#: are history: they name deleted tests on purpose.
+CITING_DOCS = ("THREATS.md", "DESIGN.md", "README.md", "EXPERIMENTS.md")
 PLACEHOLDER = re.compile(r"[{}\[\]<…]")
 SHELL_OPERATORS = (">", "2>", "|", "&", ";")
 
@@ -80,6 +84,22 @@ def test_commands_of_every_cli_are_found():
         "repro.tools.profile",
         "repro.resilience.campaign",
     }
+
+
+def test_every_cited_test_exists():
+    """Each ``test_…`` name a doc cites is a test function or a test
+    module under ``tests/`` or ``benchmarks/``."""
+    known = set()
+    for path in [*ROOT.glob("tests/**/*.py"), *ROOT.glob("benchmarks/*.py")]:
+        known.add(path.stem)
+        known.update(re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M))
+    missing = {
+        f"{name}: {cited}"
+        for name in CITING_DOCS
+        for cited in re.findall(r"\btest_\w+", (ROOT / name).read_text())
+        if cited not in known
+    }
+    assert missing == set()
 
 
 @pytest.mark.parametrize("module, argv", COMMANDS)

@@ -197,6 +197,26 @@ def test_cfi_checks_every_batched_op():
     assert not libc_comp.failed
 
 
+@pytest.mark.parametrize("backend", ["none", "mpk-shared"])
+def test_cfi_hardened_httpd_serves_every_get(backend):
+    """httpd's analysed call graph is its declared call list, so CFI
+    passes every call a GET makes (``vfs::fstat`` included)."""
+    from repro.apps import populate_files, run_closed_loop, start_httpd
+
+    image = build_image(
+        BuildConfig(
+            libraries=["libc", "netstack", "vfs", "httpd"],
+            compartments=[["netstack"], ["vfs"], ["sched", "alloc", "libc", "httpd"]],
+            backend=backend,
+            hardening={"httpd": ("cfi",)},
+        )
+    )
+    populate_files(image, {"/index.html": b"<html>hello flexos</html>"})
+    app = start_httpd(image)
+    run_closed_loop(image, app.PORT, [b"GET /index.html\n"] * 20)
+    assert image.call("httpd", "httpd_stats")["hits"] == 20
+
+
 def test_gates_only_expose_declared_entry_points():
     """'Code execution starts only at well-defined entry points.'"""
     from repro.machine.faults import GateError

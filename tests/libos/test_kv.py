@@ -6,7 +6,12 @@ import pytest
 
 from repro import BuildConfig, build_image
 from repro.libos.blk.blkdev import SECTOR_SIZE, DiskMedium
-from repro.libos.kv.store import MAX_VALUE, KVStoreLibrary
+from repro.libos.kv.store import (
+    JOURNAL_DELETE,
+    JOURNAL_ENTRY,
+    MAX_VALUE,
+    KVStoreLibrary,
+)
 from repro.machine.faults import GateError
 
 
@@ -40,10 +45,19 @@ def buf(image):
     return image.call("alloc", "malloc_shared", max(8192, MAX_VALUE))
 
 
+def journal(image, buf, key, value=b"", flags=0):
+    """Send one entry through ``kv.journal``; returns the entry count."""
+    entry = JOURNAL_ENTRY.pack(flags, len(key), len(value)) + key + value
+    image.machine.dma_write(image.compartments[0].address_space, buf, entry)
+    return image.call("kv", "journal", buf, len(entry))
+
+
 def put(image, buf, key, value):
-    space = image.compartments[0].address_space
-    image.machine.dma_write(space, buf, value)
-    return image.call("kv", "put", key, buf, len(value))
+    return journal(image, buf, key, value)
+
+
+def delete(image, buf, key):
+    return journal(image, buf, key, flags=JOURNAL_DELETE)
 
 
 def get(image, buf, key):
@@ -72,10 +86,11 @@ def test_overwrite_returns_latest(image, buf):
 
 def test_delete_tombstones(image, buf):
     put(image, buf, b"gone", b"x")
-    assert image.call("kv", "delete", b"gone") == 1
+    delete(image, buf, b"gone")
     assert get(image, buf, b"gone") is None
-    assert image.call("kv", "delete", b"gone") == 0
+    delete(image, buf, b"gone")  # a missing key takes a tombstone too
     assert image.call("kv", "kv_keys") == []
+    assert image.call("kv", "kv_stats")["deletes"] == 2
 
 
 def test_empty_value_allowed(image, buf):
@@ -85,11 +100,10 @@ def test_empty_value_allowed(image, buf):
 
 def test_value_and_key_validation(image, buf):
     with pytest.raises(GateError, match="value length"):
-        image.call("kv", "put", b"k", buf, MAX_VALUE + 1)
-    with pytest.raises(GateError, match="value length"):
-        image.call("kv", "put", b"k", buf, -1)
+        put(image, buf, b"k", bytes(MAX_VALUE + 1))
     with pytest.raises(GateError, match="key"):
-        image.call("kv", "put", b"", buf, 1)
+        put(image, buf, b"", b"v")
+    assert image.call("kv", "kv_stats")["seq"] == 0
 
 
 def test_max_value_roundtrip(image, buf):
@@ -131,7 +145,7 @@ def test_reboot_recovers_flushed_state(medium):
         value = (b"V%03d" % index) * 10
         put(image, buf, key, value)
         expected[key] = value
-    image.call("kv", "delete", b"key005")
+    delete(image, buf, b"key005")
     del expected[b"key005"]
 
     img2 = make_image(medium)
@@ -243,17 +257,14 @@ def test_kv_across_mpk_boundary(medium):
     )
     image.lib("blk").attach_medium(medium)
     buf = image.call("alloc", "malloc_shared", MAX_VALUE)
-    space = image.compartments[0].address_space
-    image.machine.dma_write(space, buf, b"across-pkeys")
-    image.call("kv", "put", b"mpk", buf, 12)
-    n = image.call("kv", "get", b"mpk", buf)
-    assert image.machine.dma_read(space, buf, n) == b"across-pkeys"
+    put(image, buf, b"mpk", b"across-pkeys")
+    assert get(image, buf, b"mpk") == b"across-pkeys"
 
 
 def test_kv_spec_metadata_is_complete():
     assert KVStoreLibrary.SPEC.strip()
     assert "Requires" in KVStoreLibrary.SPEC
-    assert KVStoreLibrary.POINTER_PARAMS["put"] == (1,)
+    assert KVStoreLibrary.POINTER_PARAMS["journal"] == (0,)
     assert KVStoreLibrary.CAP_GRANTS["get"] == ((1, -MAX_VALUE),)
     calls = KVStoreLibrary.TRUE_BEHAVIOR["calls"]
     assert "blk::blk_flush" in calls and "alloc::malloc_shared" in calls
@@ -310,7 +321,7 @@ def test_recovery_ignores_a_reused_slots_previous_life(medium):
             put(image, buf, key, value)
             expected[key] = value
     for index in range(15):
-        image.call("kv", "delete", b"k%02d" % index)
+        delete(image, buf, b"k%02d" % index)
         del expected[b"k%02d" % index]
     image.call("kv", "compact")
     image.call("kv", "sync")
