@@ -38,6 +38,10 @@ from repro.machine.mpk import pkru_all_access, pkru_readable, pkru_writable
 from repro.obs import Observability
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+#: Permission bits as plain ints: the page table stores them that way,
+#: and ``int & int`` skips the enum's Python-level operators.
+_READ = int(Permissions.READ)
+_WRITE = int(Permissions.WRITE)
 #: The PKRU value capability contexts translate under.  Their reach is
 #: their capability set, checked on every access; CHERI builds assign
 #: no pkeys, so the key check it implies always passes.
@@ -136,22 +140,24 @@ class Machine:
         bounds check has already passed and is never cached.
         """
         vpn = vaddr >> PAGE_SHIFT
-        entry = space._pages.get(vpn)
-        if entry is None:
+        extent = space._lookup(vpn)
+        if extent is None:
             raise PageFault(vaddr, "access", f"not mapped in {space.name}")
+        start, _, frame, perms, pkey = extent
         if op == "read":
-            if not entry.perms & Permissions.READ:
+            if not perms & _READ:
                 raise PageFault(vaddr, "read", "page not readable")
-            if not pkru_readable(pkru, entry.pkey):
-                raise ProtectionFault(vaddr, "read", entry.pkey, context.label)
+            if not pkru_readable(pkru, pkey):
+                raise ProtectionFault(vaddr, "read", pkey, context.label)
         else:
-            if not entry.perms & Permissions.WRITE:
+            if not perms & _WRITE:
                 raise PageFault(vaddr, "write", "page not writable")
-            if not pkru_writable(pkru, entry.pkey):
-                raise ProtectionFault(vaddr, "write", entry.pkey, context.label)
+            if not pkru_writable(pkru, pkey):
+                raise ProtectionFault(vaddr, "write", pkey, context.label)
         self.tlb_misses += 1
-        space._access_cache[(vpn, op, pkru)] = entry.frame
-        return entry.frame
+        frame += vpn - start
+        space._access_cache[(vpn, op, pkru)] = frame
+        return frame
 
     def load(self, vaddr: int, size: int) -> bytes:
         """Checked read of ``size`` bytes by the current context."""
@@ -326,11 +332,13 @@ class Machine:
     def _dma_frame(self, space: AddressSpace, vaddr: int) -> int:
         """Translation-cache miss for device DMA (no permission checks)."""
         vpn = vaddr >> PAGE_SHIFT
-        entry = space._pages.get(vpn)
-        if entry is None:
+        extent = space._lookup(vpn)
+        if extent is None:
             raise PageFault(vaddr, "access", f"not mapped in {space.name}")
-        space._frame_cache[vpn] = entry.frame
-        return entry.frame
+        start, _, frame, _, _ = extent
+        frame += vpn - start
+        space._frame_cache[vpn] = frame
+        return frame
 
     def dma_write(self, space: AddressSpace, vaddr: int, payload: bytes) -> None:
         """Device write: translates via ``space``, bypasses PKRU and cost."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import mmap
+from typing import Sequence
 
 from repro.machine.faults import OutOfMemoryError
 
@@ -51,32 +52,32 @@ class PhysicalMemory:
 
     def alloc_frame(self) -> int:
         """Allocate one frame; returns the frame number."""
-        if self._free_frames:
-            return self._free_frames.pop()
-        if self._next_frame >= self.num_frames:
-            raise OutOfMemoryError("physical memory exhausted")
-        frame = self._next_frame
-        self._next_frame += 1
-        return frame
+        return self.alloc_frames(1)[0]
 
-    def alloc_frames(self, count: int) -> list[int]:
+    def alloc_frames(self, count: int) -> Sequence[int]:
         """Allocate ``count`` frames (not necessarily contiguous).
 
-        All-or-nothing: if memory runs out partway, the frames already
-        taken are rolled back onto the free list before the
-        :class:`OutOfMemoryError` propagates, so a failed bulk request
-        never leaks frames.
+        Recycled frames come first, most recently freed first, then one
+        run of fresh frames.  A request met wholly from fresh frames is
+        returned as a ``range``, so a caller can map it as one run
+        without looking at each frame.  All-or-nothing: a request that
+        does not fit raises :class:`OutOfMemoryError` and changes
+        nothing.
         """
         if count < 0:
             raise ValueError("frame count must be non-negative")
-        frames: list[int] = []
-        try:
-            for _ in range(count):
-                frames.append(self.alloc_frame())
-        except OutOfMemoryError:
-            while frames:
-                self._free_frames.append(frames.pop())
-            raise
+        free = self._free_frames
+        reused = min(count, len(free))
+        start = self._next_frame
+        end = start + count - reused
+        if end > self.num_frames:
+            raise OutOfMemoryError("physical memory exhausted")
+        self._next_frame = end
+        if not reused:
+            return range(start, end)
+        frames = free[len(free) - reused :][::-1]
+        del free[len(free) - reused :]
+        frames.extend(range(start, end))
         return frames
 
     def free_frame(self, frame: int) -> None:

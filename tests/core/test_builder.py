@@ -1,14 +1,20 @@
 """The builder: protection domains, heaps, wiring, hardening, boot."""
 
+import collections
+
 import pytest
 
 from repro import BuildConfig, build_image
+from repro.apps.workload import start_redis
+from repro.cluster.cluster import RedisCluster
 from repro.core.builder import auto_compartments, library_defs
 from repro.core.config import SHARED_PKEY, STACK_PKEY
 from repro.core.errors import BuildError
 from repro.gates.funccall import DirectChannel, ProfileChannel
 from repro.gates.mpk_shared import MPKSharedStackGate
 from repro.gates.vm_rpc import VMRPCGate
+from repro.libos.blk.blkdev import DiskMedium
+from repro.machine.address_space import AddressSpace
 from repro.machine.mpk import pkru_writable
 
 LIBS = ["libc", "netstack", "iperf"]
@@ -191,3 +197,61 @@ def test_image_stats_and_clock():
     stats = image.stats()
     assert "clock_ns" in stats
     assert image.clock_ns == stats["clock_ns"]
+
+
+def _iperf_images(backend):
+    return lambda: [
+        build_image(BuildConfig(libraries=LIBS, compartments=GROUPS, backend=backend))
+    ]
+
+
+def _durable_redis_image():
+    image = build_image(
+        BuildConfig(
+            libraries=["libc", "netstack", "blk", "kv", "redis"],
+            compartments=[
+                ["netstack"],
+                ["blk", "kv"],
+                ["sched", "alloc", "libc", "redis"],
+            ],
+            backend="mpk-switched",
+        )
+    )
+    image.lib("blk").attach_medium(DiskMedium())
+    start_redis(image)
+    return [image]
+
+
+def _cluster_shard_images():
+    return RedisCluster(shards=("s0",), backend="none", replicate=True).images()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _iperf_images("mpk-shared"),
+        _iperf_images("vm-rpc"),
+        _durable_redis_image,
+        _cluster_shard_images,
+    ],
+    ids=["iperf-mpk", "iperf-vm", "redis-durable", "cluster-shard"],
+)
+def test_page_tables_hold_at_most_one_extent_per_mapping(build, monkeypatch):
+    """A page table grows with the mappings made, not the pages mapped:
+    every address space holds no more extents than the ``map_frames``
+    calls it served (``map_new`` maps through it), although the heaps
+    alone span thousands of pages."""
+    served = collections.Counter()
+    map_frames = AddressSpace.map_frames
+
+    def counted(space, *args, **kwargs):
+        served[space] += 1
+        return map_frames(space, *args, **kwargs)
+
+    monkeypatch.setattr(AddressSpace, "map_frames", counted)
+    images = build()
+    spaces = [space for image in images for space in image.machine.spaces.values()]
+    assert spaces
+    for space in spaces:
+        assert 0 < len(space._extents) <= served[space], space.name
+        assert sum(end - start for start, end, *_ in space._extents) >= 1024

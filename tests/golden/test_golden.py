@@ -39,9 +39,10 @@ Scenarios:
   a busy yielding thread and an idle stretch, under the C and the
   verified scheduler;
 - ``kv.durable.<backend>`` — the benchmark's durable redis image, kv
-  flushed on every write, through several kv merges under SETs and
-  DELs over a small keyspace; then ``compact``, ``sync``, a reboot on
-  the same medium and ``recover``.  The result holds the replies, both
+  flushed on every write, under SETs and DELs over a small keyspace;
+  then ``compact`` (the load's one kv merge: it never seals a segment
+  slot with enough slots in use to merge on its own), ``sync``, a
+  reboot on the same medium and ``recover``.  The result holds the replies, both
   images' ``kv_stats()``, the recovery report, a digest of the
   recovered key → value map, the keys it lost or resurrected against
   a sequential model, and a sha256 of the medium's sectors;

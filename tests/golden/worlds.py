@@ -16,9 +16,9 @@
   attributing time to domains, or with a periodic sleeper per image.
 - The timer world: sleepers whose deadlines span every timer-wheel
   level, a busy yielding thread, and an idle stretch.
-- The durable redis world: the benchmark's durable redis image through
-  several kv merges, a final compaction and a reboot on the same
-  medium.
+- The durable redis world: the benchmark's durable redis image under
+  SETs and DELs, one kv merge (the final compaction) and a reboot on
+  the same medium.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def fig3_config(backend: str, hardening: dict, queue_edges=None) -> BuildConfig:
     )
 
 
-# --- durable redis through kv merges and a reboot -------------------------------
+# --- durable redis through a kv merge and a reboot ------------------------------
 
 
 def kv_durable_config(backend: str) -> BuildConfig:
@@ -335,9 +335,9 @@ class _ReplyLog(ClosedLoopSource):
 
 
 def run_kv_durable(backend: str) -> dict:
-    """Durable redis, kv flushed on every write, through several merges;
-    then ``compact``, ``sync``, a reboot on the same medium and
-    ``recover``.  Returns both images, the replies, each image's
+    """Durable redis, kv flushed on every write, under SETs and DELs;
+    then ``compact`` (the load's one kv merge), ``sync``, a reboot on
+    the same medium and ``recover``.  Returns both images, the replies, each image's
     ``kv_stats()``, the recovery report, the recovered key → value map,
     the model's map and the medium."""
     medium = DiskMedium()

@@ -49,6 +49,20 @@ def test_fixed_mapping_and_double_map_rejected(space):
         space.map_new(PAGE_SIZE, vaddr=0x4000_0000)
 
 
+def test_failed_fixed_mapping_maps_nothing_and_takes_no_frames(space, phys):
+    base = 0x4000_0000
+    taken = base + 2 * PAGE_SIZE
+    space.map_new(PAGE_SIZE, vaddr=taken)
+    allocated = phys.frames_allocated
+    with pytest.raises(ValueError, match=f"page {taken:#x} already mapped"):
+        space.map_new(4 * PAGE_SIZE, vaddr=base)
+    with pytest.raises(ValueError, match=f"page {taken:#x} already mapped"):
+        space.map_frames(base, [40, 41, 42, 43])
+    assert not space.is_mapped(base)
+    assert not space.is_mapped(base + PAGE_SIZE)
+    assert phys.frames_allocated == allocated
+
+
 def test_unaligned_fixed_mapping_rejected(space):
     with pytest.raises(ValueError):
         space.map_new(PAGE_SIZE, vaddr=0x4000_0001)

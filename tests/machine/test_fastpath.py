@@ -379,7 +379,7 @@ def test_range_cache_skips_non_contiguous_runs():
     space.unmap(vaddr + PAGE_SIZE, PAGE_SIZE)
     space.map_new(PAGE_SIZE, Permissions.RW)
     space.map_new(PAGE_SIZE, Permissions.RW, vaddr=vaddr + PAGE_SIZE)
-    frames = [space._pages[(vaddr >> 12) + i].frame for i in range(4)]
+    frames = [space.entry(vaddr + i * PAGE_SIZE).frame for i in range(4)]
     assert frames != sorted(frames) or frames[1] != frames[0] + 1
     payload = b"\xab\xcd" * (2 * PAGE_SIZE)
     machine.store(vaddr, payload)

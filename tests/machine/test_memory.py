@@ -103,6 +103,15 @@ def test_alloc_frames_rolls_back_on_exhaustion():
     assert mem.frames_allocated == 4
 
 
+def test_alloc_frames_recycles_last_freed_first_then_fresh():
+    mem = PhysicalMemory(8 * PAGE_SIZE)
+    assert mem.alloc_frames(4) == range(0, 4)  # fresh frames: one run
+    for frame in (0, 1, 2):
+        mem.free_frame(frame)
+    assert mem.alloc_frames(4) == [2, 1, 0, 4]
+    assert mem.frames_allocated == 5
+
+
 def test_read_returns_immutable_snapshot():
     # read() is built from the cached memoryview but must still be a
     # snapshot: later writes do not alter previously returned bytes.
