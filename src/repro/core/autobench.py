@@ -86,7 +86,6 @@ def simulated_perf_fn(
     backend: str = "mpk-shared",
     scale: int = 1,
     cache_path: str | None = None,
-    estimator: str = "measured",
     **config_overrides,
 ) -> Callable[["Deployment"], float]:
     """A ``perf_fn`` for :class:`repro.core.explorer.Explorer`.
@@ -108,12 +107,6 @@ def simulated_perf_fn(
     - ``perf_cache`` — the backing :class:`PerfCache`;
     - ``measure_many(deployments)`` — pre-measure a batch (see
       :func:`measure_many`).
-
-    ``estimator`` names the cost model in persistent-cache keys
-    (default ``"measured"`` — these really are measured runs); override
-    only when persisting scores produced by a *different* model through
-    the same cache, so they can never collide (see
-    :func:`repro.core.perfcache.candidate_key`).
     """
     if workload not in ("iperf", "redis"):
         raise ValueError(f"unknown workload {workload!r}")
@@ -162,8 +155,7 @@ def simulated_perf_fn(
             exploration_metrics().inc("explore.measure.memo_hits")
             return memo[key]
         persistent_key = candidate_key(
-            deployment, workload, backend, scale, config_overrides,
-            estimator=estimator,
+            deployment, workload, backend, scale, config_overrides
         )
         cost = perf_cache.get(persistent_key)
         if cost is None:

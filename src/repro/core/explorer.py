@@ -190,8 +190,8 @@ def profiled_cost_fn(
     nothing (they cannot cross a boundary that no longer exists).
 
     The returned callable carries ``profile_hash`` and ``estimator``
-    attributes so caching layers can key scores by estimator identity
-    (see :func:`repro.core.perfcache.candidate_key`).
+    attributes, which name the profile and the backend it prices
+    (``tools/profile.py recommend`` reports ``estimator``).
     """
     from repro.gates.registry import relative_crossing_cost
 

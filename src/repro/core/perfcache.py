@@ -15,13 +15,11 @@ an entry.  Hits/misses/stores are counted in the shared
 :func:`repro.obs.exploration_metrics` registry under
 ``explore.perfcache.*``.
 
-Keys also carry the **cost-estimator identity** (``estimator=`` in
-:func:`candidate_key`): a measured simulation score, an analytic
-static estimate, and a profile-guided score (keyed by the profile's
-content hash) of the same candidate are three distinct entries that
-can never alias.
+Only measured simulation scores are cached; the analytic and
+profile-guided estimators score a candidate without building an
+image, so they keep no cache.
 
-The file format is a flat ``{"version": 2, "entries": {key: cost}}``
+The file format is a flat ``{"version": 3, "entries": {key: cost}}``
 object.  Bump :data:`PerfCache.VERSION` to invalidate on disk-format
 or cost-model changes; a version mismatch (or unreadable file) is
 treated as an empty cache, never an error.
@@ -48,23 +46,12 @@ def candidate_key(
     backend: str,
     scale: int = 1,
     config_overrides: dict | None = None,
-    estimator: str = "measured",
 ) -> str:
     """Canonical string key for one measured candidate.
 
     Partition and choices come from ``Deployment.key()``; everything
     else that shapes the built image or the driven workload is folded
     in.  Stable across processes and color permutations.
-
-    ``estimator`` identifies the cost model that produced the score:
-    ``"measured"`` for real simulation runs (the default, and the only
-    value :mod:`repro.core.autobench` writes), ``"static"`` for
-    analytic edge-count estimates, or ``"profiled:<hash>:<backend>"``
-    for profile-guided scores (see
-    :func:`repro.core.explorer.profiled_cost_fn`).  Folding the
-    identity into the key means a profile-guided score can never
-    collide with a cached static or measured entry — or with a score
-    from a *different* profile of the same workload.
     """
     partition, choices = deployment.key()
     payload = {
@@ -73,7 +60,6 @@ def candidate_key(
         "workload": workload,
         "backend": backend,
         "scale": scale,
-        "estimator": estimator,
         "config": {
             key: repr(value)
             for key, value in sorted((config_overrides or {}).items())
@@ -92,10 +78,9 @@ class PerfCache:
     callers can treat the cache as always-present.
     """
 
-    # v2: keys carry the cost-estimator identity (candidate_key's
-    # ``estimator`` field), so pre-estimator caches are discarded
-    # rather than read through mismatched keys.
-    VERSION = 2
+    # v3: keys no longer carry a cost-estimator field, so v2 caches are
+    # discarded rather than read through mismatched keys.
+    VERSION = 3
 
     def __init__(self, path: str | os.PathLike | None) -> None:
         self.path = pathlib.Path(path) if path is not None else None

@@ -110,43 +110,23 @@ class AddressSpace:
         self._extents: list[_Extent] = []
         self._next_va = base
         self._limit = limit
-        #: Software TLB: ``(vpn, op, pkru) → frame`` for accesses whose
-        #: permission + PKRU checks already passed.  The machine fast
-        #: path consults it to skip the page walk (see
-        #: :meth:`repro.machine.machine.Machine.load`).  Keying on the
-        #: PKRU value means a WRPKRU or context switch needs no explicit
-        #: shootdown — a different PKRU simply misses.  Any page-table
-        #: mutation (map/unmap/protect) clears the whole cache, which is
-        #: observationally equivalent to the epoch-tag scheme (a bumped
-        #: epoch makes every old key unreachable; clearing reclaims the
-        #: memory too).
-        self._access_cache: dict[tuple[int, str, int], int] = {}
-        #: Range extension of the software TLB: ``(vpn, npages, op,
-        #: pkru) → base paddr`` for multi-page runs whose pages all
-        #: passed their checks *and* whose frames are physically
-        #: contiguous (the common case — ``map_new`` allocates frames
-        #: sequentially).  A hit turns a bulk access into one slice
-        #: instead of a per-page walk; runs that are not contiguous
-        #: simply never enter the cache and keep taking the per-page
-        #: path.
-        self._range_cache: dict[tuple[int, int, str, int], int] = {}
-        #: Translation-only cache (``vpn → frame``) for device DMA,
-        #: which bypasses permissions and PKRU entirely.
-        self._frame_cache: dict[int, int] = {}
-        #: Monotonic generation counter: bumped on every page-table
-        #: mutation.  Telemetry / debugging aid; correctness rests on
-        #: the caches being cleared, not on this number.
-        self.epoch = 0
+        #: Software TLB: ``(vpn, op, pkru) → (paddr of page vpn, first
+        #: vaddr past its extent)`` for translations whose checks already
+        #: passed (see :meth:`repro.machine.machine.Machine._tlb_fill`).
+        #: ``op`` is ``"read"``, ``"write"`` or ``"dma"`` (device DMA,
+        #: under PKRU 0, checks nothing), so a DMA translation never
+        #: serves a CPU access.  Keying on the PKRU value means a WRPKRU
+        #: or context switch needs no explicit shootdown — a different
+        #: PKRU simply misses.  Any page-table mutation
+        #: (map/unmap/protect) clears the whole cache.
+        self._access_cache: dict[tuple[int, str, int], tuple[int, int]] = {}
         #: How many times the software TLB was shot down.
         self.tlb_invalidations = 0
 
     def _invalidate(self) -> None:
         """Shoot down the software TLB after a page-table mutation."""
-        self.epoch += 1
-        if self._access_cache or self._frame_cache or self._range_cache:
+        if self._access_cache:
             self._access_cache.clear()
-            self._range_cache.clear()
-            self._frame_cache.clear()
             self.tlb_invalidations += 1
 
     # --- mapping ---------------------------------------------------------
@@ -276,7 +256,7 @@ class AddressSpace:
 
     def _lookup(self, vpn: int) -> _Extent | None:
         """The extent holding page ``vpn``, or None: the one page-table
-        lookup (the machine's TLB-miss paths call it too)."""
+        lookup (the machine's TLB-miss path calls it too)."""
         index = bisect_right(self._starts, vpn) - 1
         if index >= 0:
             extent = self._extents[index]

@@ -15,18 +15,23 @@ pipeline of the paper's testbed):
    mismatch raises :class:`ProtectionFault` (MPK isolation);
 6. move the bytes.
 
-Steps 3–5 run once per (page, access kind, PKRU) and are then served
-from a software TLB.  Capability (CHERI) contexts check their bounds
-on every access first, then translate on the same TLB path under the
-all-access PKRU: they are not subject to protection keys.
+Steps 3–5 run once per (first page, access kind, PKRU) and are then
+served from a software TLB whose entry covers the rest of that page's
+extent, so an access that ends inside the extent is one probe and one
+slice, whatever its size.  Capability (CHERI) contexts check their
+bounds on every access first, then translate on the same TLB path
+under the all-access PKRU: they are not subject to protection keys.
 
 Device DMA (:meth:`Machine.dma_read` / :meth:`Machine.dma_write`)
-bypasses PKRU — as on real hardware, where MPK does not constrain
-devices — and never charges the CPU clock, which lets the workload
-harness play the role of the external traffic generator.
+translates on the same TLB under its own access kind and checks
+neither permissions nor PKRU — as on real hardware, where MPK does not
+constrain devices — and never charges the CPU clock, which lets the
+workload harness play the role of the external traffic generator.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.machine.address_space import AddressSpace, Permissions
 from repro.machine.cpu import CPU, Context
@@ -126,38 +131,72 @@ class Machine:
     def _tlb_fill(
         self,
         space: AddressSpace,
-        context: Context,
+        context: Context | None,
         vaddr: int,
         op: str,
         pkru: int,
-    ) -> int:
-        """Software-TLB miss: full page walk + checks, then cache.
+    ) -> tuple[int, int]:
+        """Software-TLB miss: one page-table lookup, the checks, one entry.
 
-        Performs the permission and PKRU checks for one page — raising
-        their faults — then records the earned translation under
-        ``(vpn, op, pkru)``.  ``pkru`` is the context's own value, or
-        the all-access value for a capability context, whose per-access
-        bounds check has already passed and is never cached.
+        A ``"read"`` or ``"write"`` checks the page's permission, then
+        its key against ``pkru`` — raising their faults; device DMA
+        (``"dma"``, under PKRU 0) checks neither.  The earned run is
+        cached under ``(vpn, op, pkru)`` as ``(paddr of the page, first
+        vaddr past its extent)``: every later page of the extent has
+        the same rights and the next frames in order, so the one entry
+        covers any access that starts in this page and ends in the
+        extent.  ``pkru`` is the context's own value, or the all-access
+        value for a capability context, whose per-access bounds check
+        has already passed and is never cached.
         """
         vpn = vaddr >> PAGE_SHIFT
         extent = space._lookup(vpn)
         if extent is None:
             raise PageFault(vaddr, "access", f"not mapped in {space.name}")
-        start, _, frame, perms, pkey = extent
+        start, end, frame, perms, pkey = extent
         if op == "read":
             if not perms & _READ:
                 raise PageFault(vaddr, "read", "page not readable")
             if not pkru_readable(pkru, pkey):
                 raise ProtectionFault(vaddr, "read", pkey, context.label)
-        else:
+        elif op == "write":
             if not perms & _WRITE:
                 raise PageFault(vaddr, "write", "page not writable")
             if not pkru_writable(pkru, pkey):
                 raise ProtectionFault(vaddr, "write", pkey, context.label)
         self.tlb_misses += 1
-        frame += vpn - start
-        space._access_cache[(vpn, op, pkru)] = frame
-        return frame
+        run = ((frame + vpn - start) << PAGE_SHIFT, end << PAGE_SHIFT)
+        space._access_cache[(vpn, op, pkru)] = run
+        return run
+
+    def _pieces(
+        self,
+        space: AddressSpace,
+        context: Context | None,
+        vaddr: int,
+        size: int,
+        op: str,
+        pkru: int,
+    ) -> Iterator[tuple[int, int]]:
+        """The walk: ``(paddr, length)`` for each piece of ``[vaddr,
+        vaddr + size)`` that lies in one extent, in address order.
+
+        Each piece is translated — a cache probe, or a fill that runs
+        its checks — only when the caller asks for it, so a caller
+        that moves each piece's bytes before taking the next has moved
+        exactly the pages before a fault when one is raised.
+        """
+        cache = space._access_cache
+        end = vaddr + size
+        while vaddr < end:
+            run = cache.get((vaddr >> PAGE_SHIFT, op, pkru))
+            if run is None:
+                run = self._tlb_fill(space, context, vaddr, op, pkru)
+            else:
+                self.tlb_hits += 1
+            stop = min(end, run[1])
+            yield run[0] | (vaddr & _PAGE_MASK), stop - vaddr
+            vaddr = stop
 
     def load(self, vaddr: int, size: int) -> bytes:
         """Checked read of ``size`` bytes by the current context."""
@@ -190,55 +229,17 @@ class Machine:
                 raise ValueError("size must be non-negative")
             return b""
         space = context.address_space
-        cache = space._access_cache
-        vpn = vaddr >> PAGE_SHIFT
-        if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-            # Hot case: the access fits one page — one dict probe, one
-            # slice.
-            frame = cache.get((vpn, "read", pkru))
-            if frame is None:
-                frame = self._tlb_fill(space, context, vaddr, "read", pkru)
-            else:
-                self.tlb_hits += 1
-            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-            # Slicing the mmap copies once, straight into bytes.
-            return self.phys.data[paddr : paddr + size]
-        # Multi-page: try the range cache first — one probe and one
-        # slice when the run was already checked and its frames are
-        # physically contiguous.
-        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-        npages = last_vpn - vpn + 1
-        range_key = (vpn, npages, "read", pkru)
-        base_paddr = space._range_cache.get(range_key)
-        if base_paddr is not None:
+        run = space._access_cache.get((vaddr >> PAGE_SHIFT, "read", pkru))
+        if run is not None and vaddr + size <= run[1]:
+            # Hot case: the access lies in a cached run — one dict
+            # probe, one slice (the mmap copies once, straight into
+            # bytes).
             self.tlb_hits += 1
-            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            paddr = run[0] | (vaddr & _PAGE_MASK)
             return self.phys.data[paddr : paddr + size]
         view = self.phys.view
-        chunks = []
-        offset = vaddr
-        end = vaddr + size
-        first_frame = None
-        next_frame = None
-        while offset < end:
-            vpn = offset >> PAGE_SHIFT
-            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - offset
-            frame = cache.get((vpn, "read", pkru))
-            if frame is None:
-                frame = self._tlb_fill(space, context, offset, "read", pkru)
-            else:
-                self.tlb_hits += 1
-            if first_frame is None:
-                first_frame = frame
-            elif frame != next_frame:
-                first_frame = -1  # run is not physically contiguous
-            next_frame = frame + 1
-            paddr = (frame << PAGE_SHIFT) | (offset & _PAGE_MASK)
-            chunks.append(view[paddr : paddr + chunk])
-            offset += chunk
-        if first_frame >= 0:
-            space._range_cache[range_key] = first_frame << PAGE_SHIFT
-        return b"".join(chunks)
+        pieces = self._pieces(space, context, vaddr, size, "read", pkru)
+        return b"".join([view[paddr : paddr + length] for paddr, length in pieces])
 
     def store(self, vaddr: int, payload: bytes) -> None:
         """Checked write of ``payload`` by the current context."""
@@ -268,56 +269,19 @@ class Machine:
         if not size:
             return
         space = context.address_space
-        cache = space._access_cache
         data = self.phys.data
-        vpn = vaddr >> PAGE_SHIFT
-        if (vaddr + size - 1) >> PAGE_SHIFT == vpn:
-            frame = cache.get((vpn, "write", pkru))
-            if frame is None:
-                frame = self._tlb_fill(space, context, vaddr, "write", pkru)
-            else:
-                self.tlb_hits += 1
-            paddr = (frame << PAGE_SHIFT) | (vaddr & _PAGE_MASK)
-            data[paddr : paddr + size] = payload
-            return
-        # Multi-page: a range-cache hit means every page of the run
-        # already passed its checks and the frames are physically
-        # contiguous — the whole store is one slice assignment.
-        last_vpn = (vaddr + size - 1) >> PAGE_SHIFT
-        npages = last_vpn - vpn + 1
-        range_key = (vpn, npages, "write", pkru)
-        base_paddr = space._range_cache.get(range_key)
-        if base_paddr is not None:
+        run = space._access_cache.get((vaddr >> PAGE_SHIFT, "write", pkru))
+        if run is not None and vaddr + size <= run[1]:
             self.tlb_hits += 1
-            paddr = base_paddr | (vaddr & _PAGE_MASK)
+            paddr = run[0] | (vaddr & _PAGE_MASK)
             data[paddr : paddr + size] = payload
             return
-        # Miss: check-and-write page by page, in order, so a fault
+        # Write each piece before checking the next, so a fault
         # mid-store leaves exactly the pages before it written.
         offset = 0
-        va = vaddr
-        end = vaddr + size
-        first_frame = None
-        next_frame = None
-        while va < end:
-            vpn = va >> PAGE_SHIFT
-            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-            frame = cache.get((vpn, "write", pkru))
-            if frame is None:
-                frame = self._tlb_fill(space, context, va, "write", pkru)
-            else:
-                self.tlb_hits += 1
-            if first_frame is None:
-                first_frame = frame
-            elif frame != next_frame:
-                first_frame = -1  # run is not physically contiguous
-            next_frame = frame + 1
-            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-            offset += chunk
-            va += chunk
-        if first_frame >= 0:
-            space._range_cache[range_key] = first_frame << PAGE_SHIFT
+        for paddr, length in self._pieces(space, context, vaddr, size, "write", pkru):
+            data[paddr : paddr + length] = payload[offset : offset + length]
+            offset += length
 
     def copy(self, dst: int, src: int, size: int) -> None:
         """Checked memory-to-memory copy (one load + one store)."""
@@ -329,54 +293,31 @@ class Machine:
 
     # --- unchecked / device access ---------------------------------------------
 
-    def _dma_frame(self, space: AddressSpace, vaddr: int) -> int:
-        """Translation-cache miss for device DMA (no permission checks)."""
-        vpn = vaddr >> PAGE_SHIFT
-        extent = space._lookup(vpn)
-        if extent is None:
-            raise PageFault(vaddr, "access", f"not mapped in {space.name}")
-        start, _, frame, _, _ = extent
-        frame += vpn - start
-        space._frame_cache[vpn] = frame
-        return frame
-
     def dma_write(self, space: AddressSpace, vaddr: int, payload: bytes) -> None:
         """Device write: translates via ``space``, bypasses PKRU and cost."""
-        cache = space._frame_cache
+        size = len(payload)
         data = self.phys.data
+        run = space._access_cache.get((vaddr >> PAGE_SHIFT, "dma", 0))
+        if run is not None and vaddr + size <= run[1]:
+            self.tlb_hits += 1
+            paddr = run[0] | (vaddr & _PAGE_MASK)
+            data[paddr : paddr + size] = payload
+            return
         offset = 0
-        va = vaddr
-        end = vaddr + len(payload)
-        while va < end:
-            vpn = va >> PAGE_SHIFT
-            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-            frame = cache.get(vpn)
-            if frame is None:
-                frame = self._dma_frame(space, va)
-            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-            data[paddr : paddr + chunk] = payload[offset : offset + chunk]
-            offset += chunk
-            va += chunk
+        for paddr, length in self._pieces(space, None, vaddr, size, "dma", 0):
+            data[paddr : paddr + length] = payload[offset : offset + length]
+            offset += length
 
     def dma_read(self, space: AddressSpace, vaddr: int, size: int) -> bytes:
         """Device read: translates via ``space``, bypasses PKRU and cost."""
-        cache = space._frame_cache
+        run = space._access_cache.get((vaddr >> PAGE_SHIFT, "dma", 0))
+        if run is not None and vaddr + size <= run[1]:
+            self.tlb_hits += 1
+            paddr = run[0] | (vaddr & _PAGE_MASK)
+            return self.phys.data[paddr : paddr + size]
         view = self.phys.view
-        chunks = []
-        va = vaddr
-        end = vaddr + size
-        while va < end:
-            vpn = va >> PAGE_SHIFT
-            chunk = min(end, (vpn + 1) << PAGE_SHIFT) - va
-            frame = cache.get(vpn)
-            if frame is None:
-                frame = self._dma_frame(space, va)
-            paddr = (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-            chunks.append(view[paddr : paddr + chunk])
-            va += chunk
-        if len(chunks) == 1:
-            return bytes(chunks[0])
-        return b"".join(chunks)
+        pieces = self._pieces(space, None, vaddr, size, "dma", 0)
+        return b"".join([view[paddr : paddr + length] for paddr, length in pieces])
 
     # --- counter source ------------------------------------------------------
 

@@ -98,16 +98,6 @@ class PhysicalMemory:
             raise ValueError(f"physical read out of range: {paddr:#x}+{size}")
         return bytes(self.view[paddr : paddr + size])
 
-    def read_view(self, paddr: int, size: int) -> memoryview:
-        """Zero-copy read-only window at ``paddr``.
-
-        The view aliases live memory: it reflects later writes and must
-        not be held across them by callers expecting a snapshot.
-        """
-        if paddr < 0 or paddr + size > self.size:
-            raise ValueError(f"physical read out of range: {paddr:#x}+{size}")
-        return self.view[paddr : paddr + size].toreadonly()
-
     def write(self, paddr: int, payload) -> None:
         """Write ``payload`` (any bytes-like) at physical address ``paddr``."""
         if paddr < 0 or paddr + len(payload) > self.size:

@@ -1,5 +1,4 @@
-"""profiled_cost_fn, estimator identity in the perf cache, and the
-tools/profile.py CLI."""
+"""profiled_cost_fn and the tools/profile.py CLI."""
 
 import json
 
@@ -13,7 +12,6 @@ from repro.core.explorer import (
     crossing_cost_fn,
     profiled_cost_fn,
 )
-from repro.core.perfcache import PerfCache, candidate_key
 from repro.obs import WorkloadProfile, capture_profile
 from repro.tools.profile import main as profile_main
 
@@ -97,45 +95,6 @@ class TestProfiledCostFn:
         for deployment in Explorer(defs).deployments:
             # redis-> edges can't cross boundaries that don't exist.
             assert cost(deployment) >= 0.0
-
-
-class TestEstimatorInCacheKeys:
-    def _deployment(self, explorer):
-        return explorer.deployments[0]
-
-    def test_default_is_measured(self, explorer):
-        d = self._deployment(explorer)
-        assert candidate_key(d, "redis", "mpk-shared") == candidate_key(
-            d, "redis", "mpk-shared", estimator="measured"
-        )
-
-    def test_estimators_never_alias(self, explorer, redis_profile):
-        d = self._deployment(explorer)
-        measured = candidate_key(d, "redis", "mpk-shared")
-        static = candidate_key(d, "redis", "mpk-shared", estimator="static")
-        profiled = candidate_key(
-            d,
-            "redis",
-            "mpk-shared",
-            estimator=f"profiled:{redis_profile.profile_hash()}:mpk-shared",
-        )
-        assert len({measured, static, profiled}) == 3
-
-    def test_cache_separates_estimators(self, tmp_path, explorer):
-        d = self._deployment(explorer)
-        cache = PerfCache(tmp_path / "cache.json")
-        cache.put(candidate_key(d, "redis", "mpk-shared"), 1.0)
-        cache.put(
-            candidate_key(d, "redis", "mpk-shared", estimator="static"), 2.0
-        )
-        reloaded = PerfCache(tmp_path / "cache.json")
-        assert reloaded.get(candidate_key(d, "redis", "mpk-shared")) == 1.0
-        assert (
-            reloaded.get(
-                candidate_key(d, "redis", "mpk-shared", estimator="static")
-            )
-            == 2.0
-        )
 
 
 class TestProfileCli:

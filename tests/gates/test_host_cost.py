@@ -114,21 +114,24 @@ def test_crossing_after_a_load_frame_budget(kind):
     assert _frames(load_then_cross) <= BUDGETS[kind][0] + _frames(load)
 
 
-def _accesses(world: str):
-    """The machine, an address and load/store/copy thunks of an entered
-    caller, each run once so the software TLB holds its translations."""
+def _accesses(world: str, size: int = 8):
+    """The machine, an address and ``size``-byte load/store/copy thunks
+    of an entered caller, each run once so the software TLB holds its
+    translations.  The accesses lie in one freshly mapped region, which
+    is one extent."""
     machine, _, caller = make_world(world)
     enter_caller(machine, caller)
-    addr = caller.compartment.alloc_region(4096)
+    addr = caller.compartment.alloc_region(max(4096, size + 64))
+    payload = b"01234567" * (size // 8)
 
     def load():
-        machine.load(addr, 8)
+        machine.load(addr, size)
 
     def store():
-        machine.store(addr, b"01234567")
+        machine.store(addr, payload)
 
     def copy():
-        machine.copy(addr + 64, addr, 8)
+        machine.copy(addr + 64, addr, size)
 
     for access in (load, store, copy):
         access()
@@ -146,6 +149,13 @@ def test_memory_access_frame_budget():
         machine.cpu.charge(1.0)
 
     assert _frames(load_then_charge) <= 2  # load, charge
+
+    # An access that spans pages inside one cached extent is one probe
+    # and one slice too.
+    _, _, load, store, copy = _accesses("mpk-shared", 3 * 4096 + 16)
+    assert _frames(load) <= 1
+    assert _frames(store) <= 1
+    assert _frames(copy) <= 3
 
     # A capability context adds its per-access bounds check (the
     # charge, the check, its range scan), then takes the same TLB path.

@@ -3,11 +3,14 @@
 A :class:`~repro.machine.machine.Machine` and a test-only
 :class:`~tests.machine.reference.ReferenceMachine` (which walks the page
 table and checks every page on every access) execute the same
-randomized trace of map/unmap/protect/pkey/wrpkru/load/store
-operations.  Every operation must produce the same value or the same
-fault, and at the end the simulated clock, every counter, and the full
-physical memory image must be bit-identical: translation caching may
-only change host wall-clock, never any simulated observable.
+randomized trace of map/unmap/protect/pkey/wrpkru/load/store/DMA
+operations.  Maps of one to four pages make multi-page extents, which
+single-page protects and unmaps then split, so bulk accesses are served
+both inside one cached extent run and across several.  Every operation
+must produce the same value or the same fault, and at the end the
+simulated clock, every counter, and the full physical memory image must
+be bit-identical: translation caching may only change host wall-clock,
+never any simulated observable.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ def _random_trace(rng: random.Random, ops: int) -> list[tuple]:
     for _ in range(ops):
         roll = rng.random()
         if roll < 0.10:
+            npages = rng.randint(1, 4)
             trace.append(
                 (
                     "map",
-                    rng.randrange(NUM_PAGES),
+                    rng.randrange(NUM_PAGES - npages + 1),
+                    npages,
                     rng.choice(PERM_CHOICES),
                     rng.choice(PKEY_CHOICES),
                 )
@@ -97,21 +102,27 @@ def _random_trace(rng: random.Random, ops: int) -> list[tuple]:
         else:
             page = rng.randrange(NUM_PAGES)
             offset = rng.choice((0, 1, 7, PAGE_SIZE - 3, PAGE_SIZE - 1))
-            # Bulk sizes (3+ pages) exercise the range cache, including
-            # runs with non-contiguous frames (remapped pages) and
-            # faults in the middle of a run.
+            # Bulk sizes (3+ pages) exercise cached extent runs and the
+            # walk across extents, including runs with non-contiguous
+            # frames (remapped pages) and faults in the middle of a run.
             size = rng.choice(
                 (0, 1, 8, 64, PAGE_SIZE, PAGE_SIZE + 17,
                  3 * PAGE_SIZE + 11, 6 * PAGE_SIZE)
             )
             vaddr = _page_va(page) + offset
-            if roll < 0.67:
-                trace.append(("load", vaddr, size))
+            # Device DMA ignores page rights and keys, on the same
+            # pages the CPU accesses.
+            kind = rng.choice(
+                ("load", "load", "load", "store", "store", "store",
+                 "dma_read", "dma_write")
+            )
+            if kind in ("load", "dma_read"):
+                trace.append((kind, vaddr, size))
             else:
                 payload = bytes(
                     rng.getrandbits(8) for _ in range(min(size, 64))
                 ) * (1 if size <= 64 else (size // 64 + 1))
-                trace.append(("store", vaddr, payload[:size]))
+                trace.append((kind, vaddr, payload[:size]))
     return trace
 
 
@@ -121,11 +132,12 @@ def _apply(machine: Machine, space, op: tuple):
     kind = op[0]
     try:
         if kind == "map":
-            _, page, perms, pkey = op
-            if space.is_mapped(_page_va(page)):
+            _, page, npages, perms, pkey = op
+            pages = range(page, page + npages)
+            if any(space.is_mapped(_page_va(each)) for each in pages):
                 return ("noop",)
-            space.map_new(PAGE_SIZE, perms, pkey, vaddr=_page_va(page))
-            return ("mapped", page)
+            space.map_new(npages * PAGE_SIZE, perms, pkey, vaddr=_page_va(page))
+            return ("mapped", page, npages)
         if kind == "unmap":
             _, page = op
             if not space.is_mapped(_page_va(page)):
@@ -152,6 +164,13 @@ def _apply(machine: Machine, space, op: tuple):
             _, vaddr, payload = op
             machine.store(vaddr, payload)
             return ("stored", len(payload))
+        if kind == "dma_read":
+            _, vaddr, size = op
+            return ("bytes", machine.dma_read(space, vaddr, size))
+        if kind == "dma_write":
+            _, vaddr, payload = op
+            machine.dma_write(space, vaddr, payload)
+            return ("stored", len(payload))
         raise AssertionError(f"unknown op {kind}")
     except (PageFault, ProtectionFault, SHViolation) as exc:
         return ("fault", type(exc).__name__, str(exc))
@@ -159,8 +178,13 @@ def _apply(machine: Machine, space, op: tuple):
 
 def _run_differential(seed: int, ops: int = 400, profile_factory=None,
                       caps_factory=None):
-    rng = random.Random(seed)
-    trace = _random_trace(rng, ops)
+    return _run_trace(
+        _random_trace(random.Random(seed), ops), profile_factory, caps_factory
+    )
+
+
+def _run_trace(trace: list[tuple], profile_factory=None, caps_factory=None):
+    """Run ``trace`` on both machines; returns them and the outcomes."""
     fast, fast_space, _ = _build(
         Machine,
         profile_factory() if profile_factory else None,
@@ -171,6 +195,7 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
         profile_factory() if profile_factory else None,
         caps_factory() if caps_factory else None,
     )
+    results = []
     for index, op in enumerate(trace):
         fast_result = _apply(fast, fast_space, op)
         slow_result = _apply(slow, slow_space, op)
@@ -178,6 +203,7 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
             f"divergence at op {index} {op!r}: "
             f"fast={fast_result!r} slow={slow_result!r}"
         )
+        results.append(fast_result)
     # Every simulated observable is bit-identical.  The two count
     # accesses independently: the machine in its own ints, which the
     # registry derives ``loads`` and the byte counts from on read, the
@@ -188,15 +214,16 @@ def _run_differential(seed: int, ops: int = 400, profile_factory=None,
     assert slow.loads == slow.stores == 0
     assert fast.phys.view == slow.phys.view
     assert fast.phys.frames_allocated == slow.phys.frames_allocated
-    return fast, slow
+    return fast, slow, results
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_differential_neutral_profile(seed):
-    fast, _ = _run_differential(seed)
-    # The machine actually exercised its cache.
+    fast, _, results = _run_differential(seed)
+    # The machine actually exercised its cache, on multi-page extents.
     stats = fast.fastpath_stats()
     assert stats["tlb_hits"] + stats["tlb_misses"] > 0
+    assert any(result[0] == "mapped" and result[2] > 1 for result in results)
 
 
 @pytest.mark.parametrize("seed", (1, 7))
@@ -235,7 +262,7 @@ def test_differential_dfi_like_monitor(seed):
             name="dfi-like", store_factor=1.07, monitors=[monitor]
         )
 
-    fast, slow = _run_differential(seed, profile_factory=profile)
+    fast, slow, _ = _run_differential(seed, profile_factory=profile)
     dfi_checks = [m.cpu.metrics.counters.get("dfi_checks") for m in (fast, slow)]
     assert dfi_checks[0] == dfi_checks[1]
 
@@ -250,7 +277,7 @@ def test_differential_capability_context(seed):
             "test", [(BASE, BASE + (NUM_PAGES - 2) * PAGE_SIZE)]
         )
 
-    fast, _ = _run_differential(seed, caps_factory=caps)
+    fast, _, _ = _run_differential(seed, caps_factory=caps)
     assert fast.fastpath_stats()["tlb_hits"] > 0
 
 
@@ -281,7 +308,7 @@ def test_capability_bounds_fault_on_a_cached_page():
     # bounds check on cached translations, not from a fresh page walk.
     assert machine.load(BASE, 64) == b"in-bound" + bytes(56)
     assert machine.dma_read(space, BASE + 64, 128) == bytes(128)
-    assert machine.fastpath_stats()["tlb_misses"] == 2  # one read, one write
+    assert machine.fastpath_stats()["tlb_misses"] == 3  # read, write, DMA
 
 
 def test_protect_revokes_cached_read():
@@ -350,27 +377,37 @@ def test_tlb_telemetry_counts():
 
 
 def test_range_cache_bulk_roundtrip_and_invalidation():
-    """Multi-page runs hit the range cache; protect revokes the run."""
+    """A bulk access inside one extent is one probe of the cached run;
+    a protect in the middle of the run makes a store fault at the
+    revoked page, with the pages before it written."""
     machine, space, _ = _build()
     vaddr = space.map_new(8 * PAGE_SIZE, Permissions.RW)
     payload = bytes(range(256)) * (8 * PAGE_SIZE // 256)
     machine.store(vaddr, payload)
     assert machine.load(vaddr, 8 * PAGE_SIZE) == payload
-    # The second bulk access of each kind is a single range-cache hit.
-    hits = machine.tlb_hits
-    machine.load(vaddr, 8 * PAGE_SIZE)
-    assert machine.tlb_hits == hits + 1
-    # Write-protecting one page in the middle must fault the whole run.
+    # The second bulk access of each kind is a single cache hit.
+    for access in (
+        lambda: machine.load(vaddr, 8 * PAGE_SIZE),
+        lambda: machine.store(vaddr, payload),
+    ):
+        hits, misses = machine.tlb_hits, machine.tlb_misses
+        access()
+        assert (machine.tlb_hits, machine.tlb_misses) == (hits + 1, misses)
+    # Write-protecting one page in the middle splits the run: the store
+    # faults at that page, after writing the three pages before it.
     space.protect(vaddr + 3 * PAGE_SIZE, PAGE_SIZE, Permissions.READ)
-    with pytest.raises(PageFault):
-        machine.store(vaddr, payload)
-    # ... and a partial store stops exactly at the revoked page.
-    assert machine.load(vaddr, 8 * PAGE_SIZE) == payload
+    fresh = bytes(reversed(payload))
+    with pytest.raises(PageFault) as fault:
+        machine.store(vaddr, fresh)
+    assert fault.value.vaddr == vaddr + 3 * PAGE_SIZE
+    assert fault.value.access == "write"
+    split = 3 * PAGE_SIZE
+    assert machine.load(vaddr, 8 * PAGE_SIZE) == fresh[:split] + payload[split:]
 
 
 def test_range_cache_skips_non_contiguous_runs():
-    """Runs over scattered frames never enter the range cache but stay
-    correct."""
+    """Runs over scattered frames stay correct: a bulk access walks one
+    piece per extent."""
     machine, space, _ = _build()
     vaddr = space.map_new(4 * PAGE_SIZE, Permissions.RW)
     # Remap the second page to a different (later) frame: the run's
@@ -384,18 +421,50 @@ def test_range_cache_skips_non_contiguous_runs():
     payload = b"\xab\xcd" * (2 * PAGE_SIZE)
     machine.store(vaddr, payload)
     assert machine.load(vaddr, 4 * PAGE_SIZE) == payload
-    machine.load(vaddr, 4 * PAGE_SIZE)
-    assert not space._range_cache  # never cached, still correct
+    hits = machine.tlb_hits
+    assert machine.load(vaddr, 4 * PAGE_SIZE) == payload
+    assert machine.tlb_hits == hits + 3  # pages 0, 1 and 2-3
 
 
 def test_dma_differential():
-    """DMA uses the translation-only cache; results stay identical."""
-    fast, fast_space, _ = _build(Machine)
-    slow, slow_space, _ = _build(ReferenceMachine)
-    for machine, space in ((fast, fast_space), (slow, slow_space)):
-        vaddr = space.map_new(3 * PAGE_SIZE, Permissions.RW)
-        machine.dma_write(space, vaddr + 100, b"dma" * 2000)
-    assert fast.phys.view == slow.phys.view
-    got_fast = fast.dma_read(fast_space, fast_space._next_va - 3 * PAGE_SIZE + 100, 6000)
-    got_slow = slow.dma_read(slow_space, slow_space._next_va - 3 * PAGE_SIZE + 100, 6000)
-    assert got_fast == got_slow == b"dma" * 2000
+    """DMA translates on the TLB under its own access kind: it writes
+    pages the CPU may not, across extents, and never lends the CPU its
+    translation (the first loads run under PKRU 0, the key DMA fills
+    under); results stay identical to the page walk."""
+    rw, ro, none, foreign = (_page_va(page) for page in (0, 3, 4, 5))
+    trace = [
+        ("map", 0, 3, Permissions.RW, 0),
+        ("map", 3, 1, Permissions.READ, 0),
+        ("map", 4, 1, Permissions.NONE, 0),
+        ("map", 5, 1, Permissions.RW, 2),
+        ("dma_write", rw + 100, b"dma" * 2000),
+        ("dma_read", rw + 100, 6000),
+        ("dma_write", ro + 8, b"read-only"),
+        ("load", ro + 8, 9),
+        ("dma_write", none + 16, b"none"),
+        ("load", none + 16, 4),
+        ("pkru", True, pkru_for_keys(writable=(0,))),
+        ("dma_write", foreign, b"foreign"),
+        ("dma_read", foreign, 7),
+        ("load", foreign, 7),
+        ("dma_read", rw + 3 * PAGE_SIZE - 4, 16),
+        ("dma_write", foreign + PAGE_SIZE - 2, b"gap!"),
+    ]
+    _, _, results = _run_trace(trace)
+    unreadable = PageFault(none + 16, "read", "page not readable")
+    protection = ProtectionFault(foreign, "read", 2, "test")
+    unmapped = PageFault(foreign + PAGE_SIZE, "access", "not mapped in main")
+    assert results[4:] == [
+        ("stored", 6000),
+        ("bytes", b"dma" * 2000),
+        ("stored", 9),
+        ("bytes", b"read-only"),
+        ("stored", 4),
+        ("fault", "PageFault", str(unreadable)),
+        ("pkru", pkru_for_keys(writable=(0,))),
+        ("stored", 7),
+        ("bytes", b"foreign"),
+        ("fault", "ProtectionFault", str(protection)),
+        ("bytes", bytes(12) + b"read"),
+        ("fault", "PageFault", str(unmapped)),
+    ]

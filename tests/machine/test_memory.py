@@ -121,16 +121,3 @@ def test_read_returns_immutable_snapshot():
     mem.write(0, b"after!")
     assert snap == b"before"
     assert isinstance(snap, bytes)
-
-
-def test_read_view_is_zero_copy_and_readonly():
-    mem = PhysicalMemory(PAGE_SIZE)
-    mem.write(8, b"live")
-    view = mem.read_view(8, 4)
-    assert bytes(view) == b"live"
-    mem.write(8, b"LIVE")
-    assert bytes(view) == b"LIVE"  # aliases live memory
-    with pytest.raises(TypeError):
-        view[0] = 0
-    with pytest.raises(ValueError):
-        mem.read_view(PAGE_SIZE - 1, 2)
