@@ -503,6 +503,10 @@ class Gate(Channel):
     boundary, the backend's own count, WRPKRUs and stack switches —
     and the caller→callee edge sums the crossings of its gates.
 
+    **Link time.**  A gate does no per-export work when it is built: an
+    export's plan entry (handler, kind, context label, backend payload)
+    is made the first time the export is looked up, and kept.
+
     **Compiled crossings.**  When an export is first crossed, its gate
     compiles one callable for it — a plain function, or a generator
     function for a blocking export — from the crossing templates in
@@ -569,11 +573,9 @@ class Gate(Channel):
         self._callee_name = callee_lib.NAME
         self._edge = None
         self._attach_edge(self.KIND)
-        blocking = callee_lib.blocking_exports
-        self._plan = {
-            fn: _PlanEntry(fn, handler, fn in blocking, self._plan_ctx_label(fn))
-            for fn, handler in callee_lib.exports.items()
-        }
+        #: Plan entries by export, each made on the export's first
+        #: lookup (:meth:`_plan_entry`).
+        self._plan: dict[str, _PlanEntry] = {}
         #: Compiled crossings by export: plain, blocking, and the one
         #: batch (doorbell) crossing.
         self._calls: dict[str, Callable] = {}
@@ -669,17 +671,29 @@ class Gate(Channel):
         (self._gen_calls if entry.blocking else self._calls)[entry.fn] = crossing
         return crossing
 
-    def _lookup(self, fn: str, blocking: bool) -> _PlanEntry:
-        """Entry-point enforcement: only exports are callable."""
-        entry = self._plan.get(fn)
-        if entry is not None and entry.blocking == blocking:
-            return entry
+    def _plan_entry(self, fn: str) -> _PlanEntry:
+        """Make and keep the plan entry of ``fn``, at its first lookup;
+        a name that is not an export raises GateError."""
         callee = self.callee_lib
-        if entry is None:
+        handler = callee.exports.get(fn)
+        if handler is None:
             raise GateError(
                 f"{callee.NAME} has no export {fn!r} "
                 f"(called from {self.caller_lib.NAME})"
             )
+        entry = self._plan[fn] = _PlanEntry(
+            fn, handler, fn in callee.blocking_exports, self._plan_ctx_label(fn)
+        )
+        return entry
+
+    def _lookup(self, fn: str, blocking: bool) -> _PlanEntry:
+        """Entry-point enforcement: only exports are callable."""
+        entry = self._plan.get(fn)
+        if entry is None:
+            entry = self._plan_entry(fn)
+        if entry.blocking == blocking:
+            return entry
+        callee = self.callee_lib
         if blocking:
             raise GateError(f"{callee.NAME}.{fn} is not a blocking export")
         raise GateError(
@@ -854,10 +868,9 @@ class Gate(Channel):
         """
         crossing = self._gen_calls.get(fn)
         if crossing is None:
-            entry = self._plan.get(fn)
-            if entry is None or not entry.blocking:
+            if fn not in self.callee_lib.blocking_exports:
                 return self._misused(fn)
-            crossing = self._compile(entry)
+            crossing = self._compile(self._lookup(fn, blocking=True))
         return crossing(args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

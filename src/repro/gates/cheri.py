@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gates.base import Gate, GateOptions
+from repro.gates.base import Gate, GateOptions, _PlanEntry
 from repro.machine.faults import GateError
 
 if TYPE_CHECKING:
@@ -74,10 +74,14 @@ class CHERIGate(Gate):
                 f"capability set (build with backend='cheri')"
             )
         self._grant_ns = machine.cost.cheri_grant_ns
-        # CAP_GRANTS is class-level static metadata: stash each
-        # export's grant specs on its plan entry once.
-        for fn, entry in self._plan.items():
-            entry.extra = tuple(callee_lib.CAP_GRANTS.get(fn, ()))
+
+    def _plan_entry(self, fn: str) -> _PlanEntry:
+        # CAP_GRANTS is class-level static metadata: stash the export's
+        # grant specs on its plan entry when the entry is made, before
+        # its first crossing, batched or not.
+        entry = super()._plan_entry(fn)
+        entry.extra = tuple(self.callee_lib.CAP_GRANTS.get(fn, ()))
+        return entry
 
     def _plan_ctx_label(self, fn: str) -> str:
         return f"cap:{self.callee_lib.NAME}.{fn}"

@@ -51,6 +51,8 @@ _KIND_OPTIONS: dict[str, frozenset[str]] = {
 }
 
 _OPTION_FIELDS = {field.name: field for field in dataclasses.fields(GateOptions)}
+#: Every option at its default: what an inapplicable option must equal.
+_DEFAULT_OPTIONS = GateOptions()
 
 
 def _applicable_options(kind: str) -> frozenset[str]:
@@ -59,6 +61,14 @@ def _applicable_options(kind: str) -> frozenset[str]:
     if kind.startswith("queue:"):
         names |= _KIND_OPTIONS["queue"]
     return frozenset(names)
+
+
+#: The options plain kinds and ``queue:`` kinds cannot honour, in
+#: field order, built once.
+_PLAIN_INAPPLICABLE, _QUEUE_INAPPLICABLE = (
+    tuple(name for name in _OPTION_FIELDS if name not in _applicable_options(kind))
+    for kind in ("", "queue:")
+)
 
 
 def _coerce_options(kind: str, options) -> GateOptions:
@@ -82,19 +92,12 @@ def _coerce_options(kind: str, options) -> GateOptions:
             f"options must be a GateOptions or dict, not "
             f"{type(options).__name__}"
         )
-    applicable = _applicable_options(kind)
-    for name, field in _OPTION_FIELDS.items():
-        if name in applicable:
-            continue
-        default = (
-            field.default_factory()
-            if field.default_factory is not dataclasses.MISSING
-            else field.default
-        )
-        if getattr(options, name) != default:
+    queued = kind.startswith("queue:")
+    for name in _QUEUE_INAPPLICABLE if queued else _PLAIN_INAPPLICABLE:
+        if getattr(options, name) != getattr(_DEFAULT_OPTIONS, name):
             raise GateError(
                 f"option {name!r} does not apply to gate kind {kind!r}; "
-                f"applicable: {sorted(applicable)}"
+                f"applicable: {sorted(_applicable_options(kind))}"
             )
     return options
 

@@ -119,6 +119,8 @@ strlen(addr); sem_new(value); sem_p(sem); sem_v(sem); sem_value(sem)
     @export
     def memcmp(self, a: int, b: int, n: int) -> int:
         """Compare two ranges; returns <0, 0 or >0 like C memcmp."""
+        if n < 0:
+            raise ValueError("memcmp length must be non-negative")
         left = self.machine.load(a, n) if n else b""
         right = self.machine.load(b, n) if n else b""
         if left == right:

@@ -78,6 +78,21 @@ class MicroLibrary:
     #: ...) capability-delegation descriptors for the CHERI backend
     #: (see repro.gates.cheri).
     CAP_GRANTS: dict[str, tuple] = {}
+    #: The class's export names in ``dir()`` order, and the blocking
+    #: ones: found by one scan per class, when the class is defined.
+    _export_names: tuple[str, ...] = ()
+    blocking_exports: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        kinds = {
+            attr: getattr(getattr(cls, attr), _EXPORT_ATTR, None)
+            for attr in dir(cls)
+        }
+        cls._export_names = tuple(attr for attr, kind in kinds.items() if kind)
+        cls.blocking_exports = frozenset(
+            attr for attr, kind in kinds.items() if kind == "blocking"
+        )
 
     def __init__(self) -> None:
         if not self.NAME:
@@ -85,17 +100,11 @@ class MicroLibrary:
         self.machine: "Machine | None" = None
         self.compartment: "Compartment | None" = None
         self.linker: "Linker | None" = None
-        self.exports: dict[str, Callable] = {}
-        self.blocking_exports: set[str] = set()
-        for attr in dir(type(self)):
-            raw = getattr(type(self), attr)
-            kind = getattr(raw, _EXPORT_ATTR, None)
-            if kind is None:
-                continue
-            bound = getattr(self, attr)
-            self.exports[attr] = bound
-            if kind == "blocking":
-                self.blocking_exports.add(attr)
+        #: Export name -> handler bound to this instance.  Bound by
+        #: name, so a wrapper installed on the class is what is called.
+        self.exports: dict[str, Callable] = {
+            name: getattr(self, name) for name in self._export_names
+        }
 
     # --- lifecycle ---------------------------------------------------------
 

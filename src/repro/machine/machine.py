@@ -311,10 +311,12 @@ class Machine:
     def dma_read(self, space: AddressSpace, vaddr: int, size: int) -> bytes:
         """Device read: translates via ``space``, bypasses PKRU and cost."""
         run = space._access_cache.get((vaddr >> PAGE_SHIFT, "dma", 0))
-        if run is not None and vaddr + size <= run[1]:
+        if run is not None and vaddr <= vaddr + size <= run[1]:
             self.tlb_hits += 1
             paddr = run[0] | (vaddr & _PAGE_MASK)
             return self.phys.data[paddr : paddr + size]
+        if size < 0:
+            raise ValueError("size must be non-negative")
         view = self.phys.view
         pieces = self._pieces(space, None, vaddr, size, "dma", 0)
         return b"".join([view[paddr : paddr + length] for paddr, length in pieces])

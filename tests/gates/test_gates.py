@@ -136,14 +136,33 @@ def test_blocking_invoke_gen():
 
 
 def test_entry_point_enforcement():
+    """Every misuse raises its GateError before any charge, on a fresh
+    gate (no plan entry yet) and again once the exports are compiled."""
     machine, service, client = make_world()
     gate = make_channel("mpk-shared", machine, client, service)
-    with pytest.raises(GateError, match="no export"):
-        gate.invoke("_private", ())
-    with pytest.raises(GateError, match="blocking"):
-        gate.invoke("double_slow", (1,))
-    with pytest.raises(GateError, match="not a blocking export"):
-        next(gate.invoke_gen("double", (1,)))
+    unknown = "service has no export '_private' (called from client)"
+    blocking = "service.double_slow is blocking; use call_gen / yield from"
+    misuses = [
+        (lambda: gate.invoke("_private", ()), unknown),
+        (lambda: next(gate.invoke_gen("_private", ())), unknown),
+        (lambda: gate.admit("_private"), unknown),
+        (lambda: gate.invoke("double_slow", (1,)), blocking),
+        (lambda: gate.admit("double_slow"), blocking),
+        (
+            lambda: next(gate.invoke_gen("double", (1,))),
+            "service.double is not a blocking export",
+        ),
+    ]
+    for compiled in (False, True):
+        if compiled:
+            assert gate.invoke("double", (1,)) == 2
+            assert drive(gate.invoke_gen("double_slow", (1,))) == 2
+        for misuse, message in misuses:
+            clock, crossings = machine.cpu.clock_ns, gate.crossings
+            with pytest.raises(GateError) as raised:
+                misuse()
+            assert str(raised.value) == message
+            assert (machine.cpu.clock_ns, gate.crossings) == (clock, crossings)
 
 
 def test_gate_costs_ordering():

@@ -8,6 +8,10 @@
   resumptions included) and hold on CPython 3.10–3.12; an interpreted
   step sneaking back into any of these paths shows up here as a budget
   overrun.
+- *Link time.*  A gate makes an export's plan entry on the export's
+  first lookup, so building a channel costs the same frames whatever
+  the callee exports, and after a run the gates hold an entry only per
+  export actually crossed.
 - *Ledger coverage.*  perfbench's traced ledger attributes gate time by
   wrapping ``Gate.invoke`` and ``Gate.invoke_gen`` on the class, so
   every crossing must enter through one of them.
@@ -24,7 +28,7 @@ from repro import build_image
 from repro.apps import run_iperf
 from repro.gates import make_channel
 from repro.gates.base import Gate
-from repro.libos.library import Stub
+from repro.libos.library import MicroLibrary, Stub, export
 from tests.golden.worlds import enter_caller, fig3_config, make_world
 
 #: Channel kind -> (plain crossing, blocking crossing) frame budget,
@@ -68,10 +72,16 @@ def _frames(thunk) -> int:
     return calls
 
 
+def _world(kind: str):
+    """The svc/caller world whose compartments a ``kind`` channel needs."""
+    return make_world(
+        kind if kind in ("mpk-switched", "cheri", "vm-rpc") else "mpk-shared"
+    )
+
+
 def _stub_world(kind: str):
     """A machine, a stub over a ``kind`` channel, and the entered caller."""
-    world = kind if kind in ("mpk-switched", "cheri", "vm-rpc") else "mpk-shared"
-    machine, service, caller = make_world(world)
+    machine, service, caller = _world(kind)
     stub = Stub(make_channel(kind, machine, caller, service))
     enter_caller(machine, caller)
     return machine, stub, caller
@@ -112,6 +122,39 @@ def test_crossing_after_a_load_frame_budget(kind):
 
     load_then_cross()
     assert _frames(load_then_cross) <= BUDGETS[kind][0] + _frames(load)
+
+
+def _library_exporting(count: int) -> MicroLibrary:
+    """A fresh library with ``count`` plain exports."""
+    exports = {f"op{index}": export(lambda self: None) for index in range(count)}
+    cls = type(f"Wide{count}", (MicroLibrary,), {"NAME": f"wide{count}", **exports})
+    return cls()
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGETS))
+def test_gate_construction_frame_budget(kind):
+    """Building a channel costs the same frames for a callee with 2
+    exports as for one with 40: no export is planned before its first
+    lookup."""
+    machine, service, caller = _world(kind)
+    make_channel(kind, machine, caller, service)  # first-use work, if any
+    frames = []
+    for count in (2, 40):
+        callee = _library_exporting(count)
+        callee.install(machine, service.compartment, service.linker)
+        frames.append(_frames(lambda: make_channel(kind, machine, caller, callee)))
+    assert frames[0] == frames[1]
+
+
+def test_plan_entries_only_for_crossed_exports():
+    """After the Fig. 3 iperf run, the gates hold one plan entry per
+    compiled crossing and no other."""
+    image = build_image(fig3_config("mpk-shared", {}))
+    run_iperf(image, 256, 1 << 15)
+    gates = image.machine.gates
+    entries = sum(len(gate._plan) for gate in gates)
+    compiled = sum(len(gate._calls) + len(gate._gen_calls) for gate in gates)
+    assert entries == compiled == 11
 
 
 def _accesses(world: str, size: int = 8):

@@ -28,6 +28,7 @@ from repro.machine.faults import (
 from repro.machine.machine import Machine
 from repro.machine.mpk import pkru_for_keys
 from repro.obs.profile import WorkloadProfile
+from tests.golden import worlds
 
 
 class RecorderLibrary(MicroLibrary):
@@ -212,12 +213,55 @@ def test_inapplicable_option_rejected():
             recorder,
             options=GateOptions(queue_batch=4),
         )
+    # The first offending field, in field order, is the one named.
+    with pytest.raises(GateError) as raised:
+        make_channel(
+            "mpk-shared",
+            machine,
+            client,
+            recorder,
+            options=GateOptions(queue_depth=16, queue_batch=4),
+        )
+    assert str(raised.value) == (
+        "option 'queue_depth' does not apply to gate kind 'mpk-shared'; "
+        "applicable: ['api_guards', 'clear_registers', 'shared_ranges']"
+    )
 
 
 def test_queue_options_applicable_on_queue_kinds():
     _, _, channel = make_queue(GateOptions(queue_batch=4, queue_depth=16))
     assert isinstance(channel, QueueChannel)
     assert channel.options.queue_batch == 4
+
+
+class ReaderLibrary(MicroLibrary):
+    NAME = "reader"
+    SPEC = "[Memory access] Read(Own)"
+    CAP_GRANTS = {"peek": ((0, 1),)}
+
+    @export
+    def peek(self, addr, size):
+        return self.machine.load(addr, size)
+
+
+def test_cheri_batch_as_first_crossing_delegates():
+    """An export first crossed in a ``queue:cheri`` batch still gets its
+    ``CAP_GRANTS``: the callee reaches the caller's private buffer inside
+    the batch, and only there."""
+    machine, service, caller = worlds.make_world("cheri")
+    reader = ReaderLibrary()
+    reader.install(machine, service.compartment, service.linker)
+    channel = make_channel("queue:cheri", machine, caller, reader)
+    worlds.enter_caller(machine, caller)
+    private = caller.compartment.alloc_region(64)
+    machine.store(private, b"private!")
+    channel.submit("peek", private, 8)
+    [completion] = channel.drain()
+    assert completion.value == b"private!"
+    assert machine.cpu.metrics.table["cap_grants"] == 1.0
+    machine.cpu.push_context(reader.compartment.make_context("reader"))
+    with pytest.raises(ProtectionFault, match="no capability"):
+        machine.load(private, 8)
 
 
 # --- amortised cost model ----------------------------------------------------

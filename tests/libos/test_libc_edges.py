@@ -21,6 +21,18 @@ def test_memcmp_zero_length(image):
     assert image.call("libc", "memcmp", 0x1000, 0x2000, 0) == 0
 
 
+def test_memcmp_negative_length_moves_nothing(image):
+    """A negative length is refused before either range is read, as
+    ``memcpy`` and ``memset`` refuse it: the clock and the load counts
+    stay where they were."""
+    machine = image.machine
+    addr = image.call("alloc", "malloc", 64)
+    before = (machine.cpu.clock_ns, machine.loads, machine.load_bytes)
+    with pytest.raises(ValueError, match="non-negative"):
+        image.call("libc", "memcmp", addr, addr, -100_000)
+    assert (machine.cpu.clock_ns, machine.loads, machine.load_bytes) == before
+
+
 def test_strlen_without_terminator(image):
     libc = image.lib("libc")
     libc.STRLEN_LIMIT = 64  # keep the scan short for the test

@@ -55,10 +55,34 @@ def test_name_required():
         Nameless()
 
 
+class LoudEchoLibrary(EchoLibrary):
+    """Inherits ``ping``, adds ``shout``, and overrides ``slow_ping``
+    without the decorator, which unexports it."""
+
+    NAME = "loud-echo"
+
+    @export
+    def shout(self, value):
+        return ("PONG", value)
+
+    def slow_ping(self, value):
+        return ("not exported", value)
+
+
 def test_exports_collected(world):
     _, _, _, echo, _ = world
-    assert set(echo.exports) == {"ping", "slow_ping"}
-    assert echo.blocking_exports == {"slow_ping"}
+    loud, other = LoudEchoLibrary(), EchoLibrary()
+    assert list(loud.exports) == ["ping", "shout"]
+    assert loud.blocking_exports == set()
+    for library in (echo, other):
+        assert list(library.exports) == ["ping", "slow_ping"]
+        assert library.blocking_exports == {"slow_ping"}
+    # Each instance's exports are bound to that instance.
+    for library in (echo, loud, other):
+        for handler in library.exports.values():
+            assert handler.__self__ is library
+    assert loud.exports["ping"](1) == ("pong", 1)
+    assert loud.exports["shout"](2) == ("PONG", 2)
 
 
 def test_non_exported_methods_hidden(world):

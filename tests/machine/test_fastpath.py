@@ -24,7 +24,7 @@ from repro.machine.capabilities import CapabilitySet
 from repro.machine.cpu import DomainProfile
 from repro.machine.faults import PageFault, ProtectionFault, SHViolation
 from repro.machine.machine import Machine
-from repro.machine.memory import PAGE_SIZE
+from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.machine.mpk import pkru_all_access, pkru_for_keys
 from tests.machine.reference import ReferenceMachine
 
@@ -450,7 +450,7 @@ def test_dma_differential():
         ("dma_read", rw + 3 * PAGE_SIZE - 4, 16),
         ("dma_write", foreign + PAGE_SIZE - 2, b"gap!"),
     ]
-    _, _, results = _run_trace(trace)
+    fast, slow, results = _run_trace(trace)
     unreadable = PageFault(none + 16, "read", "page not readable")
     protection = ProtectionFault(foreign, "read", 2, "test")
     unmapped = PageFault(foreign + PAGE_SIZE, "access", "not mapped in main")
@@ -468,3 +468,13 @@ def test_dma_differential():
         ("bytes", bytes(12) + b"read"),
         ("fault", "PageFault", str(unmapped)),
     ]
+    # A negative size is refused by both machines, where the DMA
+    # translation is cached (a hit) and where it is not (a miss).
+    hit, miss = rw + 100, rw + PAGE_SIZE
+    cache = fast.spaces["main"]._access_cache
+    assert (hit >> PAGE_SHIFT, "dma", 0) in cache
+    assert (miss >> PAGE_SHIFT, "dma", 0) not in cache
+    for machine in (fast, slow):
+        for vaddr in (hit, miss):
+            with pytest.raises(ValueError, match="size must be non-negative"):
+                machine.dma_read(machine.spaces["main"], vaddr, -4)
